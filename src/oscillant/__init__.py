@@ -5,8 +5,9 @@ from .numeric import DEFAULT_POLICY, InputError, MultiplicityError, NumericalErr
 from .system import BilinearMap, SystemSpec, load_spec, save_spec
 from .spectral import (AsymptoticSlopes, SpectralField, assemble_symbol,
                        asymptotic_slopes, eigendecompose_field, uniform_grid)
+from .dispersion import match_phases_on_dispersion
 from .resonance import (Phase, ResonanceReport, characteristic_harmonics, find_resonances,
-                        match_phases_on_dispersion, resonance_phase)
+                        resonance_phase)
 from .interaction import (InteractionCoefficients, PolarizationVectors, ReportInputs,
                           StabilityReport, interaction_coefficients,
                           partial_transparency_conditions, polarization_vectors,

@@ -14,10 +14,11 @@ import numpy as np
 from . import catalog
 from .flow import (FlowTrajectory, GrowthBoundReport, InteractionMatrix, bump_weight,
                    integrate_flow, verify_growth_bound)
+# pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport,
                           pair_coefficients_at, polarization_vectors, stability_report)
-from .numeric import InputError
-from .resonance import Phase, ResonanceReport, find_resonances, default_window
+from .numeric import InputError, MultiplicityError, NumericalError, supnorm
+from .resonance import Phase, ResonanceReport, _bisect, _PairPoint, default_window, find_resonances
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
                        epsilon_sweep, run_instability_experiment)
 from .spectral import SpectralField, eigendecompose_field, uniform_grid
@@ -42,7 +43,7 @@ def resolve_polarization(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     kernel is not one-dimensional (non-oscillating reference solutions)."""
     try:
         return polarization_vectors(spec, phase)
-    except Exception:
+    except MultiplicityError:
         e1 = catalog.reference_polarization(spec, phase)
         return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(0.0, 0.0))
 
@@ -97,20 +98,18 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
     field, pol, phase = analysis.field, analysis.pol, analysis.phase
     amplitude = amplitude or AmplitudeProfile()
     i, j = sr.selected_pair
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    lams, _ = field.eigensystem_at(xi)
-    lams_shift, _ = field.eigensystem_at(xi + phase.k)
-    mu1 = float(lams_shift[i] - phase.omega)
-    mu2 = float(lams[j])
+    pt = _PairPoint(field, phase, xi)
+    mu1 = float(pt.lams_shift[i] - phase.omega)
+    mu2 = float(pt.lams[j])
     ph = mu1 - mu2
-    bp, bm, _ = pair_coefficients_at(field, pol, phase, (i, j), xi)
+    bp, bm, _ = pt.coupling(i, j, pol.linearized_source(analysis.spec.B))
     chi0 = bump_weight(ph, h, 2 * h) if cutoff_active else 1.0
     chi1 = bump_weight(ph, 2 * h, 4 * h) if cutoff_active else 1.0
     phi1 = bump_weight(x - amplitude.center, 4 * amplitude.width, 8 * amplitude.width)
-    extra = tuple(float(lams[b]) for b in range(field.J) if b not in (i, j))
+    extra = tuple(float(pt.lams[b]) for b in range(field.J) if b not in (i, j))
     try:
         vg = float(transport_setup(analysis.spec, phase, pol.e1).group_velocity[0])
-    except Exception:
+    except NumericalError:
         vg = 0.0
     se = np.sqrt(epsilon)
 
@@ -143,21 +142,15 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
     i, j = sr.selected_pair
     field, phase = analysis.field, analysis.phase
 
-    def phase_at(xi):
-        return (field.lambda_at(np.atleast_1d(xi) + phase.k, i) - phase.omega
-                - field.lambda_at(np.atleast_1d(xi), j))
+    def detuned(target, reach, steps):
+        """Frequency right of xi0 where |resonant phase| reaches target: sign
+        bisection of |phase| - target, which is negative at the root xi0."""
+        def excess(x):
+            return abs(_PairPoint(field, phase, x).phase(i, j)) - target
+        return float(_bisect(excess, xi0, xi0 + reach, -1.0, maxit=steps)[0])
 
     # frequencies inside the plateau: |resonant phase| <= h/2
-    xi_samples = [xi0]
-    for target in np.linspace(0.1, 0.4, n_xi - 1) * h:
-        lo, hi = xi0, xi0 + 0.5
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if abs(phase_at(mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        xi_samples.append(0.5 * (lo + hi))
+    xi_samples = [xi0] + [detuned(t, 0.5, 40) for t in np.linspace(0.1, 0.4, n_xi - 1) * h]
 
     def make_factory(samples, cutoff_active):
         def factory(eps, t_end):
@@ -168,24 +161,13 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
                                                         amplitude=amplitude,
                                                         cutoff_active=cutoff_active)
                     m0 = m_of_t(0.0)
-                    from .numeric import supnorm
                     shift = 1j * m0.chi1 * (m0.mu1 + m0.mu2) / 2 * np.eye(2 * m0.N)
                     dt = 0.1 * np.sqrt(eps) / max(supnorm(m0.block() - shift), 1e-12)
                     out.append(integrate_flow(m_of_t, 0.0, t_end, dt, samples=100))
             return out
         return factory
 
-    away = []
-    for target in away_offsets:
-        lo, hi = xi0, xi0 + 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if abs(phase_at(mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        away.append(0.5 * (lo + hi))
-
+    away = [detuned(t, 3.0, 60) for t in away_offsets]
     return verify_growth_bound(make_factory(xi_samples, True), gamma_plus, T, epsilons,
                                away_factory=make_factory(away, False))
 

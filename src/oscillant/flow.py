@@ -59,20 +59,6 @@ class InteractionMatrix:
         M[N:, :N] = -se * self.b21
         return M
 
-    def full(self) -> np.ndarray:
-        """The whole block-diagonal symbol including decoupled branches."""
-        blocks = [self.block()]
-        for lam in self.extra_diag:
-            blocks.append(np.array([[1j * self.chi1 * lam]], dtype=complex))
-        n = sum(b.shape[0] for b in blocks)
-        out = np.zeros((n, n), dtype=complex)
-        at = 0
-        for b in blocks:
-            m = b.shape[0]
-            out[at:at + m, at:at + m] = b
-            at += m
-        return out
-
 
 def flow_spectrum(m: InteractionMatrix):
     """Closed-form spectrum of the coupled block of M.
@@ -117,17 +103,15 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate_flow(m_of_t, tau, t_end, dt, gamma_plus_ref=None, samples=200,
-                   magnus_correction=False):
+def integrate_flow(m_of_t, tau, t_end, dt, gamma_plus_ref=None, samples=200):
     """Integrate dS/dt + M(t) S / sqrt(eps) = 0 by stepwise exact exponentials.
 
     The mean diagonal i (mu1 + mu2)/2 is a global unitary phase; it is removed
     before stepping and restored analytically at the sample times, so the step
     size is governed by the detuning and coupling rather than the absolute
     eigenvalue size.  Each step applies exp(-dt M(t_mid)/sqrt(eps)) with the
-    symbol frozen at the step midpoint; an optional second-order commutator
-    correction is available but off by default.  Refuses steps whose matrix
-    exponent is too large.
+    symbol frozen at the step midpoint.  Refuses steps whose matrix exponent is
+    too large.
     """
     m0 = m_of_t(tau)
     se = np.sqrt(m0.epsilon)
@@ -155,11 +139,6 @@ def integrate_flow(m_of_t, tau, t_end, dt, gamma_plus_ref=None, samples=200,
     for step in range(n_steps):
         m = m_of_t(t + 0.5 * dt)
         M = m.block() - shift
-        if magnus_correction:
-            m_a = m_of_t(t)
-            m_b = m_of_t(t + dt)
-            comm = (m_b.block() @ m_a.block() - m_a.block() @ m_b.block())
-            M = M + (dt / (12.0 * se)) * comm
         F = expm(-(dt / se) * M)
         S = F @ S
         logdet_expect += -(dt / se) * np.trace(M).real
@@ -244,9 +223,14 @@ def unstable_datum_direction(product: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(product)
     if s[0] <= 1e-14 * max(1.0, supnorm(product)) or s[0] == 0.0:
         raise NumericalError("coupling product vanishes: no amplified direction")
-    v = u[:, 0]
+    return _real_pivot(u[:, 0])
+
+
+def _real_pivot(v) -> np.ndarray:
+    """v rotated so that its first significant component is positive real."""
+    v = np.asarray(v, dtype=complex)
     mags = np.abs(v)
     idx = int(np.argmax(mags > 1e-8 * mags.max()))
     v = v * np.exp(-1j * np.angle(v[idx]))
-    v[idx] = abs(v[idx])
+    v[idx] = abs(v[idx])   # scrub the rotated pivot's imaginary dust
     return v

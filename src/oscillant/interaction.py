@@ -16,10 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .flow import unstable_datum_direction
+from .flow import _real_pivot, unstable_datum_direction
 from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, supnorm
-from .resonance import Phase, ResonanceReport, separation_check
-from .spectral import SpectralField, assemble_symbol
+from .resonance import Phase, ResonanceReport, _kernel_basis, _PairPoint, separation_check
+from .spectral import SpectralField
 from .system import SystemSpec
 
 
@@ -40,16 +40,6 @@ class PolarizationVectors:
         return B.symmetrized(self.e1), B.symmetrized(self.em1)
 
 
-def _fix_vector_phase(v, tol=1e-8):
-    v = np.asarray(v, dtype=complex)
-    mags = np.abs(v)
-    idx = int(np.argmax(mags > tol * mags.max()))
-    w = v * np.exp(-1j * np.angle(v[idx]))
-    # scrub the rotated pivot's spurious imaginary dust
-    w[idx] = abs(w[idx])
-    return w
-
-
 def polarization_vectors(spec: SystemSpec, phase: Phase, policy=DEFAULT_POLICY) -> PolarizationVectors:
     """Kernel direction of -i omega + A0 + A(i k), normalized deterministically.
 
@@ -57,15 +47,12 @@ def polarization_vectors(spec: SystemSpec, phase: Phase, policy=DEFAULT_POLICY) 
     significant component rotated to the positive real axis, and the opposite
     phase carries the component-wise conjugate.
     """
-    H = assemble_symbol(spec, phase.k)
-    evals, evecs = np.linalg.eigh(H)
-    scale = max(supnorm(spec.A0 + 1j * spec.transport_symbol(phase.k)), 1.0)
-    hits = np.nonzero(np.abs(evals - phase.omega) <= policy.char_tol * scale)[0]
-    if len(hits) != 1:
+    kernel = _kernel_basis(spec, phase, 1, policy.char_tol)
+    if kernel.shape[1] != 1:
         raise MultiplicityError(
-            f"kernel of the characteristic matrix has dimension {len(hits)}, need 1 "
+            f"kernel of the characteristic matrix has dimension {kernel.shape[1]}, need 1 "
             f"(phase omega={phase.omega}, k={phase.k})")
-    e1 = _fix_vector_phase(evecs[:, hits[0]])
+    e1 = _real_pivot(kernel[:, 0])
     em1 = e1.conj()
     res1 = supnorm((-1j * phase.omega) * e1 + spec.A0 @ e1 + 1j * spec.transport_symbol(phase.k) @ e1)
     resm = supnorm((1j * phase.omega) * em1 + spec.A0 @ em1 - 1j * spec.transport_symbol(phase.k) @ em1)
@@ -111,15 +98,7 @@ class InteractionCoefficients:
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                          pair, xi):
     """b+(xi), b-(xi) and their interaction trace at one frequency (exact)."""
-    i, j = pair
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    B1 = field.spec.B.symmetrized(pol.e1)
-    Bm1 = field.spec.B.symmetrized(pol.em1)
-    Pi_i = field.projector_at(xi + phase.k, i)
-    Pi_j = field.projector_at(xi, j)
-    bp = Pi_i @ B1 @ Pi_j
-    bm = Pi_j @ Bm1 @ Pi_i
-    return bp, bm, complex(np.trace(bp @ bm))
+    return _PairPoint(field, phase, xi).coupling(*pair, pol.linearized_source(field.spec.B))
 
 
 def interaction_coefficients(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -128,18 +107,30 @@ def interaction_coefficients(field: SpectralField, pol: PolarizationVectors, pha
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
+    return _sample_pairs(field, pol, phase, {tuple(pair): len(grid)}, grid)[tuple(pair)]
+
+
+def _sample_pairs(field, pol, phase, rows, grid) -> dict:
+    """Coupling matrices of several pairs from one walk over a (M, d) grid.
+
+    Pair ``p`` is sampled on the first ``rows[p]`` grid points; the two
+    eigensystems evaluated at each point serve every pair.
+    """
+    sources = pol.linearized_source(field.spec.B)
     N = field.spec.N
-    M = len(grid)
-    bp = np.zeros((M, N, N), dtype=complex)
-    bm = np.zeros((M, N, N), dtype=complex)
-    gam = np.zeros(M, dtype=complex)
-    ranks = np.zeros((M, 2), dtype=int)
-    for m, xi in enumerate(grid):
-        bp[m], bm[m], gam[m] = pair_coefficients_at(field, pol, phase, pair, xi)
-        ranks[m] = (_numerical_rank(bp[m]), _numerical_rank(bm[m]))
-    return InteractionCoefficients(pair=tuple(pair), phase=phase, grid=grid, b_plus=bp,
-                                   b_minus=bm, gamma_trace=gam, ranks=ranks,
-                                   _field=field, _pol=pol)
+    data = {p: (np.zeros((M, N, N), dtype=complex), np.zeros((M, N, N), dtype=complex),
+                np.zeros(M, dtype=complex), np.zeros((M, 2), dtype=int))
+            for p, M in rows.items()}
+    for m in range(max(rows.values(), default=0)):
+        pt = _PairPoint(field, phase, grid[m])
+        for (i, j), (bp, bm, gam, ranks) in data.items():
+            if m < rows[(i, j)]:
+                bp[m], bm[m], gam[m] = pt.coupling(i, j, sources)
+                ranks[m] = (_numerical_rank(bp[m]), _numerical_rank(bm[m]))
+    return {p: InteractionCoefficients(pair=p, phase=phase, grid=grid[:rows[p]], b_plus=bp,
+                                       b_minus=bm, gamma_trace=gam, ranks=ranks,
+                                       _field=field, _pol=pol)
+            for p, (bp, bm, gam, ranks) in data.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +152,15 @@ class TransparencyDiagnostic:
         return self.verdict == "transparent"
 
 
-def _phase_fn(field, phase, pair):
-    i, j = pair
-
-    def f(xi):
-        xi = np.atleast_1d(xi)
-        return field.lambda_at(xi + phase.k, i) - field.lambda_at(xi, j) - phase.omega
-    return f
+def _scan_points(field, phase, roots, offsets):
+    """Pair evaluations at each root shifted by each offset along the diagonal,
+    skipping points whose k-shift leaves the field."""
+    for r in roots:
+        r = np.atleast_1d(r)
+        for dx in offsets:
+            xi = r + dx * np.ones_like(r) / np.sqrt(len(r))
+            if field.contains(xi) and field.contains(xi + phase.k):
+                yield _PairPoint(field, phase, xi)
 
 
 def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
@@ -184,9 +177,9 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
     pair = coeffs.pair
     pr = report.pairs.get(pair)
     field, pol, phase = coeffs._field, coeffs._pol, coeffs.phase
+    sources = pol.linearized_source(field.spec.B)
     if scale is None:
-        B1, Bm1 = pol.linearized_source(field.spec.B)
-        scale = max(supnorm(B1), supnorm(Bm1), 1e-300)
+        scale = max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
 
     if pr is None or (not pr.roots and not pr.identically_zero):
         return TransparencyDiagnostic(pair=pair, at_resonance_norm=0.0, ratio_sup={},
@@ -203,27 +196,22 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
                                       verdict="non-transparent")
 
     # off-resonance factorization: sample shrinking phase bands around each root
-    f = _phase_fn(field, phase, pair)
     h_values = sorted(h_values, reverse=True)
     ratio = {h: 0.0 for h in h_values}
     band_coef = {h: 0.0 for h in h_values}
     span = max(hi - lo for (lo, hi) in report.window)
     offsets = np.concatenate([-np.geomspace(1e-4, 0.5 * span, 40)[::-1],
                               np.geomspace(1e-4, 0.5 * span, 40)])
-    for r in roots:
-        for dx in offsets:
-            xi = r + dx * np.ones_like(r) / np.sqrt(len(r))
-            if not (field.contains(xi) and field.contains(xi + phase.k)):
-                continue
-            p = abs(f(xi))
-            if p == 0.0:
-                continue
-            for h in h_values:
-                if h / 2 <= p <= h:
-                    bp, bm, _ = coeffs.at(xi)
-                    c = max(supnorm(bp), supnorm(bm))
-                    ratio[h] = max(ratio[h], c / p)
-                    band_coef[h] = max(band_coef[h], c)
+    for pt in _scan_points(field, phase, roots, offsets):
+        p = abs(pt.phase(*pair))
+        bands = [h for h in h_values if h / 2 <= p <= h]
+        if p == 0.0 or not bands:
+            continue
+        bp, bm, _ = pt.coupling(*pair, sources)
+        c = max(supnorm(bp), supnorm(bm))
+        for h in bands:
+            ratio[h] = max(ratio[h], c / p)
+            band_coef[h] = max(band_coef[h], c)
 
     growth_ok = True
     for h_big, h_small in zip(h_values, h_values[1:]):
@@ -334,13 +322,9 @@ def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Pha
     scale = max(supnorm(Bh), 1e-300)
     sup_q = 0.0
     for xi in grid:
-        lam_i = field.lambda_at(xi + harmonic * phase.k, i)
-        lam_j = field.lambda_at(xi, j)
-        ph = lam_i - harmonic * phase.omega - lam_j
-        if source is None:
-            S = field.projector_at(xi + harmonic * phase.k, i) @ Bh @ field.projector_at(xi, j)
-        else:
-            S = source(xi)
+        pt = _PairPoint(field, phase, xi, harmonic)
+        ph = pt.phase(i, j)
+        S = pt.coupling(i, j, (Bh, Bh))[0] if source is None else source(xi)
         if abs(ph) > 1e-6:
             sup_q = max(sup_q, supnorm(S) / abs(ph))
         elif supnorm(S) > policy.transparent_tol * scale:
@@ -449,19 +433,14 @@ class StabilityReport:
 
 def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span):
     """a_sup times the largest Re sqrt(trace) over the |phase| <= h band."""
-    f = _phase_fn(field, phase, pair)
+    sources = pol.linearized_source(field.spec.B)
     best = 0.0
     offsets = np.concatenate([[0.0], np.geomspace(1e-4, 0.5 * span, 25),
                               -np.geomspace(1e-4, 0.5 * span, 25)])
-    for r in roots:
-        r = np.atleast_1d(r)
-        for dx in offsets:
-            xi = r + dx * np.ones_like(r) / np.sqrt(len(r))
-            if not (field.contains(xi) and field.contains(xi + phase.k)):
-                continue
-            if abs(f(xi)) <= h:
-                _, _, g = pair_coefficients_at(field, pol, phase, pair, xi)
-                best = max(best, float(np.sqrt(complex(g)).real))
+    for pt in _scan_points(field, phase, roots, offsets):
+        if abs(pt.phase(*pair)) <= h:
+            g = pt.coupling(*pair, sources)[2]
+            best = max(best, float(np.sqrt(complex(g)).real))
     return a_sup * best
 
 
@@ -489,17 +468,14 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
         g1 = np.linspace(l1 + max(-phase.k[1], 0), h1 - max(phase.k[1], 0), 17)
         coarse = np.stack(np.meshgrid(g0, g1, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    coeffs_map = {}
-    transparency = {}
-    b_full = 0.0
+    # one walk over the coarse grid serves every candidate (auto pairs: first point)
     candidates = report.resonant_pairs(include_auto=True)
-    for pair in candidates:
-        pr = report.pairs[pair]
-        sample = coarse if not pr.auto else coarse[:1]
-        coeffs = interaction_coefficients(field, pol, phase, pair, sample)
-        coeffs_map[pair] = coeffs
-        b_full = max(b_full, coeffs.sup_norm)
-        transparency[pair] = transparency_check(coeffs, report, policy=policy)
+    coeffs_map = _sample_pairs(field, pol, phase,
+                               {p: 1 if report.pairs[p].auto else len(coarse)
+                                for p in candidates}, coarse)
+    b_full = max((c.sup_norm for c in coeffs_map.values()), default=0.0)
+    transparency = {p: transparency_check(coeffs_map[p], report, policy=policy)
+                    for p in candidates}
 
     R0 = [p for p in candidates
           if transparency[p].verdict != "transparent" and not report.pairs[p].auto]
@@ -507,20 +483,19 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     partial = partial_transparency_conditions(coeffs_map, report, R0, policy=policy)
 
     pair_data = {}
+    at_argmax = {}    # pair -> (b+, b-, trace) at its argmax root
     for pair in R0:
         roots = [np.atleast_1d(r) for r in report.pairs[pair].roots]
-        gams = [coeffs_map[pair].at(r)[2] for r in roots]
-        norms = [max(supnorm(coeffs_map[pair].at(r)[0]), supnorm(coeffs_map[pair].at(r)[1]))
-                 for r in roots]
+        at_roots = [coeffs_map[pair].at(r) for r in roots]
+        gams = [g for _, _, g in at_roots]
+        norms = [max(supnorm(bp), supnorm(bm)) for bp, bm, _ in at_roots]
         res = [g.real for g in gams]
         ims = [abs(g.imag) for g in gams]
         sqrts = [np.sqrt(complex(g)).real for g in gams]
         arg = int(np.argmax(sqrts)) if sqrts else 0
-        rank_flag = False
-        for r in roots:
-            bp, bm, _ = coeffs_map[pair].at(r)
-            if max(_numerical_rank(bp), _numerical_rank(bm)) > 1:
-                rank_flag = True
+        rank_flag = any(max(_numerical_rank(bp), _numerical_rank(bm)) > 1
+                        for bp, bm, _ in at_roots)
+        at_argmax[pair] = at_roots[arg] if roots else None
         pair_data[pair] = PairStability(
             pair=pair,
             max_re_gamma=max(res) if res else 0.0,
@@ -584,7 +559,7 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     gamma_plus = None
     if selected is not None and pair_data[selected].argmax_root is not None:
         xi0 = pair_data[selected].argmax_root
-        bp, bm, g = coeffs_map[selected].at(xi0)
+        bp, bm, g = at_argmax[selected]
         if abs(g) > 0:
             prod = bp @ bm
             try:
@@ -646,9 +621,9 @@ def symmetrizer_basis(C12, C21, policy=DEFAULT_POLICY):
         raise MultiplicityError("tr(C12 C21) vanishes; the pair cannot be reduced")
 
     u_e, _, _ = np.linalg.svd(C12 @ C21)
-    e = _fix_vector_phase(u_e[:, 0])
+    e = _real_pivot(u_e[:, 0])
     u_f, _, _ = np.linalg.svd(C21 @ C12)
-    f = _fix_vector_phase(u_f[:, 0])
+    f = _real_pivot(u_f[:, 0])
 
     # C21 e = c21 f, C12 f = c12 e
     c21 = complex(np.vdot(f, C21 @ e))

@@ -1,8 +1,7 @@
 """Shared numeric tolerances and error types.
 
-All algebraic identity checks in the package draw their tolerances from a
-single :class:`NumericPolicy` record, so they can be tightened or relaxed
-in one place.
+The shared tolerances live in one :class:`NumericPolicy` record; some
+routines still carry literal tolerances of their own.
 """
 from dataclasses import dataclass
 

@@ -15,7 +15,6 @@ import numpy as np
 from .numeric import DEFAULT_POLICY, InputError, supnorm
 from .spectral import SpectralField, assemble_symbol, asymptotic_slopes
 from .system import SystemSpec
-from . import dispersion
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,20 @@ class Phase:
 
     def is_characteristic(self, spec: SystemSpec, tol=None) -> bool:
         """True when -i omega + A0 + A(i k) is singular to relative tolerance."""
-        tol = DEFAULT_POLICY.char_tol if tol is None else tol
-        H = assemble_symbol(spec, self.k)
-        scale = supnorm(spec.A0 + 1j * spec.transport_symbol(self.k))
-        gap = float(np.min(np.abs(np.linalg.eigvalsh(H) - self.omega)))
-        return gap <= tol * max(scale, 1e-300)
+        return _kernel_basis(spec, self, 1, tol).shape[1] > 0
+
+
+def _kernel_basis(spec: SystemSpec, phase: Phase, p: int, tol=None) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of L(i p beta) = -i p omega + A0 + i p A(k).
+
+    An eigenvector of the symbol at p k belongs to the kernel when its
+    eigenvalue lies within ``tol * max(1, supnorm(A0 + i A(p k)))`` of p omega
+    (``tol`` defaults to the policy's ``char_tol``).
+    """
+    tol = DEFAULT_POLICY.char_tol if tol is None else tol
+    evals, evecs = np.linalg.eigh(assemble_symbol(spec, p * phase.k))
+    scale = max(supnorm(spec.A0 + 1j * spec.transport_symbol(p * phase.k)), 1.0)
+    return evecs[:, np.abs(evals - p * phase.omega) <= tol * scale]
 
 
 @dataclass
@@ -96,52 +104,68 @@ class ResonanceReport:
         }
 
 
+class _PairPoint:
+    """Branch eigensystems at xi + p k and at xi, one diagonalization each.
+
+    Every branch pair's harmonic-p resonant phase and coupling matrices at xi
+    are formed from these two evaluations.
+    """
+
+    def __init__(self, field: SpectralField, phase: Phase, xi, p=1):
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        self.lams_shift, self.projs_shift = field.eigensystem_at(xi + p * phase.k)
+        self.lams, self.projs = field.eigensystem_at(xi)
+        self.offset = p * phase.omega
+
+    def phase(self, i, j) -> float:
+        """lambda_i(xi + p k) - lambda_j(xi) - p omega."""
+        return float(self.lams_shift[i] - self.lams[j] - self.offset)
+
+    def coupling(self, i, j, sources):
+        """b+ = Pi_i(xi + p k) S+ Pi_j(xi), b- = Pi_j(xi) S- Pi_i(xi + p k) and
+        tr(b+ b-), for the source matrices ``sources = (S+, S-)``."""
+        Pi_i, Pi_j = self.projs_shift[i], self.projs[j]
+        bp = Pi_i @ sources[0] @ Pi_j
+        bm = Pi_j @ sources[1] @ Pi_i
+        return bp, bm, complex(np.trace(bp @ bm))
+
+
 def resonance_phase(field: SpectralField, phase: Phase, i: int, j: int, xi) -> float:
-    """lambda_i(xi + k) - lambda_j(xi) - omega by branch-consistent interpolation."""
+    """lambda_i(xi + k) - lambda_j(xi) - omega from exact branch eigenvalues."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not (field.contains(xi) and field.contains(xi + phase.k)):
         raise InputError(f"point {xi} (or its shift by k) lies outside the field window")
-    return field.interp_lambda(xi + phase.k, i) - field.interp_lambda(xi, j) - phase.omega
+    return _PairPoint(field, phase, xi).phase(i, j)
 
 
-def _exact_phase_fn(field, phase, i, j):
-    def f(xi):
-        xi = np.atleast_1d(xi)
-        li = field.lambda_at(xi + phase.k, i)
-        lj = field.lambda_at(xi, j)
-        return li - lj - phase.omega
-    return f
+def _bisect(f, a, b, fa, tol=0.0, maxit=200):
+    """Sign bisection of f on the segment [a, b] (scalars or points).
 
-
-def _bisect(f, a, b, fa, fb, tol, maxit=200):
+    ``fa`` is f(a) or any number of its sign.  Stops when |f(m)| <= tol or the
+    bracket has shrunk to rounding size; returns (m, f(m)).
+    """
     for _ in range(maxit):
         m = 0.5 * (a + b)
         fm = f(m)
-        if abs(fm) <= tol or (b - a) < 1e-15 * (1 + abs(m)):
+        if abs(fm) <= tol or np.max(np.abs(b - a)) < 1e-15 * (1 + np.max(np.abs(m))):
             return m, fm
         if fa * fm <= 0:
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
-    return 0.5 * (a + b), f(0.5 * (a + b))
+    m = 0.5 * (a + b)
+    return m, f(m)
 
 
 def characteristic_harmonics(spec: SystemSpec, phase: Phase, pmax: int, tol=None):
     """All integers |p| <= pmax whose harmonic p*(omega, k) is characteristic."""
     if pmax < 2:
         raise InputError("pmax must be at least 2")
-    tol = DEFAULT_POLICY.char_tol if tol is None else tol
-    out = []
-    for p in range(-pmax, pmax + 1):
-        H = assemble_symbol(spec, p * phase.k)
-        scale = max(supnorm(spec.A0 + 1j * spec.transport_symbol(p * phase.k)), 1.0)
-        gap = float(np.min(np.abs(np.linalg.eigvalsh(H) - p * phase.omega)))
-        if gap <= tol * scale:
-            out.append(p)
-    return tuple(out)
+    return tuple(p for p in range(-pmax, pmax + 1)
+                 if _kernel_basis(spec, phase, p, tol).shape[1] > 0)
 
 
-def default_window(spec: SystemSpec, phase: Phase, field: SpectralField = None):
+def default_window(spec: SystemSpec, phase: Phase):
     """Search window [-8 kappa, 8 kappa] per axis, kappa = max(|k|, 1)."""
     kappa = max(float(np.max(np.abs(phase.k))), 1.0)
     return tuple((-8.0 * kappa, 8.0 * kappa) for _ in range(spec.d))
@@ -160,14 +184,13 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
     """
     policy = field.policy
     if window is None:
-        window = default_window(field.spec, phase, field)
+        window = default_window(field.spec, phase)
     if np.isscalar(window[0]):
         window = (tuple(window),)
     for (lo, hi), (flo, fhi) in zip(window, field.window):
         if lo < flo - 1e-12 or hi > fhi + 1e-12:
             raise InputError("window not covered by the field grid")
-        k = phase.k
-    for x, (flo, fhi), (lo, hi) in zip(k, field.window, window):
+    for x, (flo, fhi), (lo, hi) in zip(phase.k, field.window, window):
         if lo + min(x, 0) < flo - 1e-12 or hi + max(x, 0) > fhi + 1e-12:
             raise InputError("window (translated by k) not covered by the field grid")
 
@@ -178,7 +201,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
         ax = field.axes[0]
         sel = (ax >= window[0][0] - 1e-12) & (ax <= window[0][1] + 1e-12)
         xs = ax[sel]
-        lam = np.array([field.lambdas[field._nearest_index([x])] for x in xs])
+        lam = field.lambdas[sel]
         lam_shift = np.array([field.eigensystem_at([x + phase.k[0]])[0] for x in xs])
     else:
         ax0 = field.axes[0]
@@ -186,19 +209,16 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
         s0 = (ax0 >= window[0][0] - 1e-12) & (ax0 <= window[0][1] + 1e-12)
         s1 = (ax1 >= window[1][0] - 1e-12) & (ax1 <= window[1][1] + 1e-12)
         xs0, xs1 = ax0[s0], ax1[s1]
-        lam = np.zeros((len(xs0), len(xs1), J))
-        lam_shift = np.zeros_like(lam)
-        for a, x0 in enumerate(xs0):
-            for b, x1 in enumerate(xs1):
-                p = np.array([x0, x1])
-                lam[a, b] = field.lambdas[field._nearest_index(p)]
-                lam_shift[a, b] = field.eigensystem_at(p + phase.k)[0]
+        lam = field.lambdas.reshape(len(ax0), len(ax1), J)[np.ix_(s0, s1)]
+        lam_shift = np.array([[field.eigensystem_at(np.array([x0, x1]) + phase.k)[0]
+                               for x1 in xs1] for x0 in xs0])
 
     pairs = {}
     scale = 1.0 + float(np.max(np.abs(field.lambdas)))
     for i in range(J):
         for j in range(J):
             pr = PairResonance(pair=(i, j), roots=[], residuals=[], auto=(i == j))
+            f = lambda x, i=i, j=j: _PairPoint(field, phase, x).phase(i, j)
             if d == 1:
                 ph = lam_shift[:, i] - lam[:, j] - phase.omega
                 if np.max(np.abs(ph)) <= policy.root_tol * scale:
@@ -206,7 +226,6 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                     pr.roots = [0.0] if (xs[0] <= 0.0 <= xs[-1]) else [float(xs[0])]
                     pr.residuals = [0.0]
                 else:
-                    f = _exact_phase_fn(field, phase, i, j)
                     for m in range(len(xs) - 1):
                         a, b = float(xs[m]), float(xs[m + 1])
                         fa, fb = float(ph[m]), float(ph[m + 1])
@@ -214,7 +233,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                             pr.roots.append(a)
                             pr.residuals.append(0.0)
                         elif fa * fb < 0:
-                            r, fr = _bisect(f, a, b, fa, fb, policy.root_tol * scale)
+                            r, fr = _bisect(f, a, b, fa, policy.root_tol * scale)
                             pr.roots.append(float(r))
                             pr.residuals.append(abs(float(fr)))
                     if abs(ph[-1]) == 0.0:
@@ -233,7 +252,6 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                 if np.max(np.abs(ph)) <= policy.root_tol * scale:
                     pr.identically_zero = True
                 else:
-                    f = _exact_phase_fn(field, phase, i, j)
                     for a in range(len(xs0) - 1):
                         for b in range(len(xs1) - 1):
                             corners = ph[a:a + 2, b:b + 2]
@@ -288,18 +306,8 @@ def _refine_cell(f, xs, ys, corners, tol):
     pos = [p for p, v in zip(pts, vals) if v >= 0]
     if not neg or not pos:
         return None, None
-    a, b = neg[0], pos[0]
-    fa, fb = f(a), f(b)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= tol:
-            return m, abs(fm)
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b), abs(f(0.5 * (a + b)))
+    root, res = _bisect(f, neg[0], pos[0], f(neg[0]), tol)
+    return root, abs(res)
 
 
 def separation_check(report: ResonanceReport, pair, k, cell_size):
@@ -318,8 +326,3 @@ def separation_check(report: ResonanceReport, pair, k, cell_size):
                     dmin = min(dmin, float(np.linalg.norm(r + q * np.atleast_1d(k) - np.atleast_1d(s))))
         ok[other] = bool(dmin > cell_size)
     return ok
-
-
-# plasma-wave phase matching lives in the dispersion module; re-exported here
-# because callers reach it through the resonance-analysis surface.
-match_phases_on_dispersion = dispersion.match_phases_on_dispersion

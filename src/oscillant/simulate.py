@@ -98,6 +98,8 @@ class SimConfig:
     phi0_radius: float = None          # default 2 x amplitude width
 
     def __post_init__(self):
+        if self.spec.d != 1:
+            raise InputError("the simulator runs in one spatial dimension (spec.d must be 1)")
         if self.grid_points & (self.grid_points - 1):
             raise InputError("grid_points must be a power of two")
         if self.domain_length is None:
@@ -161,12 +163,6 @@ class _Stepper:
         if self.real_state:
             u = u.real.astype(complex)
         return u
-
-
-def step(state, config: SimConfig, dt, stepper=None):
-    """Advance one Strang step (exposed for tests; runs build their own stepper)."""
-    stepper = stepper or _Stepper(config.spec, config.epsilon, config.x, config.real_state)
-    return stepper.step(state, dt)
 
 
 @dataclass

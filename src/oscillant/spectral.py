@@ -69,7 +69,7 @@ class SpectralField:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         return all(lo - margin <= x <= hi + margin for x, (lo, hi) in zip(xi, self.window))
 
-    # -- nearest-point / interpolation access ---------------------------------
+    # -- nearest grid point ----------------------------------------------------
 
     def _nearest_index(self, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -81,24 +81,6 @@ class SpectralField:
         if self.d == 1:
             return idx[0]
         return idx[0] * len(self.axes[1]) + idx[1]
-
-    def interp_lambda(self, xi, j) -> float:
-        """Linear (1-d) / bilinear (2-d) interpolation of branch j values."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not self.contains(xi):
-            raise InputError(f"point {xi} outside field window {self.window}")
-        if self.d == 1:
-            return float(np.interp(xi[0], self.axes[0], self.lambdas[:, j]))
-        ax0, ax1 = self.axes
-        n1 = len(ax1)
-        vals = self.lambdas[:, j].reshape(len(ax0), n1)
-        i0 = int(np.clip(np.searchsorted(ax0, xi[0]) - 1, 0, len(ax0) - 2))
-        i1 = int(np.clip(np.searchsorted(ax1, xi[1]) - 1, 0, n1 - 2))
-        t0 = (xi[0] - ax0[i0]) / (ax0[i0 + 1] - ax0[i0])
-        t1 = (xi[1] - ax1[i1]) / (ax1[i1 + 1] - ax1[i1])
-        v = (vals[i0, i1] * (1 - t0) * (1 - t1) + vals[i0 + 1, i1] * t0 * (1 - t1)
-             + vals[i0, i1 + 1] * (1 - t0) * t1 + vals[i0 + 1, i1 + 1] * t0 * t1)
-        return float(v)
 
     # -- exact branch-consistent evaluation -----------------------------------
 
@@ -116,24 +98,6 @@ class SpectralField:
     def lambda_at(self, xi, j=None):
         lams, _ = self.eigensystem_at(xi)
         return lams if j is None else float(lams[j])
-
-    def projector_at(self, xi, j):
-        _, projs = self.eigensystem_at(xi)
-        return projs[j]
-
-    def branch_grid(self, j):
-        """Branch-j values shaped like the grid (1-d: (m,); 2-d: (m0, m1))."""
-        v = self.lambdas[:, j]
-        if self.d == 1:
-            return v
-        return v.reshape(len(self.axes[0]), len(self.axes[1]))
-
-    def crossing_points(self, gap_tol=None):
-        """Grid points where two distinct branches come within gap_tol."""
-        gap_tol = self.policy.degenerate_tol if gap_tol is None else gap_tol
-        lam = np.sort(self.lambdas, axis=1)
-        close = np.min(np.diff(lam, axis=1), axis=1) <= gap_tol
-        return self.points[close]
 
 
 def _eigh_clustered(H, tol):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, InputError, MultiplicityError, NumericalError, supnorm
-from .resonance import Phase, characteristic_harmonics
-from .spectral import SpectralField, assemble_symbol
+from .resonance import Phase, _kernel_basis, characteristic_harmonics
+from .spectral import assemble_symbol
 from .system import SystemSpec
 
 
@@ -28,12 +28,7 @@ def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
 
 def harmonic_projector(spec: SystemSpec, phase: Phase, p: int, tol=None) -> np.ndarray:
     """Orthogonal projector onto the kernel of L(i p beta)."""
-    tol = DEFAULT_POLICY.char_tol if tol is None else tol
-    H = assemble_symbol(spec, p * phase.k)
-    evals, evecs = np.linalg.eigh(H)
-    scale = max(1.0, float(np.abs(evals).max()))
-    sel = np.abs(evals - p * phase.omega) <= tol * scale
-    V = evecs[:, sel]
+    V = _kernel_basis(spec, phase, p, tol)
     return V @ V.conj().T
 
 
@@ -103,25 +98,21 @@ class TransportSetup:
     cubic_coefficient: complex
 
 
-def transport_setup(spec: SystemSpec, phase: Phase, e1, field: SpectralField = None,
-                    fd_step=1e-5) -> TransportSetup:
+def transport_setup(spec: SystemSpec, phase: Phase, e1, fd_step=1e-5) -> TransportSetup:
     """Group velocity and cubic coefficient of the leading-amplitude equation.
 
     The group velocity is the frequency gradient of the branch carrying the
-    phase (centered finite difference, on the field when supplied).  The cubic
-    coefficient reduces the two quadratic feedback channels (second harmonic
-    and mean mode) to a scalar against the polarization.
+    phase (centered finite difference).  The cubic coefficient reduces the two
+    quadratic feedback channels (second harmonic and mean mode) to a scalar
+    against the polarization.
     """
     e1 = np.asarray(e1, dtype=complex)
-    # branch carrying the phase: locate by eigenvalue match at k
-    H = assemble_symbol(spec, phase.k)
-    evals, evecs = np.linalg.eigh(H)
-    hits = np.abs(evals - phase.omega) <= 1e-8 * max(1.0, np.abs(evals).max())
-    mult = int(hits.sum())
-    if mult != 1:
+    # branch carrying the phase: the kernel of the characteristic matrix at k
+    kernel = _kernel_basis(spec, phase, 1)
+    if kernel.shape[1] != 1:
         # a coalescing phase admits scalar transport only when the supplied
         # polarization diagonalizes the transport within the eigenspace
-        P = evecs[:, hits] @ evecs[:, hits].conj().T
+        P = kernel @ kernel.conj().T
         vg = np.zeros(spec.d)
         for a in range(spec.d):
             Av = P @ (spec.Aj[a] @ e1)

@@ -9,8 +9,10 @@ from oscillant.interaction import (ReportInputs, interaction_coefficients,
                                    pair_coefficients_at, partial_transparency_conditions,
                                    polarization_vectors, solve_homological,
                                    stability_report, symmetrizer_basis, transparency_check)
-from oscillant.numeric import MultiplicityError, supnorm
+from oscillant.experiments import analyze
+from oscillant.numeric import InputError, MultiplicityError, supnorm
 from oscillant.resonance import Phase
+from oscillant.spectral import SpectralField
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
@@ -39,6 +41,12 @@ def test_polarization_multiplicity_error():
     spec = three_wave()
     with pytest.raises(MultiplicityError):
         polarization_vectors(spec, Phase(0.0, [0.0]))
+
+
+def test_analyze_rejects_phase_of_wrong_dimension():
+    # only a multiplicity failure falls back to the catalog polarization
+    with pytest.raises(InputError):
+        analyze(kg_equal(), Phase(1.0, [1.0, 0.0]), grid_n=64)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +182,37 @@ def test_report_gamma_le_b0(kg_analysis, kg_diff_analysis, three_wave_analysis):
                three_wave_analysis().stability):
         assert sr.gamma <= sr.b0 + 1e-12
         assert sr.b0 <= sr.b_full + 1e-12
+
+
+def test_analysis_evaluates_each_point_once(monkeypatch):
+    # one walk of the report's coarse grid serves all pairs and each root's
+    # couplings are formed once per report pass (4,238 evaluations)
+    calls = []
+    evaluate = SpectralField.eigensystem_at
+
+    def counted(self, xi):
+        calls.append(1)
+        return evaluate(self, xi)
+
+    monkeypatch.setattr(SpectralField, "eigensystem_at", counted)
+    analyze(kg_equal())
+    assert len(calls) <= 4400
+
+
+def test_one_walk_serves_every_pair(kg_analysis, kg_branches):
+    # a walk sampling several pairs gives each pair its own exact coefficients
+    from oscillant.interaction import _sample_pairs
+    an = kg_analysis
+    grid = (np.linspace(-2.0, 2.0, 5) + 0.01)[:, None]
+    rows = {(kg_branches[1], kg_branches[2]): 5, (kg_branches[2], kg_branches[2]): 1}
+    walked = _sample_pairs(an.field, an.pol, an.phase, rows, grid)
+    for pair, n in rows.items():
+        assert len(walked[pair].grid) == n
+        for m, xi in enumerate(grid[:n]):
+            bp, bm, g = pair_coefficients_at(an.field, an.pol, an.phase, pair, xi)
+            assert np.array_equal(walked[pair].b_plus[m], bp)
+            assert np.array_equal(walked[pair].b_minus[m], bm)
+            assert walked[pair].gamma_trace[m] == g
 
 
 def test_report_time_formulas(kg_analysis):

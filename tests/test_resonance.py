@@ -63,7 +63,7 @@ def test_kg_resonant_sets(kg_analysis, kg_branches):
 
 
 def test_root_completeness_on_sign_changes(kg_analysis, kg_branches):
-    # every sign change of the interpolated phase on the grid yields one root
+    # every sign change of the exact phase on a fine grid yields one root
     field, phase = kg_analysis.field, kg_analysis.phase
     rep = kg_analysis.resonances
     bm = kg_branches

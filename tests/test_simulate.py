@@ -208,6 +208,12 @@ def test_grid_power_of_two_required():
         SimConfig(spec=three_wave(), epsilon=1e-2, grid_points=1000)
 
 
+def test_simulator_rejects_d2_systems():
+    # the stepper reads only A1; a d=2 system must not run as a 1-d one
+    with pytest.raises(InputError):
+        SimConfig(spec=kg_equal(d=2), epsilon=1e-2)
+
+
 def test_resolution_guard():
     cfg = SimConfig(spec=kg_equal(), epsilon=1e-4, grid_points=256, domain_length=40.0,
                     xi0=1.45, k=1.0, e0=np.zeros(6, dtype=complex))
