@@ -18,7 +18,7 @@ from .flow import (FlowTrajectory, GrowthBoundReport, InteractionMatrix, bump_we
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport,
                           pair_coefficients_at, polarization_vectors, stability_report)
 from .numeric import InputError, MultiplicityError, NumericalError, supnorm
-from .resonance import Phase, ResonanceReport, _bisect, _PairPoint, default_window, find_resonances
+from .resonance import Phase, ResonanceReport, _bisect, _PairBatch, default_window, find_resonances
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
                        epsilon_sweep, run_instability_experiment)
 from .spectral import SpectralField, eigendecompose_field, uniform_grid
@@ -98,15 +98,16 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
     field, pol, phase = analysis.field, analysis.pol, analysis.phase
     amplitude = amplitude or AmplitudeProfile()
     i, j = sr.selected_pair
-    pt = _PairPoint(field, phase, xi)
-    mu1 = float(pt.lams_shift[i] - phase.omega)
-    mu2 = float(pt.lams[j])
+    pb = _PairBatch(field, phase, xi)
+    mu1 = float(pb.shift.lams[0, i] - phase.omega)
+    mu2 = float(pb.base.lams[0, j])
     ph = mu1 - mu2
-    bp, bm, _ = pt.coupling(i, j, pol.linearized_source(analysis.spec.B))
+    bp, bm, _ = pb.coupling(i, j, pol.linearized_source(analysis.spec.B))
+    bp, bm = bp[0], bm[0]
     chi0 = bump_weight(ph, h, 2 * h) if cutoff_active else 1.0
     chi1 = bump_weight(ph, 2 * h, 4 * h) if cutoff_active else 1.0
     phi1 = bump_weight(x - amplitude.center, 4 * amplitude.width, 8 * amplitude.width)
-    extra = tuple(float(pt.lams[b]) for b in range(field.J) if b not in (i, j))
+    extra = tuple(float(pb.base.lams[0, b]) for b in range(field.J) if b not in (i, j))
     try:
         vg = float(transport_setup(analysis.spec, phase, pol.e1).group_velocity[0])
     except NumericalError:
@@ -142,15 +143,23 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
     i, j = sr.selected_pair
     field, phase = analysis.field, analysis.phase
 
-    def detuned(target, reach, steps):
-        """Frequency right of xi0 where |resonant phase| reaches target: sign
-        bisection of |phase| - target, which is negative at the root xi0."""
-        def excess(x):
-            return abs(_PairPoint(field, phase, x).phase(i, j)) - target
-        return float(_bisect(excess, xi0, xi0 + reach, -1.0, maxit=steps)[0])
+    def detuned(targets, reach, steps):
+        """Frequencies right of xi0 where |resonant phase| reaches each target:
+        sign bisection of |phase| - target (negative at the root xi0), every
+        target in lockstep."""
+        targets = np.asarray(targets, dtype=float)
+        if not targets.size:
+            return []
+
+        def excess(x, idx):
+            return np.abs(_PairBatch(field, phase, x).phase(i, j)) - targets[idx]
+        n = len(targets)
+        roots, _ = _bisect(excess, np.full(n, xi0), np.full(n, xi0 + reach), -np.ones(n),
+                           maxit=steps)
+        return [float(r) for r in roots[:, 0]]
 
     # frequencies inside the plateau: |resonant phase| <= h/2
-    xi_samples = [xi0] + [detuned(t, 0.5, 40) for t in np.linspace(0.1, 0.4, n_xi - 1) * h]
+    xi_samples = [xi0] + detuned(np.linspace(0.1, 0.4, n_xi - 1) * h, 0.5, 40)
 
     def make_factory(samples, cutoff_active):
         def factory(eps, t_end):
@@ -167,7 +176,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
             return out
         return factory
 
-    away = [detuned(t, 3.0, 60) for t in away_offsets]
+    away = detuned(away_offsets, 3.0, 60)
     return verify_growth_bound(make_factory(xi_samples, True), gamma_plus, T, epsilons,
                                away_factory=make_factory(away, False))
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .flow import _real_pivot, unstable_datum_direction
 from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, supnorm
-from .resonance import Phase, ResonanceReport, _kernel_basis, _PairPoint, separation_check
-from .spectral import SpectralField
+from .resonance import Phase, ResonanceReport, _kernel_basis, _PairBatch, separation_check
+from .spectral import EVAL_CHUNK, SpectralField
 from .system import SystemSpec
 
 
@@ -64,10 +64,14 @@ def polarization_vectors(spec: SystemSpec, phase: Phase, policy=DEFAULT_POLICY) 
 # ---------------------------------------------------------------------------
 
 def _numerical_rank(M, rel_tol=1e-8):
+    """Numerical rank of a matrix, or of each matrix of a stack (one batched SVD)."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return np.sum(s > rel_tol * s[..., :1], axis=-1)
+
+
+def _supnorms(z) -> np.ndarray:
+    """:func:`supnorm` of each matrix of a (P, N, N) stack."""
+    return np.max(np.sum(np.abs(z), axis=-1), axis=-1)
 
 
 @dataclass
@@ -98,7 +102,8 @@ class InteractionCoefficients:
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                          pair, xi):
     """b+(xi), b-(xi) and their interaction trace at one frequency (exact)."""
-    return _PairPoint(field, phase, xi).coupling(*pair, pol.linearized_source(field.spec.B))
+    bp, bm, g = _PairBatch(field, phase, xi).coupling(*pair, pol.linearized_source(field.spec.B))
+    return bp[0], bm[0], complex(g[0])
 
 
 def interaction_coefficients(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -113,20 +118,22 @@ def interaction_coefficients(field: SpectralField, pol: PolarizationVectors, pha
 def _sample_pairs(field, pol, phase, rows, grid) -> dict:
     """Coupling matrices of several pairs from one walk over a (M, d) grid.
 
-    Pair ``p`` is sampled on the first ``rows[p]`` grid points; the two
-    eigensystems evaluated at each point serve every pair.
+    Pair ``p`` is sampled on the first ``rows[p]`` grid points; one batched
+    evaluation per chunk of ``EVAL_CHUNK`` grid points serves every pair.
     """
     sources = pol.linearized_source(field.spec.B)
     N = field.spec.N
     data = {p: (np.zeros((M, N, N), dtype=complex), np.zeros((M, N, N), dtype=complex),
                 np.zeros(M, dtype=complex), np.zeros((M, 2), dtype=int))
             for p, M in rows.items()}
-    for m in range(max(rows.values(), default=0)):
-        pt = _PairPoint(field, phase, grid[m])
+    total = max(rows.values(), default=0)
+    for s in range(0, total, EVAL_CHUNK):
+        pb = _PairBatch(field, phase, grid[s:min(s + EVAL_CHUNK, total)])
         for (i, j), (bp, bm, gam, ranks) in data.items():
-            if m < rows[(i, j)]:
-                bp[m], bm[m], gam[m] = pt.coupling(i, j, sources)
-                ranks[m] = (_numerical_rank(bp[m]), _numerical_rank(bm[m]))
+            c = slice(s, min(s + EVAL_CHUNK, rows[(i, j)]))
+            if c.start < c.stop:
+                bp[c], bm[c], gam[c] = pb.coupling(i, j, sources, slice(c.stop - c.start))
+                ranks[c] = np.stack([_numerical_rank(bp[c]), _numerical_rank(bm[c])], axis=1)
     return {p: InteractionCoefficients(pair=p, phase=phase, grid=grid[:rows[p]], b_plus=bp,
                                        b_minus=bm, gamma_trace=gam, ranks=ranks,
                                        _field=field, _pol=pol)
@@ -153,26 +160,46 @@ class TransparencyDiagnostic:
 
 
 def _scan_points(field, phase, roots, offsets):
-    """Pair evaluations at each root shifted by each offset along the diagonal,
-    skipping points whose k-shift leaves the field."""
+    """Pair evaluations, one batch per root: the root shifted by each offset
+    along the diagonal, skipping points whose k-shift leaves the field."""
+    lo, hi = np.array(field.window).T
     for r in roots:
         r = np.atleast_1d(r)
-        for dx in offsets:
-            xi = r + dx * np.ones_like(r) / np.sqrt(len(r))
-            if field.contains(xi) and field.contains(xi + phase.k):
-                yield _PairPoint(field, phase, xi)
+        pts = r + offsets[:, None] * np.ones_like(r) / np.sqrt(len(r))
+        inside = (pts >= lo) & (pts <= hi) & (pts + phase.k >= lo) & (pts + phase.k <= hi)
+        pts = pts[np.all(inside, axis=1)]
+        if len(pts):
+            yield _PairBatch(field, phase, pts)
+
+
+def _root_couplings(field, pol, phase, report, pairs) -> dict:
+    """Phase and (b+, b-, trace) of each pair at each of its roots, from one
+    evaluation of all the roots: pair -> list of (phase, b+, b-, trace)."""
+    sources = pol.linearized_source(field.spec.B)
+    roots = {p: report.pairs[p].roots for p in pairs}
+    pts = np.reshape([np.atleast_1d(r) for rs in roots.values() for r in rs], (-1, field.d))
+    pb = _PairBatch(field, phase, pts)
+    out, start = {}, 0
+    for (i, j), rs in roots.items():
+        rows = slice(start, start + len(rs))
+        start += len(rs)
+        bp, bm, g = pb.coupling(i, j, sources, rows)
+        out[(i, j)] = [(float(ph), b1, b2, complex(tr))
+                       for ph, b1, b2, tr in zip(pb.phase(i, j)[rows], bp, bm, g)]
+    return out
 
 
 def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
                        h_values=(0.2, 0.1, 0.05, 0.025), policy=DEFAULT_POLICY,
-                       scale=None) -> TransparencyDiagnostic:
+                       scale=None, at_roots=None) -> TransparencyDiagnostic:
     """Decide whether a pair's coupling factors through its resonant phase.
 
     Transparent: the coefficient norm vanishes (below tolerance) at every
     located root and the off-resonance ratio |coef|/|phase| grows at most by a
     factor two per halving of the phase band.  Non-transparent: a root carries
     a coefficient above the non-transparency threshold.  Anything in between
-    is reported as borderline.
+    is reported as borderline.  ``at_roots`` may carry the pair's couplings at
+    its roots, as :func:`_root_couplings` forms them.
     """
     pair = coeffs.pair
     pr = report.pairs.get(pair)
@@ -186,9 +213,10 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
                                       verdict="transparent", note="no resonances in window")
 
     roots = [np.atleast_1d(r) for r in pr.roots]
+    if at_roots is None:
+        at_roots = [(None,) + coeffs.at(r) for r in roots]
     root_norm = 0.0
-    for r in roots:
-        bp, bm, _ = coeffs.at(r)
+    for _, bp, bm, _ in at_roots:
         root_norm = max(root_norm, supnorm(bp), supnorm(bm))
 
     if root_norm >= policy.nontransparent_tol * scale:
@@ -202,16 +230,19 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
     span = max(hi - lo for (lo, hi) in report.window)
     offsets = np.concatenate([-np.geomspace(1e-4, 0.5 * span, 40)[::-1],
                               np.geomspace(1e-4, 0.5 * span, 40)])
-    for pt in _scan_points(field, phase, roots, offsets):
-        p = abs(pt.phase(*pair))
-        bands = [h for h in h_values if h / 2 <= p <= h]
-        if p == 0.0 or not bands:
+    for pb in _scan_points(field, phase, roots, offsets):
+        p = np.abs(pb.phase(*pair))
+        in_band = [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in h_values]
+        rows = np.flatnonzero(np.any(in_band, axis=0))
+        if not rows.size:
             continue
-        bp, bm, _ = pt.coupling(*pair, sources)
-        c = max(supnorm(bp), supnorm(bm))
-        for h in bands:
-            ratio[h] = max(ratio[h], c / p)
-            band_coef[h] = max(band_coef[h], c)
+        bp, bm, _ = pb.coupling(*pair, sources, rows)
+        c = np.maximum(_supnorms(bp), _supnorms(bm))
+        for h, band in zip(h_values, in_band):
+            band = band[rows]
+            if band.any():
+                ratio[h] = max(ratio[h], float(np.max(c[band] / p[rows][band])))
+                band_coef[h] = max(band_coef[h], float(np.max(c[band])))
 
     growth_ok = True
     for h_big, h_small in zip(h_values, h_values[1:]):
@@ -238,13 +269,15 @@ class PartialTransparencyResult:
 
 
 def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R0,
-                                    policy=DEFAULT_POLICY, cell_tol=None) -> dict:
+                                    policy=DEFAULT_POLICY, cell_tol=None,
+                                    at_roots=None) -> dict:
     """Transparency of each non-transparent pair at its exceptional frequencies.
 
     For (i, j) in R0, the exceptional set collects intersections of R_ij with
     translates of other non-transparent resonant sets (shifted by +-k) and
     with coalescence-driven sets R_ii' and R_j'j.  The pair passes when its
-    coupling vanishes at every such point.
+    coupling vanishes at every such point.  ``at_roots`` (pair -> per-root
+    couplings, see :func:`_root_couplings`) spares re-evaluating the roots.
     """
     k = report.phase.k
     if cell_tol is None:
@@ -252,14 +285,14 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
         cell_tol = span / 256.0
     out = {}
     for (i, j) in R0:
-        pts = []
+        pts = []    # (root index, root)
         roots_ij = [np.atleast_1d(r) for r in report.pairs[(i, j)].roots]
 
         def collect(cands):
             for c in cands:
-                for r in roots_ij:
+                for n, r in enumerate(roots_ij):
                     if np.linalg.norm(r - c) <= cell_tol:
-                        pts.append(r)
+                        pts.append((n, r))
 
         for (ip, jp) in R0:
             if jp == i:   # (i', i) in R0 -> R_{i'i} - k
@@ -272,19 +305,20 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
                 collect([np.atleast_1d(s) for s in report.pairs[(ip, j)].roots])
 
         uniq = []
-        for p in pts:
-            if not any(np.linalg.norm(p - q) <= 1e-9 for q in uniq):
-                uniq.append(p)
+        for n, p in pts:
+            if not any(np.linalg.norm(p - q) <= 1e-9 for _, q in uniq):
+                uniq.append((n, p))
         coeffs = coeffs_map[(i, j)]
         B1, Bm1 = coeffs._pol.linearized_source(coeffs._field.spec.B)
         scale = max(supnorm(B1), supnorm(Bm1), 1e-300)
         passed, witness = True, None
-        for p in uniq:
-            bp, bm, _ = coeffs.at(p)
+        for n, p in uniq:
+            bp, bm, _ = coeffs.at(p) if at_roots is None else at_roots[(i, j)][n][1:]
             if max(supnorm(bp), supnorm(bm)) > policy.transparent_tol * scale:
                 passed, witness = False, p
                 break
-        out[(i, j)] = PartialTransparencyResult(pair=(i, j), intersection_points=uniq,
+        out[(i, j)] = PartialTransparencyResult(pair=(i, j),
+                                                intersection_points=[p for _, p in uniq],
                                                 passed=passed, witness=witness)
     return out
 
@@ -321,10 +355,10 @@ def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Pha
     Bh = field.spec.B.symmetrized(e_h)
     scale = max(supnorm(Bh), 1e-300)
     sup_q = 0.0
-    for xi in grid:
-        pt = _PairPoint(field, phase, xi, harmonic)
-        ph = pt.phase(i, j)
-        S = pt.coupling(i, j, (Bh, Bh))[0] if source is None else source(xi)
+    pb = _PairBatch(field, phase, grid, harmonic)
+    phs = pb.phase(i, j)
+    sources = pb.coupling(i, j, (Bh, Bh))[0] if source is None else map(source, grid)
+    for xi, ph, S in zip(grid, phs, sources):
         if abs(ph) > 1e-6:
             sup_q = max(sup_q, supnorm(S) / abs(ph))
         elif supnorm(S) > policy.transparent_tol * scale:
@@ -431,16 +465,27 @@ class StabilityReport:
         }
 
 
-def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span):
-    """a_sup times the largest Re sqrt(trace) over the |phase| <= h band."""
+def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_roots=None):
+    """a_sup times the largest Re sqrt(trace) over the |phase| <= h band.
+
+    The band is scanned around each root; ``at_roots`` may carry the pair's
+    values at the roots themselves (see :func:`_root_couplings`)."""
     sources = pol.linearized_source(field.spec.B)
     best = 0.0
-    offsets = np.concatenate([[0.0], np.geomspace(1e-4, 0.5 * span, 25),
+    offsets = np.concatenate([np.geomspace(1e-4, 0.5 * span, 25),
                               -np.geomspace(1e-4, 0.5 * span, 25)])
-    for pt in _scan_points(field, phase, roots, offsets):
-        if abs(pt.phase(*pair)) <= h:
-            g = pt.coupling(*pair, sources)[2]
-            best = max(best, float(np.sqrt(complex(g)).real))
+    if at_roots is None:
+        offsets = np.concatenate([[0.0], offsets])
+    else:
+        for r, (ph, _, _, g) in zip(roots, at_roots):
+            r = np.atleast_1d(r)
+            if field.contains(r) and field.contains(r + phase.k) and abs(ph) <= h:
+                best = max(best, float(np.sqrt(g).real))
+    for pb in _scan_points(field, phase, roots, offsets):
+        rows = np.flatnonzero(np.abs(pb.phase(*pair)) <= h)
+        if rows.size:
+            g = pb.coupling(*pair, sources, rows)[2]
+            best = max(best, float(np.max(np.sqrt(g).real)))
     return a_sup * best
 
 
@@ -474,28 +519,31 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
                                {p: 1 if report.pairs[p].auto else len(coarse)
                                 for p in candidates}, coarse)
     b_full = max((c.sup_norm for c in coeffs_map.values()), default=0.0)
-    transparency = {p: transparency_check(coeffs_map[p], report, policy=policy)
+    # every root of every candidate evaluated once, for all the uses below
+    at_roots = _root_couplings(field, pol, phase, report, candidates)
+    transparency = {p: transparency_check(coeffs_map[p], report, policy=policy,
+                                          at_roots=at_roots[p])
                     for p in candidates}
 
     R0 = [p for p in candidates
           if transparency[p].verdict != "transparent" and not report.pairs[p].auto]
     borderline = [p for p in candidates if transparency[p].verdict == "borderline"]
-    partial = partial_transparency_conditions(coeffs_map, report, R0, policy=policy)
+    partial = partial_transparency_conditions(coeffs_map, report, R0, policy=policy,
+                                              at_roots=at_roots)
 
     pair_data = {}
     at_argmax = {}    # pair -> (b+, b-, trace) at its argmax root
     for pair in R0:
         roots = [np.atleast_1d(r) for r in report.pairs[pair].roots]
-        at_roots = [coeffs_map[pair].at(r) for r in roots]
-        gams = [g for _, _, g in at_roots]
-        norms = [max(supnorm(bp), supnorm(bm)) for bp, bm, _ in at_roots]
+        gams = [g for *_, g in at_roots[pair]]
+        norms = [max(supnorm(bp), supnorm(bm)) for _, bp, bm, _ in at_roots[pair]]
         res = [g.real for g in gams]
         ims = [abs(g.imag) for g in gams]
         sqrts = [np.sqrt(complex(g)).real for g in gams]
         arg = int(np.argmax(sqrts)) if sqrts else 0
-        rank_flag = any(max(_numerical_rank(bp), _numerical_rank(bm)) > 1
-                        for bp, bm, _ in at_roots)
-        at_argmax[pair] = at_roots[arg] if roots else None
+        b_stack = [b for _, bp, bm, _ in at_roots[pair] for b in (bp, bm)]
+        rank_flag = bool(b_stack) and bool(np.any(_numerical_rank(np.array(b_stack)) > 1))
+        at_argmax[pair] = at_roots[pair][arg][1:] if roots else None
         pair_data[pair] = PairStability(
             pair=pair,
             max_re_gamma=max(res) if res else 0.0,
@@ -568,7 +616,7 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
                 e0 = None
         gamma_plus = max(
             _gamma_plus_for_pair(field, pol, phase, p, report.pairs[p].roots,
-                                 inputs.h, a_sup, span)
+                                 inputs.h, a_sup, span, at_roots[p])
             for p in R0)
 
     cell = span / max(coarse_n - 1, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, InputError, supnorm
-from .spectral import SpectralField, assemble_symbol, asymptotic_slopes
+from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol, asymptotic_slopes
 from .system import SystemSpec
 
 
@@ -104,30 +104,34 @@ class ResonanceReport:
         }
 
 
-class _PairPoint:
-    """Branch eigensystems at xi + p k and at xi, one diagonalization each.
+class _PairBatch:
+    """Branch eigensystems at xi + p k and at xi for a batch of frequencies,
+    from one evaluation of the stacked points.
 
-    Every branch pair's harmonic-p resonant phase and coupling matrices at xi
-    are formed from these two evaluations.
+    Every branch pair's harmonic-p resonant phase and coupling matrices at the
+    batch are formed from this evaluation.  Points repeated in the stack (all
+    of them when p k = 0) are evaluated once.
     """
 
-    def __init__(self, field: SpectralField, phase: Phase, xi, p=1):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        self.lams_shift, self.projs_shift = field.eigensystem_at(xi + p * phase.k)
-        self.lams, self.projs = field.eigensystem_at(xi)
+    def __init__(self, field: SpectralField, phase: Phase, xis, p=1):
+        xis = np.asarray(xis, dtype=float).reshape(-1, field.d)
+        pts, at = np.unique(np.concatenate([xis + p * phase.k, xis]), axis=0,
+                            return_inverse=True)
+        ev = field.evaluate(pts)[at.reshape(-1)]
+        self.shift, self.base = ev[:len(xis)], ev[len(xis):]
         self.offset = p * phase.omega
 
-    def phase(self, i, j) -> float:
-        """lambda_i(xi + p k) - lambda_j(xi) - p omega."""
-        return float(self.lams_shift[i] - self.lams[j] - self.offset)
+    def phase(self, i, j) -> np.ndarray:
+        """lambda_i(xi + p k) - lambda_j(xi) - p omega, per frequency."""
+        return self.shift.lams[:, i] - self.base.lams[:, j] - self.offset
 
-    def coupling(self, i, j, sources):
+    def coupling(self, i, j, sources, rows=slice(None)):
         """b+ = Pi_i(xi + p k) S+ Pi_j(xi), b- = Pi_j(xi) S- Pi_i(xi + p k) and
-        tr(b+ b-), for the source matrices ``sources = (S+, S-)``."""
-        Pi_i, Pi_j = self.projs_shift[i], self.projs[j]
+        tr(b+ b-) at the frequencies ``rows``, for ``sources = (S+, S-)``."""
+        Pi_i, Pi_j = self.shift[rows].projectors(i), self.base[rows].projectors(j)
         bp = Pi_i @ sources[0] @ Pi_j
         bm = Pi_j @ sources[1] @ Pi_i
-        return bp, bm, complex(np.trace(bp @ bm))
+        return bp, bm, np.trace(bp @ bm, axis1=1, axis2=2)
 
 
 def resonance_phase(field: SpectralField, phase: Phase, i: int, j: int, xi) -> float:
@@ -135,26 +139,38 @@ def resonance_phase(field: SpectralField, phase: Phase, i: int, j: int, xi) -> f
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not (field.contains(xi) and field.contains(xi + phase.k)):
         raise InputError(f"point {xi} (or its shift by k) lies outside the field window")
-    return _PairPoint(field, phase, xi).phase(i, j)
+    return float(_PairBatch(field, phase, xi).phase(i, j)[0])
 
 
 def _bisect(f, a, b, fa, tol=0.0, maxit=200):
-    """Sign bisection of f on the segment [a, b] (scalars or points).
+    """Sign bisection of K brackets [a_k, b_k] (scalars or points) in lockstep.
 
-    ``fa`` is f(a) or any number of its sign.  Stops when |f(m)| <= tol or the
-    bracket has shrunk to rounding size; returns (m, f(m)).
+    ``f(m, idx)`` returns, in one batch, the values at the midpoints ``m`` of
+    the brackets ``idx`` still open.  ``fa`` holds f(a) or any number of its
+    sign.  A bracket stops when |f(m)| <= tol or it has shrunk to rounding
+    size; returns the (K, d) final midpoints and their (K,) values.
     """
+    fa = np.array(fa, dtype=float).reshape(-1)
+    a = np.array(a, dtype=float).reshape(len(fa), -1)
+    b = np.array(b, dtype=float).reshape(len(fa), -1)
+    m_out, f_out = np.empty_like(a), np.empty(len(fa))
+    live = np.arange(len(fa))
     for _ in range(maxit):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= tol or np.max(np.abs(b - a)) < 1e-15 * (1 + np.max(np.abs(m))):
-            return m, fm
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    m = 0.5 * (a + b)
-    return m, f(m)
+        if not live.size:
+            return m_out, f_out
+        m = 0.5 * (a[live] + b[live])
+        fm = np.asarray(f(m, live), dtype=float)
+        stop = (np.abs(fm) <= tol) | (np.max(np.abs(b[live] - a[live]), axis=1)
+                                      < 1e-15 * (1 + np.max(np.abs(m), axis=1)))
+        m_out[live[stop]], f_out[live[stop]] = m[stop], fm[stop]
+        live, m, fm = live[~stop], m[~stop], fm[~stop]
+        left = fa[live] * fm <= 0
+        b[live[left]] = m[left]
+        a[live[~left]], fa[live[~left]] = m[~left], fm[~left]
+    if live.size:
+        m_out[live] = 0.5 * (a[live] + b[live])
+        f_out[live] = f(m_out[live], live)
+    return m_out, f_out
 
 
 def characteristic_harmonics(spec: SystemSpec, phase: Phase, pmax: int, tol=None):
@@ -169,6 +185,12 @@ def default_window(spec: SystemSpec, phase: Phase):
     """Search window [-8 kappa, 8 kappa] per axis, kappa = max(|k|, 1)."""
     kappa = max(float(np.max(np.abs(phase.k))), 1.0)
     return tuple((-8.0 * kappa, 8.0 * kappa) for _ in range(spec.d))
+
+
+def _lambdas(field: SpectralField, points) -> np.ndarray:
+    """(P, J) exact branch eigenvalues, evaluated ``EVAL_CHUNK`` points at a time."""
+    return np.concatenate([field.evaluate(points[s:s + EVAL_CHUNK]).lams
+                           for s in range(0, max(len(points), 1), EVAL_CHUNK)])
 
 
 def find_resonances(field: SpectralField, phase: Phase, window=None,
@@ -202,7 +224,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
         sel = (ax >= window[0][0] - 1e-12) & (ax <= window[0][1] + 1e-12)
         xs = ax[sel]
         lam = field.lambdas[sel]
-        lam_shift = np.array([field.eigensystem_at([x + phase.k[0]])[0] for x in xs])
+        lam_shift = _lambdas(field, xs[:, None] + phase.k)
     else:
         ax0 = field.axes[0]
         ax1 = field.axes[1]
@@ -210,15 +232,16 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
         s1 = (ax1 >= window[1][0] - 1e-12) & (ax1 <= window[1][1] + 1e-12)
         xs0, xs1 = ax0[s0], ax1[s1]
         lam = field.lambdas.reshape(len(ax0), len(ax1), J)[np.ix_(s0, s1)]
-        lam_shift = np.array([[field.eigensystem_at(np.array([x0, x1]) + phase.k)[0]
-                               for x1 in xs1] for x0 in xs0])
+        g0, g1 = np.meshgrid(xs0, xs1, indexing="ij")
+        shifted = np.stack([g0.ravel(), g1.ravel()], axis=1) + phase.k
+        lam_shift = _lambdas(field, shifted).reshape(len(xs0), len(xs1), J)
 
     pairs = {}
+    brackets = []   # (pair resonance, slot in its root list, a, b, phase sign at a)
     scale = 1.0 + float(np.max(np.abs(field.lambdas)))
     for i in range(J):
         for j in range(J):
             pr = PairResonance(pair=(i, j), roots=[], residuals=[], auto=(i == j))
-            f = lambda x, i=i, j=j: _PairPoint(field, phase, x).phase(i, j)
             if d == 1:
                 ph = lam_shift[:, i] - lam[:, j] - phase.omega
                 if np.max(np.abs(ph)) <= policy.root_tol * scale:
@@ -233,9 +256,9 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                             pr.roots.append(a)
                             pr.residuals.append(0.0)
                         elif fa * fb < 0:
-                            r, fr = _bisect(f, a, b, fa, policy.root_tol * scale)
-                            pr.roots.append(float(r))
-                            pr.residuals.append(abs(float(fr)))
+                            brackets.append((pr, len(pr.roots), [a], [b], fa))
+                            pr.roots.append(None)
+                            pr.residuals.append(None)
                     if abs(ph[-1]) == 0.0:
                         pr.roots.append(float(xs[-1]))
                         pr.residuals.append(0.0)
@@ -244,9 +267,6 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                         left = abs(ph[0]) < abs(ph[1]) < abs(ph[2])
                         right = abs(ph[-1]) < abs(ph[-2]) < abs(ph[-3])
                         pr.edge_suspect = bool(left or right)
-                    order = np.argsort(pr.roots)
-                    pr.roots = [pr.roots[o] for o in order]
-                    pr.residuals = [pr.residuals[o] for o in order]
             else:
                 ph = lam_shift[:, :, i] - lam[:, :, j] - phase.omega
                 if np.max(np.abs(ph)) <= policy.root_tol * scale:
@@ -256,13 +276,38 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                         for b in range(len(xs1) - 1):
                             corners = ph[a:a + 2, b:b + 2]
                             if corners.min() < 0 < corners.max():
+                                # a representative zero between the first negative
+                                # and the first non-negative corner
                                 pr.cells.append((a, b))
-                                root, res = _refine_cell(f, xs0[a:a + 2], xs1[b:b + 2],
-                                                         corners, policy.root_tol * scale)
-                                if root is not None:
-                                    pr.roots.append(root)
-                                    pr.residuals.append(res)
+                                flat = corners.ravel()
+                                neg, pos = np.argmax(flat < 0), np.argmax(flat >= 0)
+                                brackets.append((pr, len(pr.roots),
+                                                 [xs0[a + neg // 2], xs1[b + neg % 2]],
+                                                 [xs0[a + pos // 2], xs1[b + pos % 2]], flat[neg]))
+                                pr.roots.append(None)
+                                pr.residuals.append(None)
             pairs[(i, j)] = pr
+
+    # every bracket of every pair refined in lockstep
+    if brackets:
+        which = np.array([pr.pair for pr, *_ in brackets])
+
+        def phase_at(m, idx):
+            pb, rows = _PairBatch(field, phase, m), np.arange(len(idx))
+            return (pb.shift.lams[rows, which[idx, 0]] - pb.base.lams[rows, which[idx, 1]]
+                    - pb.offset)
+
+        roots, vals = _bisect(phase_at, [a for _, _, a, _, _ in brackets],
+                              [b for _, _, _, b, _ in brackets],
+                              [fa for *_, fa in brackets], policy.root_tol * scale)
+        for (pr, slot, *_), r, v in zip(brackets, roots, vals):
+            pr.roots[slot] = float(r[0]) if d == 1 else r.copy()
+            pr.residuals[slot] = abs(float(v))
+    if d == 1:
+        for pr in pairs.values():
+            order = np.argsort(pr.roots)
+            pr.roots = [pr.roots[o] for o in order]
+            pr.residuals = [pr.residuals[o] for o in order]
 
     # boundedness from asymptotic slopes
     if directions is None:
@@ -296,18 +341,6 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
     return ResonanceReport(phase=phase, window=tuple(tuple(w) for w in window), pairs=pairs,
                            bounded_verdict=verdict, harmonics_set=harmonics,
                            coinciding_slope_pairs=sorted(coinciding))
-
-
-def _refine_cell(f, xs, ys, corners, tol):
-    """Refine a representative zero on a sign-changing cell edge (2-d)."""
-    pts = [np.array([xs[a], ys[b]]) for a in (0, 1) for b in (0, 1)]
-    vals = [corners[a, b] for a in (0, 1) for b in (0, 1)]
-    neg = [p for p, v in zip(pts, vals) if v < 0]
-    pos = [p for p, v in zip(pts, vals) if v >= 0]
-    if not neg or not pos:
-        return None, None
-    root, res = _bisect(f, neg[0], pos[0], f(neg[0]), tol)
-    return root, abs(res)
 
 
 def separation_check(report: ResonanceReport, pair, k, cell_size):

@@ -112,3 +112,18 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for cmd in ("analyze", "flow", "simulate", "sweep", "wkb", "catalog"):
         assert cmd in text
+
+
+def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
+    # the default 2048 x 2048 grid at d=2 would need ~21 GB of branch projectors
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rc = _run(["analyze", "--system", "catalog:kg-equal", "--d", "2",
+                   "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "GB" in capsys.readouterr().err
+    assert peak < 50e6

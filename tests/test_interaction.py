@@ -199,6 +199,44 @@ def test_analysis_evaluates_each_point_once(monkeypatch):
     assert len(calls) <= 4400
 
 
+def test_analysis_evaluates_each_point_once_per_report_pass(monkeypatch):
+    # every spectral consumer evaluates in batches: the k-shifted window and
+    # the bisection iterations of find_resonances, then one report pass of
+    # coarse walk, roots and band scans (2,172 and 1,950 points).  No batch
+    # repeats a point, and each root is evaluated once per report pass
+    import oscillant.experiments as experiments
+    passes = {"find_resonances": [], "stability_report": []}
+    current = []
+    evaluate = SpectralField.evaluate
+
+    def counted(self, points):
+        if current:
+            passes[current[-1]].append(np.array(points))
+        return evaluate(self, points)
+
+    for name in passes:
+        def staged(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            current.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                current.pop()
+        monkeypatch.setattr(experiments, name, staged)
+    monkeypatch.setattr(SpectralField, "evaluate", counted)
+    an = analyze(kg_equal())
+    counts = {name: sum(len(p) for p in batches) for name, batches in passes.items()}
+    assert counts["find_resonances"] <= 2200
+    assert counts["stability_report"] <= 2000
+    for batch in passes["find_resonances"] + passes["stability_report"]:
+        assert len(np.unique(batch, axis=0)) == len(batch)
+    report_points = np.concatenate(passes["stability_report"])
+    roots = np.unique([np.atleast_1d(r) for p in an.resonances.resonant_pairs(include_auto=True)
+                       for r in an.resonances.pairs[p].roots], axis=0)
+    assert len(roots) > 0
+    for r in roots:
+        assert np.count_nonzero(np.all(report_points == r, axis=1)) == 1
+
+
 def test_one_walk_serves_every_pair(kg_analysis, kg_branches):
     # a walk sampling several pairs gives each pair its own exact coefficients
     from oscillant.interaction import _sample_pairs

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from oscillant.catalog import (kg_equal, kg_lambda_fast, kg_lambda_slow,
                                mll_asymptotic_slopes, three_wave)
 from oscillant.numeric import InputError
-from oscillant.spectral import (assemble_symbol, asymptotic_slopes, eigendecompose_field,
-                                uniform_grid)
+from oscillant.spectral import (_assign_to_branches, assemble_symbol, asymptotic_slopes,
+                                eigendecompose_field, uniform_grid)
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
@@ -179,3 +179,102 @@ def test_2d_field_smoke():
     H = assemble_symbol(spec, [0.3, -0.7])
     rec = np.einsum("j,jkl->kl", lams, projs)
     assert np.abs(rec - H).max() <= 1e-10 * (1 + np.abs(H).max())
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-point assignment
+# ---------------------------------------------------------------------------
+
+def _per_point(field, xi):
+    """The per-point evaluation: optimal assignment against the nearest grid point."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    ref = field.projectors[field._nearest_index(xi[None])[0]]
+    return _assign_to_branches(assemble_symbol(field.spec, xi), ref, field.multiplicities,
+                               field.policy, xi)
+
+
+def _crossings(field):
+    """Frequencies where two branches of the field swap order between grid nodes."""
+    xs, lam = field.axes[0], field.lambdas
+    out = []
+    for i in range(field.J):
+        for j in range(i):
+            gap = lam[:, i] - lam[:, j]
+            for m in np.flatnonzero(gap[:-1] * gap[1:] < 0):
+                out.append(0.5 * (xs[m] + xs[m + 1]))
+    return out
+
+
+def _near(points, spread=(0.0, 1e-12, 1e-9, 1e-6, 1e-3)):
+    return [x + s * sign for x in points for s in spread for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "kg-diff", "three-wave"])
+def test_batched_evaluate_matches_per_point(system, kg_analysis, kg_diff_analysis,
+                                           three_wave_analysis):
+    field = {"kg-equal": lambda: kg_analysis, "kg-diff": lambda: kg_diff_analysis(1),
+             "three-wave": three_wave_analysis}[system]().field
+    lo, hi = field.window[0]
+    rng = np.random.default_rng(3)
+    random = list(rng.uniform(lo, hi, 150))
+    near = _near([0.0] + _crossings(field))
+    xs = np.array(random + near)
+    ev = field.evaluate(xs[:, None])
+    assert not any(p < len(random) for p in ev.split)   # random points need no fallback
+    tol = field.policy.algebra_tol
+    for p, x in enumerate(xs):
+        lams, projs = _per_point(field, [x])
+        assert np.array_equal(ev.lams[p], lams), f"eigenvalues at {x}"
+        for j in range(field.J):
+            assert np.abs(ev.projectors(j)[p] - projs[j]).max() <= tol, f"branch {j} at {x}"
+
+
+def test_fallback_at_crossing_matches_assignment(kg_analysis):
+    # at xi = 0 the fast and slow branches meet: one eigenvalue cluster holds
+    # two branches, so the optimal assignment and re-alignment label the point
+    field = kg_analysis.field
+    ev = field.evaluate(np.array([[0.0], [0.25]]))
+    assert list(ev.split) == [0]
+    lams, projs = _per_point(field, [0.0])
+    assert np.array_equal(ev.lams[0], lams)
+    for j in range(field.J):
+        assert np.array_equal(ev.projectors(j)[0], projs[j])
+
+
+def _sequential_field(spec, axes):
+    """Point-by-point field construction: each point assigned against its
+    predecessor's projectors (the reference for the chained labels)."""
+    points = axes[0][:, None] if spec.d == 1 else np.stack(
+        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    first = eigendecompose_field(spec, tuple(ax[:1] for ax in axes))
+    lambdas = np.zeros((len(points), first.J))
+    projectors = np.zeros((len(points), first.J) + (spec.N, spec.N), dtype=complex)
+    lambdas[0], projectors[0] = first.lambdas[0], first.projectors[0]
+    n1 = len(axes[-1])
+    for m in range(1, len(points)):
+        prev = m - 1 if spec.d == 1 or m % n1 else m - n1
+        lambdas[m], projectors[m] = _assign_to_branches(
+            assemble_symbol(spec, points[m]), projectors[prev], first.multiplicities,
+            first.policy, points[m])
+    return lambdas, projectors
+
+
+@pytest.mark.parametrize("spec, axes", [
+    (kg_equal(omega0=1.0, theta0=0.5), (np.linspace(-0.5, 0.5, 101),)),
+    (kg_equal(), (np.linspace(-2.0, 2.0, 9),)),
+    (three_wave(), (np.linspace(-1.0, 1.0, 41),)),
+    (kg_equal(d=2), (np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9))),
+    (_random_system(7, 4), (np.linspace(-3.0, 3.0, 61),)),
+])
+def test_chained_field_matches_sequential_assignment(spec, axes):
+    field = eigendecompose_field(spec, axes)
+    lambdas, projectors = _sequential_field(spec, axes)
+    assert np.array_equal(field.lambdas, lambdas)
+    assert np.abs(field.projectors - projectors).max() <= field.policy.algebra_tol
+
+
+def test_field_memory_guard():
+    # 2048 x 2048 points of the d=2 Klein-Gordon system would need ~21 GB of projectors
+    spec = kg_equal(d=2)
+    with pytest.raises(InputError, match="GB"):
+        eigendecompose_field(spec, uniform_grid(((-9.0, 9.0), (-9.0, 9.0)), (2048, 2048)))
