@@ -166,8 +166,8 @@ def kg_default_phase(spec, k=1.0) -> Phase:
     kvec = np.full(spec.d, 0.0)
     kvec[0] = k
     knorm2 = float(np.sum(kvec ** 2))
-    if spec.name == "kg-diff":
-        a0 = spec.params["alpha0"]
+    a0 = spec.params.get("alpha0", 1.0)
+    if a0 > 1:
         if not knorm2 < (a0 ** 2 - 1) * w0 ** 2 / th0 ** 2:
             raise InputError("wavenumber too large: |k|^2 must be below (alpha0^2-1) omega0^2/theta0^2")
         omega = float(np.sqrt(w0 ** 2 + th0 ** 2 * knorm2))
@@ -182,7 +182,7 @@ def kg_e1(spec, phase: Phase) -> np.ndarray:
     w0 = spec.params["omega0"]
     w = phase.omega
     e = np.zeros(spec.N, dtype=complex)
-    if spec.name == "kg-diff":
+    if spec.params.get("alpha0", 1.0) > 1:
         # slow-branch phase lives in the second block
         e[n:n + d] = -spec.params["theta0"] * phase.k / w
         e[n + d] = 1.0
@@ -384,15 +384,27 @@ def build_catalog_system(entry_id: str, **params) -> SystemSpec:
     return builder(**params)
 
 
+def stock_family(spec: SystemSpec) -> str:
+    """Which stock closed forms describe ``spec``, read from its recorded
+    parameters: ``c1`` means three-wave, ``omega0`` and ``theta0`` mean
+    Klein-Gordon.  ``spec.name`` is only a label."""
+    if "c1" in spec.params:
+        return "three-wave"
+    if "omega0" in spec.params and "theta0" in spec.params:
+        return "klein-gordon"
+    raise InputError(f"system '{spec.name}' has no stock closed forms (params record neither c1 "
+                     "nor omega0/theta0): give it a characteristic phase with --omega/--k")
+
+
 def default_phase(spec: SystemSpec, k=None) -> Phase:
     """The documented fundamental phase for a stock system."""
-    if spec.name in ("three-wave", "brillouin"):
+    if stock_family(spec) == "three-wave":
         return Phase(0.0, np.zeros(1))
     return kg_default_phase(spec, k=1.0 if k is None else k)
 
 
 def reference_polarization(spec: SystemSpec, phase: Phase) -> np.ndarray:
     """Polarization of the reference solution: closed form for stock systems."""
-    if spec.name in ("three-wave", "brillouin"):
+    if stock_family(spec) == "three-wave":
         return three_wave_reference_direction().astype(complex)
     return kg_e1(spec, phase)

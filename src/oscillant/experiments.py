@@ -188,7 +188,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
 def reference_solution(spec: SystemSpec, phase: Phase, amplitude: AmplitudeProfile,
                        epsilon: float):
     """Reference state as a function (t, x) -> (N, points) for stock systems."""
-    if spec.name in ("three-wave", "brillouin"):
+    if catalog.stock_family(spec) == "three-wave":
         c1 = spec.params["c1"]
 
         def ref(t, x):
@@ -218,7 +218,7 @@ def simulation_config(spec: SystemSpec, analysis: Analysis, epsilon, K=3.0, K_pr
                       T_obs=None, rho=None, t_end=None) -> SimConfig:
     sr = analysis.stability
     amplitude = amplitude or AmplitudeProfile()
-    real_state = spec.name.startswith("kg")
+    real_state = catalog.stock_family(spec) == "klein-gordon"
     xi0 = float(np.atleast_1d(sr.xi0)[0]) if sr.xi0 is not None else 0.0
     k = float(analysis.phase.k[0])
     e0 = sr.e0 if sr.e0 is not None else np.eye(spec.N)[0].astype(complex)

@@ -88,15 +88,10 @@ class InteractionCoefficients:
     _field: SpectralField = dc_field(repr=False, default=None)
     _pol: PolarizationVectors = dc_field(repr=False, default=None)
 
-    def at(self, xi):
-        """Exact coefficients (b+, b-, trace) at an arbitrary frequency."""
-        return pair_coefficients_at(self._field, self._pol, self.phase, self.pair, xi)
-
     @property
     def sup_norm(self) -> float:
-        bp = max((supnorm(m) for m in self.b_plus), default=0.0)
-        bm = max((supnorm(m) for m in self.b_minus), default=0.0)
-        return max(bp, bm)
+        return float(max(_supnorms(self.b_plus).max(initial=0.0),
+                         _supnorms(self.b_minus).max(initial=0.0)))
 
 
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -199,7 +194,7 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
     factor two per halving of the phase band.  Non-transparent: a root carries
     a coefficient above the non-transparency threshold.  Anything in between
     is reported as borderline.  ``at_roots`` may carry the pair's couplings at
-    its roots, as :func:`_root_couplings` forms them.
+    its roots as :func:`_root_couplings` forms them; by default they are formed here.
     """
     pair = coeffs.pair
     pr = report.pairs.get(pair)
@@ -214,7 +209,7 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
 
     roots = [np.atleast_1d(r) for r in pr.roots]
     if at_roots is None:
-        at_roots = [(None,) + coeffs.at(r) for r in roots]
+        at_roots = _root_couplings(field, pol, phase, report, [pair])[pair]
     root_norm = 0.0
     for _, bp, bm, _ in at_roots:
         root_norm = max(root_norm, supnorm(bp), supnorm(bm))
@@ -279,6 +274,9 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
     coupling vanishes at every such point.  ``at_roots`` (pair -> per-root
     couplings, see :func:`_root_couplings`) spares re-evaluating the roots.
     """
+    if at_roots is None and R0:
+        c = coeffs_map[R0[0]]
+        at_roots = _root_couplings(c._field, c._pol, c.phase, report, R0)
     k = report.phase.k
     if cell_tol is None:
         span = max(hi - lo for (lo, hi) in report.window)
@@ -313,7 +311,7 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
         scale = max(supnorm(B1), supnorm(Bm1), 1e-300)
         passed, witness = True, None
         for n, p in uniq:
-            bp, bm, _ = coeffs.at(p) if at_roots is None else at_roots[(i, j)][n][1:]
+            bp, bm, _ = at_roots[(i, j)][n][1:]
             if max(supnorm(bp), supnorm(bm)) > policy.transparent_tol * scale:
                 passed, witness = False, p
                 break
@@ -465,22 +463,19 @@ class StabilityReport:
         }
 
 
-def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_roots=None):
+def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_roots):
     """a_sup times the largest Re sqrt(trace) over the |phase| <= h band.
 
-    The band is scanned around each root; ``at_roots`` may carry the pair's
+    The band is scanned around each root; ``at_roots`` carries the pair's
     values at the roots themselves (see :func:`_root_couplings`)."""
     sources = pol.linearized_source(field.spec.B)
     best = 0.0
     offsets = np.concatenate([np.geomspace(1e-4, 0.5 * span, 25),
                               -np.geomspace(1e-4, 0.5 * span, 25)])
-    if at_roots is None:
-        offsets = np.concatenate([[0.0], offsets])
-    else:
-        for r, (ph, _, _, g) in zip(roots, at_roots):
-            r = np.atleast_1d(r)
-            if field.contains(r) and field.contains(r + phase.k) and abs(ph) <= h:
-                best = max(best, float(np.sqrt(g).real))
+    for r, (ph, _, _, g) in zip(roots, at_roots):
+        r = np.atleast_1d(r)
+        if field.contains(r) and field.contains(r + phase.k) and abs(ph) <= h:
+            best = max(best, float(np.sqrt(g).real))
     for pb in _scan_points(field, phase, roots, offsets):
         rows = np.flatnonzero(np.abs(pb.phase(*pair)) <= h)
         if rows.size:

@@ -7,19 +7,23 @@ by maximizing eigenvector overlap with the previous point.  Within a
 degenerate cluster the eigenbasis is re-aligned against the previous
 projectors, which realizes the smooth labelling through crossings.
 
-Evaluation is batched.  :meth:`SpectralField.evaluate` stacks the symbols of
-many points, diagonalizes them with one ``eigh`` per chunk of ``EVAL_CHUNK``
-points, and labels each eigenvector column by its overlap with the nearest
-grid point's branch projectors (one ``einsum``).  The argmax labels stand
-when every column's best overlap exceeds 1/2, the label counts match the
-branch multiplicities and every eigenvalue cluster carries exactly one
+Every diagonalized point is held one way: branch eigenvalues, eigenvector
+columns and a branch label per column; a branch's projector is the sum of
+``v v*`` over its columns, formed only when asked.  Points are diagonalized
+with one stacked ``eigh`` per chunk of ``EVAL_CHUNK``.
+:meth:`SpectralField.evaluate` labels each column by its overlap with the
+nearest grid point's branch projectors (one ``einsum``).  The argmax labels
+stand when every column's best overlap exceeds 1/2, the label counts match
+the branch multiplicities and every eigenvalue cluster carries exactly one
 branch; there they equal what an optimal assignment gives.  Any other point
-falls back to :func:`_assign_to_branches` (optimal assignment plus cluster
-re-alignment).  The result keeps eigenvectors and column labels and forms a
-branch's projector stack only when asked.  The field itself is diagonalized
-in the same chunks and chains labels from consecutive-point eigenvector
-overlaps, doing per-point work only where a transition is ambiguous; a grid
-whose projectors would exceed ``FIELD_BYTES_LIMIT`` is refused up front.
+falls back to :func:`_assign_columns` (optimal assignment plus cluster
+re-alignment), whose columns replace the point's eigenvectors.  A chain of
+points (the field's grid, or a ray for the asymptotic slopes) is labelled by
+:func:`_chain` in one pass over the same chunks: labels carry over from each
+point's predecessor through eigenvector overlaps, only ambiguous transitions
+are labelled against the predecessor's projectors, and each chunk's
+projectors are formed from the columns that labelled it.  A grid whose
+projectors would exceed ``FIELD_BYTES_LIMIT`` is refused up front.
 """
 from __future__ import annotations
 
@@ -60,23 +64,19 @@ def _eigh(H):
         raise NumericalError(f"eigendecomposition failed: {exc}")
 
 
-def _cluster(evals, tol):
-    """Group sorted eigenvalues into clusters of width <= tol; returns index slices."""
-    groups = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > tol:
-            groups.append(slice(start, i))
-            start = i
-    return groups
-
-
 def _cluster_ids(evals, H, policy):
     """(P, N) cluster index of each ascending eigenvalue: a gap wider than
-    ``degenerate_tol * (1 + max|H|)`` starts a new cluster (as :func:`_cluster`)."""
+    ``degenerate_tol * (1 + max|H|)`` starts a new cluster."""
     tol = policy.degenerate_tol * (1.0 + np.abs(H).max(axis=(1, 2)))
     gaps = np.diff(evals, axis=1) > tol[:, None]
     return np.concatenate([np.zeros((len(evals), 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
+
+
+def _multiplicities(spec, xi, policy):
+    """Sizes of the ascending eigenvalue clusters of the symbol at xi: the branches
+    a chain starting there is labelled with."""
+    H = _symbols(spec, np.asarray(xi, dtype=float)[None])
+    return np.bincount(_cluster_ids(_eigh(H)[0], H, policy)[0])
 
 
 def _unambiguous(best, top, cid, sizes):
@@ -103,39 +103,33 @@ def _by_branch(labels):
 class BranchEval:
     """Branch eigensystems at a batch of points.
 
-    ``lams[p, j]`` is branch ``j``'s eigenvalue at point ``p``.  Column ``c``
-    of ``vecs[p]`` is a unit eigenvector of branch ``labels[p, c]``, except at
-    points that fell back to the optimal assignment: their projectors are
-    kept in ``split`` (point -> (J, N, N)).
+    ``lams[p, j]`` is branch ``j``'s eigenvalue at point ``p``; column ``c``
+    of ``vecs[p]`` is a unit vector of branch ``labels[p, c]``.  At points
+    that fell back to the optimal assignment (``fallback``) the columns are
+    those :func:`_assign_columns` re-aligned within shared clusters.
     """
 
     lams: np.ndarray            # (P, J)
     vecs: np.ndarray            # (P, N, N)
     labels: np.ndarray          # (P, N)
     multiplicities: np.ndarray  # (J,)
-    split: dict
+    fallback: np.ndarray        # (P,) bool
 
     def __len__(self):
         return len(self.lams)
 
     def __getitem__(self, idx) -> "BranchEval":
-        keep = np.arange(len(self))[idx]
-        split = {int(k): self.split[int(keep[k])]
-                 for k in np.flatnonzero(np.isin(keep, list(self.split)))}
         return BranchEval(self.lams[idx], self.vecs[idx], self.labels[idx],
-                          self.multiplicities, split)
+                          self.multiplicities, self.fallback[idx])
 
     def projectors(self, j) -> np.ndarray:
         """(P, N, N) orthogonal projectors of branch j."""
-        out = _projectors(self.vecs, self.labels, self.multiplicities, [j])[:, 0]
-        for p, projs in self.split.items():
-            out[p] = projs[j]
-        return out
+        return _projectors(self.vecs, self.labels, self.multiplicities, [j])[:, 0]
 
 
 def _projectors(vecs, labels, multiplicities, branches=None):
-    """(P, B, N, N) sums V V* over the eigenvector columns V labelled j, for
-    each j of ``branches`` (default: every branch)."""
+    """(P, B, N, N) sums V V* over the columns V labelled j, for each j of
+    ``branches`` (default: every branch)."""
     if branches is None:
         branches = range(len(multiplicities))
     grouped = np.take_along_axis(vecs, _by_branch(labels)[:, None, :], axis=2)
@@ -144,7 +138,7 @@ def _projectors(vecs, labels, multiplicities, branches=None):
     for b, j in enumerate(branches):
         V = np.ascontiguousarray(grouped[:, :, bounds[j]:bounds[j + 1]])
         out[:, b] = V @ V.conj().swapaxes(1, 2)
-    # + 0.0: the accumulation into zeros of _assign_to_branches, signed zeros included
+    # + 0.0: an accumulation into zeros, signed zeros included
     return np.add(out, 0.0, out=out)
 
 
@@ -152,29 +146,82 @@ def _branch_lams(evals, labels, multiplicities):
     """(P, J) mean eigenvalue of each branch's columns."""
     grouped = np.take_along_axis(evals, _by_branch(labels), axis=1)
     bounds = np.cumsum(multiplicities)
-    # np.mean per branch sums in the order _assign_to_branches does (np.add.reduceat does
+    # np.mean per branch sums in the order _assign_columns does (np.add.reduceat does
     # not); a lone eigenvalue is its own mean, its zero made positive as np.mean makes it
     return np.stack([grouped[:, hi - 1] + 0.0 if m == 1 else
                      np.mean(np.ascontiguousarray(grouped[:, hi - m:hi]), axis=1)
                      for m, hi in zip(multiplicities, bounds)], axis=1)
 
 
-def _resolve(H, evals, vecs, refs, idx, points, multiplicities, policy):
+def _assign_columns(H, evals, vecs, refs, multiplicities, policy, xi):
+    """Split the eigenvectors ``vecs`` (ascending ``evals``) of H into the
+    branches of the reference projectors ``refs`` (J, N, N).
+
+    Columns are labelled by an optimal assignment to branch slots (branch j
+    owns ``multiplicities[j]`` of them).  A degenerate cluster shared by
+    several branches is split by successively diagonalizing the compression
+    of each reference projector onto the cluster subspace (deflating as
+    branches claim their share).  Returns the branch eigenvalues (J,), the
+    columns (N, N), re-aligned within shared clusters, and their labels (N,).
+    """
+    N, J = H.shape[0], len(multiplicities)
+    slot_branch = np.repeat(np.arange(J), multiplicities)
+    if len(slot_branch) != N:
+        raise NumericalError(f"branch multiplicities do not sum to N at xi={xi}")
+    score = np.empty((N, N))
+    for s, j in enumerate(slot_branch):
+        # |Pi_j v|^2 for every eigenvector column v
+        score[s] = np.sum(np.abs(refs[j] @ vecs) ** 2, axis=0)
+    rows, cols = linear_sum_assignment(-score)
+    labels = np.empty(N, dtype=int)
+    labels[cols] = slot_branch[rows]
+
+    lams, out = np.zeros(J), vecs.copy()
+    cid = _cluster_ids(evals[None], H[None], policy)[0]
+    for g in range(cid[-1] + 1):
+        cols_g = np.flatnonzero(cid == g)
+        lam = float(np.mean(evals[cols_g]))
+        shares = np.bincount(labels[cols_g], minlength=J)
+        lams[shares > 0] = lam
+        if np.count_nonzero(shares) == 1:
+            continue
+        # crossing: re-align the cluster basis against the reference projectors
+        remaining, at = vecs[:, cols_g], cols_g[0]
+        for j in np.flatnonzero(shares):
+            W = remaining.conj().T @ refs[j] @ remaining
+            w_vecs = np.linalg.eigh((W + W.conj().T) / 2)[1][:, ::-1]
+            out[:, at:at + shares[j]] = remaining @ w_vecs[:, :shares[j]]
+            labels[at:at + shares[j]] = j
+            at += shares[j]
+            remaining = remaining @ w_vecs[:, shares[j]:]
+    return lams, out, labels
+
+
+def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
+    """Diagonalize H and split it into the branches of ``ref_projs`` by
+    :func:`_assign_columns`; returns ``(lams (J,), projs (J, N, N))``."""
+    evals, vecs = _eigh(H)
+    lams, vecs, labels = _assign_columns(H, evals, vecs, ref_projs, multiplicities, policy, xi)
+    return lams, _projectors(vecs[None], labels[None], multiplicities)[0]
+
+
+def _resolve(H, evals, vecs, refs, points, multiplicities, policy):
     """Label the eigenvector columns of a diagonalized batch by their overlaps
-    |Pi_j v|^2 with the reference projectors ``refs[idx[p]]`` (J, N, N) of
-    each point; ambiguous points fall back to :func:`_assign_to_branches`.
-    Returns the branch eigenvalues, the column labels and the fallback
-    projectors by point."""
-    score = np.einsum("pac,pjab,pbc->pjc", vecs.conj(), refs[idx], vecs).real
+    |Pi_j v|^2 with each point's reference projectors ``refs`` (P, J, N, N).
+
+    Ambiguous points fall back to :func:`_assign_columns`, whose columns
+    overwrite theirs in ``vecs``.  Returns the branch eigenvalues, the column
+    labels and the fallback mask.
+    """
+    score = np.einsum("pac,pjab,pbc->pjc", vecs.conj(), refs, vecs).real
     best = score.argmax(axis=1)
     sizes = np.broadcast_to(multiplicities, (len(points), len(multiplicities)))
     ok = _unambiguous(best, score.max(axis=1), _cluster_ids(evals, H, policy), sizes)
     lams = _branch_lams(evals, best, multiplicities)
-    split = {}
     for p in np.flatnonzero(~ok):
-        lams[p], split[int(p)] = _assign_to_branches(H[p], refs[idx[p]], multiplicities,
-                                                     policy, points[p])
-    return lams, best, split
+        lams[p], vecs[p], best[p] = _assign_columns(H[p], evals[p], vecs[p], refs[p],
+                                                    multiplicities, policy, points[p])
+    return lams, best, ~ok
 
 
 @dataclass
@@ -216,9 +263,7 @@ class SpectralField:
             i = np.clip(np.searchsorted(ax, x), 0, len(ax) - 1)
             closer = (i > 0) & (np.abs(ax[np.maximum(i - 1, 0)] - x) < np.abs(ax[i] - x))
             idx.append(i - closer)
-        if self.d == 1:
-            return idx[0]
-        return idx[0] * len(self.axes[1]) + idx[1]
+        return np.ravel_multi_index(idx, [len(ax) for ax in self.axes])
 
     # -- exact branch-consistent evaluation -----------------------------------
 
@@ -234,16 +279,15 @@ class SpectralField:
             raise InputError(f"points must have shape (P, {self.d})")
         P, N = len(pts), self.spec.N
         lams, vecs = np.empty((P, self.J)), np.empty((P, N, N), dtype=complex)
-        labels, split = np.empty((P, N), dtype=int), {}
+        labels, fallback = np.empty((P, N), dtype=int), np.empty(P, dtype=bool)
         for s in range(0, P, EVAL_CHUNK):
             c = slice(s, s + EVAL_CHUNK)
             H = _symbols(self.spec, pts[c])
             evals, vecs[c] = _eigh(H)
-            lams[c], labels[c], part = _resolve(H, evals, vecs[c], self.projectors,
-                                                self._nearest_index(pts[c]), pts[c],
-                                                self.multiplicities, self.policy)
-            split.update((s + p, projs) for p, projs in part.items())
-        return BranchEval(lams, vecs, labels, self.multiplicities, split)
+            refs = self.projectors[self._nearest_index(pts[c])]
+            lams[c], labels[c], fallback[c] = _resolve(H, evals, vecs[c], refs, pts[c],
+                                                       self.multiplicities, self.policy)
+        return BranchEval(lams, vecs, labels, self.multiplicities, fallback)
 
     def eigensystem_at(self, xi):
         """Exact eigenvalues/eigenprojectors at xi, labelled by this field's branches.
@@ -254,68 +298,11 @@ class SpectralField:
         if xi.shape != (self.d,):
             raise InputError(f"frequency point must have dimension {self.d}")
         ev = self.evaluate(xi[None])
-        if ev.split:
-            return ev.lams[0], ev.split[0]
         return ev.lams[0], _projectors(ev.vecs, ev.labels, self.multiplicities)[0]
 
     def lambda_at(self, xi, j=None):
         lams, _ = self.eigensystem_at(xi)
         return lams if j is None else float(lams[j])
-
-
-def _eigh_clustered(H, tol):
-    evals, evecs = _eigh(H)
-    return evals, evecs, _cluster(evals, tol)
-
-
-def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
-    """Diagonalize H and split its eigenvectors into branches matching ref_projs.
-
-    Degenerate clusters shared by several branches are split by successively
-    diagonalizing the compression of each reference projector onto the cluster
-    subspace (deflating as branches claim their share).
-    """
-    J = len(multiplicities)
-    N = H.shape[0]
-    scale = 1.0 + float(np.abs(H).max())
-    evals, evecs, groups = _eigh_clustered(H, policy.degenerate_tol * scale)
-
-    # slot-level assignment: each branch owns `mult` slots; columns are eigenvectors
-    slot_branch = np.concatenate([np.full(m, j) for j, m in enumerate(multiplicities)])
-    if len(slot_branch) != N:
-        raise NumericalError(f"branch multiplicities do not sum to N at xi={xi}")
-    score = np.empty((N, N))
-    for s, j in enumerate(slot_branch):
-        # |Pi_j v|^2 for every eigenvector column v
-        score[s] = np.sum(np.abs(ref_projs[j] @ evecs) ** 2, axis=0)
-    rows, cols = linear_sum_assignment(-score)
-    col_branch = np.empty(N, dtype=int)
-    col_branch[cols] = slot_branch[rows]
-
-    lams = np.zeros(J)
-    projs = np.zeros((J, N, N), dtype=complex)
-    for g in groups:
-        cols_g = np.arange(g.start, g.stop)
-        branches_g = sorted(set(int(col_branch[c]) for c in cols_g))
-        if len(branches_g) == 1:
-            j = branches_g[0]
-            V = evecs[:, cols_g]
-            projs[j] += V @ V.conj().T
-            lams[j] = float(np.mean(evals[cols_g]))
-        else:
-            # crossing: re-align the cluster basis against reference projectors
-            remaining = evecs[:, cols_g]
-            for j in branches_g:
-                m_j = int(np.sum(col_branch[cols_g] == j))
-                W = remaining.conj().T @ ref_projs[j] @ remaining
-                w_vals, w_vecs = np.linalg.eigh((W + W.conj().T) / 2)
-                take = w_vecs[:, ::-1][:, :m_j]
-                V = remaining @ take
-                projs[j] += V @ V.conj().T
-                lams[j] = float(np.mean(evals[cols_g]))
-                keep = w_vecs[:, ::-1][:, m_j:]
-                remaining = remaining @ keep
-    return lams, projs
 
 
 def uniform_grid(window, n):
@@ -325,74 +312,70 @@ def uniform_grid(window, n):
     return tuple(np.linspace(lo, hi, m) for (lo, hi), m in zip(window, n))
 
 
-def _chain_labels(spec, points, prev, multiplicities, policy):
-    """Branch labels over a grid, continued from each point's predecessor ``prev[m]``.
+def _chain(spec, points, prev, multiplicities, policy, anchor=None):
+    """Branch eigenvalues (M, J) and projectors (M, J, N, N) along a chain of
+    points, each continued from its predecessor ``prev[m] < m`` (m > 0).
 
-    A transition whose columns each overlap one predecessor eigenvalue cluster
-    by more than 1/2, cluster for cluster, carries the predecessor's labels
-    over.  Other points (roots) are labelled against the predecessor's
-    projectors like :meth:`SpectralField.evaluate`, and so are the successors
-    of a point that fell back, since its projectors are no cluster sums.
-    Every predecessor precedes its point (``prev[m] < m`` for m > 0), so one
-    pass in index order labels the grid.  Eigenvectors are held one chunk at
-    a time.  Returns the branch eigenvalues (M, J), the column labels (M, N)
-    and the fallback projectors by point.
+    The first point is labelled by its ascending eigenvalue clusters, or
+    against the projectors ``anchor`` (J, N, N) when given.  A transition
+    whose columns each overlap one predecessor eigenvalue cluster by more
+    than 1/2, cluster for cluster, carries the predecessor's labels over.
+    Other points are labelled against the predecessor's projectors by
+    :func:`_resolve`, and so are the successors of a point that fell back,
+    whose columns are no eigenvalue clusters.  Chunks are taken in index
+    order; each is diagonalized once together with its predecessors, and its
+    projectors are formed from the columns that labelled it.
     """
-    M, N = len(points), spec.N
-    evals, cid = np.empty((M, N)), np.empty((M, N), dtype=int)
-    best, roots = np.empty((M, N), dtype=int), np.empty(M, dtype=bool)
+    M, N, J = len(points), spec.N, len(multiplicities)
+    lams, projectors = np.empty((M, J)), np.empty((M, J, N, N), dtype=complex)
+    labels, fell = np.empty((M, N), dtype=int), np.zeros(M, dtype=bool)
     for s in range(0, M, EVAL_CHUNK):
         c = np.arange(s, min(s + EVAL_CHUNK, M))
         need = np.union1d(c, prev[c])     # the chunk and its predecessors
         H = _symbols(spec, points[need])
-        ev, vecs = _eigh(H)
-        ids = _cluster_ids(ev, H, policy)
+        evals, vecs = _eigh(H)
+        cid = _cluster_ids(evals, H, policy)
         at, pat = np.searchsorted(need, c), np.searchsorted(need, prev[c])
-        evals[c], cid[c] = ev[at], ids[at]
         ov = np.abs(vecs[pat].conj().swapaxes(1, 2) @ vecs[at]) ** 2   # (C, prev col, col)
-        member = ids[pat][:, :, None] == np.arange(N)                  # (C, prev col, cluster)
+        member = cid[pat][:, :, None] == np.arange(N)                  # (C, prev col, cluster)
         score = np.einsum("mkg,mkc->mgc", member, ov)                  # (C, cluster, col)
-        best[c] = score.argmax(axis=1)
-        roots[c] = ~_unambiguous(best[c], score.max(axis=1), cid[c], member.sum(axis=1))
-    first_col = (cid[:, :, None] < np.arange(N)).sum(axis=1)        # first column of each cluster
-    cmap = np.take_along_axis(first_col[prev], best, axis=1)
-
-    def diagonalized(m):
-        H = _symbols(spec, points[m:m + 1])
-        return (H,) + _eigh(H)
-
-    labels = np.empty((M, N), dtype=int)
-    labels[0] = cid[0]                    # ascending clusters at the first point are the branches
-    split = {}
-    for m in range(1, M):
-        p = prev[m]
-        if not (roots[m] or p in split):
-            labels[m] = labels[p][cmap[m]]
-            continue
-        if p in split:
-            ref = split[p][1]
-        else:
-            ref = _projectors(diagonalized(p)[2], labels[p][None], multiplicities)[0]
-        H, ev, vecs = diagonalized(m)
-        lams_m, labels_m, split_m = _resolve(H, ev, vecs, ref[None], [0], points[m:m + 1],
-                                             multiplicities, policy)
-        labels[m] = labels_m[0]
-        if split_m:
-            split[m] = (lams_m[0], split_m[0])
-    lams = _branch_lams(evals, labels, multiplicities)
-    for m, (lams_m, _) in split.items():
-        lams[m] = lams_m
-    return lams, labels, {m: projs for m, (_, projs) in split.items()}
+        best, sizes = score.argmax(axis=1), member.sum(axis=1)
+        carry = _unambiguous(best, score.max(axis=1), cid[at], sizes)
+        # each column takes the label of the first column of its predecessor cluster
+        cmap = np.take_along_axis(sizes.cumsum(axis=1) - sizes, best, axis=1)
+        H, evals, vecs, cid = H[at], evals[at], vecs[at], cid[at]
+        for q, m in enumerate(c):
+            p = prev[m]
+            if m == 0 and anchor is None:
+                labels[m] = cid[q]
+                continue
+            if m > 0 and carry[q] and not fell[p]:
+                labels[m] = labels[p][cmap[q]]
+                continue
+            if m == 0:
+                ref = anchor
+            elif p < s:
+                ref = projectors[p]
+            else:
+                ref = _projectors(vecs[p - s][None], labels[p][None], multiplicities)[0]
+            row = slice(q, q + 1)
+            lam, labels[m], fell[m] = _resolve(H[row], evals[row], vecs[row], ref[None],
+                                               points[m:m + 1], multiplicities, policy)
+            lams[m] = lam[0]
+        lams[c] = np.where(fell[c, None], lams[c], _branch_lams(evals, labels[c], multiplicities))
+        projectors[c] = _projectors(vecs, labels[c], multiplicities)
+    return lams, projectors
 
 
 def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT_POLICY) -> SpectralField:
     """Branch-tracked eigendecomposition over a grid.
 
     ``grid`` is a tuple of per-axis sorted 1-d arrays (see :func:`uniform_grid`).
-    Branches are ordered ascending at the first grid point; subsequent points
-    inherit labels by maximal subspace overlap with their predecessor.  A grid
-    whose projector storage would exceed ``FIELD_BYTES_LIMIT`` is refused with
-    an :class:`InputError` before anything of its size is allocated.
+    Branches are ordered ascending at the first grid point; each later point
+    inherits labels by maximal subspace overlap with its predecessor (the
+    previous point along the last axis, or the previous row at a row start).
+    A grid whose projector storage would exceed ``FIELD_BYTES_LIMIT`` is
+    refused with an :class:`InputError` before anything of its size is allocated.
     """
     if isinstance(grid, np.ndarray):
         grid = (grid,)
@@ -405,11 +388,7 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
         if np.any(np.diff(ax) <= 0):
             raise InputError("grid axes must be strictly increasing")
 
-    # first point: ascending clusters define the branches
-    H0 = assemble_symbol(spec, [ax[0] for ax in axes])
-    scale0 = 1.0 + float(np.abs(H0).max())
-    multiplicities = np.array([g.stop - g.start for g in
-                               _eigh_clustered(H0, policy.degenerate_tol * scale0)[2]])
+    multiplicities = _multiplicities(spec, [ax[0] for ax in axes], policy)
     M = int(np.prod([ax.size for ax in axes]))
     J, N = len(multiplicities), spec.N
     need = M * J * N * N * 16
@@ -417,24 +396,10 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
         raise InputError(f"a field of {M} points needs {need / 1e9:.1f} GB of branch projectors "
                          f"(limit {FIELD_BYTES_LIMIT / 1e9:.1f} GB); use a coarser grid")
 
-    if spec.d == 1:
-        points = axes[0][:, None]
-        prev = np.maximum(np.arange(M) - 1, 0)
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        m = np.arange(M)
-        n1 = len(axes[1])
-        prev = np.where(m % n1, m - 1, np.maximum(m - n1, 0))
-
-    lambdas, labels, split = _chain_labels(spec, points, prev, multiplicities, policy)
-    # the eigenvectors again, a chunk at a time, to form the labelled projectors
-    projectors = np.empty((M, J, N, N), dtype=complex)
-    for s in range(0, M, EVAL_CHUNK):
-        c = slice(s, s + EVAL_CHUNK)
-        projectors[c] = _projectors(_eigh(_symbols(spec, points[c]))[1], labels[c], multiplicities)
-    for m, projs in split.items():
-        projectors[m] = projs
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    m, n_last = np.arange(M), len(axes[-1])
+    prev = np.where(m % n_last, m - 1, np.maximum(m - n_last, 0))
+    lambdas, projectors = _chain(spec, points, prev, multiplicities, policy)
     return SpectralField(spec, axes, points, lambdas, projectors, multiplicities, policy)
 
 
@@ -459,10 +424,11 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii, field: SpectralField =
                       policy: NumericPolicy = DEFAULT_POLICY) -> AsymptoticSlopes:
     """Per-branch asymptotic slopes along a unit direction.
 
-    Tracks branches outward along the ray (anchored at the field edge when a
-    field is supplied, so slope indices match field branch indices), then
-    refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the last
-    two radii and fits the decay exponent of the residual by least squares.
+    Labels the branches along the ray as one :func:`_chain` (anchored against
+    the field's projectors at its edge point when a field is supplied, so
+    slope indices match field branch indices), then refines ``lambda(r)/r``
+    by Richardson extrapolation in 1/r^2 over the last two radii and fits the
+    decay exponent of the residual by least squares.
     """
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     if direction.shape != (spec.d,):
@@ -478,19 +444,11 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii, field: SpectralField =
 
     if field is not None:
         edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
-        r0, idx0 = max(edge[0], 1e-3), edge[1]
-        ref = field.projectors[idx0]
+        r0, anchor = max(edge[0], 1e-3), field.projectors[edge[1]]
         multiplicities = field.multiplicities
     else:
-        r0 = radii[0]
-        H0 = assemble_symbol(spec, r0 * direction)
-        scale0 = 1.0 + float(np.abs(H0).max())
-        evals, evecs, groups = _eigh_clustered(H0, policy.degenerate_tol * scale0)
-        multiplicities = np.array([g.stop - g.start for g in groups])
-        ref = np.zeros((len(groups), spec.N, spec.N), dtype=complex)
-        for j, g in enumerate(groups):
-            V = evecs[:, g]
-            ref[j] = V @ V.conj().T
+        r0, anchor = radii[0], None
+        multiplicities = _multiplicities(spec, r0 * direction, policy)
 
     # march outward with bounded multiplicative steps so overlap tracking stays sound
     march = [r0]
@@ -500,12 +458,9 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii, field: SpectralField =
         if r > march[-1]:
             march.append(float(r))
     J = len(multiplicities)
-    vals = {}
-    for r in march:
-        lams, projs = _assign_to_branches(assemble_symbol(spec, r * direction), ref,
-                                          multiplicities, policy, r * direction)
-        ref = projs
-        vals[r] = lams
+    lams, _ = _chain(spec, np.array(march)[:, None] * direction,
+                     np.maximum(np.arange(len(march)) - 1, 0), multiplicities, policy, anchor)
+    vals = dict(zip(march, lams))
     samples = np.array([vals[float(r)] for r in radii])  # (len(radii), J)
 
     # Richardson in h = 1/r: lambda/r = c + b h^2 + ...

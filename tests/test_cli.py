@@ -83,6 +83,31 @@ def test_analyze_unknown_system_exit_2(tmp_path):
     assert rc == 2
 
 
+def _emitted(cid, path, edit):
+    """Emit a catalog system to ``path`` and apply ``edit`` to its JSON document."""
+    assert _run(["catalog", "emit", cid, "--outfile", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("cid", ["three-wave", "brillouin", "kg-equal", "kg-diff"])
+def test_renamed_stock_file_analyzed_like_its_catalog_entry(cid, tmp_path):
+    # the stock closed forms follow the recorded params; the name is only a label
+    path = _emitted(cid, tmp_path / "renamed.json", lambda doc: doc.update(name="renamed"))
+    assert _run(["analyze", "--system", path, "--out", str(tmp_path / "file")]) == 0
+    assert _run(["analyze", "--system", f"catalog:{cid}", "--out", str(tmp_path / "stock")]) == 0
+    for name in ("resonance_report.json", "stability_report.json"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "stock" / name).read_bytes()
+
+
+def test_analyze_file_without_params_exit_2(tmp_path, capsys):
+    path = _emitted("kg-equal", tmp_path / "bare.json", lambda doc: doc.pop("params"))
+    assert _run(["analyze", "--system", path, "--out", str(tmp_path / "out")]) == 2
+    assert "--omega/--k" in capsys.readouterr().err
+
+
 def test_cli_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -185,8 +185,7 @@ def test_report_gamma_le_b0(kg_analysis, kg_diff_analysis, three_wave_analysis):
 
 
 def test_analysis_evaluates_each_point_once(monkeypatch):
-    # one walk of the report's coarse grid serves all pairs and each root's
-    # couplings are formed once per report pass (4,238 evaluations)
+    # every consumer evaluates in batches: no per-point evaluation is left
     calls = []
     evaluate = SpectralField.eigensystem_at
 
@@ -196,7 +195,30 @@ def test_analysis_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(SpectralField, "eigensystem_at", counted)
     analyze(kg_equal())
-    assert len(calls) <= 4400
+    assert len(calls) == 0
+
+
+def test_analysis_diagonalizes_the_field_once(monkeypatch):
+    # the field is diagonalized in one chunked pass (its projectors come from
+    # the eigenvectors that labelled it) and the asymptotic-slope rays are
+    # chained like the field: 6,312 eigh matrices and 18 assignments
+    import oscillant.spectral as spectral
+    counts = {"matrices": 0, "assignments": 0}
+    eigh, assign = np.linalg.eigh, spectral.linear_sum_assignment
+
+    def counted_eigh(a, *args, **kwargs):
+        counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    def counted_assign(*args, **kwargs):
+        counts["assignments"] += 1
+        return assign(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(spectral, "linear_sum_assignment", counted_assign)
+    analyze(kg_equal())
+    assert counts["matrices"] <= 6400
+    assert counts["assignments"] <= 20
 
 
 def test_analysis_evaluates_each_point_once_per_report_pass(monkeypatch):

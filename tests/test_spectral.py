@@ -220,7 +220,7 @@ def test_batched_evaluate_matches_per_point(system, kg_analysis, kg_diff_analysi
     near = _near([0.0] + _crossings(field))
     xs = np.array(random + near)
     ev = field.evaluate(xs[:, None])
-    assert not any(p < len(random) for p in ev.split)   # random points need no fallback
+    assert not ev.fallback[:len(random)].any()   # random points need no fallback
     tol = field.policy.algebra_tol
     for p, x in enumerate(xs):
         lams, projs = _per_point(field, [x])
@@ -234,7 +234,7 @@ def test_fallback_at_crossing_matches_assignment(kg_analysis):
     # two branches, so the optimal assignment and re-alignment label the point
     field = kg_analysis.field
     ev = field.evaluate(np.array([[0.0], [0.25]]))
-    assert list(ev.split) == [0]
+    assert list(np.flatnonzero(ev.fallback)) == [0]
     lams, projs = _per_point(field, [0.0])
     assert np.array_equal(ev.lams[0], lams)
     for j in range(field.J):
@@ -278,3 +278,65 @@ def test_field_memory_guard():
     spec = kg_equal(d=2)
     with pytest.raises(InputError, match="GB"):
         eigendecompose_field(spec, uniform_grid(((-9.0, 9.0), (-9.0, 9.0)), (2048, 2048)))
+
+
+def _marched_slopes(spec, direction, radii, field=None):
+    """Asymptotic slopes from a per-radius march, each radius optimally assigned
+    against the previous one's projectors (the reference for the chained ray)."""
+    direction, radii = np.asarray(direction, dtype=float), np.asarray(radii, dtype=float)
+    if field is not None:
+        edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
+        r0, ref = max(edge[0], 1e-3), field.projectors[edge[1]]
+        multiplicities, policy = field.multiplicities, field.policy
+    else:
+        r0 = radii[0]
+        first = eigendecompose_field(spec, tuple(np.array([x]) for x in r0 * direction))
+        ref, multiplicities, policy = first.projectors[0], first.multiplicities, first.policy
+    march = [r0]
+    for r in radii:
+        while r / march[-1] > 1.3:
+            march.append(march[-1] * 1.3)
+        if r > march[-1]:
+            march.append(float(r))
+    vals = {}
+    for r in march:
+        vals[r], ref = _assign_to_branches(assemble_symbol(spec, r * direction), ref,
+                                           multiplicities, policy, r * direction)
+    samples = np.array([vals[float(r)] for r in radii])
+    r1, r2 = radii[-2], radii[-1]
+    f1, f2 = samples[-2] / r1, samples[-1] / r2
+    c = (r2 ** 2 * f2 - r1 ** 2 * f1) / (r2 ** 2 - r1 ** 2)
+    decay = np.full(len(c), -np.inf)
+    for j in range(len(c)):
+        res = np.abs(samples[:, j] - c[j] * radii)
+        mask = res > 1e-14
+        if mask.sum() >= 2:
+            decay[j] = np.polyfit(np.log(radii[mask]), np.log(res[mask]), 1)[0]
+    return c, decay
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "kg-diff", "three-wave", "kg-equal-2d",
+                                    "random"])
+def test_chained_slopes_match_marched_assignment(system, kg_analysis, kg_diff_analysis,
+                                                 three_wave_analysis):
+    if system == "kg-equal-2d":
+        spec = kg_equal(d=2)
+        fields = [eigendecompose_field(spec, uniform_grid(((-9.0, 9.0), (-9.0, 9.0)), (13, 13)))]
+    elif system == "random":
+        fields = [eigendecompose_field(_random_system(seed, 2 + seed % 4),
+                                       uniform_grid((-3.0, 3.0), 61)) for seed in range(8)]
+    else:
+        fields = [{"kg-equal": lambda: kg_analysis, "kg-diff": lambda: kg_diff_analysis(1),
+                   "three-wave": three_wave_analysis}[system]().field]
+    for field in fields:
+        spec = field.spec
+        rmax = max(200.0, 120.0 * spec.a0_spectral_radius + 100.0)
+        directions = [np.array([1.0]), np.array([-1.0])] if spec.d == 1 else \
+            [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
+        for radii in ([rmax / 4, rmax / 2, rmax], [rmax, 2 * rmax]):
+            for w in directions:
+                for anchor in (field, None):
+                    slopes = asymptotic_slopes(spec, w, radii, field=anchor)
+                    c, decay = _marched_slopes(spec, w, radii, field=anchor)
+                    assert np.array_equal(slopes.c, c), (spec.name, w, radii, anchor is None)
+                    assert np.array_equal(slopes.residual_decay, decay)
