@@ -8,6 +8,7 @@ systems are provided for cross-checking the generic pipeline.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from .numeric import InputError
@@ -78,31 +79,27 @@ def _kg_blocks(d, speed, mass):
     return Aj, L
 
 
+def _kg_pair(d, theta0, mass_u, mass_v):
+    """Blocks u (speed 1) and v (speed theta0) side by side: N, A0, the
+    transport matrices and the indices of u2, u3, v2, v3."""
+    (Au, Lu), (Av, Lv) = _kg_blocks(d, 1.0, mass_u), _kg_blocks(d, theta0, mass_v)
+    n = d + 2
+    return (2 * n, block_diag(Lu, Lv), tuple(block_diag(a, b) for a, b in zip(Au, Av)),
+            (d, d + 1, n + d, n + d + 1))
+
+
 def kg_equal(omega0=1.0, theta0=0.5, d=1) -> SystemSpec:
     """Two coupled Klein-Gordon blocks with equal masses, different speeds (1 and theta0)."""
     if not (0 < theta0 < 1):
         raise InputError("theta0 must lie in (0, 1)")
     if omega0 <= 0:
         raise InputError("omega0 must be positive")
-    n = d + 2
-    N = 2 * n
-    Au, Lu = _kg_blocks(d, 1.0, omega0)
-    Av, Lv = _kg_blocks(d, theta0, omega0)
-    Aj = []
-    for j in range(d):
-        a = np.zeros((N, N))
-        a[:n, :n] = Au[j]
-        a[n:, n:] = Av[j]
-        Aj.append(a)
-    A0 = np.zeros((N, N))
-    A0[:n, :n] = Lu
-    A0[n:, n:] = Lv
-    iu2, iu3, iv2, iv3 = d, d + 1, n + d, n + d + 1
+    N, A0, Aj, (iu2, iu3, iv2, iv3) = _kg_pair(d, theta0, omega0, omega0)
     B = BilinearMap(N, (
         (iu2, iu3, iv3, 0.5), (iu2, iv3, iu3, 0.5), (iu2, iv3, iv3, 0.5),
         (iv2, iu2, iu2, -0.5), (iv2, iv2, iv3, 0.5), (iv2, iv3, iv2, 0.5),
     ))
-    return SystemSpec("kg-equal", N, d, A0, tuple(Aj), B,
+    return SystemSpec("kg-equal", N, d, A0, Aj, B,
                       params={"omega0": float(omega0), "theta0": float(theta0)})
 
 
@@ -116,25 +113,12 @@ def kg_diff(omega0=1.0, theta0=0.5, alpha0=1.7, iota=1, d=1) -> SystemSpec:
         raise InputError("alpha0 must exceed 1 (different masses)")
     if iota not in (-1, 1):
         raise InputError("iota must be +1 or -1")
-    n = d + 2
-    N = 2 * n
-    Au, Lu = _kg_blocks(d, 1.0, alpha0 * omega0)
-    Av, Lv = _kg_blocks(d, theta0, omega0)
-    Aj = []
-    for j in range(d):
-        a = np.zeros((N, N))
-        a[:n, :n] = Au[j]
-        a[n:, n:] = Av[j]
-        Aj.append(a)
-    A0 = np.zeros((N, N))
-    A0[:n, :n] = Lu
-    A0[n:, n:] = Lv
-    iu2, iu3, iv2, iv3 = d, d + 1, n + d, n + d + 1
+    N, A0, Aj, (iu2, iu3, iv2, iv3) = _kg_pair(d, theta0, alpha0 * omega0, omega0)
     B = BilinearMap(N, (
         (iu2, iu3, iv3, 0.5), (iu2, iv3, iu3, 0.5), (iu2, iv3, iv3, 0.5),
         (iv2, iu2, iu2, -iota / 2), (iv2, iu2, iv2, -iota / 2), (iv2, iv2, iu2, -iota / 2),
     ))
-    return SystemSpec("kg-diff", N, d, A0, tuple(Aj), B,
+    return SystemSpec("kg-diff", N, d, A0, Aj, B,
                       params={"omega0": float(omega0), "theta0": float(theta0),
                               "alpha0": float(alpha0), "iota": int(iota)})
 

@@ -103,16 +103,11 @@ def cmd_flow(args):
     rep = flow_bound_experiment(result, epsilons, T=args.T, h=args.h)
     os.makedirs(args.out, exist_ok=True)
     # dump one representative trajectory per epsilon for inspection
-    from .experiments import interaction_matrix_factory
-    from .flow import integrate_flow
-    from .numeric import supnorm as _sn
+    from .experiments import interaction_matrix_factory, sample_trajectory
     for eps in epsilons:
         m_of_t = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
             result.stability.xi0)[0]), eps, h=args.h)
-        m0 = m_of_t(0.0)
-        shift = 1j * m0.chi1 * (m0.mu1 + m0.mu2) / 2 * np.eye(2 * m0.N)
-        dt = 0.1 * np.sqrt(eps) / max(_sn(m0.block() - shift), 1e-12)
-        traj = integrate_flow(m_of_t, 0.0, args.T * abs(np.log(eps)), dt, samples=200)
+        traj = sample_trajectory(m_of_t, eps, args.T * abs(np.log(eps)), samples=200)
         write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),
@@ -204,24 +199,17 @@ def cmd_catalog(args):
         if args.id is None:
             print("emit requires a catalog id", file=sys.stderr)
             return 2
-        if args.id == "em-dispersion":
-            doc = {"relations": list(RELATIONS),
-                   "params": {"theta_e": 0.1, "theta_i": 0.001, "alpha": 0.5}}
-            path = args.outfile or "em-dispersion.json"
-            _json_dump(doc, path)
-            print(f"wrote {path}")
-            return 0
-        if args.id == "mll-variety":
-            doc = {"polynomial": "lambda^3 (lambda^6 - 2(2+|xi|^2) lambda^4 + "
-                                 "(|xi|^2(6+|xi|^2) - 2 xi1^2) lambda^2 - |xi|^2(2|xi|^2 - xi1^2))",
-                   "boundedness_verdict": catalog.mll_boundedness_verdict()}
-            path = args.outfile or "mll-variety.json"
-            _json_dump(doc, path)
-            print(f"wrote {path}")
-            return 0
-        spec = catalog.build_catalog_system(args.id, **_system_overrides(args))
         path = args.outfile or f"{args.id}.json"
-        save_spec(spec, path)
+        if args.id == "em-dispersion":
+            _json_dump({"relations": list(RELATIONS),
+                        "params": {"theta_e": 0.1, "theta_i": 0.001, "alpha": 0.5}}, path)
+        elif args.id == "mll-variety":
+            _json_dump({"polynomial": "lambda^3 (lambda^6 - 2(2+|xi|^2) lambda^4 + "
+                                      "(|xi|^2(6+|xi|^2) - 2 xi1^2) lambda^2 - "
+                                      "|xi|^2(2|xi|^2 - xi1^2))",
+                        "boundedness_verdict": catalog.mll_boundedness_verdict()}, path)
+        else:
+            save_spec(catalog.build_catalog_system(args.id, **_system_overrides(args)), path)
         print(f"wrote {path}")
         return 0
     print(f"unknown catalog action '{args.action}'", file=sys.stderr)

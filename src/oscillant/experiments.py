@@ -84,34 +84,31 @@ def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
 # flow-bound experiment
 # ---------------------------------------------------------------------------
 
-def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
-                               amplitude: AmplitudeProfile = None, cutoff_active=True):
-    """Time-dependent interaction matrix at one (x, xi) sample point.
+def _pair_sample(analysis: Analysis, xi):
+    """The selected pair at one frequency: mu1, mu2, b+, b- and the other
+    branches' eigenvalues."""
+    i, j = analysis.stability.selected_pair
+    pb = _PairBatch(analysis.field, analysis.phase, xi)
+    bp, bm, _ = pb.coupling(i, j, analysis.pol.linearized_source(analysis.spec.B))
+    extra = tuple(float(pb.base.lams[0, b]) for b in range(analysis.field.J) if b not in (i, j))
+    return (float(pb.shift.lams[0, i] - analysis.phase.omega), float(pb.base.lams[0, j]),
+            bp[0], bm[0], extra)
 
-    The coupled block carries the selected pair's coupling matrices weighted
-    by the frequency cutoff (plateau at phase size h, gone by 2h), a spatial
-    plateau around the amplitude maximum, and the transported amplitude value
-    g(sqrt(eps) t, x); the remaining branches enter as decoupled imaginary
-    diagonal entries.
-    """
-    sr = analysis.stability
-    field, pol, phase = analysis.field, analysis.pol, analysis.phase
-    amplitude = amplitude or AmplitudeProfile()
-    i, j = sr.selected_pair
-    pb = _PairBatch(field, phase, xi)
-    mu1 = float(pb.shift.lams[0, i] - phase.omega)
-    mu2 = float(pb.base.lams[0, j])
+
+def _group_velocity(analysis: Analysis) -> float:
+    try:
+        return float(transport_setup(analysis.spec, analysis.phase, analysis.pol.e1)
+                     .group_velocity[0])
+    except NumericalError:
+        return 0.0
+
+
+def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
+    mu1, mu2, bp, bm, extra = sample
     ph = mu1 - mu2
-    bp, bm, _ = pb.coupling(i, j, pol.linearized_source(analysis.spec.B))
-    bp, bm = bp[0], bm[0]
     chi0 = bump_weight(ph, h, 2 * h) if cutoff_active else 1.0
     chi1 = bump_weight(ph, 2 * h, 4 * h) if cutoff_active else 1.0
     phi1 = bump_weight(x - amplitude.center, 4 * amplitude.width, 8 * amplitude.width)
-    extra = tuple(float(pb.base.lams[0, b]) for b in range(field.J) if b not in (i, j))
-    try:
-        vg = float(transport_setup(analysis.spec, phase, pol.e1).group_velocity[0])
-    except NumericalError:
-        vg = 0.0
     se = np.sqrt(epsilon)
 
     def m_of_t(t):
@@ -122,6 +119,29 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
                                  epsilon=epsilon, extra_diag=extra,
                                  amplitude=g, chi1=chi1)
     return m_of_t
+
+
+def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
+                               amplitude: AmplitudeProfile = None, cutoff_active=True):
+    """Time-dependent interaction matrix at one (x, xi) sample point.
+
+    The coupled block carries the selected pair's coupling matrices weighted
+    by the frequency cutoff (plateau at phase size h, gone by 2h), a spatial
+    plateau around the amplitude maximum, and the transported amplitude value
+    g(sqrt(eps) t, x); the remaining branches enter as decoupled imaginary
+    diagonal entries.
+    """
+    return _matrix_of_t(_pair_sample(analysis, xi), _group_velocity(analysis), x, epsilon, h,
+                        amplitude or AmplitudeProfile(), cutoff_active)
+
+
+def sample_trajectory(m_of_t, epsilon, t_end, samples=100) -> FlowTrajectory:
+    """Integrate one sampled interaction matrix from t = 0, with dt from the
+    t = 0 block less its centred diagonal."""
+    m0 = m_of_t(0.0)
+    shift = 1j * m0.chi1 * (m0.mu1 + m0.mu2) / 2 * np.eye(2 * m0.N)
+    dt = 0.1 * np.sqrt(epsilon) / max(supnorm(m0.block() - shift), 1e-12)
+    return integrate_flow(m_of_t, 0.0, t_end, dt, samples=samples)
 
 
 def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
@@ -161,19 +181,15 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
     # frequencies inside the plateau: |resonant phase| <= h/2
     xi_samples = [xi0] + detuned(np.linspace(0.1, 0.4, n_xi - 1) * h, 0.5, 40)
 
-    def make_factory(samples, cutoff_active):
+    vg = _group_velocity(analysis)
+
+    def make_factory(xis, cutoff_active):
+        samples = [_pair_sample(analysis, xi) for xi in xis]
+
         def factory(eps, t_end):
-            out = []
-            for x in x_samples:
-                for xi in samples:
-                    m_of_t = interaction_matrix_factory(analysis, x, xi, eps, h=h,
-                                                        amplitude=amplitude,
-                                                        cutoff_active=cutoff_active)
-                    m0 = m_of_t(0.0)
-                    shift = 1j * m0.chi1 * (m0.mu1 + m0.mu2) / 2 * np.eye(2 * m0.N)
-                    dt = 0.1 * np.sqrt(eps) / max(supnorm(m0.block() - shift), 1e-12)
-                    out.append(integrate_flow(m_of_t, 0.0, t_end, dt, samples=100))
-            return out
+            return [sample_trajectory(_matrix_of_t(s, vg, x, eps, h, amplitude, cutoff_active),
+                                      eps, t_end)
+                    for x in x_samples for s in samples]
         return factory
 
     away = detuned(away_offsets, 3.0, 60)

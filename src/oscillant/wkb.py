@@ -163,9 +163,6 @@ class WKBSolution:
     with_correctors: bool = False
     corrector_vectors: dict = None   # p -> constant N-vector multiplying the g-monomial
 
-    def amplitude_at(self, it):
-        return self.g[it]
-
 
 def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
                     n_steps=None, with_correctors=False) -> WKBSolution:
@@ -237,6 +234,8 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0, min_points_per_waveleng
     (through the amplitude equation), and returns its L2 norm.
     """
     spec, phase = wkb.spec, wkb.phase
+    if spec.d != 1:
+        raise InputError("the residual is evaluated in one spatial dimension (spec.d must be 1)")
     x = wkb.x
     n = len(x)
     L = float(x[-1] - x[0]) * n / (n - 1)

@@ -207,3 +207,18 @@ def test_kg_flow_bound_family(kg_analysis):
     assert rep.passed
     assert rep.fitted_exponent <= 8.0
     assert rep.away_sup <= 10.0
+
+
+def test_flow_sampler_evaluates_each_frequency_once(kg_analysis, monkeypatch):
+    # one group velocity per experiment, one pair evaluation per frequency sample
+    from oscillant import experiments
+    calls = {"transport_setup": 0, "_pair_sample": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(experiments, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(experiments, name, counted)
+    rep = experiments.flow_bound_experiment(kg_analysis, [1e-2, 1e-3], T=0.5, h=0.1,
+                                            n_x=3, n_xi=3, away_offsets=(0.4, 0.6))
+    assert rep.away_sup is not None
+    assert calls == {"transport_setup": 1, "_pair_sample": 3 + 2}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscillant.catalog import kg_equal, three_wave
+from oscillant.catalog import default_phase, kg_equal, three_wave
 from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
 from oscillant.numeric import InputError
 from oscillant.resonance import Phase
@@ -72,8 +72,9 @@ def test_linear_step_conserves_l2():
     u = np.asarray([np.exp(-cfg.x ** 2), 0.3 * np.exp(-(cfg.x - 2) ** 2),
                     np.zeros_like(cfg.x)], dtype=complex)
     l0 = np.linalg.norm(u)
+    u_hat = st.spectrum(u)
     for _ in range(200):
-        u = st.step(u, 2e-3)
+        u, u_hat = st.step(u_hat, 2e-3)
     assert abs(np.linalg.norm(u) - l0) / l0 <= 1e-10
 
 
@@ -87,9 +88,118 @@ def test_single_mode_phase_rotation():
     u = np.zeros((3, 256), dtype=complex)
     u[0] = np.exp(1j * kap * cfg.x)
     dt = 1e-3
-    v = st.step(u.copy(), dt)
+    v, _ = st.step(st.spectrum(u), dt)
     expect = np.exp(-1j * dt * 1.0 * kap) * u[0]
     assert np.abs(v[0] - expect).max() <= 1e-12
+
+
+def _reference_step(spec, eps, x, real_state):
+    """The four-transform Strang step from x space (the reference for the
+    carried-spectrum stepper): fft, half-step through the eigenvector stack,
+    ifft, RK4, fft, half-step, ifft, and the real part for real states."""
+    n = len(x)
+    L = float(x[-1] - x[0]) * n / (n - 1)
+    kappa = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+    evals, evecs = np.linalg.eigh(spec.A0[None] / (1j * eps) + kappa[:, None, None] * spec.Aj[0])
+
+    def half(u, dt):
+        u_hat = np.fft.fft(u, axis=1).T
+        coeff = np.einsum("mij,mj->mi", evecs.conj().transpose(0, 2, 1), u_hat)
+        ph = np.exp(-1j * (dt / 2) * evals)
+        return np.fft.ifft(np.einsum("mij,mj->mi", evecs, ph * coeff).T, axis=1)
+
+    def step(u, dt):
+        f = lambda w: spec.B(w, w) / np.sqrt(eps)
+        u = half(u, dt)
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        u = half(u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dt)
+        return u.real.astype(complex) if real_state else u
+    return step
+
+
+@pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
+def test_stepper_matches_reference_strang_step(system):
+    # a dt halving mid-run and a shortened last step: the propagator must follow h
+    if system == "three-wave":
+        spec, eps, real_state = three_wave(c=(0.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)), 1e-3, False
+        x = np.linspace(-20.0, 20.0, 2048, endpoint=False)
+        u = np.asarray(_static_ref(0.0, x))
+        u[2] += 0.2 * np.exp(-x ** 2 + 3j * x)
+        dts = [4e-3] * 4 + [2e-3] * 4 + [7e-4]
+    else:
+        # real state on an even grid: the half spectrum carries the Nyquist mode
+        spec, eps, real_state = kg_equal(), 1e-2, True
+        x = np.linspace(-6.0, 6.0, 4096, endpoint=False)
+        ref = reference_solution(spec, default_phase(spec), AmplitudeProfile(), eps)
+        u = ref(0.0, x)
+        u[0] += 0.3 * np.exp(-x ** 2) * np.cos(2.0 * x / eps)
+        dts = [2e-3] * 4 + [1e-3] * 4 + [3e-4]
+    st = _Stepper(spec, eps, x, real_state)
+    reference = _reference_step(spec, eps, x, real_state)
+    v, v_hat = u.real if real_state else u, st.spectrum(u.real if real_state else u)
+    for dt in dts:
+        u = reference(u, dt)
+        v, v_hat = st.step(v_hat, dt)
+        scale = np.abs(u).max()
+        assert np.abs(v - u).max() <= 1e-12 * scale, (system, dt)
+        assert np.abs(st.spectrum(v) - v_hat).max() <= 1e-12 * np.abs(v_hat).max()
+
+
+def test_real_state_step_carries_the_state_spectrum():
+    # a real state's Nyquist coefficient is real: the carried half spectrum
+    # must stay the spectrum of the returned state even with Nyquist content
+    x = np.linspace(-6.0, 6.0, 256, endpoint=False)
+    st = _Stepper(kg_equal(), 1e-2, x, True)
+    u = np.outer(np.arange(1.0, 7.0), np.exp(-x ** 2) + 0.1 * (-1.0) ** np.arange(256))
+    v, v_hat = st.step(st.spectrum(u), 1e-3)
+    assert v.dtype == float
+    assert np.abs(st.spectrum(v) - v_hat).max() <= 1e-12 * np.abs(v_hat).max()
+
+
+def _count_transforms(monkeypatch):
+    counts = {}
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def _record_steps(monkeypatch):
+    steps, props = [], []
+    step, propagator = _Stepper.step, _Stepper.propagator
+
+    def recorded_step(self, u_hat, h):
+        steps.append(h)
+        return step(self, u_hat, h)
+
+    def recorded_propagator(self, h):
+        props.append(propagator(self, h))   # kept alive, so ids are distinct builds
+        return props[-1]
+    monkeypatch.setattr(_Stepper, "step", recorded_step)
+    monkeypatch.setattr(_Stepper, "propagator", recorded_propagator)
+    return steps, props
+
+
+@pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
+def test_step_transform_and_propagator_counts(system, monkeypatch, kg_analysis):
+    # three transforms a step plus the first; one propagator per distinct step size
+    steps, props = _record_steps(monkeypatch)
+    counts = _count_transforms(monkeypatch)
+    if system == "three-wave":
+        run = run_instability_experiment(_tw_config(1e-2, t_end=0.3), _static_ref)
+    else:
+        run = run_simulation(kg_equal(), 1e-2, analysis=kg_analysis, grid_points=16384,
+                             t_end=0.05)
+        assert set(counts) == {"rfft", "irfft"}   # half spectrum only
+    assert run.verdict == "completed"
+    assert len(set(steps)) >= 2   # the shortened last step changes h
+    assert sum(counts.values()) <= 3 * len(steps) + 1
+    assert len({id(p) for p in props}) == len(set(steps))
 
 
 def test_transport_mode_exact():

@@ -5,9 +5,9 @@ from oscillant.catalog import kg_default_phase, kg_diff, kg_e1, kg_equal, three_
 from oscillant.numeric import InputError, MultiplicityError, NumericalError
 from oscillant.resonance import Phase
 from oscillant.system import BilinearMap, SystemSpec
-from oscillant.wkb import (consistency_residual, harmonic_matrix, harmonic_projector,
-                           partial_inverse, pde_residual, solve_transport, transport_setup,
-                           weak_transparency_check)
+from oscillant.wkb import (TransportSetup, WKBSolution, consistency_residual, harmonic_matrix,
+                           harmonic_projector, partial_inverse, pde_residual, solve_transport,
+                           transport_setup, weak_transparency_check)
 
 from conftest import assert_close
 
@@ -140,3 +140,15 @@ def test_residual_resolution_error(kg_analysis):
     wkb = solve_transport(spec, phase, e1, np.exp(-x ** 2), x, t_end=0.05, n_steps=8)
     with pytest.raises(NumericalError):
         pde_residual(wkb, 1e-4)
+
+
+def test_residual_rejects_d2_systems():
+    # the residual reads A1 and k1 only; a d=2 solution must not be scored as a 1-d one
+    spec = kg_equal(d=2)
+    phase = kg_default_phase(spec)
+    x = np.linspace(-4, 4, 2048, endpoint=False)   # resolves the eps=1e-2 oscillation
+    g = np.exp(-x ** 2).astype(complex)[None, :]
+    wkb = WKBSolution(spec=spec, phase=phase, e1=kg_e1(spec, phase), x=x, times=np.zeros(1),
+                      g=g, setup=TransportSetup(group_velocity=np.zeros(2), cubic_coefficient=0j))
+    with pytest.raises(InputError, match="one spatial dimension"):
+        pde_residual(wkb, 1e-2)
