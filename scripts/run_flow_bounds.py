@@ -12,6 +12,7 @@ import argparse
 
 from oscillant.catalog import kg_equal
 from oscillant.experiments import analyze, flow_bound_experiment
+from oscillant.flow import AWAY_CAP, GROWTH_EXPONENT_CAP
 
 
 def main():
@@ -30,8 +31,8 @@ def main():
     for eps, q in zip(rep.epsilons, rep.Q):
         print(f"  eps = {eps:8.1e}:  max sup|S| e^(-t gamma+) = {q:.4f}")
     print(f"fitted polylog exponent: {rep.fitted_exponent:.3f}  "
-          f"({'pass' if rep.passed else 'FAIL'}, cap 8)")
-    print(f"away-from-resonance sup: {rep.away_sup:.3f} (cap 10)")
+          f"({'pass' if rep.passed else 'FAIL'}, cap {GROWTH_EXPONENT_CAP:g})")
+    print(f"away-from-resonance sup: {rep.away_sup:.3f} (cap {AWAY_CAP:g})")
 
 
 if __name__ == "__main__":

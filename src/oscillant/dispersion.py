@@ -16,6 +16,9 @@ from scipy.optimize import brentq
 
 from .numeric import InputError
 
+# brentq's absolute tolerance on the matched partner wavenumber k2
+MATCH_XTOL = 1e-12
+
 RELATIONS = ("euler-maxwell-transverse", "euler-maxwell-longitudinal-l",
              "euler-maxwell-longitudinal-s")
 
@@ -81,7 +84,7 @@ class NotMatchableError(InputError):
     """No phase-matched triple exists in the search bracket (below threshold)."""
 
 
-def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0), tol=1e-12):
+def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0)):
     """Solve the three-phase matching beta = beta1 + beta2 on the variety.
 
     ``beta1 = (omega_t(k1), k1)`` is transverse; ``beta2`` is transverse with
@@ -106,7 +109,7 @@ def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0), tol=
         vals = np.array([mismatch(x, sign) for x in xs])
         hits = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
         for h in hits:
-            k2 = float(brentq(lambda x: mismatch(x, sign), xs[h], xs[h + 1], xtol=tol))
+            k2 = float(brentq(lambda x: mismatch(x, sign), xs[h], xs[h + 1], xtol=MATCH_XTOL))
             if abs(k2) < 1e-9 and abs(k1) > 1e-9:
                 continue  # reject the degenerate copy of beta1 itself
             w2 = sign * float(omega_transverse(k2, theta_e, theta_i, alpha))

@@ -116,8 +116,7 @@ def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
         return InteractionMatrix(mu1=mu1, mu2=mu2,
                                  b12=chi0 * phi1 * g * bp,
                                  b21=chi0 * phi1 * np.conj(g) * bm,
-                                 epsilon=epsilon, extra_diag=extra,
-                                 amplitude=g, chi1=chi1)
+                                 epsilon=epsilon, extra_diag=extra, chi1=chi1)
     return m_of_t
 
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import expm
 
-from .numeric import DEFAULT_POLICY, InputError, NumericalError, supnorm
+from .numeric import DEFAULT_POLICY, InputError, NumericalError, numerical_rank, supnorm
+
+# largest fitted exponent of Q(eps) against |log eps| the polylog bound accepts
+GROWTH_EXPONENT_CAP = 8.0
+# largest flow sup norm an off-resonance sample may reach
+AWAY_CAP = 10.0
 
 
 def smoothstep(t):
@@ -41,7 +46,6 @@ class InteractionMatrix:
     b21: np.ndarray
     epsilon: float
     extra_diag: tuple = ()       # remaining branch eigenvalues (decoupled, unitary)
-    amplitude: complex = 1.0     # bookkeeping: the amplitude value folded into b12/b21
     chi1: float = 1.0            # diagonal cutoff weight
 
     @property
@@ -68,8 +72,7 @@ def flow_spectrum(m: InteractionMatrix):
     Requires the coupling product to have rank at most one.
     """
     prod = m.b12 @ m.b21
-    s = np.linalg.svd(prod, compute_uv=False)
-    if s.size > 1 and s[1] > 1e-10 * max(s[0], 1e-300) and s[1] > 1e-14:
+    if numerical_rank(prod, DEFAULT_POLICY) > 1:
         raise NumericalError("coupling product has rank above one; closed form unavailable")
     mu1 = m.chi1 * m.mu1
     mu2 = m.chi1 * m.mu2
@@ -89,7 +92,6 @@ class FlowTrajectory:
     S: list                      # 2N x 2N coupled-block flows per sample time
     sup_norm_series: np.ndarray  # sup norm of the full flow (>= 1 when decoupled present)
     fitted_rate: float
-    gamma_plus_ref: float = None
     liouville_defect: float = 0.0
 
     @property
@@ -103,7 +105,7 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate_flow(m_of_t, tau, t_end, dt, gamma_plus_ref=None, samples=200):
+def integrate_flow(m_of_t, tau, t_end, dt, samples=200):
     """Integrate dS/dt + M(t) S / sqrt(eps) = 0 by stepwise exact exponentials.
 
     The mean diagonal i (mu1 + mu2)/2 is a global unitary phase; it is removed
@@ -160,7 +162,7 @@ def integrate_flow(m_of_t, tau, t_end, dt, gamma_plus_ref=None, samples=200):
         rate = 0.0
     defect = abs(logdet_meas - logdet_expect) / max(abs(logdet_expect), 1.0)
     return FlowTrajectory(times=times, S=flows, sup_norm_series=sups, fitted_rate=rate,
-                          gamma_plus_ref=gamma_plus_ref, liouville_defect=float(defect))
+                          liouville_defect=float(defect))
 
 
 @dataclass
@@ -175,15 +177,15 @@ class GrowthBoundReport:
     away_passed: bool = None
 
 
-def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factory=None,
-                        exponent_cap=8.0, away_cap=10.0):
+def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factory=None):
     """Check the flow bound sup |S(0; t)| <= polylog * exp(t gamma+).
 
     ``trajectory_factory(eps, t_end)`` returns the trajectories of the sampled
     interaction matrices at the given epsilon; Q(eps) is the largest
     sup |S| e^{-t gamma+} over samples and t <= T |log eps|.  The bound passes
-    when the fitted exponent of Q against |log eps| stays below the cap.
-    Off-resonance samples, when provided, must stay below ``away_cap``.
+    when the fitted exponent of Q against |log eps| stays below
+    ``GROWTH_EXPONENT_CAP``.  Off-resonance samples, when provided, must stay
+    below ``AWAY_CAP``.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     Q = []
@@ -197,7 +199,7 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
     Q = np.array(Q)
     logL = np.log(np.abs(np.log(epsilons)))
     fitted = float(np.polyfit(logL, np.log(Q), 1)[0]) if len(epsilons) >= 2 else 0.0
-    passed = fitted <= exponent_cap
+    passed = fitted <= GROWTH_EXPONENT_CAP
 
     away_sup = away_passed = None
     if away_factory is not None:
@@ -206,7 +208,7 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
             t_end = T * abs(np.log(eps))
             for traj in away_factory(eps, t_end):
                 away_sup = max(away_sup, traj.sup_norm_max)
-        away_passed = away_sup <= away_cap
+        away_passed = away_sup <= AWAY_CAP
         passed = passed and away_passed
     return GrowthBoundReport(epsilons=epsilons, Q=Q, fitted_exponent=fitted, passed=passed,
                              away_sup=away_sup, away_passed=away_passed)

@@ -17,10 +17,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .flow import _real_pivot, unstable_datum_direction
-from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, supnorm
+from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, numerical_rank, supnorm
 from .resonance import Phase, ResonanceReport, _kernel_basis, _PairBatch, separation_check
 from .spectral import EVAL_CHUNK, SpectralField
 from .system import SystemSpec
+
+# phase bands h/2 <= |phase| <= h, widest first, scanned for the off-resonance factorization
+TRANSPARENCY_BANDS = (0.2, 0.1, 0.05, 0.025)
+# growth coefficients within this relative distance of the largest tie
+GAMMA_TIE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +45,14 @@ class PolarizationVectors:
         return B.symmetrized(self.e1), B.symmetrized(self.em1)
 
 
-def polarization_vectors(spec: SystemSpec, phase: Phase, policy=DEFAULT_POLICY) -> PolarizationVectors:
+def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     """Kernel direction of -i omega + A0 + A(i k), normalized deterministically.
 
     The kernel must be one-dimensional; the vector is unit with its first
     significant component rotated to the positive real axis, and the opposite
     phase carries the component-wise conjugate.
     """
-    kernel = _kernel_basis(spec, phase, 1, policy.char_tol)
+    kernel = _kernel_basis(spec, phase, 1)
     if kernel.shape[1] != 1:
         raise MultiplicityError(
             f"kernel of the characteristic matrix has dimension {kernel.shape[1]}, need 1 "
@@ -62,12 +67,6 @@ def polarization_vectors(spec: SystemSpec, phase: Phase, policy=DEFAULT_POLICY) 
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
-
-def _numerical_rank(M, rel_tol=1e-8):
-    """Numerical rank of a matrix, or of each matrix of a stack (one batched SVD)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return np.sum(s > rel_tol * s[..., :1], axis=-1)
-
 
 def _supnorms(z) -> np.ndarray:
     """:func:`supnorm` of each matrix of a (P, N, N) stack."""
@@ -84,7 +83,6 @@ class InteractionCoefficients:
     b_plus: np.ndarray         # (M, N, N)
     b_minus: np.ndarray        # (M, N, N)
     gamma_trace: np.ndarray    # (M,) complex
-    ranks: np.ndarray          # (M, 2)
     _field: SpectralField = dc_field(repr=False, default=None)
     _pol: PolarizationVectors = dc_field(repr=False, default=None)
 
@@ -119,20 +117,18 @@ def _sample_pairs(field, pol, phase, rows, grid) -> dict:
     sources = pol.linearized_source(field.spec.B)
     N = field.spec.N
     data = {p: (np.zeros((M, N, N), dtype=complex), np.zeros((M, N, N), dtype=complex),
-                np.zeros(M, dtype=complex), np.zeros((M, 2), dtype=int))
+                np.zeros(M, dtype=complex))
             for p, M in rows.items()}
     total = max(rows.values(), default=0)
     for s in range(0, total, EVAL_CHUNK):
         pb = _PairBatch(field, phase, grid[s:min(s + EVAL_CHUNK, total)])
-        for (i, j), (bp, bm, gam, ranks) in data.items():
+        for (i, j), (bp, bm, gam) in data.items():
             c = slice(s, min(s + EVAL_CHUNK, rows[(i, j)]))
             if c.start < c.stop:
                 bp[c], bm[c], gam[c] = pb.coupling(i, j, sources, slice(c.stop - c.start))
-                ranks[c] = np.stack([_numerical_rank(bp[c]), _numerical_rank(bm[c])], axis=1)
     return {p: InteractionCoefficients(pair=p, phase=phase, grid=grid[:rows[p]], b_plus=bp,
-                                       b_minus=bm, gamma_trace=gam, ranks=ranks,
-                                       _field=field, _pol=pol)
-            for p, (bp, bm, gam, ranks) in data.items()}
+                                       b_minus=bm, gamma_trace=gam, _field=field, _pol=pol)
+            for p, (bp, bm, gam) in data.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +181,24 @@ def _root_couplings(field, pol, phase, report, pairs) -> dict:
 
 
 def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
-                       h_values=(0.2, 0.1, 0.05, 0.025), policy=DEFAULT_POLICY,
-                       scale=None, at_roots=None) -> TransparencyDiagnostic:
+                       at_roots=None) -> TransparencyDiagnostic:
     """Decide whether a pair's coupling factors through its resonant phase.
 
     Transparent: the coefficient norm vanishes (below tolerance) at every
     located root and the off-resonance ratio |coef|/|phase| grows at most by a
     factor two per halving of the phase band.  Non-transparent: a root carries
     a coefficient above the non-transparency threshold.  Anything in between
-    is reported as borderline.  ``at_roots`` may carry the pair's couplings at
-    its roots as :func:`_root_couplings` forms them; by default they are formed here.
+    is reported as borderline.  Thresholds are the field's policy, relative
+    to the sup norms of B(e1) and B(e-1).  ``at_roots`` may carry the pair's
+    couplings at its roots as :func:`_root_couplings` forms them; by default
+    they are formed here.
     """
     pair = coeffs.pair
     pr = report.pairs.get(pair)
     field, pol, phase = coeffs._field, coeffs._pol, coeffs.phase
+    policy = field.policy
     sources = pol.linearized_source(field.spec.B)
-    if scale is None:
-        scale = max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
+    scale = max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
 
     if pr is None or (not pr.roots and not pr.identically_zero):
         return TransparencyDiagnostic(pair=pair, at_resonance_norm=0.0, ratio_sup={},
@@ -219,28 +216,27 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
                                       verdict="non-transparent")
 
     # off-resonance factorization: sample shrinking phase bands around each root
-    h_values = sorted(h_values, reverse=True)
-    ratio = {h: 0.0 for h in h_values}
-    band_coef = {h: 0.0 for h in h_values}
+    ratio = {h: 0.0 for h in TRANSPARENCY_BANDS}
+    band_coef = {h: 0.0 for h in TRANSPARENCY_BANDS}
     span = max(hi - lo for (lo, hi) in report.window)
     offsets = np.concatenate([-np.geomspace(1e-4, 0.5 * span, 40)[::-1],
                               np.geomspace(1e-4, 0.5 * span, 40)])
     for pb in _scan_points(field, phase, roots, offsets):
         p = np.abs(pb.phase(*pair))
-        in_band = [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in h_values]
+        in_band = [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in TRANSPARENCY_BANDS]
         rows = np.flatnonzero(np.any(in_band, axis=0))
         if not rows.size:
             continue
         bp, bm, _ = pb.coupling(*pair, sources, rows)
         c = np.maximum(_supnorms(bp), _supnorms(bm))
-        for h, band in zip(h_values, in_band):
+        for h, band in zip(TRANSPARENCY_BANDS, in_band):
             band = band[rows]
             if band.any():
                 ratio[h] = max(ratio[h], float(np.max(c[band] / p[rows][band])))
                 band_coef[h] = max(band_coef[h], float(np.max(c[band])))
 
     growth_ok = True
-    for h_big, h_small in zip(h_values, h_values[1:]):
+    for h_big, h_small in zip(TRANSPARENCY_BANDS, TRANSPARENCY_BANDS[1:]):
         # bands whose coefficients are at noise level cannot witness blow-up
         if band_coef[h_small] <= policy.transparent_tol * scale:
             continue
@@ -264,23 +260,21 @@ class PartialTransparencyResult:
 
 
 def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R0,
-                                    policy=DEFAULT_POLICY, cell_tol=None,
                                     at_roots=None) -> dict:
     """Transparency of each non-transparent pair at its exceptional frequencies.
 
     For (i, j) in R0, the exceptional set collects intersections of R_ij with
     translates of other non-transparent resonant sets (shifted by +-k) and
-    with coalescence-driven sets R_ii' and R_j'j.  The pair passes when its
-    coupling vanishes at every such point.  ``at_roots`` (pair -> per-root
-    couplings, see :func:`_root_couplings`) spares re-evaluating the roots.
+    with coalescence-driven sets R_ii' and R_j'j, matched within 1/256 of the
+    window span.  The pair passes when its coupling vanishes (the field
+    policy's ``transparent_tol``) at every such point.  ``at_roots`` (pair ->
+    per-root couplings, see :func:`_root_couplings`) spares re-evaluating the roots.
     """
     if at_roots is None and R0:
         c = coeffs_map[R0[0]]
         at_roots = _root_couplings(c._field, c._pol, c.phase, report, R0)
     k = report.phase.k
-    if cell_tol is None:
-        span = max(hi - lo for (lo, hi) in report.window)
-        cell_tol = span / 256.0
+    cell_tol = max(hi - lo for (lo, hi) in report.window) / 256.0
     out = {}
     for (i, j) in R0:
         pts = []    # (root index, root)
@@ -312,7 +306,7 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
         passed, witness = True, None
         for n, p in uniq:
             bp, bm, _ = at_roots[(i, j)][n][1:]
-            if max(supnorm(bp), supnorm(bm)) > policy.transparent_tol * scale:
+            if max(supnorm(bp), supnorm(bm)) > coeffs._field.policy.transparent_tol * scale:
                 passed, witness = False, p
                 break
         out[(i, j)] = PartialTransparencyResult(pair=(i, j),
@@ -335,8 +329,7 @@ class HomologicalSolution:
 
 
 def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Phase,
-                      pair, harmonic: int, grid, source=None,
-                      policy=DEFAULT_POLICY) -> HomologicalSolution:
+                      pair, harmonic: int, grid, source=None) -> HomologicalSolution:
     """Divide a coupling source by its homological phase over a grid.
 
     The harmonic-``ell`` phase of pair (i, j) is
@@ -359,7 +352,7 @@ def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Pha
     for xi, ph, S in zip(grid, phs, sources):
         if abs(ph) > 1e-6:
             sup_q = max(sup_q, supnorm(S) / abs(ph))
-        elif supnorm(S) > policy.transparent_tol * scale:
+        elif supnorm(S) > field.policy.transparent_tol * scale:
             return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=np.inf,
                                        solvable=False, witness=xi)
     return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=float(sup_q),
@@ -486,15 +479,17 @@ def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_root
 
 def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                      report: ResonanceReport, inputs: ReportInputs = None,
-                     policy=DEFAULT_POLICY, coarse_n=257) -> StabilityReport:
+                     coarse_n=257) -> StabilityReport:
     """Assemble the full stability verdict for a phase from its resonances.
 
     Evaluates coupling matrices for every resonant pair, classifies
     transparency, takes maxima of the interaction trace over located roots,
     and fills in every growth/observation constant.  The verdict follows the
     sign of the stability index; an empty non-transparent set is stable by
-    transparency with a degenerate (zero) index.
+    transparency with a degenerate (zero) index.  Thresholds are the field's
+    policy.
     """
+    policy = field.policy
     inputs = inputs or ReportInputs(d=field.spec.d)
     span = max(hi - lo for (lo, hi) in report.window)
     if field.spec.d == 1:
@@ -516,15 +511,13 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     b_full = max((c.sup_norm for c in coeffs_map.values()), default=0.0)
     # every root of every candidate evaluated once, for all the uses below
     at_roots = _root_couplings(field, pol, phase, report, candidates)
-    transparency = {p: transparency_check(coeffs_map[p], report, policy=policy,
-                                          at_roots=at_roots[p])
+    transparency = {p: transparency_check(coeffs_map[p], report, at_roots=at_roots[p])
                     for p in candidates}
 
     R0 = [p for p in candidates
           if transparency[p].verdict != "transparent" and not report.pairs[p].auto]
     borderline = [p for p in candidates if transparency[p].verdict == "borderline"]
-    partial = partial_transparency_conditions(coeffs_map, report, R0, policy=policy,
-                                              at_roots=at_roots)
+    partial = partial_transparency_conditions(coeffs_map, report, R0, at_roots=at_roots)
 
     pair_data = {}
     at_argmax = {}    # pair -> (b+, b-, trace) at its argmax root
@@ -537,7 +530,7 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
         sqrts = [np.sqrt(complex(g)).real for g in gams]
         arg = int(np.argmax(sqrts)) if sqrts else 0
         b_stack = [b for _, bp, bm, _ in at_roots[pair] for b in (bp, bm)]
-        rank_flag = bool(b_stack) and bool(np.any(_numerical_rank(np.array(b_stack)) > 1))
+        rank_flag = bool(b_stack) and bool(np.any(numerical_rank(np.array(b_stack), policy) > 1))
         at_argmax[pair] = at_roots[pair][arg][1:] if roots else None
         pair_data[pair] = PairStability(
             pair=pair,
@@ -574,12 +567,11 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
 
     selected = None
     if pair_data:
-        # near-ties on the growth coefficient go to the root closest to the origin
-        def _sel_key(p):
-            root = pair_data[p].argmax_root
-            dist = float(np.linalg.norm(root)) if root is not None else np.inf
-            return (round(pair_data[p].gamma_ij / 1e-8), -dist)
-        selected = max(sorted(pair_data), key=_sel_key)
+        # pairs within a relative GAMMA_TIE of the largest growth coefficient
+        # tie; a tie goes to the root closest to the origin
+        tied = [p for p in sorted(pair_data) if pair_data[p].gamma_ij >= (1 - GAMMA_TIE) * gamma]
+        selected = min(tied, key=lambda p: np.inf if pair_data[p].argmax_root is None
+                       else float(np.linalg.norm(pair_data[p].argmax_root)))
     gamma_sel = pair_data[selected].gamma_ij if selected else 0.0
     t0p = min(max(_safe_div(K - 0.5, b_full * a_hat), _safe_div(K - (d + 1) / 2, b_full * a_sup)),
               _safe_div(0.5, (b_full - gamma_sel) * a_sup)) if b_full > 0 else np.inf
@@ -638,7 +630,7 @@ def _safe_div(num, den, default=np.inf):
 # symmetrizer basis (stable case)
 # ---------------------------------------------------------------------------
 
-def symmetrizer_basis(C12, C21, policy=DEFAULT_POLICY):
+def symmetrizer_basis(C12, C21):
     """Block change of basis reducing a rank-one off-diagonal pair to scalars.
 
     For rank-one C12, C21 with tr(C12 C21) != 0, returns (P, c12, c21) with
@@ -655,12 +647,11 @@ def symmetrizer_basis(C12, C21, policy=DEFAULT_POLICY):
     C21 = np.asarray(C21, dtype=complex)
     N = C12.shape[0]
     for name, C in (("C12", C12), ("C21", C21)):
-        s = np.linalg.svd(C, compute_uv=False)
-        if s[0] == 0 or (len(s) > 1 and s[0] < policy.rank_gap * s[1]):
+        if numerical_rank(C, DEFAULT_POLICY) != 1:
             raise MultiplicityError(f"{name} is not numerically rank one")
     tr = complex(np.trace(C12 @ C21))
     scale = supnorm(C12) * supnorm(C21)
-    if abs(tr) < policy.index_degenerate_tol * max(scale, 1e-300):
+    if abs(tr) < DEFAULT_POLICY.index_degenerate_tol * max(scale, 1e-300):
         raise MultiplicityError("tr(C12 C21) vanishes; the pair cannot be reduced")
 
     u_e, _, _ = np.linalg.svd(C12 @ C21)

@@ -1,9 +1,14 @@
 """Shared numeric tolerances and error types.
 
-The shared tolerances live in one :class:`NumericPolicy` record; some
-routines still carry literal tolerances of their own.
+Every numerical threshold lives in one :class:`NumericPolicy` record, read
+one way: code downstream of a spectral field reads the field's ``policy``
+(chosen once, where :func:`~oscillant.spectral.eigendecompose_field` builds
+the field); checks that have no field read :data:`DEFAULT_POLICY`.  No
+function takes a tolerance of its own.
 """
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -23,31 +28,39 @@ class NumericPolicy:
     """Tolerance knobs used across the analysis pipeline.
 
     Relative tolerances are applied against a natural scale of the object
-    under test (matrix norm, coefficient sup, ...).
+    under test (matrix norm, coefficient sup, ...).  Each comment names the
+    decision the field governs.
     """
 
-    algebra_tol: float = 1e-10      # projector algebra, reconstruction, conjugation identities
-    herm_tol: float = 1e-14        # hermitianity of assembled symbols
-    sym_tol: float = 1e-12         # symmetry/skew-symmetry of system matrices
-    char_tol: float = 1e-8         # relative singular-value threshold for "characteristic"
-    root_tol: float = 1e-10        # bisection residual target for resonance roots
-    root_report_tol: float = 1e-8  # residual bound that stored roots must satisfy
-    degenerate_tol: float = 1e-9   # eigenvalue clustering width for coalesced branches
-    transparent_tol: float = 1e-8  # coefficient norm below which a root counts as transparent
-    nontransparent_tol: float = 1e-6  # coefficient norm above which a root is non-transparent
-    rank_gap: float = 1e6          # singular-value gap demanded of numerically rank-one matrices
-    index_degenerate_tol: float = 1e-10  # |stability index| below this (times scale) is degenerate
-    slope_tol: float = 1e-6        # asymptotic slopes closer than this coincide
+    algebra_tol: float = 1e-10     # weak transparency holds; a polarization diagonalizes transport
+    sym_tol: float = 1e-12         # SystemSpec accepts A0 as skew-symmetric, each Aj as symmetric
+    char_tol: float = 1e-8         # a harmonic p (omega, k) is characteristic (kernel test)
+    root_tol: float = 1e-10        # bisection stops on a root; a pair's phase vanishes identically
+    root_report_tol: float = 1e-8  # stored roots match the recorded reference roots (benchmark)
+    degenerate_tol: float = 1e-9   # eigenvalues share a cluster: branches coalesce
+    transparent_tol: float = 1e-8  # a root's coupling is zero: transparent, homologically solvable
+    nontransparent_tol: float = 1e-6  # a root's coupling is nonzero: non-transparent
+    rank_gap: float = 1e6          # singular values this far below the largest do not add rank
+    index_degenerate_tol: float = 1e-10  # the stability index is zero; the trace is complex
+    slope_tol: float = 1e-6        # asymptotic slopes coincide: the resonant set may be unbounded
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+# fewest grid points per oscillation wavelength a simulation or residual accepts
+MIN_POINTS_PER_WAVELENGTH = 8
+
+
+def numerical_rank(M, policy: NumericPolicy):
+    """Numerical rank of a matrix, or of each matrix of a stack (one batched
+    SVD): the singular values within ``policy.rank_gap`` of the largest."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sum(s * policy.rank_gap > s[..., :1], axis=-1)
 
 
 def supnorm(z) -> float:
     """Matrix norm induced by the sup norm on vectors (max absolute row sum);
     for vectors, the plain sup norm."""
-    import numpy as np
-
     z = np.asarray(z)
     if z.ndim <= 1:
         return float(np.max(np.abs(z))) if z.size else 0.0

@@ -32,22 +32,21 @@ class Phase:
     def d(self) -> int:
         return len(self.k)
 
-    def is_characteristic(self, spec: SystemSpec, tol=None) -> bool:
+    def is_characteristic(self, spec: SystemSpec) -> bool:
         """True when -i omega + A0 + A(i k) is singular to relative tolerance."""
-        return _kernel_basis(spec, self, 1, tol).shape[1] > 0
+        return _kernel_basis(spec, self, 1).shape[1] > 0
 
 
-def _kernel_basis(spec: SystemSpec, phase: Phase, p: int, tol=None) -> np.ndarray:
+def _kernel_basis(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of L(i p beta) = -i p omega + A0 + i p A(k).
 
     An eigenvector of the symbol at p k belongs to the kernel when its
-    eigenvalue lies within ``tol * max(1, supnorm(A0 + i A(p k)))`` of p omega
-    (``tol`` defaults to the policy's ``char_tol``).
+    eigenvalue lies within ``char_tol * max(1, supnorm(A0 + i A(p k)))`` of
+    p omega (the default policy's ``char_tol``).
     """
-    tol = DEFAULT_POLICY.char_tol if tol is None else tol
     evals, evecs = np.linalg.eigh(assemble_symbol(spec, p * phase.k))
     scale = max(supnorm(spec.A0 + 1j * spec.transport_symbol(p * phase.k)), 1.0)
-    return evecs[:, np.abs(evals - p * phase.omega) <= tol * scale]
+    return evecs[:, np.abs(evals - p * phase.omega) <= DEFAULT_POLICY.char_tol * scale]
 
 
 @dataclass
@@ -173,12 +172,12 @@ def _bisect(f, a, b, fa, tol=0.0, maxit=200):
     return m_out, f_out
 
 
-def characteristic_harmonics(spec: SystemSpec, phase: Phase, pmax: int, tol=None):
+def characteristic_harmonics(spec: SystemSpec, phase: Phase, pmax: int):
     """All integers |p| <= pmax whose harmonic p*(omega, k) is characteristic."""
     if pmax < 2:
         raise InputError("pmax must be at least 2")
     return tuple(p for p in range(-pmax, pmax + 1)
-                 if _kernel_basis(spec, phase, p, tol).shape[1] > 0)
+                 if _kernel_basis(spec, phase, p).shape[1] > 0)
 
 
 def default_window(spec: SystemSpec, phase: Phase):
@@ -249,14 +248,15 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
                     pr.roots = [0.0] if (xs[0] <= 0.0 <= xs[-1]) else [float(xs[0])]
                     pr.residuals = [0.0]
                 else:
-                    for m in range(len(xs) - 1):
-                        a, b = float(xs[m]), float(xs[m + 1])
-                        fa, fb = float(ph[m]), float(ph[m + 1])
-                        if fa == 0.0:
-                            pr.roots.append(a)
+                    # exact-zero nodes and sign changes, in grid order
+                    zero = ph[:-1] == 0.0
+                    for m in np.flatnonzero(zero | (ph[:-1] * ph[1:] < 0)):
+                        if zero[m]:
+                            pr.roots.append(float(xs[m]))
                             pr.residuals.append(0.0)
-                        elif fa * fb < 0:
-                            brackets.append((pr, len(pr.roots), [a], [b], fa))
+                        else:
+                            brackets.append((pr, len(pr.roots), [float(xs[m])],
+                                             [float(xs[m + 1])], float(ph[m])))
                             pr.roots.append(None)
                             pr.residuals.append(None)
                     if abs(ph[-1]) == 0.0:
@@ -317,9 +317,8 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
     radii = np.array([rmax / 4, rmax / 2, rmax])
     coinciding = set()
     for w in directions:
-        slopes = asymptotic_slopes(field.spec, w, radii, field=field, policy=policy)
-        for (i, j) in slopes.coinciding_pairs(policy.slope_tol * (1 + np.max(np.abs(slopes.c)))):
-            coinciding.add((i, j))
+        coinciding.update(asymptotic_slopes(field.spec, w, radii, field=field)
+                          .coinciding_pairs(policy))
     edge_roots = False
     for (i, j) in coinciding:
         pr = pairs[(i, j)]

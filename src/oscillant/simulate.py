@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .numeric import InputError, NumericalError
+from .flow import bump_weight
+from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, NumericalError
 from .system import SystemSpec
 
 
@@ -68,13 +69,6 @@ def amplitude_norms(a, x) -> AmplitudeNorms:
                           edge_value=edge, periodization_warning=bool(edge > 1e-12))
 
 
-def smooth_bump(x, center, radius):
-    """Compactly supported plateau: 1 on |x-c| <= r/2, 0 beyond r, C^1 monotone."""
-    t = (np.abs(np.asarray(x, dtype=float) - center) - radius / 2) / (radius / 2)
-    t = np.clip(t, 0.0, 1.0)
-    return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-
-
 @dataclass
 class SimConfig:
     """Run parameters for one instability experiment."""
@@ -115,13 +109,14 @@ class SimConfig:
         L = self.domain_length
         return self.amplitude.center - L / 2 + L * np.arange(self.grid_points) / self.grid_points
 
-    def check_resolution(self, min_ppw=8):
+    def check_resolution(self):
         kmax = max(abs(self.k), abs(self.xi0 + self.k)) / self.epsilon
         if kmax > 0:
             wavelength = 2 * np.pi / kmax
             ppw = wavelength / (self.domain_length / self.grid_points)
-            if ppw < min_ppw:
-                raise InputError(f"grid resolves {ppw:.1f} points per wavelength; need >= {min_ppw}")
+            if ppw < MIN_POINTS_PER_WAVELENGTH:
+                raise InputError(f"grid resolves {ppw:.1f} points per wavelength; "
+                                 f"need >= {MIN_POINTS_PER_WAVELENGTH}")
 
 
 class _Stepper:
@@ -232,7 +227,8 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     if perturbation is None:
         if config.e0 is None:
             raise InputError("resonant perturbation needs e0 from a stability report")
-        phi0 = smooth_bump(x, config.amplitude.center, config.phi0_radius)
+        # plateau on |x - center| <= r/2, gone beyond r
+        phi0 = bump_weight(x - config.amplitude.center, config.phi0_radius / 2, config.phi0_radius)
         osc = np.exp(1j * x * (config.xi0 + config.k) / eps)
         pert = eps ** config.K * np.outer(config.e0, phi0 * osc)
     else:

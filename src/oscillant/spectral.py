@@ -197,14 +197,6 @@ def _assign_columns(H, evals, vecs, refs, multiplicities, policy, xi):
     return lams, out, labels
 
 
-def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
-    """Diagonalize H and split it into the branches of ``ref_projs`` by
-    :func:`_assign_columns`; returns ``(lams (J,), projs (J, N, N))``."""
-    evals, vecs = _eigh(H)
-    lams, vecs, labels = _assign_columns(H, evals, vecs, ref_projs, multiplicities, policy, xi)
-    return lams, _projectors(vecs[None], labels[None], multiplicities)[0]
-
-
 def _resolve(H, evals, vecs, refs, points, multiplicities, policy):
     """Label the eigenvector columns of a diagonalized batch by their overlaps
     |Pi_j v|^2 with each point's reference projectors ``refs`` (P, J, N, N).
@@ -252,9 +244,9 @@ class SpectralField:
     def window(self):
         return tuple((float(ax[0]), float(ax[-1])) for ax in self.axes)
 
-    def contains(self, xi, margin=0.0) -> bool:
+    def contains(self, xi) -> bool:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return all(lo - margin <= x <= hi + margin for x, (lo, hi) in zip(xi, self.window))
+        return all(lo <= x <= hi for x, (lo, hi) in zip(xi, self.window))
 
     def _nearest_index(self, points):
         """(P,) flat index of the grid point nearest to each of (P, d) points."""
@@ -411,24 +403,22 @@ class AsymptoticSlopes:
     c: np.ndarray               # per-branch slope, in field branch order
     residual_decay: np.ndarray  # fitted exponent of |lambda_j(r w) - c_j r| in r
 
-    def coinciding_pairs(self, tol):
-        out = []
-        for i in range(len(self.c)):
-            for j in range(len(self.c)):
-                if i != j and abs(self.c[i] - self.c[j]) <= tol:
-                    out.append((i, j))
-        return out
+    def coinciding_pairs(self, policy: NumericPolicy):
+        """Ordered branch pairs whose slopes differ by at most
+        ``policy.slope_tol * (1 + max |c|)``."""
+        tol, J = policy.slope_tol * (1 + np.max(np.abs(self.c))), range(len(self.c))
+        return [(i, j) for i in J for j in J if i != j and abs(self.c[i] - self.c[j]) <= tol]
 
 
-def asymptotic_slopes(spec: SystemSpec, direction, radii, field: SpectralField = None,
-                      policy: NumericPolicy = DEFAULT_POLICY) -> AsymptoticSlopes:
+def asymptotic_slopes(spec: SystemSpec, direction, radii,
+                      field: SpectralField = None) -> AsymptoticSlopes:
     """Per-branch asymptotic slopes along a unit direction.
 
     Labels the branches along the ray as one :func:`_chain` (anchored against
     the field's projectors at its edge point when a field is supplied, so
-    slope indices match field branch indices), then refines ``lambda(r)/r``
-    by Richardson extrapolation in 1/r^2 over the last two radii and fits the
-    decay exponent of the residual by least squares.
+    slope indices match field branch indices and the field's policy applies),
+    then refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the
+    last two radii and fits the decay exponent of the residual by least squares.
     """
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     if direction.shape != (spec.d,):
@@ -445,9 +435,9 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii, field: SpectralField =
     if field is not None:
         edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
         r0, anchor = max(edge[0], 1e-3), field.projectors[edge[1]]
-        multiplicities = field.multiplicities
+        multiplicities, policy = field.multiplicities, field.policy
     else:
-        r0, anchor = radii[0], None
+        r0, anchor, policy = radii[0], None, DEFAULT_POLICY
         multiplicities = _multiplicities(spec, r0 * direction, policy)
 
     # march outward with bounded multiplicative steps so overlap tracking stays sound

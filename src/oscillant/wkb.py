@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError, MultiplicityError, NumericalError, supnorm
+from .numeric import (DEFAULT_POLICY, MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError,
+                      NumericalError, supnorm)
 from .resonance import Phase, _kernel_basis, characteristic_harmonics
 from .spectral import assemble_symbol
 from .system import SystemSpec
@@ -26,9 +27,9 @@ def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     return -1j * p * phase.omega * np.eye(spec.N) + spec.A0 + 1j * p * spec.transport_symbol(phase.k)
 
 
-def harmonic_projector(spec: SystemSpec, phase: Phase, p: int, tol=None) -> np.ndarray:
+def harmonic_projector(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     """Orthogonal projector onto the kernel of L(i p beta)."""
-    V = _kernel_basis(spec, phase, p, tol)
+    V = _kernel_basis(spec, phase, p)
     return V @ V.conj().T
 
 
@@ -49,8 +50,8 @@ class WeakTransparencyResult:
     witness: tuple = None        # (p, u, v) on failure
 
 
-def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16, seed=0,
-                            policy=DEFAULT_POLICY) -> WeakTransparencyResult:
+def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16,
+                            seed=0) -> WeakTransparencyResult:
     """Projected quadratic compatibility needed for the two-scale cascade.
 
     For p in {-1, 0, 1} and a battery of sample vectors, checks
@@ -85,7 +86,7 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16, seed=0
                 if defect > worst:
                     worst = defect
                     witness = (p, u, v)
-    passed = worst <= policy.algebra_tol * max(scale, 1.0)
+    passed = worst <= DEFAULT_POLICY.algebra_tol * max(scale, 1.0)
     return WeakTransparencyResult(passed=passed, max_defect=float(worst),
                                   witness=None if passed else witness)
 
@@ -117,7 +118,7 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1, fd_step=1e-5) -> Transpo
         for a in range(spec.d):
             Av = P @ (spec.Aj[a] @ e1)
             coef = complex(np.vdot(e1, Av))
-            if supnorm(Av - coef * e1) > 1e-10 * max(1.0, supnorm(Av)):
+            if supnorm(Av - coef * e1) > DEFAULT_POLICY.algebra_tol * max(1.0, supnorm(Av)):
                 raise MultiplicityError(
                     "the phase sits at a crossing and the polarization does not "
                     "diagonalize the transport; a family of transport equations "
@@ -185,6 +186,8 @@ def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
         n_steps = max(64, int(np.ceil(40 * t_end * (1 + abs(c3)))))
     dt = t_end / n_steps
     phase_factor = np.exp(-1j * vg * kappa * dt)
+    # integrating factors over half a step, backward and forward
+    half, half_back = np.exp(-1j * vg * kappa * 0.5 * dt), np.exp(1j * vg * kappa * 0.5 * dt)
 
     def nonlinear(gh):
         g = np.fft.ifft(gh)
@@ -197,13 +200,10 @@ def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
     for _ in range(n_steps):
         # integrating-factor RK4 on the cubic term
         k1 = nonlinear(gh)
-        k2 = nonlinear((gh + 0.5 * dt * k1) * np.exp(-1j * vg * kappa * 0.5 * dt))
-        k3 = nonlinear(gh * np.exp(-1j * vg * kappa * 0.5 * dt) + 0.5 * dt * k2)
-        k4 = nonlinear((gh + dt * k3 * np.exp(1j * vg * kappa * 0.5 * dt)) * phase_factor)
-        gh = (gh * phase_factor
-              + dt / 6.0 * (k1 * phase_factor
-                            + 2 * (k2 + k3) * np.exp(-1j * vg * kappa * 0.5 * dt)
-                            + k4))
+        k2 = nonlinear((gh + 0.5 * dt * k1) * half)
+        k3 = nonlinear(gh * half + 0.5 * dt * k2)
+        k4 = nonlinear((gh + dt * k3 * half_back) * phase_factor)
+        gh = gh * phase_factor + dt / 6.0 * (k1 * phase_factor + 2 * (k2 + k3) * half + k4)
         times.append(times[-1] + dt)
         snaps.append(np.fft.ifft(gh))
 
@@ -226,7 +226,7 @@ def _spectral_dx(f, kappa):
     return np.fft.ifft(1j * kappa * np.fft.fft(f))
 
 
-def pde_residual(wkb: WKBSolution, epsilon: float, it=0, min_points_per_wavelength=8):
+def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
     """Residual of the truncated expansion in the full equation at one snapshot.
 
     Evaluates d_t u_a + A0 u_a / eps + A(d_x) u_a - B(u_a, u_a)/sqrt(eps) on
@@ -244,10 +244,10 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0, min_points_per_waveleng
     kmax_needed = abs(k) / epsilon
     if kmax_needed > 0:
         ppw = n / (L * kmax_needed / (2 * np.pi))
-        if ppw < min_points_per_wavelength:
+        if ppw < MIN_POINTS_PER_WAVELENGTH:
             raise NumericalError(
                 f"grid resolves only {ppw:.1f} points per oscillation wavelength; need "
-                f">= {min_points_per_wavelength}")
+                f">= {MIN_POINTS_PER_WAVELENGTH}")
 
     g = wkb.g[it]
     t = wkb.times[it]

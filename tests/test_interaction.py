@@ -10,9 +10,9 @@ from oscillant.interaction import (ReportInputs, interaction_coefficients,
                                    polarization_vectors, solve_homological,
                                    stability_report, symmetrizer_basis, transparency_check)
 from oscillant.experiments import analyze
-from oscillant.numeric import InputError, MultiplicityError, supnorm
-from oscillant.resonance import Phase
-from oscillant.spectral import SpectralField
+from oscillant.numeric import InputError, MultiplicityError, NumericPolicy, numerical_rank, supnorm
+from oscillant.resonance import Phase, default_window, find_resonances
+from oscillant.spectral import SpectralField, eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
@@ -129,7 +129,8 @@ def test_interaction_coefficients_ranks(kg_analysis, kg_branches):
     field, pol, phase = kg_analysis.field, kg_analysis.pol, kg_analysis.phase
     pair = (kg_branches[1], kg_branches[2])
     coeffs = interaction_coefficients(field, pol, phase, pair, np.linspace(-2, 2, 21) + 0.01)
-    assert np.all(coeffs.ranks <= 1)
+    assert np.all(numerical_rank(coeffs.b_plus, field.policy) <= 1)
+    assert np.all(numerical_rank(coeffs.b_minus, field.policy) <= 1)
     assert np.all(np.abs(coeffs.gamma_trace.imag) <= 1e-12)
 
 
@@ -307,6 +308,44 @@ def test_report_degenerate_when_all_transparent():
     an = analyze(spec, Phase(0.0, [0.0]), window=(-6.0, 6.0), grid_n=512)
     assert an.stability.verdict == "stable-by-transparency"
     assert an.stability.gamma_index == 0.0
+
+
+def test_field_policy_reaches_the_interaction_layer(kg_analysis):
+    # thresholds so loose that every coupling counts as zero: the verdict must
+    # follow the policy the field was built with, not the default one
+    spec, phase = kg_analysis.spec, kg_analysis.phase
+    window = default_window(spec, phase)
+    pad = float(np.max(np.abs(phase.k))) + 1e-9
+    grid = uniform_grid((window[0][0] - pad, window[0][1] + pad), 2048)
+    policy = NumericPolicy(index_degenerate_tol=1.0, transparent_tol=1e3, nontransparent_tol=1e4)
+    field = eigendecompose_field(spec, grid, policy)
+    report = find_resonances(field, phase, window=window)
+    assert report.to_dict() == kg_analysis.resonances.to_dict()   # root_tol is unchanged
+    sr = stability_report(field, kg_analysis.pol, phase, report)
+    assert all(t.verdict == "transparent" for t in sr.transparency.values())
+    assert sr.R0 == [] and sr.verdict == "stable-by-transparency"
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "kg-diff", "three-wave"])
+@pytest.mark.parametrize("c", [1e-3, 7.0, 1e3])
+def test_report_invariant_under_scaling_of_B(system, c, kg_analysis, kg_diff_analysis,
+                                             three_wave_analysis):
+    # B -> c B leaves the resonant set alone and scales every trace by c^2: the
+    # verdict, the amplified pair and its root and the transparency labels stay
+    base = {"kg-equal": lambda: kg_analysis, "kg-diff": lambda: kg_diff_analysis(1),
+            "three-wave": three_wave_analysis}[system]()
+    spec = base.spec
+    scaled = SystemSpec(spec.name, spec.N, spec.d, spec.A0, spec.Aj, spec.B.scaled(c),
+                        params=spec.params)
+    an = analyze(scaled, base.phase, window=base.resonances.window,
+                 grid_n=len(base.field.axes[0]))
+    a, b = base.stability, an.stability
+    assert b.verdict == a.verdict
+    assert b.selected_pair == a.selected_pair
+    assert np.array_equal(b.xi0, a.xi0)
+    assert ({p: t.verdict for p, t in b.transparency.items()}
+            == {p: t.verdict for p, t in a.transparency.items()})
+    assert abs(b.gamma_index / c ** 2 - a.gamma_index) <= 1e-12 * abs(a.gamma_index)
 
 
 def test_gamma_index_sign_conventions(three_wave_analysis):

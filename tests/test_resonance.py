@@ -7,7 +7,7 @@ from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
-from oscillant.resonance import (Phase, characteristic_harmonics, find_resonances,
+from oscillant.resonance import (Phase, _lambdas, characteristic_harmonics, find_resonances,
                                  resonance_phase, separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
 
@@ -72,6 +72,49 @@ def test_root_completeness_on_sign_changes(kg_analysis, kg_branches):
     vals = np.array([resonance_phase(field, phase, i, j, [x]) for x in xs])
     sign_changes = np.sum(vals[:-1] * vals[1:] < 0)
     assert sign_changes == len(rep.pairs[(i, j)].roots)
+
+
+def _scan_reference(xs, ph):
+    """The per-interval loop of the 1-d bracket scan: exact-zero nodes and
+    sign-change brackets, in grid order."""
+    events = []
+    for m in range(len(xs) - 1):
+        fa, fb = float(ph[m]), float(ph[m + 1])
+        if fa == 0.0:
+            events.append((float(xs[m]), float(xs[m])))
+        elif fa * fb < 0:
+            events.append((float(xs[m]), float(xs[m + 1])))
+    if ph[-1] == 0.0:
+        events.append((float(xs[-1]), float(xs[-1])))
+    return events
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "three-wave-on-node"])
+def test_bracket_scan_matches_interval_loop(system, kg_analysis):
+    # one root per event of the interval loop, in order: an exact-zero node is
+    # its own root with residual 0, a bracket holds its bisected root
+    if system == "kg-equal":
+        field, phase, rep = kg_analysis.field, kg_analysis.phase, kg_analysis.resonances
+    else:   # a grid with xi = 0 on a node, where every cross-pair phase is exactly 0
+        field = eigendecompose_field(three_wave(), (np.linspace(-8.0, 8.0, 1025),))
+        phase = Phase(0.0, [0.0])
+        rep = find_resonances(field, phase, window=(-8.0, 8.0))
+    (lo, hi), ax = rep.window[0], field.axes[0]
+    sel = (ax >= lo - 1e-12) & (ax <= hi + 1e-12)
+    xs, lam = ax[sel], field.lambdas[sel]
+    lam_shift = _lambdas(field, xs[:, None] + phase.k)
+    nodes = 0
+    for (i, j), pr in rep.pairs.items():
+        if pr.identically_zero:
+            continue
+        events = _scan_reference(xs, lam_shift[:, i] - lam[:, j] - phase.omega)
+        assert len(pr.roots) == len(events)
+        for root, res, (a, b) in zip(pr.roots, pr.residuals, events):
+            assert a <= root <= b
+            if a == b:
+                nodes += 1
+                assert res == 0.0
+    assert nodes == {"kg-equal": 0, "three-wave-on-node": 6}[system]
 
 
 def test_translation_identity(kg_analysis, kg_branches):

@@ -3,10 +3,11 @@ import pytest
 
 from oscillant.catalog import default_phase, kg_equal, three_wave
 from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
+from oscillant.flow import bump_weight
 from oscillant.numeric import InputError
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
-                                run_instability_experiment, smooth_bump, snapshot_bytes,
+                                run_instability_experiment, snapshot_bytes,
                                 snapshot_from_bytes)
 
 from conftest import assert_close
@@ -223,7 +224,7 @@ def test_initial_deviation_matches_datum():
     eps = 1e-2
     cfg = _tw_config(eps)
     run = run_instability_experiment(cfg, _static_ref)
-    phi = smooth_bump(cfg.x, 0.0, cfg.phi0_radius)
+    phi = bump_weight(cfg.x - 0.0, cfg.phi0_radius / 2, cfg.phi0_radius)
     dx = cfg.domain_length / cfg.grid_points
     expect = eps ** cfg.K * np.sqrt(np.sum(phi ** 2) * dx)
     assert abs(run.norm_dev[0] - expect) / expect <= 1e-6

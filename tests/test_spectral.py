@@ -5,11 +5,20 @@ from hypothesis import given, settings, strategies as st
 from oscillant.catalog import (kg_equal, kg_lambda_fast, kg_lambda_slow,
                                mll_asymptotic_slopes, three_wave)
 from oscillant.numeric import InputError
-from oscillant.spectral import (_assign_to_branches, assemble_symbol, asymptotic_slopes,
-                                eigendecompose_field, uniform_grid)
+from oscillant.spectral import (_assign_columns, _eigh, _projectors, assemble_symbol,
+                                asymptotic_slopes, eigendecompose_field, uniform_grid)
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
+
+
+def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
+    """Per-point reference labelling: diagonalize H and split it into the
+    branches of ``ref_projs`` by the optimal assignment alone; returns
+    ``(lams (J,), projs (J, N, N))``."""
+    evals, vecs = _eigh(H)
+    lams, vecs, labels = _assign_columns(H, evals, vecs, ref_projs, multiplicities, policy, xi)
+    return lams, _projectors(vecs[None], labels[None], multiplicities)[0]
 
 
 def test_symbol_three_wave_diagonal():
