@@ -105,9 +105,9 @@ def cmd_flow(args):
     # dump one representative trajectory per epsilon for inspection
     from .experiments import interaction_matrix_factory, sample_trajectory
     for eps in epsilons:
-        m_of_t = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
+        m = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
             result.stability.xi0)[0]), eps, h=args.h)
-        traj = sample_trajectory(m_of_t, eps, args.T * abs(np.log(eps)), samples=200)
+        traj = sample_trajectory(m, eps, args.T * abs(np.log(eps)), samples=200)
         write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),

@@ -111,13 +111,10 @@ def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
     phi1 = bump_weight(x - amplitude.center, 4 * amplitude.width, 8 * amplitude.width)
     se = np.sqrt(epsilon)
 
-    def m_of_t(t):
-        g = complex(amplitude(x - vg * se * t))
-        return InteractionMatrix(mu1=mu1, mu2=mu2,
-                                 b12=chi0 * phi1 * g * bp,
-                                 b21=chi0 * phi1 * np.conj(g) * bm,
-                                 epsilon=epsilon, extra_diag=extra, chi1=chi1)
-    return m_of_t
+    def envelope(t):
+        return chi0 * phi1 * amplitude(x - vg * se * t).astype(complex)
+    return InteractionMatrix(mu1=mu1, mu2=mu2, b12=bp, b21=bm, epsilon=epsilon,
+                             extra_diag=extra, chi1=chi1, envelope=envelope)
 
 
 def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
@@ -134,13 +131,12 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
                         amplitude or AmplitudeProfile(), cutoff_active)
 
 
-def sample_trajectory(m_of_t, epsilon, t_end, samples=100) -> FlowTrajectory:
+def sample_trajectory(m: InteractionMatrix, epsilon, t_end, samples=100) -> FlowTrajectory:
     """Integrate one sampled interaction matrix from t = 0, with dt from the
     t = 0 block less its centred diagonal."""
-    m0 = m_of_t(0.0)
-    shift = 1j * m0.chi1 * (m0.mu1 + m0.mu2) / 2 * np.eye(2 * m0.N)
-    dt = 0.1 * np.sqrt(epsilon) / max(supnorm(m0.block() - shift), 1e-12)
-    return integrate_flow(m_of_t, 0.0, t_end, dt, samples=samples)
+    shift = 1j * m.chi1 * (m.mu1 + m.mu2) / 2 * np.eye(2 * m.N)
+    dt = 0.1 * np.sqrt(epsilon) / max(supnorm(m.stack([0.0])[0] - shift), 1e-12)
+    return integrate_flow(m, 0.0, t_end, dt, samples=samples)
 
 
 def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,

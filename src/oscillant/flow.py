@@ -12,7 +12,8 @@ here numerically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,6 +24,8 @@ from .numeric import DEFAULT_POLICY, InputError, NumericalError, numerical_rank,
 GROWTH_EXPONENT_CAP = 8.0
 # largest flow sup norm an off-resonance sample may reach
 AWAY_CAP = 10.0
+# steps exponentiated as one stack, bounding the memory a long trajectory holds
+STEP_CHUNK = 1024
 
 
 def smoothstep(t):
@@ -38,29 +41,41 @@ def bump_weight(value, plateau, cutoff):
 
 @dataclass
 class InteractionMatrix:
-    """Frozen symbol of the localized two-branch propagator at one (x, xi)."""
+    """Frozen symbol of the localized two-branch propagator at one (x, xi).
+
+    The couplings at time t are ``envelope(t) * b12`` and
+    ``conj(envelope(t)) * b21``: b12 and b21 are the unit-amplitude couplings,
+    and the scalar envelope carries the cutoff weights and the transported
+    amplitude (1 at every time when not given).
+    """
 
     mu1: float
     mu2: float
-    b12: np.ndarray              # N x N, cutoff weights and amplitude folded in
+    b12: np.ndarray              # N x N unit-amplitude couplings
     b21: np.ndarray
     epsilon: float
     extra_diag: tuple = ()       # remaining branch eigenvalues (decoupled, unitary)
     chi1: float = 1.0            # diagonal cutoff weight
+    envelope: Callable = None    # array of times -> complex envelope values
 
     @property
     def N(self) -> int:
         return self.b12.shape[0]
 
-    def block(self) -> np.ndarray:
-        """The coupled 2N x 2N block of M."""
+    def envelope_at(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.ones(t.shape, dtype=complex) if self.envelope is None else self.envelope(t)
+
+    def stack(self, t) -> np.ndarray:
+        """The coupled 2N x 2N blocks of M at each time of ``t``, stacked."""
+        g = self.envelope_at(np.atleast_1d(t))
         N = self.N
         se = np.sqrt(self.epsilon)
-        M = np.zeros((2 * N, 2 * N), dtype=complex)
-        M[:N, :N] = 1j * self.chi1 * self.mu1 * np.eye(N)
-        M[N:, N:] = 1j * self.chi1 * self.mu2 * np.eye(N)
-        M[:N, N:] = -se * self.b12
-        M[N:, :N] = -se * self.b21
+        M = np.zeros((len(g), 2 * N, 2 * N), dtype=complex)
+        M[:, :N, :N] = 1j * self.chi1 * self.mu1 * np.eye(N)
+        M[:, N:, N:] = 1j * self.chi1 * self.mu2 * np.eye(N)
+        M[:, :N, N:] = -se * (g[:, None, None] * self.b12)
+        M[:, N:, :N] = -se * (np.conj(g)[:, None, None] * self.b21)
         return M
 
 
@@ -105,28 +120,31 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate_flow(m_of_t, tau, t_end, dt, samples=200):
+def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     """Integrate dS/dt + M(t) S / sqrt(eps) = 0 by stepwise exact exponentials.
 
     The mean diagonal i (mu1 + mu2)/2 is a global unitary phase; it is removed
     before stepping and restored analytically at the sample times, so the step
     size is governed by the detuning and coupling rather than the absolute
     eigenvalue size.  Each step applies exp(-dt M(t_mid)/sqrt(eps)) with the
-    symbol frozen at the step midpoint.  Refuses steps whose matrix exponent is
+    symbol frozen at the step midpoint; a trajectory's step matrices are
+    built and exponentiated as one stack.  Refuses steps whose matrix exponent is
     too large.
     """
-    m0 = m_of_t(tau)
-    se = np.sqrt(m0.epsilon)
-    N2 = 2 * m0.N
-    mean_mu = m0.chi1 * (m0.mu1 + m0.mu2) / 2.0
+    se = np.sqrt(m.epsilon)
+    N2 = 2 * m.N
+    mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
     shift = 1j * mean_mu * np.eye(N2)
-    norm0 = supnorm(m0.block() - shift)
+    norm0 = supnorm(m.stack([tau])[0] - shift)
     if dt * norm0 / se > 0.1 + 1e-12:
         raise InputError(f"time step too large: need dt <= {0.1 * se / max(norm0, 1e-300):.3e}")
 
     n_steps = int(np.ceil((t_end - tau) / dt))
     dt = (t_end - tau) / n_steps
     sample_every = max(1, n_steps // samples)
+    # step ends accumulated one step at a time, t_{k+1} = t_k + dt
+    ends = np.cumsum(np.concatenate(([tau], np.full(n_steps, dt))))
+    mids = ends[:-1] + 0.5 * dt
     S = np.eye(N2, dtype=complex)
 
     def restored(S, t):
@@ -134,22 +152,24 @@ def integrate_flow(m_of_t, tau, t_end, dt, samples=200):
 
     times = [tau]
     flows = [S.copy()]
-    sups = [max(1.0, supnorm(S)) if m0.extra_diag else supnorm(S)]
+    sups = [max(1.0, supnorm(S)) if m.extra_diag else supnorm(S)]
     logdet_expect = 0.0
     logdet_meas = 0.0
-    t = tau
-    for step in range(n_steps):
-        m = m_of_t(t + 0.5 * dt)
-        M = m.block() - shift
+    for lo in range(0, n_steps, STEP_CHUNK):
+        M = m.stack(mids[lo:lo + STEP_CHUNK]) - shift
         F = expm(-(dt / se) * M)
-        S = F @ S
-        logdet_expect += -(dt / se) * np.trace(M).real
-        logdet_meas += np.linalg.slogdet(F)[1]
-        t += dt
-        if (step + 1) % sample_every == 0 or step == n_steps - 1:
-            times.append(t)
-            flows.append(restored(S, t))
-            sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
+        expect = -(dt / se) * np.trace(M, axis1=1, axis2=2).real
+        meas = np.linalg.slogdet(F)[1]
+        for k in range(len(F)):
+            step = lo + k
+            S = F[k] @ S
+            logdet_expect += expect[k]
+            logdet_meas += meas[k]
+            if (step + 1) % sample_every == 0 or step == n_steps - 1:
+                t = ends[step + 1]
+                times.append(t)
+                flows.append(restored(S, t))
+                sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
 
     times = np.array(times)
     sups = np.array(sups)
