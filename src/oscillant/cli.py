@@ -107,7 +107,7 @@ def cmd_flow(args):
     for eps in epsilons:
         m = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
             result.stability.xi0)[0]), eps, h=args.h)
-        traj = sample_trajectory(m, eps, args.T * abs(np.log(eps)), samples=200)
+        traj = sample_trajectory(m, args.T * abs(np.log(eps)), samples=200)
         write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),

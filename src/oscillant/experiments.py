@@ -13,11 +13,11 @@ import numpy as np
 
 from . import catalog
 from .flow import (FlowTrajectory, GrowthBoundReport, InteractionMatrix, bump_weight,
-                   integrate_flow, verify_growth_bound)
+                   integrate_flow, largest_step, verify_growth_bound)
 # pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport,
                           pair_coefficients_at, polarization_vectors, stability_report)
-from .numeric import InputError, MultiplicityError, NumericalError, supnorm
+from .numeric import InputError, MultiplicityError, NumericalError
 from .resonance import Phase, ResonanceReport, _bisect, _PairBatch, default_window, find_resonances
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
                        epsilon_sweep, run_instability_experiment)
@@ -109,10 +109,9 @@ def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
     chi0 = bump_weight(ph, h, 2 * h) if cutoff_active else 1.0
     chi1 = bump_weight(ph, 2 * h, 4 * h) if cutoff_active else 1.0
     phi1 = bump_weight(x - amplitude.center, 4 * amplitude.width, 8 * amplitude.width)
-    se = np.sqrt(epsilon)
 
     def envelope(t):
-        return chi0 * phi1 * amplitude(x - vg * se * t).astype(complex)
+        return chi0 * phi1 * amplitude(x - vg * np.sqrt(epsilon) * t).astype(complex)
     return InteractionMatrix(mu1=mu1, mu2=mu2, b12=bp, b21=bm, epsilon=epsilon,
                              extra_diag=extra, chi1=chi1, envelope=envelope)
 
@@ -131,12 +130,9 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
                         amplitude or AmplitudeProfile(), cutoff_active)
 
 
-def sample_trajectory(m: InteractionMatrix, epsilon, t_end, samples=100) -> FlowTrajectory:
-    """Integrate one sampled interaction matrix from t = 0, with dt from the
-    t = 0 block less its centred diagonal."""
-    shift = 1j * m.chi1 * (m.mu1 + m.mu2) / 2 * np.eye(2 * m.N)
-    dt = 0.1 * np.sqrt(epsilon) / max(supnorm(m.stack([0.0])[0] - shift), 1e-12)
-    return integrate_flow(m, 0.0, t_end, dt, samples=samples)
+def sample_trajectory(m: InteractionMatrix, t_end, samples=100) -> FlowTrajectory:
+    """Integrate one sampled interaction matrix from t = 0 by the step rule at t = 0."""
+    return integrate_flow(m, 0.0, t_end, largest_step(m, 0.0), samples=samples)
 
 
 def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
@@ -183,7 +179,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
 
         def factory(eps, t_end):
             return [sample_trajectory(_matrix_of_t(s, vg, x, eps, h, amplitude, cutoff_active),
-                                      eps, t_end)
+                                      t_end)
                     for x in x_samples for s in samples]
         return factory
 

@@ -9,9 +9,14 @@ drives the flow dS/dt + M S / sqrt(eps) = 0, S(tau; tau) = Id.  Its spectrum
 is known in closed form when b12 b21 has rank one, and the flow's sup norm is
 bounded by a polylog times exp(t * upper growth rate); both facts are checked
 here numerically.
+
+The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
+exponentiates a trajectory's steps as one stack: in closed form when both coupling
+products have rank <= 1 (tested once per trajectory), by one ``expm`` otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +29,8 @@ from .numeric import DEFAULT_POLICY, InputError, NumericalError, numerical_rank,
 GROWTH_EXPONENT_CAP = 8.0
 # largest flow sup norm an off-resonance sample may reach
 AWAY_CAP = 10.0
-# steps exponentiated as one stack, bounding the memory a long trajectory holds
-STEP_CHUNK = 1024
+# largest step exponent dt |K(tau)| / sqrt(eps) the integrator accepts at its first step
+STEP_EXPONENT_CAP = 0.1
 
 
 def smoothstep(t):
@@ -41,13 +46,9 @@ def bump_weight(value, plateau, cutoff):
 
 @dataclass
 class InteractionMatrix:
-    """Frozen symbol of the localized two-branch propagator at one (x, xi).
-
-    The couplings at time t are ``envelope(t) * b12`` and
-    ``conj(envelope(t)) * b21``: b12 and b21 are the unit-amplitude couplings,
-    and the scalar envelope carries the cutoff weights and the transported
-    amplitude (1 at every time when not given).
-    """
+    """Frozen symbol of the localized two-branch propagator at one (x, xi): the
+    couplings at time t are g(t) b12 and conj(g(t)) b21, where the envelope g
+    carries the cutoff weights and the transported amplitude."""
 
     mu1: float
     mu2: float
@@ -56,19 +57,15 @@ class InteractionMatrix:
     epsilon: float
     extra_diag: tuple = ()       # remaining branch eigenvalues (decoupled, unitary)
     chi1: float = 1.0            # diagonal cutoff weight
-    envelope: Callable = None    # array of times -> complex envelope values
+    envelope: Callable = lambda t: np.ones(np.shape(t), dtype=complex)  # times -> g
 
     @property
     def N(self) -> int:
         return self.b12.shape[0]
 
-    def envelope_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.ones(t.shape, dtype=complex) if self.envelope is None else self.envelope(t)
-
     def stack(self, t) -> np.ndarray:
         """The coupled 2N x 2N blocks of M at each time of ``t``, stacked."""
-        g = self.envelope_at(np.atleast_1d(t))
+        g = self.envelope(np.atleast_1d(t))
         N = self.N
         se = np.sqrt(self.epsilon)
         M = np.zeros((len(g), 2 * N, 2 * N), dtype=complex)
@@ -79,15 +76,29 @@ class InteractionMatrix:
         return M
 
 
+def largest_step(m: InteractionMatrix, t):
+    """The step rule, dt |K(t)| / sqrt(eps) = STEP_EXPONENT_CAP at each time of t:
+    K is the coupled block less its mean diagonal, of sup norm
+    |K(t)| = |chi1 (mu1 - mu2)| / 2 + sqrt(eps) |g(t)| max(|b12|, |b21|)."""
+    coupling = np.abs(m.envelope(t)) * max(supnorm(m.b12), supnorm(m.b21))
+    norm = abs(m.chi1 * (m.mu1 - m.mu2)) / 2 + np.sqrt(m.epsilon) * coupling
+    return STEP_EXPONENT_CAP * np.sqrt(m.epsilon) / np.maximum(norm, 1e-12)
+
+
+def _rank_at_most_one(*products) -> bool:
+    """The closed forms' precondition: each product has numerical rank <= 1."""
+    return bool(np.all(numerical_rank(np.array(products), DEFAULT_POLICY) <= 1))
+
+
 def flow_spectrum(m: InteractionMatrix):
-    """Closed-form spectrum of the coupled block of M.
+    """Closed-form spectrum of the coupled block of M at unit envelope.
 
     Returns the eigenvalues [i mu1 (x N-1), i mu2 (x N-1), mu+, mu-] where
     mu+- = i (mu1 + mu2)/2 +- sqrt(4 eps tr(b12 b21) - (mu1 - mu2)^2)/2.
     Requires the coupling product to have rank at most one.
     """
     prod = m.b12 @ m.b21
-    if numerical_rank(prod, DEFAULT_POLICY) > 1:
+    if not _rank_at_most_one(prod):
         raise NumericalError("coupling product has rank above one; closed form unavailable")
     mu1 = m.chi1 * m.mu1
     mu2 = m.chi1 * m.mu2
@@ -108,6 +119,7 @@ class FlowTrajectory:
     sup_norm_series: np.ndarray  # sup norm of the full flow (>= 1 when decoupled present)
     fitted_rate: float
     liouville_defect: float = 0.0
+    max_step_exponent: float = 0.0  # largest dt |K(t)| / sqrt(eps) over the steps
 
     @property
     def sup_norm_max(self) -> float:
@@ -120,24 +132,50 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
+def rank_one_exponentials(m: InteractionMatrix, g, dt) -> np.ndarray:
+    """exp(A), A = -dt K / sqrt(eps), at the envelope values g, in closed form:
+    A = [[-i a I, dt g b12], [dt conj(g) b21, i a I]] squares to the block
+    diagonal alpha + r b12 b21, alpha + r b21 b12 (alpha = -a^2, r = dt^2 |g|^2),
+    so exp(A) = C(A^2) + S(A^2) A with C(z) = cosh sqrt z, S(z) = sinh sqrt z / sqrt z,
+    and f(alpha + X) = f(alpha) + f[alpha, alpha + tr X] X for X of rank one."""
+    B, C, N = m.b12, m.b21, m.N
+    a = dt * m.chi1 * (m.mu1 - m.mu2) / (2 * np.sqrt(m.epsilon))
+    r = (dt * np.abs(g)) ** 2
+    # C[alpha, z], S[alpha, z] term by term: z^k gives sum_j alpha^j z^(k-1-j), so nothing
+    # cancels, z = alpha (nilpotent coupling) is no special case; exact for |z| <= 4
+    z = r * np.trace(B @ C) - a * a
+    c1, s1, h, p = 0.0, 0.0, np.ones_like(z), 1.0
+    for k in range(1, 17):
+        c1, s1 = c1 + h / math.factorial(2 * k), s1 + h / math.factorial(2 * k + 1)
+        p = -a * a * p
+        h = z * h + p
+    c0, s0 = np.cos(a), np.sinc(a / np.pi)      # C(alpha), S(alpha)
+    x, y = (r * c1)[:, None, None], (r * s1)[:, None, None]
+    F = np.empty((len(g), 2 * N, 2 * N), dtype=complex)
+    F[:, :N, :N] = (c0 - 1j * a * s0) * np.eye(N) + (x - 1j * a * y) * (B @ C)
+    F[:, N:, N:] = (c0 + 1j * a * s0) * np.eye(N) + (x + 1j * a * y) * (C @ B)
+    F[:, :N, N:] = (dt * g)[:, None, None] * (s0 * B + y * (B @ C @ B))
+    F[:, N:, :N] = (dt * np.conj(g))[:, None, None] * (s0 * C + y * (C @ B @ C))
+    return F
+
+
 def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     """Integrate dS/dt + M(t) S / sqrt(eps) = 0 by stepwise exact exponentials.
 
-    The mean diagonal i (mu1 + mu2)/2 is a global unitary phase; it is removed
-    before stepping and restored analytically at the sample times, so the step
-    size is governed by the detuning and coupling rather than the absolute
-    eigenvalue size.  Each step applies exp(-dt M(t_mid)/sqrt(eps)) with the
-    symbol frozen at the step midpoint; a trajectory's step matrices are
-    built and exponentiated as one stack.  Refuses steps whose matrix exponent is
-    too large.
+    The mean diagonal i chi1 (mu1 + mu2)/2 is a global unitary phase; it is
+    removed before stepping, leaving K, and restored analytically at the
+    sample times, so the step size is governed by the detuning and coupling
+    rather than the absolute eigenvalue size.  Each step applies
+    exp(-dt K(t_mid)/sqrt(eps)) with the symbol frozen at the step midpoint:
+    in closed form when both coupling products have rank at most one and no
+    step exponent exceeds 2, by one stacked ``expm`` otherwise.  Only the first
+    step is held to ``largest_step``; ``max_step_exponent`` reads every step.
+    tr K is imaginary, so the Liouville defect |sum log |det F|| checks F.
     """
     se = np.sqrt(m.epsilon)
-    N2 = 2 * m.N
-    mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
-    shift = 1j * mean_mu * np.eye(N2)
-    norm0 = supnorm(m.stack([tau])[0] - shift)
-    if dt * norm0 / se > 0.1 + 1e-12:
-        raise InputError(f"time step too large: need dt <= {0.1 * se / max(norm0, 1e-300):.3e}")
+    limit = largest_step(m, tau)
+    if dt > limit * (1.0 + 1e-11):
+        raise InputError(f"time step too large: need dt <= {limit:.3e}")
 
     n_steps = int(np.ceil((t_end - tau) / dt))
     dt = (t_end - tau) / n_steps
@@ -145,31 +183,21 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     # step ends accumulated one step at a time, t_{k+1} = t_k + dt
     ends = np.cumsum(np.concatenate(([tau], np.full(n_steps, dt))))
     mids = ends[:-1] + 0.5 * dt
-    S = np.eye(N2, dtype=complex)
+    max_exponent = float(STEP_EXPONENT_CAP * dt / np.min(largest_step(m, mids)))
+    mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
+    if max_exponent <= 2.0 and _rank_at_most_one(m.b12 @ m.b21, m.b21 @ m.b12):
+        F = rank_one_exponentials(m, m.envelope(mids), dt)
+    else:
+        F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(2 * m.N)))
 
-    def restored(S, t):
-        return np.exp(-1j * mean_mu * (t - tau) / se) * S
-
-    times = [tau]
-    flows = [S.copy()]
-    sups = [max(1.0, supnorm(S)) if m.extra_diag else supnorm(S)]
-    logdet_expect = 0.0
-    logdet_meas = 0.0
-    for lo in range(0, n_steps, STEP_CHUNK):
-        M = m.stack(mids[lo:lo + STEP_CHUNK]) - shift
-        F = expm(-(dt / se) * M)
-        expect = -(dt / se) * np.trace(M, axis1=1, axis2=2).real
-        meas = np.linalg.slogdet(F)[1]
-        for k in range(len(F)):
-            step = lo + k
-            S = F[k] @ S
-            logdet_expect += expect[k]
-            logdet_meas += meas[k]
-            if (step + 1) % sample_every == 0 or step == n_steps - 1:
-                t = ends[step + 1]
-                times.append(t)
-                flows.append(restored(S, t))
-                sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
+    S = np.eye(2 * m.N, dtype=complex)
+    times, flows, sups = [tau], [S.copy()], [1.0]
+    for k, Fk in enumerate(F, 1):
+        S = Fk @ S
+        if k % sample_every == 0 or k == n_steps:
+            times.append(ends[k])
+            flows.append(np.exp(-1j * mean_mu * (ends[k] - tau) / se) * S)
+            sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
 
     times = np.array(times)
     sups = np.array(sups)
@@ -180,9 +208,9 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
         rate = float(np.polyfit(times[half:], logs[half:], 1)[0])
     else:
         rate = 0.0
-    defect = abs(logdet_meas - logdet_expect) / max(abs(logdet_expect), 1.0)
+    defect = abs(float(np.sum(np.linalg.slogdet(F)[1])))
     return FlowTrajectory(times=times, S=flows, sup_norm_series=sups, fitted_rate=rate,
-                          liouville_defect=float(defect))
+                          liouville_defect=defect, max_step_exponent=max_exponent)
 
 
 @dataclass

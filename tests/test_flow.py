@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
+from oscillant import flow
 from oscillant.flow import (InteractionMatrix, bump_weight, flow_spectrum, integrate_flow,
-                            unstable_datum_direction, verify_growth_bound)
+                            largest_step, rank_one_exponentials, unstable_datum_direction,
+                            verify_growth_bound)
 from oscillant.interaction import pair_coefficients_at
-from oscillant.numeric import InputError, NumericalError
+from oscillant.numeric import InputError, NumericalError, supnorm
 
 from conftest import assert_close
 
@@ -130,6 +133,108 @@ def test_integrate_step_size_refused():
     m = InteractionMatrix(mu1=5.0, mu2=-5.0, b12=b, b21=b, epsilon=1e-4)
     with pytest.raises(InputError):
         integrate_flow(m, 0.0, 1.0, dt=0.5)
+
+
+def _dense_exponentials(m, t, dt):
+    """exp(-dt K(t) / sqrt(eps)) by scipy expm on the dense blocks."""
+    shift = 1j * m.chi1 * (m.mu1 + m.mu2) / 2 * np.eye(2 * m.N)
+    return expm(-(dt / np.sqrt(m.epsilon)) * (m.stack(t) - shift))
+
+
+def _per_step_sups(m, tau, t_end, dt, samples=200):
+    """Sup-norm samples of the per-step integrator the stacked one replaced:
+    one dense block and one expm per step, t accumulated step by step."""
+    n_steps = int(np.ceil((t_end - tau) / dt))
+    dt = (t_end - tau) / n_steps
+    sample_every = max(1, n_steps // samples)
+    S = np.eye(2 * m.N, dtype=complex)
+    sups = [supnorm(S)]
+    t = tau
+    for step in range(n_steps):
+        S = _dense_exponentials(m, [t + 0.5 * dt], dt)[0] @ S
+        t += dt
+        if (step + 1) % sample_every == 0 or step == n_steps - 1:
+            sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
+    return np.array(sups)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-12, 1e-8, 1e-3])
+@pytest.mark.parametrize("detuning", [0.0, 0.05, 1.8])
+def test_rank_one_exponentials_match_expm(tau, detuning):
+    # b12 = u v^T, b21 = w z^T with tr(b12 b21) = (v.w)(z.u) set to tau; tau = 0
+    # with b12 b21 != 0 is the nilpotent case.  detuning is the step's a.
+    rng = np.random.default_rng(11)
+    dt, g = 0.7, np.array([1.0, 0.6 - 0.3j, 1.2j])
+    for N in (1, 2, 4):
+        u, v, w, z = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(4))
+        if N > 1:
+            z = z - (z @ u) / (u @ u) * u
+        else:
+            z = 0.0 * z
+        z = z + tau / (dt ** 2 * (v @ w) * (u @ u)) * u
+        scale = 0.1 / (dt * max(np.abs(u).sum() * np.abs(v).max(),
+                                np.abs(w).sum() * np.abs(z).max()))
+        m = InteractionMatrix(mu1=detuning / dt, mu2=-detuning / dt, b12=scale * np.outer(u, v),
+                              b21=np.outer(w, z) / scale, epsilon=1.0,
+                              envelope=lambda t: g[np.asarray(t, dtype=int)])
+        assert abs(dt ** 2 * np.trace(m.b12 @ m.b21) - tau) <= 1e-14 + 1e-6 * tau
+        if tau == 0.0 and N > 1:
+            assert supnorm(m.b12 @ m.b21) > 1e-3
+        closed = rank_one_exponentials(m, g, dt)
+        dense = _dense_exponentials(m, [0, 1, 2], dt)
+        assert np.abs(closed - dense).max() <= 1e-13 * max(supnorm(F) for F in dense)
+
+
+def test_rank_two_coupling_takes_the_expm_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    b12, b21 = (0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(2))
+    m = InteractionMatrix(mu1=0.4, mu2=-0.1, b12=b12, b21=b21, epsilon=1e-2,
+                          envelope=lambda t: np.exp(-0.2 * t).astype(complex))
+    calls = []
+
+    def counted(A):
+        calls.append(len(A))
+        return expm(A)
+    monkeypatch.setattr(flow, "expm", counted)
+    dt = largest_step(m, 0.0)
+    traj = integrate_flow(m, 0.0, 1.5, dt)
+    assert sum(calls) == int(np.ceil(1.5 / dt))
+    ref = _per_step_sups(m, 0.0, 1.5, dt)
+    assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
+    # a rank-one coupling makes no expm call
+    calls.clear()
+    m = InteractionMatrix(mu1=0.4, mu2=-0.1, b12=_rank_one(rng, 3), b21=_rank_one(rng, 3),
+                          epsilon=1e-2)
+    integrate_flow(m, 0.0, 1.5, largest_step(m, 0.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_integrate_flow_matches_per_step_loop(kg_analysis, eps):
+    from oscillant.experiments import interaction_matrix_factory
+    xi0 = float(np.atleast_1d(kg_analysis.stability.xi0)[0])
+    for x, cutoff_active in ((0.0, True), (0.5, False)):
+        m = interaction_matrix_factory(kg_analysis, x, xi0, eps, cutoff_active=cutoff_active)
+        t_end, dt = 2 * abs(np.log(eps)), largest_step(m, 0.0)
+        traj = integrate_flow(m, 0.0, t_end, dt)
+        ref = _per_step_sups(m, 0.0, t_end, dt)
+        assert np.abs(traj.sup_norm_series / ref - 1.0).max() <= 1e-12
+        assert traj.liouville_defect <= 1e-10
+
+
+def test_max_step_exponent_reads_every_step():
+    # the envelope grows, so later steps run past the cap the first step is held to
+    b = np.array([[0.8, 0.2], [0.1, -0.4]])
+    m = InteractionMatrix(mu1=0.3, mu2=-0.2, b12=b, b21=b.T, epsilon=1e-2,
+                          envelope=lambda t: np.exp(t).astype(complex))
+    dt = largest_step(m, 0.0)
+    traj = integrate_flow(m, 0.0, 2.0, dt)
+    shift = 1j * (m.mu1 + m.mu2) / 2 * np.eye(4)
+    n = int(np.ceil(2.0 / dt))
+    mids = (np.arange(n) + 0.5) * (2.0 / n)
+    dense = max(supnorm(K - shift) for K in m.stack(mids)) * (2.0 / n) / np.sqrt(m.epsilon)
+    assert traj.max_step_exponent > 0.2
+    assert abs(traj.max_step_exponent - dense) <= 1e-12 * dense
 
 
 def test_three_wave_frozen_rate():
