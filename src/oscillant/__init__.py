@@ -8,11 +8,10 @@ from .spectral import (AsymptoticSlopes, SpectralField, assemble_symbol,
 from .dispersion import match_phases_on_dispersion
 from .resonance import (Phase, ResonanceReport, characteristic_harmonics, find_resonances,
                         resonance_phase)
-from .interaction import (InteractionCoefficients, PolarizationVectors, ReportInputs,
-                          StabilityReport, interaction_coefficients,
+from .interaction import (PolarizationVectors, ReportInputs, RootCouplings, StabilityReport,
                           partial_transparency_conditions, polarization_vectors,
-                          solve_homological, stability_report, symmetrizer_basis,
-                          transparency_check)
+                          root_couplings, solve_homological, stability_report,
+                          symmetrizer_basis, transparency_check)
 from .flow import (FlowTrajectory, InteractionMatrix, flow_spectrum, integrate_flow,
                    unstable_datum_direction, verify_growth_bound)
 from .wkb import (WKBSolution, consistency_residual, pde_residual, solve_transport,

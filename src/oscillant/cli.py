@@ -52,8 +52,26 @@ def _system_overrides(args):
     return out
 
 
+def _epsilon(text):
+    """argparse type of one epsilon: a float in (0, 1)."""
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
+    if not 0.0 < eps < 1.0:
+        raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1), got '{text}'")
+    return eps
+
+
+def _epsilons(text):
+    """argparse type of a comma-separated list of epsilons."""
+    return [_epsilon(e) for e in text.split(",")]
+
+
 def _phase_from(args, spec):
-    if args.omega is not None and args.k is not None:
+    if args.omega is not None:
+        if args.k is None:
+            raise InputError("--omega needs --k")
         return Phase(args.omega, [args.k])
     return catalog.default_phase(spec, k=args.k)
 
@@ -99,12 +117,11 @@ def cmd_flow(args):
     spec = _load_system(args.system, _system_overrides(args))
     phase = _phase_from(args, spec)
     result = analyze(spec, phase)
-    epsilons = [float(e) for e in args.epsilons.split(",")]
-    rep = flow_bound_experiment(result, epsilons, T=args.T, h=args.h)
+    rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h)
     os.makedirs(args.out, exist_ok=True)
     # dump one representative trajectory per epsilon for inspection
     from .experiments import interaction_matrix_factory, sample_trajectory
-    for eps in epsilons:
+    for eps in args.epsilons:
         m = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
             result.stability.xi0)[0]), eps, h=args.h)
         traj = sample_trajectory(m, args.T * abs(np.log(eps)), samples=200)
@@ -145,8 +162,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     spec = _load_system(args.system, _system_overrides(args))
     result = analyze(spec)
-    epsilons = [float(e) for e in args.epsilons.split(",")]
-    rep = run_sweep(spec, epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
+    rep = run_sweep(spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
                     grid_points=args.grid, amplitude=AmplitudeProfile(width=args.width),
                     T_obs=args.T, rho=args.rho, workers=_thread_cap())
     os.makedirs(args.out, exist_ok=True)
@@ -170,7 +186,6 @@ def cmd_wkb(args):
         return 0 if res.passed else 4
     if args.residual:
         e1 = catalog.reference_polarization(spec, phase)
-        epsilons = [float(e) for e in args.epsilons.split(",")]
 
         def factory(with_corr):
             def make(eps):
@@ -181,8 +196,8 @@ def cmd_wkb(args):
                                        t_end=0.1, n_steps=32, with_correctors=with_corr)
             return make
 
-        fit0 = consistency_residual(factory(False), spec, epsilons)
-        fit1 = consistency_residual(factory(True), spec, epsilons)
+        fit0 = consistency_residual(factory(False), spec, args.epsilons)
+        fit1 = consistency_residual(factory(True), spec, args.epsilons)
         print(f"leading-order residual order: {fit0.fitted_order:.3f}")
         print(f"with-corrector residual order: {fit1.fitted_order:.3f}")
         return 0
@@ -249,14 +264,14 @@ def build_parser():
 
     p = sub.add_parser("flow", help="symbolic-flow growth bound report")
     _add_system_flags(p)
-    p.add_argument("--epsilons", type=str, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
     p.add_argument("--T", type=float, default=2.0)
     p.add_argument("--h", type=float, default=0.1)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("simulate", help="direct pseudospectral run")
     _add_system_flags(p)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--K", type=float, default=3.0)
     p.add_argument("--Kprime", type=float, default=0.5)
     p.add_argument("--tend", type=float, default=None)
@@ -266,7 +281,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="epsilon sweep with scaling checks")
     _add_system_flags(p)
-    p.add_argument("--epsilons", type=str, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
     p.add_argument("--K", type=float, default=3.0)
     p.add_argument("--Kprime", type=float, default=0.6)
     p.add_argument("--T", type=float, default=3.2)
@@ -278,7 +293,7 @@ def build_parser():
     _add_system_flags(p)
     p.add_argument("--check-transparency", action="store_true")
     p.add_argument("--residual", action="store_true")
-    p.add_argument("--epsilons", type=str, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
     p.set_defaults(fn=cmd_wkb)
 
     p = sub.add_parser("catalog", help="list or emit stock systems")

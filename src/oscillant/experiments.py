@@ -136,13 +136,14 @@ def sample_trajectory(m: InteractionMatrix, t_end, samples=100) -> FlowTrajector
 
 
 def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
-                          amplitude: AmplitudeProfile = None,
-                          n_x=3, n_xi=3, away_offsets=(0.4, 0.6)) -> GrowthBoundReport:
+                          amplitude: AmplitudeProfile = None) -> GrowthBoundReport:
     """Measure sup |S| e^{-t gamma+} across (x, xi) samples and epsilons.
 
-    Near-resonance samples sit inside the cutoff plateau around the selected
-    root; away samples sit at a fixed detuning with the coupling kept active,
-    where the flow must stay O(1).
+    Three x samples span 80% of the amplitude width either side of its
+    center.  Three near-resonance samples sit inside the cutoff plateau around
+    the selected root: the root and the frequencies where |phase| is 0.1 h
+    and 0.4 h.  Away samples sit at |phase| 0.4 and 0.6 with the coupling kept
+    active, where the flow must stay O(1).
     """
     sr = analysis.stability
     amplitude = amplitude or AmplitudeProfile()
@@ -150,7 +151,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
         raise InputError("no non-transparent resonance: nothing to integrate")
     xi0 = float(np.atleast_1d(sr.xi0)[0])
     gamma_plus = sr.gamma_plus
-    x_samples = amplitude.center + amplitude.width * np.linspace(-0.8, 0.8, n_x)
+    x_samples = amplitude.center + amplitude.width * np.linspace(-0.8, 0.8, 3)
     i, j = sr.selected_pair
     field, phase = analysis.field, analysis.phase
 
@@ -170,7 +171,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
         return [float(r) for r in roots[:, 0]]
 
     # frequencies inside the plateau: |resonant phase| <= h/2
-    xi_samples = [xi0] + detuned(np.linspace(0.1, 0.4, n_xi - 1) * h, 0.5, 40)
+    xi_samples = [xi0] + detuned(np.linspace(0.1, 0.4, 2) * h, 0.5, 40)
 
     vg = _group_velocity(analysis)
 
@@ -183,7 +184,7 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
                     for x in x_samples for s in samples]
         return factory
 
-    away = detuned(away_offsets, 3.0, 60)
+    away = detuned((0.4, 0.6), 3.0, 60)
     return verify_growth_bound(make_factory(xi_samples, True), gamma_plus, T, epsilons,
                                away_factory=make_factory(away, False))
 

@@ -9,10 +9,18 @@ with ``B(v) w = B(v, w) + B(w, v)`` and ``e1`` the unit polarization of the
 fundamental phase.  The trace of their product over the resonant set drives
 everything: its sign decides stability, its square root sets growth rates,
 and its sup norms set observation times.
+
+:func:`stability_report` evaluates every root of every candidate pair once,
+into one :class:`RootCouplings` record per pair (the resonant phase, b+, b-
+and the trace at each root).  Each decision reads that record, passed to it
+explicitly: the transparency of a pair, the partial transparency of the
+non-transparent set, the trace maxima, the amplified direction and the upper
+growth rate.  Thresholds are relative to the sup norms of B(e1) and B(e-1),
+formed by one helper.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +34,9 @@ from .system import SystemSpec
 TRANSPARENCY_BANDS = (0.2, 0.1, 0.05, 0.025)
 # growth coefficients within this relative distance of the largest tie
 GAMMA_TIE = 1e-8
+# cells of the coarse grid over the window (spread over its axes), and the separation
+# and exceptional-point matching distance: 1/COARSE_CELLS of the window span
+COARSE_CELLS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -73,23 +84,11 @@ def _supnorms(z) -> np.ndarray:
     return np.max(np.sum(np.abs(z), axis=-1), axis=-1)
 
 
-@dataclass
-class InteractionCoefficients:
-    """Coupling matrices of one branch pair sampled over a frequency grid."""
-
-    pair: tuple
-    phase: Phase
-    grid: np.ndarray           # (M, d)
-    b_plus: np.ndarray         # (M, N, N)
-    b_minus: np.ndarray        # (M, N, N)
-    gamma_trace: np.ndarray    # (M,) complex
-    _field: SpectralField = dc_field(repr=False, default=None)
-    _pol: PolarizationVectors = dc_field(repr=False, default=None)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(max(_supnorms(self.b_plus).max(initial=0.0),
-                         _supnorms(self.b_minus).max(initial=0.0)))
+def _sources(field: SpectralField, pol: PolarizationVectors):
+    """The linearized sources (B(e1), B(e-1)) and the scale every coupling
+    threshold is relative to: the larger of their sup norms."""
+    sources = pol.linearized_source(field.spec.B)
+    return sources, max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
 
 
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -99,36 +98,59 @@ def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: 
     return bp[0], bm[0], complex(g[0])
 
 
-def interaction_coefficients(field: SpectralField, pol: PolarizationVectors, phase: Phase,
-                             pair, grid) -> InteractionCoefficients:
-    """Sample the coupling matrices of a pair over a frequency grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    return _sample_pairs(field, pol, phase, {tuple(pair): len(grid)}, grid)[tuple(pair)]
+@dataclass
+class RootCouplings:
+    """A pair's resonant phase, coupling matrices and interaction trace at
+    each of its located roots."""
+
+    points: np.ndarray     # (R, d) roots
+    phase: np.ndarray      # (R,)
+    b_plus: np.ndarray     # (R, N, N)
+    b_minus: np.ndarray    # (R, N, N)
+    trace: np.ndarray      # (R,) complex
+
+    @property
+    def norms(self) -> np.ndarray:
+        """max(|b+|, |b-|) at each root."""
+        return np.maximum(_supnorms(self.b_plus), _supnorms(self.b_minus))
 
 
-def _sample_pairs(field, pol, phase, rows, grid) -> dict:
-    """Coupling matrices of several pairs from one walk over a (M, d) grid.
-
-    Pair ``p`` is sampled on the first ``rows[p]`` grid points; one batched
-    evaluation per chunk of ``EVAL_CHUNK`` grid points serves every pair.
-    """
+def root_couplings(field: SpectralField, pol: PolarizationVectors, phase: Phase,
+                   report: ResonanceReport, pairs) -> dict:
+    """pair -> :class:`RootCouplings` for each of ``pairs``, from one
+    evaluation of all their roots."""
     sources = pol.linearized_source(field.spec.B)
-    N = field.spec.N
-    data = {p: (np.zeros((M, N, N), dtype=complex), np.zeros((M, N, N), dtype=complex),
-                np.zeros(M, dtype=complex))
-            for p, M in rows.items()}
+    roots = {p: np.reshape([np.atleast_1d(r) for r in report.pairs[p].roots], (-1, field.d))
+             for p in pairs}
+    pb = _PairBatch(field, phase, np.reshape([r for rs in roots.values() for r in rs],
+                                             (-1, field.d)))
+    out, start = {}, 0
+    for (i, j), pts in roots.items():
+        rows = slice(start, start + len(pts))
+        start += len(pts)
+        out[(i, j)] = RootCouplings(pts, pb.phase(i, j)[rows], *pb.coupling(i, j, sources, rows))
+    return out
+
+
+def _coupling_sup(field, pol, phase, report, pairs) -> float:
+    """Largest coupling sup norm of ``pairs`` over the coarse grid: about
+    COARSE_CELLS cells spread over the window's axes, each axis kept inside
+    the field when shifted by k.  An auto pair reads the first point only."""
+    sources, _ = _sources(field, pol)
+    n = round(COARSE_CELLS ** (1 / field.d)) + 1
+    axes = [np.linspace(lo + max(-x, 0), hi - max(x, 0), n)
+            for (lo, hi), x in zip(report.window, phase.k)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.d)
+    rows = {p: 1 if report.pairs[p].auto else len(grid) for p in pairs}
     total = max(rows.values(), default=0)
+    best = 0.0
     for s in range(0, total, EVAL_CHUNK):
         pb = _PairBatch(field, phase, grid[s:min(s + EVAL_CHUNK, total)])
-        for (i, j), (bp, bm, gam) in data.items():
-            c = slice(s, min(s + EVAL_CHUNK, rows[(i, j)]))
-            if c.start < c.stop:
-                bp[c], bm[c], gam[c] = pb.coupling(i, j, sources, slice(c.stop - c.start))
-    return {p: InteractionCoefficients(pair=p, phase=phase, grid=grid[:rows[p]], b_plus=bp,
-                                       b_minus=bm, gamma_trace=gam, _field=field, _pol=pol)
-            for p, (bp, bm, gam) in data.items()}
+        for (i, j), m in rows.items():
+            if s < m:
+                bp, bm, _ = pb.coupling(i, j, sources, slice(min(m - s, EVAL_CHUNK)))
+                best = max(best, _supnorms(bp).max(), _supnorms(bm).max())
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +165,6 @@ class TransparencyDiagnostic:
     at_resonance_norm: float     # max coefficient norm over located roots
     ratio_sup: dict              # h -> sup |coef|/|phase| over {h/2 <= |phase| <= h}
     verdict: str                 # transparent | non-transparent | borderline
-    note: str = ""
 
     @property
     def transparent(self):
@@ -155,7 +176,6 @@ def _scan_points(field, phase, roots, offsets):
     along the diagonal, skipping points whose k-shift leaves the field."""
     lo, hi = np.array(field.window).T
     for r in roots:
-        r = np.atleast_1d(r)
         pts = r + offsets[:, None] * np.ones_like(r) / np.sqrt(len(r))
         inside = (pts >= lo) & (pts <= hi) & (pts + phase.k >= lo) & (pts + phase.k <= hi)
         pts = pts[np.all(inside, axis=1)]
@@ -163,54 +183,23 @@ def _scan_points(field, phase, roots, offsets):
             yield _PairBatch(field, phase, pts)
 
 
-def _root_couplings(field, pol, phase, report, pairs) -> dict:
-    """Phase and (b+, b-, trace) of each pair at each of its roots, from one
-    evaluation of all the roots: pair -> list of (phase, b+, b-, trace)."""
-    sources = pol.linearized_source(field.spec.B)
-    roots = {p: report.pairs[p].roots for p in pairs}
-    pts = np.reshape([np.atleast_1d(r) for rs in roots.values() for r in rs], (-1, field.d))
-    pb = _PairBatch(field, phase, pts)
-    out, start = {}, 0
-    for (i, j), rs in roots.items():
-        rows = slice(start, start + len(rs))
-        start += len(rs)
-        bp, bm, g = pb.coupling(i, j, sources, rows)
-        out[(i, j)] = [(float(ph), b1, b2, complex(tr))
-                       for ph, b1, b2, tr in zip(pb.phase(i, j)[rows], bp, bm, g)]
-    return out
-
-
-def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
-                       at_roots=None) -> TransparencyDiagnostic:
+def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Phase,
+                       report: ResonanceReport, pair,
+                       roots: RootCouplings) -> TransparencyDiagnostic:
     """Decide whether a pair's coupling factors through its resonant phase.
 
     Transparent: the coefficient norm vanishes (below tolerance) at every
     located root and the off-resonance ratio |coef|/|phase| grows at most by a
-    factor two per halving of the phase band.  Non-transparent: a root carries
-    a coefficient above the non-transparency threshold.  Anything in between
-    is reported as borderline.  Thresholds are the field's policy, relative
-    to the sup norms of B(e1) and B(e-1).  ``at_roots`` may carry the pair's
-    couplings at its roots as :func:`_root_couplings` forms them; by default
-    they are formed here.
+    factor two per halving of the phase band; a pair without roots is
+    transparent.  Non-transparent: a root carries a coefficient above the
+    non-transparency threshold.  Anything in between is reported as
+    borderline.  ``roots`` is the pair's :func:`root_couplings` record;
+    thresholds are the field's policy, relative to the sup norms of B(e1)
+    and B(e-1).
     """
-    pair = coeffs.pair
-    pr = report.pairs.get(pair)
-    field, pol, phase = coeffs._field, coeffs._pol, coeffs.phase
     policy = field.policy
-    sources = pol.linearized_source(field.spec.B)
-    scale = max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
-
-    if pr is None or (not pr.roots and not pr.identically_zero):
-        return TransparencyDiagnostic(pair=pair, at_resonance_norm=0.0, ratio_sup={},
-                                      verdict="transparent", note="no resonances in window")
-
-    roots = [np.atleast_1d(r) for r in pr.roots]
-    if at_roots is None:
-        at_roots = _root_couplings(field, pol, phase, report, [pair])[pair]
-    root_norm = 0.0
-    for _, bp, bm, _ in at_roots:
-        root_norm = max(root_norm, supnorm(bp), supnorm(bm))
-
+    sources, scale = _sources(field, pol)
+    root_norm = float(roots.norms.max(initial=0.0))
     if root_norm >= policy.nontransparent_tol * scale:
         return TransparencyDiagnostic(pair=pair, at_resonance_norm=root_norm, ratio_sup={},
                                       verdict="non-transparent")
@@ -221,7 +210,7 @@ def transparency_check(coeffs: InteractionCoefficients, report: ResonanceReport,
     span = max(hi - lo for (lo, hi) in report.window)
     offsets = np.concatenate([-np.geomspace(1e-4, 0.5 * span, 40)[::-1],
                               np.geomspace(1e-4, 0.5 * span, 40)])
-    for pb in _scan_points(field, phase, roots, offsets):
+    for pb in _scan_points(field, phase, roots.points, offsets):
         p = np.abs(pb.phase(*pair))
         in_band = [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in TRANSPARENCY_BANDS]
         rows = np.flatnonzero(np.any(in_band, axis=0))
@@ -259,26 +248,24 @@ class PartialTransparencyResult:
     witness: np.ndarray = None
 
 
-def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R0,
-                                    at_roots=None) -> dict:
+def partial_transparency_conditions(field: SpectralField, pol: PolarizationVectors,
+                                    report: ResonanceReport, R0, roots: dict) -> dict:
     """Transparency of each non-transparent pair at its exceptional frequencies.
 
     For (i, j) in R0, the exceptional set collects intersections of R_ij with
     translates of other non-transparent resonant sets (shifted by +-k) and
-    with coalescence-driven sets R_ii' and R_j'j, matched within 1/256 of the
-    window span.  The pair passes when its coupling vanishes (the field
-    policy's ``transparent_tol``) at every such point.  ``at_roots`` (pair ->
-    per-root couplings, see :func:`_root_couplings`) spares re-evaluating the roots.
+    with coalescence-driven sets R_ii' and R_j'j, matched within one coarse
+    cell (1/COARSE_CELLS of the window span).  The pair passes when its
+    coupling vanishes (the field policy's ``transparent_tol``) at every such
+    point.  ``roots`` maps each pair of R0 to its :func:`root_couplings` record.
     """
-    if at_roots is None and R0:
-        c = coeffs_map[R0[0]]
-        at_roots = _root_couplings(c._field, c._pol, c.phase, report, R0)
+    _, scale = _sources(field, pol)
     k = report.phase.k
-    cell_tol = max(hi - lo for (lo, hi) in report.window) / 256.0
+    cell_tol = max(hi - lo for (lo, hi) in report.window) / COARSE_CELLS
     out = {}
     for (i, j) in R0:
         pts = []    # (root index, root)
-        roots_ij = [np.atleast_1d(r) for r in report.pairs[(i, j)].roots]
+        roots_ij = roots[(i, j)].points
 
         def collect(cands):
             for c in cands:
@@ -288,25 +275,22 @@ def partial_transparency_conditions(coeffs_map: dict, report: ResonanceReport, R
 
         for (ip, jp) in R0:
             if jp == i:   # (i', i) in R0 -> R_{i'i} - k
-                collect([np.atleast_1d(s) - k for s in report.pairs[(ip, jp)].roots])
+                collect(roots[(ip, jp)].points - k)
             if ip == j:   # (j, j') in R0 -> R_{jj'} + k
-                collect([np.atleast_1d(s) + k for s in report.pairs[(ip, jp)].roots])
+                collect(roots[(ip, jp)].points + k)
             if ip == i and jp != j:   # (i, i') in R0 -> R_{ii'}
-                collect([np.atleast_1d(s) for s in report.pairs[(i, jp)].roots])
+                collect(roots[(i, jp)].points)
             if jp == j and ip != i:   # (j', j) in R0 -> R_{j'j}
-                collect([np.atleast_1d(s) for s in report.pairs[(ip, j)].roots])
+                collect(roots[(ip, j)].points)
 
         uniq = []
         for n, p in pts:
             if not any(np.linalg.norm(p - q) <= 1e-9 for _, q in uniq):
                 uniq.append((n, p))
-        coeffs = coeffs_map[(i, j)]
-        B1, Bm1 = coeffs._pol.linearized_source(coeffs._field.spec.B)
-        scale = max(supnorm(B1), supnorm(Bm1), 1e-300)
+        norms = roots[(i, j)].norms
         passed, witness = True, None
         for n, p in uniq:
-            bp, bm, _ = at_roots[(i, j)][n][1:]
-            if max(supnorm(bp), supnorm(bm)) > coeffs._field.policy.transparent_tol * scale:
+            if norms[n] > field.policy.transparent_tol * scale:
                 passed, witness = False, p
                 break
         out[(i, j)] = PartialTransparencyResult(pair=(i, j),
@@ -372,12 +356,12 @@ class ReportInputs:
     a_sup: float = 1.0
     a_hatL1: float = 2 * np.pi
     d: int = 1
-    beta: float = None          # ball-shrink exponent; default 0.4/d
     h: float = 0.1              # phase-band half-width for the upper growth rate
 
-    def __post_init__(self):
-        if self.beta is None:
-            self.beta = 0.4 / self.d
+    @property
+    def beta(self) -> float:
+        """Ball-shrink exponent, 0.4/d."""
+        return 0.4 / self.d
 
 
 @dataclass
@@ -456,20 +440,19 @@ class StabilityReport:
         }
 
 
-def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_roots):
+def _gamma_plus_for_pair(field, pol, phase, pair, roots: RootCouplings, h, a_sup, span):
     """a_sup times the largest Re sqrt(trace) over the |phase| <= h band.
 
-    The band is scanned around each root; ``at_roots`` carries the pair's
-    values at the roots themselves (see :func:`_root_couplings`)."""
+    The band is scanned around each root; ``roots`` carries the pair's
+    values at the roots themselves."""
     sources = pol.linearized_source(field.spec.B)
     best = 0.0
     offsets = np.concatenate([np.geomspace(1e-4, 0.5 * span, 25),
                               -np.geomspace(1e-4, 0.5 * span, 25)])
-    for r, (ph, _, _, g) in zip(roots, at_roots):
-        r = np.atleast_1d(r)
+    for r, ph, g in zip(roots.points, roots.phase, roots.trace):
         if field.contains(r) and field.contains(r + phase.k) and abs(ph) <= h:
             best = max(best, float(np.sqrt(g).real))
-    for pb in _scan_points(field, phase, roots, offsets):
+    for pb in _scan_points(field, phase, roots.points, offsets):
         rows = np.flatnonzero(np.abs(pb.phase(*pair)) <= h)
         if rows.size:
             g = pb.coupling(*pair, sources, rows)[2]
@@ -478,68 +461,46 @@ def _gamma_plus_for_pair(field, pol, phase, pair, roots, h, a_sup, span, at_root
 
 
 def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phase,
-                     report: ResonanceReport, inputs: ReportInputs = None,
-                     coarse_n=257) -> StabilityReport:
+                     report: ResonanceReport, inputs: ReportInputs = None) -> StabilityReport:
     """Assemble the full stability verdict for a phase from its resonances.
 
-    Evaluates coupling matrices for every resonant pair, classifies
-    transparency, takes maxima of the interaction trace over located roots,
-    and fills in every growth/observation constant.  The verdict follows the
-    sign of the stability index; an empty non-transparent set is stable by
-    transparency with a degenerate (zero) index.  Thresholds are the field's
-    policy.
+    Every root of every candidate pair is evaluated once, into one
+    :class:`RootCouplings` record per pair, from which transparency, partial
+    transparency and the maxima of the interaction trace are read; the
+    coupling sup over the coarse grid and the band scans around the roots
+    add their own points.  The verdict follows the sign of the stability
+    index; an empty non-transparent set is stable by transparency with a
+    degenerate (zero) index.  Thresholds are the field's policy.
     """
     policy = field.policy
     inputs = inputs or ReportInputs(d=field.spec.d)
     span = max(hi - lo for (lo, hi) in report.window)
-    if field.spec.d == 1:
-        lo, hi = report.window[0]
-        margin = max(abs(phase.k[0]), 0.0)
-        coarse = np.linspace(lo + margin if phase.k[0] < 0 else lo,
-                             hi - margin if phase.k[0] > 0 else hi, coarse_n)[:, None]
-    else:
-        (l0, h0), (l1, h1) = report.window
-        g0 = np.linspace(l0 + max(-phase.k[0], 0), h0 - max(phase.k[0], 0), 17)
-        g1 = np.linspace(l1 + max(-phase.k[1], 0), h1 - max(phase.k[1], 0), 17)
-        coarse = np.stack(np.meshgrid(g0, g1, indexing="ij"), axis=-1).reshape(-1, 2)
-
-    # one walk over the coarse grid serves every candidate (auto pairs: first point)
     candidates = report.resonant_pairs(include_auto=True)
-    coeffs_map = _sample_pairs(field, pol, phase,
-                               {p: 1 if report.pairs[p].auto else len(coarse)
-                                for p in candidates}, coarse)
-    b_full = max((c.sup_norm for c in coeffs_map.values()), default=0.0)
-    # every root of every candidate evaluated once, for all the uses below
-    at_roots = _root_couplings(field, pol, phase, report, candidates)
-    transparency = {p: transparency_check(coeffs_map[p], report, at_roots=at_roots[p])
+    b_full = _coupling_sup(field, pol, phase, report, candidates)
+    roots = root_couplings(field, pol, phase, report, candidates)
+    transparency = {p: transparency_check(field, pol, phase, report, p, roots[p])
                     for p in candidates}
 
     R0 = [p for p in candidates
           if transparency[p].verdict != "transparent" and not report.pairs[p].auto]
     borderline = [p for p in candidates if transparency[p].verdict == "borderline"]
-    partial = partial_transparency_conditions(coeffs_map, report, R0, at_roots=at_roots)
+    partial = partial_transparency_conditions(field, pol, report, R0, roots)
 
-    pair_data = {}
-    at_argmax = {}    # pair -> (b+, b-, trace) at its argmax root
+    # a pair of R0 has roots: a rootless pair's coupling and bands are zero
+    pair_data, argmax = {}, {}
     for pair in R0:
-        roots = [np.atleast_1d(r) for r in report.pairs[pair].roots]
-        gams = [g for *_, g in at_roots[pair]]
-        norms = [max(supnorm(bp), supnorm(bm)) for _, bp, bm, _ in at_roots[pair]]
-        res = [g.real for g in gams]
-        ims = [abs(g.imag) for g in gams]
-        sqrts = [np.sqrt(complex(g)).real for g in gams]
-        arg = int(np.argmax(sqrts)) if sqrts else 0
-        b_stack = [b for _, bp, bm, _ in at_roots[pair] for b in (bp, bm)]
-        rank_flag = bool(b_stack) and bool(np.any(numerical_rank(np.array(b_stack), policy) > 1))
-        at_argmax[pair] = at_roots[pair][arg][1:] if roots else None
+        rec = roots[pair]
+        sqrts = np.sqrt(rec.trace).real
+        argmax[pair] = int(np.argmax(sqrts))
+        b_stack = np.concatenate([rec.b_plus, rec.b_minus])
         pair_data[pair] = PairStability(
             pair=pair,
-            max_re_gamma=max(res) if res else 0.0,
-            max_abs_im_gamma=max(ims) if ims else 0.0,
-            gamma_ij=abs(max(sqrts)) if sqrts else 0.0,
-            b0=max(norms) if norms else 0.0,
-            argmax_root=roots[arg] if roots else None,
-            rank_flag=rank_flag,
+            max_re_gamma=float(np.max(rec.trace.real)),
+            max_abs_im_gamma=float(np.max(np.abs(rec.trace.imag))),
+            gamma_ij=abs(np.max(sqrts)),
+            b0=float(np.max(rec.norms)),
+            argmax_root=rec.points[argmax[pair]],
+            rank_flag=bool(np.any(numerical_rank(b_stack, policy) > 1)),
         )
 
     gamma_scale = max([1e-300] + [max(abs(p.max_re_gamma), p.max_abs_im_gamma)
@@ -570,8 +531,7 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
         # pairs within a relative GAMMA_TIE of the largest growth coefficient
         # tie; a tie goes to the root closest to the origin
         tied = [p for p in sorted(pair_data) if pair_data[p].gamma_ij >= (1 - GAMMA_TIE) * gamma]
-        selected = min(tied, key=lambda p: np.inf if pair_data[p].argmax_root is None
-                       else float(np.linalg.norm(pair_data[p].argmax_root)))
+        selected = min(tied, key=lambda p: float(np.linalg.norm(pair_data[p].argmax_root)))
     gamma_sel = pair_data[selected].gamma_ij if selected else 0.0
     t0p = min(max(_safe_div(K - 0.5, b_full * a_hat), _safe_div(K - (d + 1) / 2, b_full * a_sup)),
               _safe_div(0.5, (b_full - gamma_sel) * a_sup)) if b_full > 0 else np.inf
@@ -590,24 +550,20 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     else:
         verdict = "stable"
 
-    xi0 = e0 = None
-    gamma_plus = None
-    if selected is not None and pair_data[selected].argmax_root is not None:
+    xi0 = e0 = gamma_plus = None
+    if selected is not None:
         xi0 = pair_data[selected].argmax_root
-        bp, bm, g = at_argmax[selected]
-        if abs(g) > 0:
-            prod = bp @ bm
+        rec, n = roots[selected], argmax[selected]
+        if abs(rec.trace[n]) > 0:
             try:
-                e0 = unstable_datum_direction(prod)
+                e0 = unstable_datum_direction(rec.b_plus[n] @ rec.b_minus[n])
             except NumericalError:
                 e0 = None
-        gamma_plus = max(
-            _gamma_plus_for_pair(field, pol, phase, p, report.pairs[p].roots,
-                                 inputs.h, a_sup, span, at_roots[p])
-            for p in R0)
+        gamma_plus = max(_gamma_plus_for_pair(field, pol, phase, p, roots[p], inputs.h, a_sup,
+                                              span)
+                         for p in R0)
 
-    cell = span / max(coarse_n - 1, 1)
-    sep = separation_check(report, selected, phase.k, cell) if selected else {}
+    sep = separation_check(report, selected, phase.k, span / COARSE_CELLS) if selected else {}
 
     return StabilityReport(
         phase=phase, R0=sorted(R0), pair_data=pair_data, transparency=transparency,

@@ -192,8 +192,7 @@ def _lambdas(field: SpectralField, points) -> np.ndarray:
                            for s in range(0, max(len(points), 1), EVAL_CHUNK)])
 
 
-def find_resonances(field: SpectralField, phase: Phase, window=None,
-                    directions=None) -> ResonanceReport:
+def find_resonances(field: SpectralField, phase: Phase, window=None) -> ResonanceReport:
     """Locate the resonant sets of every ordered branch pair within a window.
 
     In 1-d, sign changes of the phase between grid nodes are refined by
@@ -201,7 +200,8 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
     the root tolerance.  In 2-d, zero-level cells are detected marching-squares
     style and a representative root is refined on a crossing edge.  Pairs whose
     phase vanishes identically (auto-resonances of a trivial phase) are flagged
-    rather than enumerated.
+    rather than enumerated.  Boundedness is judged from the asymptotic slopes
+    along +-1 in 1-d and eight equally spaced directions in 2-d.
     """
     policy = field.policy
     if window is None:
@@ -310,9 +310,8 @@ def find_resonances(field: SpectralField, phase: Phase, window=None,
             pr.residuals = [pr.residuals[o] for o in order]
 
     # boundedness from asymptotic slopes
-    if directions is None:
-        directions = [np.array([1.0]), np.array([-1.0])] if d == 1 else \
-            [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
+    directions = [np.array([1.0]), np.array([-1.0])] if d == 1 else \
+        [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
     rmax = max(200.0, 120.0 * field.spec.a0_spectral_radius + 100.0)
     radii = np.array([rmax / 4, rmax / 2, rmax])
     coinciding = set()

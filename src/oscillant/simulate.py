@@ -22,19 +22,20 @@ from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, NumericalError
 from .system import SystemSpec
 
 
+# deviation samples recorded over a run, after the initial one
+RUN_SAMPLES = 400
+
+
 @dataclass
 class AmplitudeProfile:
-    """Slowly varying envelope of the reference solution."""
+    """Slowly varying envelope of the reference solution: a gaussian."""
 
     center: float = 0.0
     width: float = 1.0
-    kind: str = "gaussian"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-((x - self.center) / self.width) ** 2)
-        raise InputError(f"unknown amplitude profile '{self.kind}'")
+        return np.exp(-((x - self.center) / self.width) ** 2)
 
 
 @dataclass
@@ -77,7 +78,6 @@ class SimConfig:
     epsilon: float
     grid_points: int = 4096
     domain_length: float = None        # default 40 x amplitude width
-    dt: float = None                   # default from the nonlinear-step bound
     t_end: float = None                # default T_obs * sqrt(eps) |log eps|
     T_obs: float = None                # observation-time multiplier
     K: float = 3.0
@@ -85,12 +85,10 @@ class SimConfig:
     amplitude: AmplitudeProfile = dc_field(default_factory=AmplitudeProfile)
     rho: float = None                  # observation ball radius; default width/2
     real_state: bool = False
-    n_samples: int = 400
     # resonant perturbation data (from a stability report)
     xi0: float = 0.0
     k: float = 0.0
     e0: np.ndarray = None
-    phi0_radius: float = None          # default 2 x amplitude width
 
     def __post_init__(self):
         if self.spec.d != 1:
@@ -101,8 +99,11 @@ class SimConfig:
             self.domain_length = 40.0 * self.amplitude.width
         if self.rho is None:
             self.rho = 0.5 * self.amplitude.width
-        if self.phi0_radius is None:
-            self.phi0_radius = 2.0 * self.amplitude.width
+
+    @property
+    def phi0_radius(self) -> float:
+        """Radius of the perturbation's bump: 2 x amplitude width."""
+        return 2.0 * self.amplitude.width
 
     @property
     def x(self):
@@ -244,12 +245,12 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         t_end = T * np.sqrt(eps) * abs(np.log(eps))
     b_norm = spec.B.norm_bound
     sup0 = float(np.abs(u).max())
-    dt = config.dt or 0.1 * np.sqrt(eps) / max(b_norm * sup0, 1e-12)
+    dt = 0.1 * np.sqrt(eps) / max(b_norm * sup0, 1e-12)
     dt = min(dt, t_end / 16)
 
     stepper = _Stepper(spec, eps, x, config.real_state)
     u_hat = stepper.spectrum(u)
-    sample_dt = t_end / config.n_samples
+    sample_dt = t_end / RUN_SAMPLES
     times, n_tot, n_dev, n_ball, s_dev = [], [], [], [], []
 
     def record(t, u):

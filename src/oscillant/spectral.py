@@ -12,7 +12,7 @@ columns and a branch label per column; a branch's projector is the sum of
 ``v v*`` over its columns, formed only when asked.  Points are diagonalized
 with one stacked ``eigh`` per chunk of ``EVAL_CHUNK``.
 :meth:`SpectralField.evaluate` labels each column by its overlap with the
-nearest grid point's branch projectors (one ``einsum``).  The argmax labels
+nearest grid point's branch projectors (one batched product).  The argmax labels
 stand when every column's best overlap exceeds 1/2, the label counts match
 the branch multiplicities and every eigenvalue cluster carries exactly one
 branch; there they equal what an optimal assignment gives.  Any other point
@@ -205,7 +205,8 @@ def _resolve(H, evals, vecs, refs, points, multiplicities, policy):
     overwrite theirs in ``vecs``.  Returns the branch eigenvalues, the column
     labels and the fallback mask.
     """
-    score = np.einsum("pac,pjab,pbc->pjc", vecs.conj(), refs, vecs).real
+    # |Pi_j v|^2 = Re v* Pi_j v for each column v, the products in BLAS
+    score = np.sum(vecs.conj()[:, None] * (refs @ vecs[:, None]), axis=2).real
     best = score.argmax(axis=1)
     sizes = np.broadcast_to(multiplicities, (len(points), len(multiplicities)))
     ok = _unambiguous(best, score.max(axis=1), _cluster_ids(evals, H, policy), sizes)

@@ -43,6 +43,12 @@ def partial_inverse(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     return np.linalg.pinv(L, rcond=1e-10)
 
 
+# random sample vectors (after the unit vectors) of the weak-transparency battery, and
+# the seed they are drawn with
+WEAK_TRANSPARENCY_SAMPLES = 16
+WEAK_TRANSPARENCY_SEED = 0
+
+
 @dataclass
 class WeakTransparencyResult:
     passed: bool
@@ -50,8 +56,7 @@ class WeakTransparencyResult:
     witness: tuple = None        # (p, u, v) on failure
 
 
-def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16,
-                            seed=0) -> WeakTransparencyResult:
+def weak_transparency_check(spec: SystemSpec, phase: Phase) -> WeakTransparencyResult:
     """Projected quadratic compatibility needed for the two-scale cascade.
 
     For p in {-1, 0, 1} and a battery of sample vectors, checks
@@ -65,9 +70,10 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16,
     if set(harmonics) != {-1, 0, 1}:
         raise InputError(f"cascade assumptions violated: characteristic harmonics {harmonics}")
     projs = {p: harmonic_projector(spec, phase, p) for p in (-1, 0, 1)}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(WEAK_TRANSPARENCY_SEED)
     samples = [np.eye(spec.N)[i] for i in range(spec.N)]
-    samples += [rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N) for _ in range(n_samples)]
+    samples += [rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
+                for _ in range(WEAK_TRANSPARENCY_SAMPLES)]
     scale = 1e-300
     worst = 0.0
     witness = None
@@ -91,21 +97,28 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase, n_samples=16,
                                   witness=None if passed else witness)
 
 
+# step of the centered finite difference that gives the group velocity
+FD_STEP = 1e-5
+
+
 @dataclass
 class TransportSetup:
-    """Scalar transport data for the leading amplitude."""
+    """Scalar transport data for the leading amplitude, and the corrector
+    vectors the cubic coefficient is assembled from."""
 
     group_velocity: np.ndarray
     cubic_coefficient: complex
+    second_harmonic: np.ndarray   # L(2 beta)^-1 B(e1, e1): multiplies g^2
+    mean_mode: np.ndarray         # L(0)^-1 (B(e1, e-1) + B(e-1, e1)): multiplies |g|^2
 
 
-def transport_setup(spec: SystemSpec, phase: Phase, e1, fd_step=1e-5) -> TransportSetup:
+def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     """Group velocity and cubic coefficient of the leading-amplitude equation.
 
     The group velocity is the frequency gradient of the branch carrying the
     phase (centered finite difference).  The cubic coefficient reduces the two
     quadratic feedback channels (second harmonic and mean mode) to a scalar
-    against the polarization.
+    against the polarization; their vectors are kept as the correctors.
     """
     e1 = np.asarray(e1, dtype=complex)
     # branch carrying the phase: the kernel of the characteristic matrix at k
@@ -132,8 +145,8 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1, fd_step=1e-5) -> Transpo
         vg = np.zeros(spec.d)
         for a in range(spec.d):
             dx = np.zeros(spec.d)
-            dx[a] = fd_step
-            vg[a] = (branch_value(phase.k + dx) - branch_value(phase.k - dx)) / (2 * fd_step)
+            dx[a] = FD_STEP
+            vg[a] = (branch_value(phase.k + dx) - branch_value(phase.k - dx)) / (2 * FD_STEP)
 
     B = spec.B
     second = B(e1, e1)
@@ -147,7 +160,8 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1, fd_step=1e-5) -> Transpo
     w0 = L0inv @ mean
     v = (B(em1, Lm2) + B(Lm2, em1)) + (B(e1, w0) + B(w0, e1))
     c3 = complex(np.vdot(e1, v))
-    return TransportSetup(group_velocity=vg, cubic_coefficient=c3)
+    return TransportSetup(group_velocity=vg, cubic_coefficient=c3, second_harmonic=Lm2,
+                          mean_mode=w0)
 
 
 @dataclass
@@ -209,13 +223,8 @@ def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
 
     correctors = None
     if with_correctors:
-        B = spec.B
-        second = B(e1, e1)
-        u12 = np.linalg.solve(harmonic_matrix(spec, phase, 2), second)   # coeff of g^2
-        em1 = np.asarray(e1).conj()
-        mean = B(e1, em1) + B(em1, e1)
-        u10 = partial_inverse(spec, phase, 0) @ mean                      # coeff of |g|^2
-        correctors = {2: u12, 0: u10, -2: u12.conj()}
+        correctors = {2: setup.second_harmonic, 0: setup.mean_mode,
+                      -2: setup.second_harmonic.conj()}
 
     return WKBSolution(spec=spec, phase=phase, e1=np.asarray(e1, dtype=complex), x=x,
                        times=np.array(times), g=np.array(snaps), setup=setup,
@@ -300,7 +309,9 @@ def consistency_residual(wkb_factory, spec: SystemSpec, epsilons) -> Consistency
 
     ``wkb_factory(eps)`` must return a :class:`WKBSolution` on a grid that
     resolves the oscillation at that epsilon; the result is the least-squares
-    slope of log residual against log epsilon.
+    slope of log residual against log epsilon.  Only snapshot 0 of each
+    solution is scored (:func:`pde_residual` at ``it=0``): the amplitude's
+    march to later times is never read.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     res = []

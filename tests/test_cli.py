@@ -152,3 +152,28 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     assert rc == 2
     assert "GB" in capsys.readouterr().err
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--system", "catalog:kg-equal", "--epsilons", "abc"],
+    ["flow", "--system", "catalog:kg-equal", "--epsilons", "0"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "0"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1.5"],
+    ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,nan,1e-3"],
+    ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "2"],
+])
+def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
+    assert _run(argv) == 2
+    assert "argument --epsilon" in capsys.readouterr().err
+
+
+def test_omega_without_k_exit_2(tmp_path, capsys):
+    rc = _run(["analyze", "--system", "catalog:kg-equal", "--omega", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def test_wkb_residual_three_wave(capsys):
+    # L(2 beta) is singular here: the corrector is the range-checked pseudo-inverse solution
+    assert _run(["wkb", "--system", "catalog:three-wave", "--residual"]) == 0
+    assert "with-corrector residual order: inf" in capsys.readouterr().out

@@ -321,7 +321,6 @@ def test_flow_sampler_evaluates_each_frequency_once(kg_analysis, monkeypatch):
             calls[_name] += 1
             return _f(*args, **kw)
         monkeypatch.setattr(experiments, name, counted)
-    rep = experiments.flow_bound_experiment(kg_analysis, [1e-2, 1e-3], T=0.5, h=0.1,
-                                            n_x=3, n_xi=3, away_offsets=(0.4, 0.6))
+    rep = experiments.flow_bound_experiment(kg_analysis, [1e-2, 1e-3], T=0.5, h=0.1)
     assert rep.away_sup is not None
     assert calls == {"transport_setup": 1, "_pair_sample": 3 + 2}

@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 from oscillant.catalog import (kg_default_phase, kg_diff, kg_e1, kg_equal,
                                kg_gamma12_product, kg_gamma12_trace, kg_lambda_slow,
                                kg_omega_vec, kg_scalar_couplings, three_wave)
-from oscillant.interaction import (ReportInputs, interaction_coefficients,
-                                   pair_coefficients_at, partial_transparency_conditions,
-                                   polarization_vectors, solve_homological,
-                                   stability_report, symmetrizer_basis, transparency_check)
+from oscillant.interaction import (pair_coefficients_at, polarization_vectors, root_couplings,
+                                   solve_homological, stability_report, symmetrizer_basis,
+                                   transparency_check)
 from oscillant.experiments import analyze
 from oscillant.numeric import InputError, MultiplicityError, NumericPolicy, numerical_rank, supnorm
-from oscillant.resonance import Phase, default_window, find_resonances
+from oscillant.resonance import Phase, default_window, find_resonances, resonance_phase
 from oscillant.spectral import SpectralField, eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
@@ -128,10 +127,11 @@ def test_scaling_covariance(kg_analysis, kg_branches):
 def test_interaction_coefficients_ranks(kg_analysis, kg_branches):
     field, pol, phase = kg_analysis.field, kg_analysis.pol, kg_analysis.phase
     pair = (kg_branches[1], kg_branches[2])
-    coeffs = interaction_coefficients(field, pol, phase, pair, np.linspace(-2, 2, 21) + 0.01)
-    assert np.all(numerical_rank(coeffs.b_plus, field.policy) <= 1)
-    assert np.all(numerical_rank(coeffs.b_minus, field.policy) <= 1)
-    assert np.all(np.abs(coeffs.gamma_trace.imag) <= 1e-12)
+    for xi in np.linspace(-2, 2, 21) + 0.01:
+        bp, bm, g = pair_coefficients_at(field, pol, phase, pair, [xi])
+        assert numerical_rank(bp, field.policy) <= 1
+        assert numerical_rank(bm, field.policy) <= 1
+        assert abs(g.imag) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +147,14 @@ def test_transparency_verdicts_kg_equal(kg_analysis, kg_branches):
         assert verdicts[pair] == "non-transparent"
 
 
-def test_vacuous_transparency_note(kg_analysis, kg_branches):
+def test_vacuous_transparency(kg_analysis, kg_branches):
     # a pair without resonances in the window is transparent by vacuity
-    field, pol, phase = kg_analysis.field, kg_analysis.pol, kg_analysis.phase
-    bm = kg_branches
-    pair = (bm[2], bm[1])
-    coeffs = interaction_coefficients(field, pol, phase, pair, np.array([0.5]))
-    diag = transparency_check(coeffs, kg_analysis.resonances)
-    assert diag.verdict == "transparent" and "no resonances" in diag.note
+    an = kg_analysis
+    pair = (kg_branches[2], kg_branches[1])
+    assert not an.resonances.pairs[pair].roots
+    roots = root_couplings(an.field, an.pol, an.phase, an.resonances, [pair])[pair]
+    diag = transparency_check(an.field, an.pol, an.phase, an.resonances, pair, roots)
+    assert diag.verdict == "transparent" and diag.at_resonance_norm == 0.0
 
 
 def test_partial_transparency_kg_equal(kg_analysis, kg_branches):
@@ -260,20 +260,21 @@ def test_analysis_evaluates_each_point_once_per_report_pass(monkeypatch):
         assert np.count_nonzero(np.all(report_points == r, axis=1)) == 1
 
 
-def test_one_walk_serves_every_pair(kg_analysis, kg_branches):
-    # a walk sampling several pairs gives each pair its own exact coefficients
-    from oscillant.interaction import _sample_pairs
+def test_one_walk_serves_every_pair(kg_analysis):
+    # one evaluation of every root gives each pair its own exact root record
     an = kg_analysis
-    grid = (np.linspace(-2.0, 2.0, 5) + 0.01)[:, None]
-    rows = {(kg_branches[1], kg_branches[2]): 5, (kg_branches[2], kg_branches[2]): 1}
-    walked = _sample_pairs(an.field, an.pol, an.phase, rows, grid)
-    for pair, n in rows.items():
-        assert len(walked[pair].grid) == n
-        for m, xi in enumerate(grid[:n]):
-            bp, bm, g = pair_coefficients_at(an.field, an.pol, an.phase, pair, xi)
-            assert np.array_equal(walked[pair].b_plus[m], bp)
-            assert np.array_equal(walked[pair].b_minus[m], bm)
-            assert walked[pair].gamma_trace[m] == g
+    pairs = an.resonances.resonant_pairs(include_auto=True)
+    records = root_couplings(an.field, an.pol, an.phase, an.resonances, pairs)
+    assert list(records) == pairs
+    for (i, j), rec in records.items():
+        assert len(rec.points) == len(an.resonances.pairs[(i, j)].roots) > 0
+        for n, xi in enumerate(rec.points):
+            bp, bm, g = pair_coefficients_at(an.field, an.pol, an.phase, (i, j), xi)
+            assert np.array_equal(rec.b_plus[n], bp)
+            assert np.array_equal(rec.b_minus[n], bm)
+            assert rec.trace[n] == g
+            assert rec.phase[n] == resonance_phase(an.field, an.phase, i, j, xi)
+            assert rec.norms[n] == max(supnorm(bp), supnorm(bm))
 
 
 def test_report_time_formulas(kg_analysis):
@@ -346,6 +347,55 @@ def test_report_invariant_under_scaling_of_B(system, c, kg_analysis, kg_diff_ana
     assert ({p: t.verdict for p, t in b.transparency.items()}
             == {p: t.verdict for p, t in a.transparency.items()})
     assert abs(b.gamma_index / c ** 2 - a.gamma_index) <= 1e-12 * abs(a.gamma_index)
+
+
+def _random_characteristic_system(seed):
+    """A random system with N in 2..4, d = 1, and a characteristic phase on one of
+    its branches at a random k."""
+    rng = np.random.default_rng(seed)
+    N = 2 + seed % 3
+    G, S = rng.normal(size=(N, N)), rng.normal(size=(N, N))
+    B = BilinearMap(N, tuple((o, l, r, float(rng.normal())) for o in range(N)
+                             for l in range(N) for r in range(N) if rng.random() < 0.5))
+    spec = SystemSpec("random", N, 1, G - G.T, [S + S.T], B)
+    k = float(rng.uniform(0.5, 1.5))
+    omega = float(rng.choice(np.linalg.eigvalsh(spec.A0 / 1j + k * spec.Aj[0])))
+    return spec, Phase(omega, [k]), rng
+
+
+def _signed_permutation(spec, rng):
+    """The system in the basis Q e_i = s_i e_perm(i): Q A Q^T and Q B(Q^T u, Q^T v)."""
+    N = spec.N
+    perm, sign = rng.permutation(N), rng.choice([-1.0, 1.0], size=N)
+    Q = np.zeros((N, N))
+    Q[perm, np.arange(N)] = sign
+    B = BilinearMap(N, tuple((int(perm[o]), int(perm[l]), int(perm[r]),
+                              sign[o] * sign[l] * sign[r] * v)
+                             for (o, l, r, v) in spec.B.triplets))
+    return SystemSpec(spec.name, N, 1, Q @ spec.A0 @ Q.T, [Q @ spec.Aj[0] @ Q.T], B)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), c=st.floats(0.01, 100.0))
+def test_random_system_verdict_invariant_under_scaling_of_B(seed, c):
+    # B -> c B: the verdict stays and Gamma_index scales by c^2
+    spec, phase, _ = _random_characteristic_system(seed)
+    scaled = SystemSpec(spec.name, spec.N, 1, spec.A0, spec.Aj, spec.B.scaled(c))
+    a = analyze(spec, phase, grid_n=256).stability
+    b = analyze(scaled, phase, grid_n=256).stability
+    assert b.verdict == a.verdict
+    assert abs(b.gamma_index - c ** 2 * a.gamma_index) <= 1e-12 * c ** 2 * abs(a.gamma_index)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_random_system_verdict_invariant_under_signed_permutation(seed):
+    # a signed permutation of the state basis moves no eigenvalue and no trace
+    spec, phase, rng = _random_characteristic_system(seed)
+    a = analyze(spec, phase, grid_n=256).stability
+    b = analyze(_signed_permutation(spec, rng), phase, grid_n=256).stability
+    assert b.verdict == a.verdict
+    assert abs(b.gamma_index - a.gamma_index) <= 1e-10 * abs(a.gamma_index)
 
 
 def test_gamma_index_sign_conventions(three_wave_analysis):

@@ -149,6 +149,7 @@ def test_residual_rejects_d2_systems():
     x = np.linspace(-4, 4, 2048, endpoint=False)   # resolves the eps=1e-2 oscillation
     g = np.exp(-x ** 2).astype(complex)[None, :]
     wkb = WKBSolution(spec=spec, phase=phase, e1=kg_e1(spec, phase), x=x, times=np.zeros(1),
-                      g=g, setup=TransportSetup(group_velocity=np.zeros(2), cubic_coefficient=0j))
+                      g=g, setup=TransportSetup(group_velocity=np.zeros(2), cubic_coefficient=0j,
+                                                second_harmonic=np.zeros(6), mean_mode=np.zeros(6)))
     with pytest.raises(InputError, match="one spatial dimension"):
         pde_residual(wkb, 1e-2)
