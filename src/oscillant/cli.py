@@ -63,6 +63,28 @@ def _epsilon(text):
     return eps
 
 
+def _positive(text):
+    """argparse type of a width, time, window or radius: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got '{text}'")
+    return value
+
+
+def _grid_points(text):
+    """argparse type of a simulator grid size: a positive power of two."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: '{text}'") from None
+    if n < 1 or n & (n - 1):
+        raise argparse.ArgumentTypeError(f"must be a positive power of two, got '{text}'")
+    return n
+
+
 def _epsilons(text):
     """argparse type of a comma-separated list of epsilons."""
     return [_epsilon(e) for e in text.split(",")]
@@ -242,7 +264,7 @@ def _add_system_flags(p):
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--c", type=str, default=None, help="c1,c2,c3 for three-wave systems")
     p.add_argument("--b", type=str, default=None, help="b1,b2,b3 for three-wave systems")
-    p.add_argument("--width", type=float, default=1.0, help="amplitude width")
+    p.add_argument("--width", type=_positive, default=1.0, help="amplitude width")
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--strict", action="store_true")
 
@@ -257,16 +279,16 @@ def build_parser():
     _add_system_flags(p)
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--Ka", type=float, default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--h", type=float, default=0.1)
+    p.add_argument("--window", type=_positive, default=None)
+    p.add_argument("--h", type=_positive, default=0.1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("flow", help="symbolic-flow growth bound report")
     _add_system_flags(p)
     p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--h", type=float, default=0.1)
+    p.add_argument("--T", type=_positive, default=2.0)
+    p.add_argument("--h", type=_positive, default=0.1)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("simulate", help="direct pseudospectral run")
@@ -274,8 +296,8 @@ def build_parser():
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--K", type=float, default=3.0)
     p.add_argument("--Kprime", type=float, default=0.5)
-    p.add_argument("--tend", type=float, default=None)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--tend", type=_positive, default=None)
+    p.add_argument("--grid", type=_grid_points, default=4096)
     p.add_argument("--snapshot", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
@@ -284,9 +306,9 @@ def build_parser():
     p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
     p.add_argument("--K", type=float, default=3.0)
     p.add_argument("--Kprime", type=float, default=0.6)
-    p.add_argument("--T", type=float, default=3.2)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--T", type=_positive, default=3.2)
+    p.add_argument("--rho", type=_positive, default=None)
+    p.add_argument("--grid", type=_grid_points, default=4096)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("wkb", help="two-scale cascade checks")

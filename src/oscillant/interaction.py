@@ -27,7 +27,7 @@ import numpy as np
 from .flow import _real_pivot, unstable_datum_direction
 from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, numerical_rank, supnorm
 from .resonance import Phase, ResonanceReport, _kernel_basis, _PairBatch, separation_check
-from .spectral import EVAL_CHUNK, SpectralField
+from .spectral import SpectralField
 from .system import SystemSpec
 
 # phase bands h/2 <= |phase| <= h, widest first, scanned for the off-resonance factorization
@@ -142,14 +142,13 @@ def _coupling_sup(field, pol, phase, report, pairs) -> float:
             for (lo, hi), x in zip(report.window, phase.k)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.d)
     rows = {p: 1 if report.pairs[p].auto else len(grid) for p in pairs}
-    total = max(rows.values(), default=0)
+    if not rows:
+        return 0.0
+    pb = _PairBatch(field, phase, grid[:max(rows.values())])
     best = 0.0
-    for s in range(0, total, EVAL_CHUNK):
-        pb = _PairBatch(field, phase, grid[s:min(s + EVAL_CHUNK, total)])
-        for (i, j), m in rows.items():
-            if s < m:
-                bp, bm, _ = pb.coupling(i, j, sources, slice(min(m - s, EVAL_CHUNK)))
-                best = max(best, _supnorms(bp).max(), _supnorms(bm).max())
+    for (i, j), m in rows.items():
+        bp, bm, _ = pb.coupling(i, j, sources, slice(m))
+        best = max(best, _supnorms(bp).max(), _supnorms(bm).max())
     return float(best)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, InputError, supnorm
-from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol, asymptotic_slopes
+from .spectral import SpectralField, assemble_symbol, asymptotic_slopes
 from .system import SystemSpec
 
 
@@ -186,12 +186,6 @@ def default_window(spec: SystemSpec, phase: Phase):
     return tuple((-8.0 * kappa, 8.0 * kappa) for _ in range(spec.d))
 
 
-def _lambdas(field: SpectralField, points) -> np.ndarray:
-    """(P, J) exact branch eigenvalues, evaluated ``EVAL_CHUNK`` points at a time."""
-    return np.concatenate([field.evaluate(points[s:s + EVAL_CHUNK]).lams
-                           for s in range(0, max(len(points), 1), EVAL_CHUNK)])
-
-
 def find_resonances(field: SpectralField, phase: Phase, window=None) -> ResonanceReport:
     """Locate the resonant sets of every ordered branch pair within a window.
 
@@ -223,7 +217,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
         sel = (ax >= window[0][0] - 1e-12) & (ax <= window[0][1] + 1e-12)
         xs = ax[sel]
         lam = field.lambdas[sel]
-        lam_shift = _lambdas(field, xs[:, None] + phase.k)
+        lam_shift = field.evaluate(xs[:, None] + phase.k).lams
     else:
         ax0 = field.axes[0]
         ax1 = field.axes[1]
@@ -233,7 +227,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
         lam = field.lambdas.reshape(len(ax0), len(ax1), J)[np.ix_(s0, s1)]
         g0, g1 = np.meshgrid(xs0, xs1, indexing="ij")
         shifted = np.stack([g0.ravel(), g1.ravel()], axis=1) + phase.k
-        lam_shift = _lambdas(field, shifted).reshape(len(xs0), len(xs1), J)
+        lam_shift = field.evaluate(shifted).lams.reshape(len(xs0), len(xs1), J)
 
     pairs = {}
     brackets = []   # (pair resonance, slot in its root list, a, b, phase sign at a)

@@ -93,8 +93,8 @@ class SimConfig:
     def __post_init__(self):
         if self.spec.d != 1:
             raise InputError("the simulator runs in one spatial dimension (spec.d must be 1)")
-        if self.grid_points & (self.grid_points - 1):
-            raise InputError("grid_points must be a power of two")
+        if self.grid_points < 1 or self.grid_points & (self.grid_points - 1):
+            raise InputError("grid_points must be a positive power of two")
         if self.domain_length is None:
             self.domain_length = 40.0 * self.amplitude.width
         if self.rho is None:

@@ -7,23 +7,23 @@ by maximizing eigenvector overlap with the previous point.  Within a
 degenerate cluster the eigenbasis is re-aligned against the previous
 projectors, which realizes the smooth labelling through crossings.
 
-Every diagonalized point is held one way: branch eigenvalues, eigenvector
-columns and a branch label per column; a branch's projector is the sum of
-``v v*`` over its columns, formed only when asked.  Points are diagonalized
-with one stacked ``eigh`` per chunk of ``EVAL_CHUNK``.
-:meth:`SpectralField.evaluate` labels each column by its overlap with the
-nearest grid point's branch projectors (one batched product).  The argmax labels
-stand when every column's best overlap exceeds 1/2, the label counts match
-the branch multiplicities and every eigenvalue cluster carries exactly one
-branch; there they equal what an optimal assignment gives.  Any other point
-falls back to :func:`_assign_columns` (optimal assignment plus cluster
+Every diagonalized point, the field's grid included, is held one way: branch
+eigenvalues, eigenvector columns and a branch label per column; a branch's
+projector is the sum of ``v v*`` over its columns, formed only when asked.
+Points are diagonalized with one stacked ``eigh`` per chunk of ``EVAL_CHUNK``
+(callers pass whole point sets).  Columns are labelled by one overlap score,
+:func:`_overlaps`: :meth:`SpectralField.evaluate` scores them against the
+nearest grid point's labelled columns.  The argmax labels stand when every
+column's best overlap exceeds 1/2, the label counts match the branch
+multiplicities and every eigenvalue cluster carries exactly one branch;
+there they equal what an optimal assignment gives.  Any other point falls
+back to :func:`_assign_columns` (optimal assignment plus cluster
 re-alignment), whose columns replace the point's eigenvectors.  A chain of
 points (the field's grid, or a ray for the asymptotic slopes) is labelled by
 :func:`_chain` in one pass over the same chunks: labels carry over from each
-point's predecessor through eigenvector overlaps, only ambiguous transitions
-are labelled against the predecessor's projectors, and each chunk's
-projectors are formed from the columns that labelled it.  A grid whose
-projectors would exceed ``FIELD_BYTES_LIMIT`` is refused up front.
+point's predecessor through overlaps with its eigenvalue clusters, and only
+ambiguous transitions are scored against the predecessor's labelled columns.
+A grid whose eigenvectors would exceed ``FIELD_BYTES_LIMIT`` is refused.
 """
 from __future__ import annotations
 
@@ -35,9 +35,9 @@ from scipy.optimize import linear_sum_assignment
 from .numeric import DEFAULT_POLICY, InputError, NumericalError, NumericPolicy
 from .system import SystemSpec
 
-# points per stacked eigh; bounds the (chunk, J, N, N) reference-projector stack
+# points per stacked eigh; bounds the per-chunk symbol and overlap temporaries
 EVAL_CHUNK = 64
-# branch-projector storage above which eigendecompose_field refuses a grid
+# eigenvector storage above which eigendecompose_field refuses a grid
 FIELD_BYTES_LIMIT = 2 ** 30
 
 
@@ -197,22 +197,30 @@ def _assign_columns(H, evals, vecs, refs, multiplicities, policy, xi):
     return lams, out, labels
 
 
-def _resolve(H, evals, vecs, refs, points, multiplicities, policy):
-    """Label the eigenvector columns of a diagonalized batch by their overlaps
-    |Pi_j v|^2 with each point's reference projectors ``refs`` (P, J, N, N).
+def _overlaps(ref_vecs, groups, vecs, G):
+    """(P, G, N) overlap of each column v of ``vecs`` with each group g of the
+    reference columns: the sum of |w* v|^2 over the columns w of ``ref_vecs``
+    with ``groups == g``."""
+    ov = np.abs(ref_vecs.conj().swapaxes(1, 2) @ vecs) ** 2    # (P, ref col, col)
+    return np.einsum("mkg,mkc->mgc", groups[:, :, None] == np.arange(G), ov)
 
-    Ambiguous points fall back to :func:`_assign_columns`, whose columns
-    overwrite theirs in ``vecs``.  Returns the branch eigenvalues, the column
-    labels and the fallback mask.
+
+def _resolve(H, evals, vecs, ref_vecs, ref_labels, points, multiplicities, policy):
+    """Label the eigenvector columns of a diagonalized batch by their
+    :func:`_overlaps` with each point's labelled reference columns.
+
+    Ambiguous points fall back to :func:`_assign_columns` against the
+    reference's projectors; its columns overwrite theirs in ``vecs``.
+    Returns the branch eigenvalues, the column labels and the fallback mask.
     """
-    # |Pi_j v|^2 = Re v* Pi_j v for each column v, the products in BLAS
-    score = np.sum(vecs.conj()[:, None] * (refs @ vecs[:, None]), axis=2).real
+    score = _overlaps(ref_vecs, ref_labels, vecs, len(multiplicities))
     best = score.argmax(axis=1)
     sizes = np.broadcast_to(multiplicities, (len(points), len(multiplicities)))
     ok = _unambiguous(best, score.max(axis=1), _cluster_ids(evals, H, policy), sizes)
     lams = _branch_lams(evals, best, multiplicities)
     for p in np.flatnonzero(~ok):
-        lams[p], vecs[p], best[p] = _assign_columns(H[p], evals[p], vecs[p], refs[p],
+        refs = _projectors(ref_vecs[p:p + 1], ref_labels[p:p + 1], multiplicities)[0]
+        lams[p], vecs[p], best[p] = _assign_columns(H[p], evals[p], vecs[p], refs,
                                                     multiplicities, policy, points[p])
     return lams, best, ~ok
 
@@ -221,17 +229,24 @@ def _resolve(H, evals, vecs, refs, points, multiplicities, policy):
 class SpectralField:
     """Branch-tracked eigendecomposition of the symbol over a frequency grid.
 
-    ``lambdas[m, j]`` and ``projectors[m, j]`` hold the eigenvalue and the
-    orthogonal eigenprojector of branch ``j`` at grid point ``points[m]``.
+    ``lambdas[m, j]`` is branch ``j``'s eigenvalue at grid point
+    ``points[m]``; column ``c`` of ``vecs[m]`` is a unit vector of branch
+    ``labels[m, c]``, as in :class:`BranchEval`.
     """
 
     spec: SystemSpec
     axes: tuple              # one sorted 1-d array per spatial dimension
     points: np.ndarray       # (M, d) cartesian product, row-major
     lambdas: np.ndarray      # (M, J)
-    projectors: np.ndarray   # (M, J, N, N) complex
+    vecs: np.ndarray         # (M, N, N) complex
+    labels: np.ndarray       # (M, N)
     multiplicities: np.ndarray  # (J,)
     policy: NumericPolicy
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """(M, J, N, N) orthogonal projectors of every branch, formed on each access."""
+        return _projectors(self.vecs, self.labels, self.multiplicities)
 
     @property
     def J(self) -> int:
@@ -264,8 +279,8 @@ class SpectralField:
         """Exact branch eigensystems at a (P, d) batch of frequencies.
 
         One stacked ``eigh`` per ``EVAL_CHUNK`` points; each point's columns
-        are labelled against its nearest grid point's projectors (see the
-        module docstring for the fallback rule).
+        are labelled against its nearest grid point's labelled columns (see
+        the module docstring for the fallback rule).
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -277,8 +292,9 @@ class SpectralField:
             c = slice(s, s + EVAL_CHUNK)
             H = _symbols(self.spec, pts[c])
             evals, vecs[c] = _eigh(H)
-            refs = self.projectors[self._nearest_index(pts[c])]
-            lams[c], labels[c], fallback[c] = _resolve(H, evals, vecs[c], refs, pts[c],
+            near = self._nearest_index(pts[c])
+            lams[c], labels[c], fallback[c] = _resolve(H, evals, vecs[c], self.vecs[near],
+                                                       self.labels[near], pts[c],
                                                        self.multiplicities, self.policy)
         return BranchEval(lams, vecs, labels, self.multiplicities, fallback)
 
@@ -306,58 +322,49 @@ def uniform_grid(window, n):
 
 
 def _chain(spec, points, prev, multiplicities, policy, anchor=None):
-    """Branch eigenvalues (M, J) and projectors (M, J, N, N) along a chain of
-    points, each continued from its predecessor ``prev[m] < m`` (m > 0).
+    """Branch eigenvalues (M, J), eigenvector columns (M, N, N) and column
+    labels (M, N) along a chain of points, each continued from its
+    predecessor ``prev[m] < m`` (m > 0).
 
     The first point is labelled by its ascending eigenvalue clusters, or
-    against the projectors ``anchor`` (J, N, N) when given.  A transition
-    whose columns each overlap one predecessor eigenvalue cluster by more
-    than 1/2, cluster for cluster, carries the predecessor's labels over.
-    Other points are labelled against the predecessor's projectors by
-    :func:`_resolve`, and so are the successors of a point that fell back,
-    whose columns are no eigenvalue clusters.  Chunks are taken in index
-    order; each is diagonalized once together with its predecessors, and its
-    projectors are formed from the columns that labelled it.
+    against the labelled columns ``anchor = (vecs, labels)`` when given.  A
+    transition whose columns each overlap one predecessor eigenvalue cluster
+    by more than 1/2, cluster for cluster, carries the predecessor's labels
+    over.  Other points are labelled against the predecessor's labelled
+    columns by :func:`_resolve`, and so are the successors of a point that
+    fell back, whose columns are no eigenvalue clusters.  Chunks are taken in
+    index order; each point is diagonalized once.
     """
     M, N, J = len(points), spec.N, len(multiplicities)
-    lams, projectors = np.empty((M, J)), np.empty((M, J, N, N), dtype=complex)
-    labels, fell = np.empty((M, N), dtype=int), np.zeros(M, dtype=bool)
+    lams, vecs = np.empty((M, J)), np.empty((M, N, N), dtype=complex)
+    labels, cid, fell = np.empty((M, N), dtype=int), np.empty((M, N), dtype=int), np.zeros(M, bool)
     for s in range(0, M, EVAL_CHUNK):
         c = np.arange(s, min(s + EVAL_CHUNK, M))
-        need = np.union1d(c, prev[c])     # the chunk and its predecessors
-        H = _symbols(spec, points[need])
-        evals, vecs = _eigh(H)
-        cid = _cluster_ids(evals, H, policy)
-        at, pat = np.searchsorted(need, c), np.searchsorted(need, prev[c])
-        ov = np.abs(vecs[pat].conj().swapaxes(1, 2) @ vecs[at]) ** 2   # (C, prev col, col)
-        member = cid[pat][:, :, None] == np.arange(N)                  # (C, prev col, cluster)
-        score = np.einsum("mkg,mkc->mgc", member, ov)                  # (C, cluster, col)
-        best, sizes = score.argmax(axis=1), member.sum(axis=1)
-        carry = _unambiguous(best, score.max(axis=1), cid[at], sizes)
+        H = _symbols(spec, points[c])
+        evals, vecs[c] = _eigh(H)
+        cid[c] = _cluster_ids(evals, H, policy)
+        score = _overlaps(vecs[prev[c]], cid[prev[c]], vecs[c], N)   # (C, cluster, col)
+        sizes = (cid[prev[c], :, None] == np.arange(N)).sum(axis=1)
+        best = score.argmax(axis=1)
+        carry = _unambiguous(best, score.max(axis=1), cid[c], sizes)
         # each column takes the label of the first column of its predecessor cluster
         cmap = np.take_along_axis(sizes.cumsum(axis=1) - sizes, best, axis=1)
-        H, evals, vecs, cid = H[at], evals[at], vecs[at], cid[at]
         for q, m in enumerate(c):
             p = prev[m]
             if m == 0 and anchor is None:
-                labels[m] = cid[q]
+                labels[m] = cid[m]
                 continue
             if m > 0 and carry[q] and not fell[p]:
                 labels[m] = labels[p][cmap[q]]
                 continue
-            if m == 0:
-                ref = anchor
-            elif p < s:
-                ref = projectors[p]
-            else:
-                ref = _projectors(vecs[p - s][None], labels[p][None], multiplicities)[0]
+            ref_vecs, ref_labels = anchor if m == 0 else (vecs[p], labels[p])
             row = slice(q, q + 1)
-            lam, labels[m], fell[m] = _resolve(H[row], evals[row], vecs[row], ref[None],
-                                               points[m:m + 1], multiplicities, policy)
+            lam, labels[m], fell[m] = _resolve(H[row], evals[row], vecs[m:m + 1], ref_vecs[None],
+                                               ref_labels[None], points[m:m + 1],
+                                               multiplicities, policy)
             lams[m] = lam[0]
         lams[c] = np.where(fell[c, None], lams[c], _branch_lams(evals, labels[c], multiplicities))
-        projectors[c] = _projectors(vecs, labels[c], multiplicities)
-    return lams, projectors
+    return lams, vecs, labels
 
 
 def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT_POLICY) -> SpectralField:
@@ -367,7 +374,7 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
     Branches are ordered ascending at the first grid point; each later point
     inherits labels by maximal subspace overlap with its predecessor (the
     previous point along the last axis, or the previous row at a row start).
-    A grid whose projector storage would exceed ``FIELD_BYTES_LIMIT`` is
+    A grid whose eigenvectors would exceed ``FIELD_BYTES_LIMIT`` bytes is
     refused with an :class:`InputError` before anything of its size is allocated.
     """
     if isinstance(grid, np.ndarray):
@@ -383,17 +390,16 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
 
     multiplicities = _multiplicities(spec, [ax[0] for ax in axes], policy)
     M = int(np.prod([ax.size for ax in axes]))
-    J, N = len(multiplicities), spec.N
-    need = M * J * N * N * 16
+    need = M * spec.N ** 2 * 16
     if need > FIELD_BYTES_LIMIT:
-        raise InputError(f"a field of {M} points needs {need / 1e9:.1f} GB of branch projectors "
+        raise InputError(f"a field of {M} points needs {need / 1e9:.1f} GB of eigenvectors "
                          f"(limit {FIELD_BYTES_LIMIT / 1e9:.1f} GB); use a coarser grid")
 
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     m, n_last = np.arange(M), len(axes[-1])
     prev = np.where(m % n_last, m - 1, np.maximum(m - n_last, 0))
-    lambdas, projectors = _chain(spec, points, prev, multiplicities, policy)
-    return SpectralField(spec, axes, points, lambdas, projectors, multiplicities, policy)
+    lambdas, vecs, labels = _chain(spec, points, prev, multiplicities, policy)
+    return SpectralField(spec, axes, points, lambdas, vecs, labels, multiplicities, policy)
 
 
 @dataclass
@@ -416,7 +422,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
     """Per-branch asymptotic slopes along a unit direction.
 
     Labels the branches along the ray as one :func:`_chain` (anchored against
-    the field's projectors at its edge point when a field is supplied, so
+    the field's labelled columns at its edge point when a field is supplied, so
     slope indices match field branch indices and the field's policy applies),
     then refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the
     last two radii and fits the decay exponent of the residual by least squares.
@@ -435,7 +441,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
 
     if field is not None:
         edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
-        r0, anchor = max(edge[0], 1e-3), field.projectors[edge[1]]
+        r0, anchor = max(edge[0], 1e-3), (field.vecs[edge[1]], field.labels[edge[1]])
         multiplicities, policy = field.multiplicities, field.policy
     else:
         r0, anchor, policy = radii[0], None, DEFAULT_POLICY
@@ -449,8 +455,8 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
         if r > march[-1]:
             march.append(float(r))
     J = len(multiplicities)
-    lams, _ = _chain(spec, np.array(march)[:, None] * direction,
-                     np.maximum(np.arange(len(march)) - 1, 0), multiplicities, policy, anchor)
+    lams = _chain(spec, np.array(march)[:, None] * direction,
+                  np.maximum(np.arange(len(march)) - 1, 0), multiplicities, policy, anchor)[0]
     vals = dict(zip(march, lams))
     samples = np.array([vals[float(r)] for r in radii])  # (len(radii), J)
 

@@ -167,8 +167,21 @@ def save_spec(spec: SystemSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> SystemSpec:
-    with open(path) as f:
-        return spec_from_dict(json.load(f))
+    """Read a system file.  A file that cannot be read, text that is not
+    JSON, a missing key or a malformed entry raises :class:`InputError`
+    naming the file."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        return spec_from_dict(doc)
+    except OSError as exc:
+        raise InputError(f"cannot read system file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"system file {path} is not JSON: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"system file {path} lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"system file {path}: {exc}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -309,15 +309,15 @@ def consistency_residual(wkb_factory, spec: SystemSpec, epsilons) -> Consistency
 
     ``wkb_factory(eps)`` must return a :class:`WKBSolution` on a grid that
     resolves the oscillation at that epsilon; the result is the least-squares
-    slope of log residual against log epsilon.  Only snapshot 0 of each
-    solution is scored (:func:`pde_residual` at ``it=0``): the amplitude's
-    march to later times is never read.
+    slope of log residual against log epsilon.  Each solution is scored at
+    its last snapshot (:func:`pde_residual` at ``it=-1``), the end of the
+    amplitude's march.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     res = []
     for eps in epsilons:
         wkb = wkb_factory(eps)
-        res.append(pde_residual(wkb, eps))
+        res.append(pde_residual(wkb, eps, it=-1))
     res = np.array(res)
     if np.all(res < 1e-10):
         order = np.inf   # exact solution: residual at floor

@@ -140,7 +140,7 @@ def test_parser_has_all_subcommands():
 
 
 def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
-    # the default 2048 x 2048 grid at d=2 would need ~21 GB of branch projectors
+    # the default 2048 x 2048 grid at d=2 would need ~4.3 GB of eigenvectors
     import tracemalloc
     tracemalloc.start()
     try:
@@ -161,10 +161,37 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["simulate", "--system", "catalog:three-wave", "--epsilon", "1.5"],
     ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,nan,1e-3"],
     ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "2"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--grid", "0"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--grid", "3"],
+    ["flow", "--system", "catalog:kg-equal", "--T", "0"],
+    ["flow", "--system", "catalog:kg-equal", "--T", "-1"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--width", "0"],
+    ["analyze", "--system", "catalog:kg-equal", "--K", "3", "--width", "-1"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--tend", "0"],
+    ["analyze", "--system", "catalog:kg-equal", "--window", "-1"],
+    ["analyze", "--system", "catalog:kg-equal", "--h", "nan"],
+    ["sweep", "--system", "catalog:three-wave", "--rho", "inf"],
 ])
 def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
+    """A flag value outside its domain (first the epsilons) exits 2 before
+    anything is computed, naming the flag: the last one given."""
     assert _run(argv) == 2
-    assert "argument --epsilon" in capsys.readouterr().err
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    (None, "cannot read"),
+    ("not json {", "not JSON"),
+    ('{"name": "x"}', "'N'"),
+], ids=["missing", "not-json", "no-N"])
+def test_unusable_system_file_exit_2(tmp_path, capsys, text, problem):
+    path = tmp_path / "system.json"
+    if text is not None:
+        path.write_text(text)
+    assert _run(["analyze", "--system", str(path), "--omega", "1", "--k", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(path) in err and problem in err
 
 
 def test_omega_without_k_exit_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from oscillant.resonance import Phase, default_window, find_resonances, resonanc
 from oscillant.spectral import SpectralField, eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
-from conftest import assert_close
+from conftest import assert_close, random_characteristic_system
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,9 @@ def test_analysis_evaluates_each_point_once(monkeypatch):
 
 
 def test_analysis_diagonalizes_the_field_once(monkeypatch):
-    # the field is diagonalized in one chunked pass (its projectors come from
+    # the field is diagonalized in one chunked pass (each point once; it keeps
     # the eigenvectors that labelled it) and the asymptotic-slope rays are
-    # chained like the field: 6,312 eigh matrices and 18 assignments
+    # chained like the field: 6,281 eigh matrices and 18 assignments
     import oscillant.spectral as spectral
     counts = {"matrices": 0, "assignments": 0}
     eigh, assign = np.linalg.eigh, spectral.linear_sum_assignment
@@ -349,20 +349,6 @@ def test_report_invariant_under_scaling_of_B(system, c, kg_analysis, kg_diff_ana
     assert abs(b.gamma_index / c ** 2 - a.gamma_index) <= 1e-12 * abs(a.gamma_index)
 
 
-def _random_characteristic_system(seed):
-    """A random system with N in 2..4, d = 1, and a characteristic phase on one of
-    its branches at a random k."""
-    rng = np.random.default_rng(seed)
-    N = 2 + seed % 3
-    G, S = rng.normal(size=(N, N)), rng.normal(size=(N, N))
-    B = BilinearMap(N, tuple((o, l, r, float(rng.normal())) for o in range(N)
-                             for l in range(N) for r in range(N) if rng.random() < 0.5))
-    spec = SystemSpec("random", N, 1, G - G.T, [S + S.T], B)
-    k = float(rng.uniform(0.5, 1.5))
-    omega = float(rng.choice(np.linalg.eigvalsh(spec.A0 / 1j + k * spec.Aj[0])))
-    return spec, Phase(omega, [k]), rng
-
-
 def _signed_permutation(spec, rng):
     """The system in the basis Q e_i = s_i e_perm(i): Q A Q^T and Q B(Q^T u, Q^T v)."""
     N = spec.N
@@ -379,7 +365,7 @@ def _signed_permutation(spec, rng):
 @given(seed=st.integers(0, 10 ** 6), c=st.floats(0.01, 100.0))
 def test_random_system_verdict_invariant_under_scaling_of_B(seed, c):
     # B -> c B: the verdict stays and Gamma_index scales by c^2
-    spec, phase, _ = _random_characteristic_system(seed)
+    spec, phase, _ = random_characteristic_system(seed)
     scaled = SystemSpec(spec.name, spec.N, 1, spec.A0, spec.Aj, spec.B.scaled(c))
     a = analyze(spec, phase, grid_n=256).stability
     b = analyze(scaled, phase, grid_n=256).stability
@@ -391,7 +377,7 @@ def test_random_system_verdict_invariant_under_scaling_of_B(seed, c):
 @given(seed=st.integers(0, 10 ** 6))
 def test_random_system_verdict_invariant_under_signed_permutation(seed):
     # a signed permutation of the state basis moves no eigenvalue and no trace
-    spec, phase, rng = _random_characteristic_system(seed)
+    spec, phase, rng = random_characteristic_system(seed)
     a = analyze(spec, phase, grid_n=256).stability
     b = analyze(_signed_permutation(spec, rng), phase, grid_n=256).stability
     assert b.verdict == a.verdict

@@ -7,7 +7,7 @@ from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
-from oscillant.resonance import (Phase, _lambdas, characteristic_harmonics, find_resonances,
+from oscillant.resonance import (Phase, characteristic_harmonics, find_resonances,
                                  resonance_phase, separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
 
@@ -102,7 +102,7 @@ def test_bracket_scan_matches_interval_loop(system, kg_analysis):
     (lo, hi), ax = rep.window[0], field.axes[0]
     sel = (ax >= lo - 1e-12) & (ax <= hi + 1e-12)
     xs, lam = ax[sel], field.lambdas[sel]
-    lam_shift = _lambdas(field, xs[:, None] + phase.k)
+    lam_shift = field.evaluate(xs[:, None] + phase.k).lams
     nodes = 0
     for (i, j), pr in rep.pairs.items():
         if pr.identically_zero:

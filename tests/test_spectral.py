@@ -9,7 +9,7 @@ from oscillant.spectral import (_assign_columns, _eigh, _projectors, assemble_sy
                                 asymptotic_slopes, eigendecompose_field, uniform_grid)
 from oscillant.system import BilinearMap, SystemSpec
 
-from conftest import assert_close
+from conftest import assert_close, random_characteristic_system
 
 
 def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
@@ -179,6 +179,42 @@ def test_field_invariants_random_systems(seed, N):
     assert np.all(dlam <= L * np.diff(field.axes[0])[:, None] + 1e-12)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_field_representation_random_systems(seed):
+    # the field keeps labelled eigenvectors: evaluating its own grid gives its
+    # eigenvalues back, and the projectors formed from them are a resolution of H
+    spec, _, _ = random_characteristic_system(seed)
+    field = eigendecompose_field(spec, uniform_grid((-4.0, 4.0), 256))
+    tol = field.policy.algebra_tol
+    ev = field.evaluate(field.points)
+    assert np.array_equal(ev.lams, field.lambdas)
+    P = field.projectors
+    for j in range(field.J):
+        assert np.abs(ev.projectors(j) - P[:, j]).max() <= tol
+        assert np.abs(P[:, j] @ P[:, j] - P[:, j]).max() <= tol
+        assert np.abs(P[:, j] - P[:, j].conj().swapaxes(1, 2)).max() <= tol
+        for i in range(j):
+            assert np.abs(P[:, i] @ P[:, j]).max() <= tol
+    assert np.abs(P.sum(axis=1) - np.eye(spec.N)).max() <= tol
+    H = np.stack([assemble_symbol(spec, xi) for xi in field.points])
+    rec = np.einsum("mj,mjkl->mkl", field.lambdas, P)
+    assert np.all(np.abs(rec - H).max(axis=(1, 2)) <= tol * (1 + np.abs(H).max(axis=(1, 2))))
+
+
+def test_field_memory_is_one_eigenvector_stack():
+    # 2048 points of kg-equal (N = 6): 1.2 MB of eigenvectors, no J-fold projector stack
+    import tracemalloc
+    spec, grid = kg_equal(), uniform_grid((-9.0, 9.0), 2048)
+    tracemalloc.start()
+    try:
+        eigendecompose_field(spec, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
 def test_2d_field_smoke():
     spec = kg_equal(d=2)
     field = eigendecompose_field(spec, uniform_grid(((-2.0, 2.0), (-2.0, 2.0)), (41, 41)))
@@ -283,7 +319,7 @@ def test_chained_field_matches_sequential_assignment(spec, axes):
 
 
 def test_field_memory_guard():
-    # 2048 x 2048 points of the d=2 Klein-Gordon system would need ~21 GB of projectors
+    # 2048 x 2048 points of the d=2 Klein-Gordon system would need ~4.3 GB of eigenvectors
     spec = kg_equal(d=2)
     with pytest.raises(InputError, match="GB"):
         eigendecompose_field(spec, uniform_grid(((-9.0, 9.0), (-9.0, 9.0)), (2048, 2048)))

@@ -112,7 +112,7 @@ def test_polarization_and_conjugation_of_solution(kg_analysis):
 
 
 def _kg_residual_factory(spec, phase, e1, with_corr):
-    # the residual is measured at the initial snapshot; one step suffices
+    # the residual is measured at the last snapshot, one short step in
     def make(eps):
         need = max(512, 9 * 16 * abs(phase.k[0]) / eps / (2 * np.pi))
         n = int(2 ** np.ceil(np.log2(need)))
@@ -131,6 +131,23 @@ def test_consistency_orders_kg(kg_analysis):
     assert_close(fit0.fitted_order, -0.5, 0.1, "leading truncation order")
     gain = fit1.fitted_order - fit0.fitted_order
     assert abs(gain - 0.5) <= 0.15
+
+
+def test_consistency_scores_the_last_snapshot(kg_analysis):
+    spec, phase = kg_analysis.spec, kg_analysis.phase
+    e1 = kg_e1(spec, phase)
+    x = np.linspace(-8, 8, 1024, endpoint=False)
+    sols = {}
+
+    def make(eps):
+        sols[eps] = solve_transport(spec, phase, e1, np.exp(-x ** 2), x, t_end=0.05, n_steps=4)
+        return sols[eps]
+
+    fit = consistency_residual(make, spec, [1e-1, 3e-2])
+    for eps, res in zip(fit.epsilons, fit.residuals):
+        sol = sols[eps]
+        assert res == pde_residual(sol, eps, it=len(sol.times) - 1)
+        assert res != pde_residual(sol, eps, it=0)
 
 
 def test_residual_resolution_error(kg_analysis):
