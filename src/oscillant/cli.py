@@ -38,40 +38,48 @@ def _load_system(token, overrides):
 
 
 def _system_overrides(args):
-    out = {}
-    for key in ("omega0", "theta0", "alpha0", "iota", "d"):
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = int(v) if key in ("iota", "d") else float(v)
-    if getattr(args, "c", None):
-        for i, v in enumerate(args.c.split(","), start=1):
-            out[f"c{i}"] = float(v)
-    if getattr(args, "b", None):
-        for i, v in enumerate(args.b.split(","), start=1):
-            out[f"b{i}"] = float(v)
+    out = {key: getattr(args, key) for key in ("omega0", "theta0", "alpha0", "iota", "d")
+           if getattr(args, key, None) is not None}
+    for key in ("c", "b"):
+        for i, v in enumerate(getattr(args, key, None) or (), start=1):
+            out[f"{key}{i}"] = v
     return out
 
 
-def _epsilon(text):
-    """argparse type of one epsilon: a float in (0, 1)."""
-    try:
-        eps = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
-    if not 0.0 < eps < 1.0:
-        raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1), got '{text}'")
-    return eps
-
-
-def _positive(text):
-    """argparse type of a width, time, window or radius: a finite float > 0."""
+def _number(text, lo, hi, what):
+    """A float with lo < value <= hi; nan fails both comparisons."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: '{text}'") from None
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got '{text}'")
+    if not lo < value <= hi:
+        raise argparse.ArgumentTypeError(f"must be {what}, got '{text}'")
     return value
+
+
+def _epsilon(text):
+    """argparse type of one epsilon: a float in (0, 1)."""
+    return _number(text, 0.0, np.nextafter(1.0, 0.0), "in (0, 1)")
+
+
+def _finite(text):
+    """argparse type of a catalog parameter: a finite float."""
+    return _number(text, -np.inf, np.finfo(float).max, "a finite number")
+
+
+def _finite_list(text):
+    """argparse type of ``--c``/``--b``: comma-separated finite floats."""
+    return [_finite(v) for v in text.split(",")]
+
+
+def _positive(text):
+    """argparse type of a width, time, window, radius or exponent: a finite float > 0."""
+    return _number(text, 0.0, np.finfo(float).max, "a positive number")
+
+
+def _positive_or_inf(text):
+    """argparse type of ``--Ka``: a float > 0, inf (its default) included."""
+    return _number(text, 0.0, np.inf, "a positive number or inf")
 
 
 def _grid_points(text):
@@ -253,17 +261,21 @@ def cmd_catalog(args):
     return 2
 
 
-def _add_system_flags(p):
-    p.add_argument("--system", required=True, help="spec file path or catalog:<id>")
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--omega0", type=float, default=None)
-    p.add_argument("--theta0", type=float, default=None)
-    p.add_argument("--alpha0", type=float, default=None)
+def _add_param_flags(p):
+    p.add_argument("--omega0", type=_finite, default=None)
+    p.add_argument("--theta0", type=_finite, default=None)
+    p.add_argument("--alpha0", type=_finite, default=None)
     p.add_argument("--iota", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--c", type=str, default=None, help="c1,c2,c3 for three-wave systems")
-    p.add_argument("--b", type=str, default=None, help="b1,b2,b3 for three-wave systems")
+    p.add_argument("--c", type=_finite_list, default=None, help="c1,c2,c3 for three-wave systems")
+    p.add_argument("--b", type=_finite_list, default=None, help="b1,b2,b3 for three-wave systems")
+
+
+def _add_system_flags(p):
+    p.add_argument("--system", required=True, help="spec file path or catalog:<id>")
+    p.add_argument("--omega", type=_finite, default=None)
+    p.add_argument("--k", type=_finite, default=None)
+    _add_param_flags(p)
     p.add_argument("--width", type=_positive, default=1.0, help="amplitude width")
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--strict", action="store_true")
@@ -277,8 +289,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="resonance + stability reports")
     _add_system_flags(p)
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--Ka", type=float, default=None)
+    p.add_argument("--K", type=_positive, default=None)
+    p.add_argument("--Ka", type=_positive_or_inf, default=None)
     p.add_argument("--window", type=_positive, default=None)
     p.add_argument("--h", type=_positive, default=0.1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -294,8 +306,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="direct pseudospectral run")
     _add_system_flags(p)
     p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--K", type=float, default=3.0)
-    p.add_argument("--Kprime", type=float, default=0.5)
+    p.add_argument("--K", type=_positive, default=3.0)
+    p.add_argument("--Kprime", type=_positive, default=0.5)
     p.add_argument("--tend", type=_positive, default=None)
     p.add_argument("--grid", type=_grid_points, default=4096)
     p.add_argument("--snapshot", action="store_true")
@@ -304,8 +316,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="epsilon sweep with scaling checks")
     _add_system_flags(p)
     p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
-    p.add_argument("--K", type=float, default=3.0)
-    p.add_argument("--Kprime", type=float, default=0.6)
+    p.add_argument("--K", type=_positive, default=3.0)
+    p.add_argument("--Kprime", type=_positive, default=0.6)
     p.add_argument("--T", type=_positive, default=3.2)
     p.add_argument("--rho", type=_positive, default=None)
     p.add_argument("--grid", type=_grid_points, default=4096)
@@ -322,13 +334,7 @@ def build_parser():
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("id", nargs="?", default=None)
     p.add_argument("--outfile", type=str, default=None)
-    p.add_argument("--omega0", type=float, default=None)
-    p.add_argument("--theta0", type=float, default=None)
-    p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--iota", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--c", type=str, default=None)
-    p.add_argument("--b", type=str, default=None)
+    _add_param_flags(p)
     p.set_defaults(fn=cmd_catalog)
     return ap
 

@@ -310,7 +310,7 @@ class SpectralField:
         return ev.lams[0], _projectors(ev.vecs, ev.labels, self.multiplicities)[0]
 
     def lambda_at(self, xi, j=None):
-        lams, _ = self.eigensystem_at(xi)
+        lams = self.evaluate(np.atleast_1d(np.asarray(xi, dtype=float))[None]).lams[0]
         return lams if j is None else float(lams[j])
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oscillant.cli import build_parser, main
+from oscillant.cli import _system_overrides, build_parser, main
 
 
 def _run(argv):
@@ -171,12 +171,32 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["analyze", "--system", "catalog:kg-equal", "--window", "-1"],
     ["analyze", "--system", "catalog:kg-equal", "--h", "nan"],
     ["sweep", "--system", "catalog:three-wave", "--rho", "inf"],
+    ["analyze", "--system", "catalog:kg-equal", "--K", "nan"],
+    ["analyze", "--system", "catalog:kg-equal", "--Ka", "0"],
+    ["analyze", "--system", "catalog:kg-equal", "--Ka", "nan"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--K", "-1"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--Kprime", "inf"],
+    ["sweep", "--system", "catalog:three-wave", "--Kprime", "-0.5"],
+    ["analyze", "--system", "catalog:kg-equal", "--omega0", "nan"],
+    ["flow", "--system", "catalog:kg-equal", "--theta0", "inf"],
+    ["wkb", "--system", "catalog:kg-equal", "--alpha0", "abc"],
+    ["analyze", "--system", "catalog:three-wave", "--c", "0,nan,1"],
+    ["catalog", "emit", "three-wave", "--b", "0,1,x"],
+    ["analyze", "--system", "catalog:kg-equal", "--k", "1", "--omega", "nan"],
+    ["wkb", "--system", "catalog:kg-equal", "--check-transparency", "--k", "inf"],
 ])
 def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
     """A flag value outside its domain (first the epsilons) exits 2 before
     anything is computed, naming the flag: the last one given."""
     assert _run(argv) == 2
     assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+def test_ka_accepts_inf_and_overrides_parse_as_numbers():
+    args = build_parser().parse_args(["analyze", "--system", "catalog:three-wave", "--Ka", "inf",
+                                      "--b", "0,1,-1", "--omega0", "1"])
+    assert args.Ka == np.inf
+    assert _system_overrides(args) == {"omega0": 1.0, "b1": 0.0, "b2": 1.0, "b3": -1.0}
 
 
 @pytest.mark.parametrize("text, problem", [

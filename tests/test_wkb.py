@@ -90,6 +90,56 @@ def test_transport_constant_amplitude_ode_oracle(kg_analysis):
     assert_close(wkb.g[-1], oracle, 1e-10, "uniform amplitude follows the scalar law")
 
 
+def _rk4_march(setup, g0, x, t_end, n_steps):
+    """Snapshots of the integrating-factor RK4 march the closed form replaced:
+    linear transport exact per Fourier mode, the cubic term in classical RK4
+    stages, one snapshot per step."""
+    L = float(x[-1] - x[0]) * len(x) / (len(x) - 1)
+    kappa = 2 * np.pi * np.fft.fftfreq(len(x), d=L / len(x))
+    vg, c3 = float(setup.group_velocity[0]), setup.cubic_coefficient
+    dt = t_end / n_steps
+    phase_factor = np.exp(-1j * vg * kappa * dt)
+    half, half_back = np.exp(-1j * vg * kappa * 0.5 * dt), np.exp(1j * vg * kappa * 0.5 * dt)
+
+    def nonlinear(gh):
+        g = np.fft.ifft(gh)
+        return np.fft.fft(c3 * np.abs(g) ** 2 * g)
+
+    gh = np.fft.fft(g0)
+    snaps = [g0]
+    for _ in range(n_steps):
+        k1 = nonlinear(gh)
+        k2 = nonlinear((gh + 0.5 * dt * k1) * half)
+        k3 = nonlinear(gh * half + 0.5 * dt * k2)
+        k4 = nonlinear((gh + dt * k3 * half_back) * phase_factor)
+        gh = gh * phase_factor + dt / 6.0 * (k1 * phase_factor + 2 * (k2 + k3) * half + k4)
+        snaps.append(np.fft.ifft(gh))
+    return np.array(snaps)
+
+
+@pytest.mark.parametrize("c3", [None, -0.8 + 0.5j, 0.8 - 0.3j])
+def test_closed_form_transport_matches_rk4_march(kg_analysis, monkeypatch, c3):
+    # None keeps kg-equal's own conservative coefficient (Re c3 = 0); the others are
+    # injected with vg = 0.7.  Re c3 = 0.8 on a unit peak blows up at t = 0.625.
+    spec, phase = kg_analysis.spec, kg_analysis.phase
+    e1 = kg_e1(spec, phase)
+    if c3 is not None:
+        setup = TransportSetup(group_velocity=np.array([0.7]), cubic_coefficient=c3,
+                               second_harmonic=np.zeros(spec.N), mean_mode=np.zeros(spec.N))
+        monkeypatch.setattr("oscillant.wkb.transport_setup", lambda *args: setup)
+    # the growing profile's spectrum decays like exp(-0.33 kappa) at t = 0.5
+    x = np.linspace(-12, 12, 1024, endpoint=False)
+    g0 = np.exp(-x ** 2) * (1 + 0.5j * np.sin(x))
+    g0 /= np.abs(g0).max()
+    sol = solve_transport(spec, phase, e1, g0, x, t_end=0.5, n_steps=32)
+    assert len(sol.times) == 33 and sol.times[-1] == pytest.approx(0.5, abs=1e-15)
+    ref = _rk4_march(sol.setup, g0, x, 0.5, 32 * 16)[::16]
+    assert np.abs(sol.g - ref).max() <= 1e-10 * np.abs(ref).max()
+    if c3 is not None and c3.real > 0:
+        with pytest.raises(NumericalError, match="blows up"):
+            solve_transport(spec, phase, e1, g0, x, t_end=0.7, n_steps=32)
+
+
 def test_transport_crossing_rejected(kg_analysis):
     # a polarization that mixes the crossing eigenspace has no scalar transport
     spec = three_wave()
