@@ -94,8 +94,12 @@ def _grid_points(text):
 
 
 def _epsilons(text):
-    """argparse type of a comma-separated list of epsilons."""
-    return [_epsilon(e) for e in text.split(",")]
+    """argparse type of the comma-separated epsilons a law is fitted across:
+    two distinct values at least."""
+    epsilons = [_epsilon(e) for e in text.split(",")]
+    if len(set(epsilons)) < 2:
+        raise argparse.ArgumentTypeError(f"a fit needs two distinct values, got '{text}'")
+    return epsilons
 
 
 def _phase_from(args, spec):

@@ -230,12 +230,14 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
 
     ``trajectory_factory(eps, t_end)`` returns the trajectories of the sampled
     interaction matrices at the given epsilon; Q(eps) is the largest
-    sup |S| e^{-t gamma+} over samples and t <= T |log eps|.  The bound passes
-    when the fitted exponent of Q against |log eps| stays below
-    ``GROWTH_EXPONENT_CAP``.  Off-resonance samples, when provided, must stay
-    below ``AWAY_CAP``.
+    sup |S| e^{-t gamma+} over samples and t <= T |log eps|, at two distinct
+    epsilons or more.  The bound passes when the fitted exponent of Q against
+    |log eps| stays below ``GROWTH_EXPONENT_CAP``.  Off-resonance samples,
+    when provided, must stay below ``AWAY_CAP``.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    if len(np.unique(epsilons)) < 2:
+        raise InputError(f"a growth exponent needs two distinct epsilons, got {epsilons.tolist()}")
     Q = []
     for eps in epsilons:
         t_end = T * abs(np.log(eps))
@@ -246,7 +248,7 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
         Q.append(max(worst, 1e-300))
     Q = np.array(Q)
     logL = np.log(np.abs(np.log(epsilons)))
-    fitted = float(np.polyfit(logL, np.log(Q), 1)[0]) if len(epsilons) >= 2 else 0.0
+    fitted = float(np.polyfit(logL, np.log(Q), 1)[0])
     passed = fitted <= GROWTH_EXPONENT_CAP
 
     away_sup = away_passed = None

@@ -43,6 +43,9 @@ class NumericPolicy:
     rank_gap: float = 1e6          # singular values this far below the largest do not add rank
     index_degenerate_tol: float = 1e-10  # the stability index is zero; the trace is complex
     slope_tol: float = 1e-6        # asymptotic slopes coincide: the resonant set may be unbounded
+    pinv_rcond: float = 1e-10      # a singular value of L(i p beta) counts as kernel: partial inverse
+    harmonic_solve_tol: float = 1e-9  # L(2 beta) w = B(e1, e1) is solved: 2 beta not characteristic
+    residual_floor: float = 1e-10  # every WKB residual below it: exact solution, fitted order inf
 
 
 DEFAULT_POLICY = NumericPolicy()

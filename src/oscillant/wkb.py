@@ -9,7 +9,8 @@ where the scalar amplitude g rides a transport equation at the group
 velocity with a cubic self-interaction assembled from the quadratic source
 through the partial inverses of the harmonic characteristic matrices.  In
 one dimension that equation is solved exactly along its characteristics
-(:func:`solve_transport`: 2 FFTs per snapshot, an error on blow-up).
+(:func:`solve_transport`, an error on blow-up).  A solution keeps the datum;
+each snapshot is formed where it is read (2 FFTs), and the residual reads one.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def partial_inverse(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     L^(-1) L = Id - Pi(p beta) holds exactly.
     """
     L = harmonic_matrix(spec, phase, p)
-    return np.linalg.pinv(L, rcond=1e-10)
+    return np.linalg.pinv(L, rcond=DEFAULT_POLICY.pinv_rcond)
 
 
 # random sample vectors (after the unit vectors) of the weak-transparency battery, and
@@ -153,32 +154,55 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     B = spec.B
     second = B(e1, e1)
     L2 = harmonic_matrix(spec, phase, 2)
-    Lm2 = np.linalg.pinv(L2, rcond=1e-10) @ second
-    if supnorm(L2 @ Lm2 - second) > 1e-9 * max(1.0, supnorm(second)):
+    Lm2 = partial_inverse(spec, phase, 2) @ second
+    if supnorm(L2 @ Lm2 - second) > DEFAULT_POLICY.harmonic_solve_tol * max(1.0, supnorm(second)):
         raise NumericalError("second-harmonic source not invertible (harmonics condition fails)")
     em1 = e1.conj()
     mean = B(e1, em1) + B(em1, e1)
-    L0inv = partial_inverse(spec, phase, 0)
-    w0 = L0inv @ mean
+    w0 = partial_inverse(spec, phase, 0) @ mean
     v = (B(em1, Lm2) + B(Lm2, em1)) + (B(e1, w0) + B(w0, e1))
     c3 = complex(np.vdot(e1, v))
     return TransportSetup(group_velocity=vg, cubic_coefficient=c3, second_harmonic=Lm2,
                           mean_mode=w0)
 
 
+def _periodic_grid(x):
+    """Period of a uniform periodic grid and its angular wavenumbers."""
+    n = len(x)
+    L = float(x[-1] - x[0]) * n / (n - 1)
+    return L, 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+
+
 @dataclass
 class WKBSolution:
-    """Leading-order approximate solution on a periodic space-time grid."""
+    """Leading-order approximate solution on a periodic grid: the datum, at ``times``."""
 
     spec: SystemSpec
     phase: Phase
     e1: np.ndarray
     x: np.ndarray
     times: np.ndarray
-    g: np.ndarray                 # (len(times), len(x)) complex amplitude
+    g0: np.ndarray                # (len(x),) complex amplitude at t = 0
     setup: TransportSetup
-    with_correctors: bool = False
-    corrector_vectors: dict = None   # p -> constant N-vector multiplying the g-monomial
+    with_correctors: bool = False   # the residual adds the sqrt(eps) correctors of setup
+
+    def amplitude(self, it) -> np.ndarray:
+        """g at ``times[it]``: the exact factor on g0 shifted by v_g t (2 FFTs); g0 at t = 0."""
+        t = self.times[it]
+        if t == 0:
+            return self.g0
+        _, kappa = _periodic_grid(self.x)
+        vg, c3 = float(self.setup.group_velocity[0]), self.setup.cubic_coefficient
+        a = c3.real
+        m0 = np.abs(self.g0) ** 2
+        # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
+        gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
+        return np.fft.ifft(np.fft.fft(self.g0 * np.exp(gain)) * np.exp((-1j * vg * t) * kappa))
+
+    @property
+    def g(self) -> np.ndarray:
+        """(len(times), len(x)) stack of every snapshot, formed on each access."""
+        return np.stack([self.amplitude(i) for i in range(len(self.times))])
 
 
 def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
@@ -187,45 +211,24 @@ def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
 
     Periodic in x, one spatial dimension.  Along each characteristic the exact
     solution is g = g0 exp(c3 m0 t phi(z)), with m0 = |g0|^2, z = 2 Re(c3) m0 t
-    and phi(z) = -log1p(-z) / z; a snapshot is that factor on the datum, shifted
-    by v_g t exactly per Fourier mode (2 FFTs).  Raises :class:`NumericalError`
-    when Re c3 > 0 and |g|^2 = m0 / (1 - z) blows up by t_end.
+    and phi(z) = -log1p(-z) / z; :meth:`WKBSolution.amplitude` forms a snapshot
+    where it is read, as that factor on the datum shifted by v_g t exactly per
+    Fourier mode (2 FFTs).  Raises :class:`NumericalError` when Re c3 > 0 and
+    |g|^2 = m0 / (1 - z) blows up by t_end.
     """
     if spec.d != 1:
         raise InputError("amplitude transport is implemented in one spatial dimension")
     setup = transport_setup(spec, phase, e1)
-    x = np.asarray(x, dtype=float)
-    L = float(x[-1] - x[0]) * len(x) / (len(x) - 1)
-    kappa = 2 * np.pi * np.fft.fftfreq(len(x), d=L / len(x))
-    vg = float(setup.group_velocity[0])
-    c3 = setup.cubic_coefficient
-    a = c3.real
-
+    a = setup.cubic_coefficient.real
     times = np.concatenate(([0.0], np.cumsum(np.full(n_steps, t_end / n_steps))))
-    g0 = np.asarray(a0_samples, dtype=complex)
-    m0 = np.abs(g0) ** 2
-    if a > 0 and 2 * a * times[-1] * m0.max() >= 1:
-        raise NumericalError(f"the amplitude blows up at t = {1 / (2 * a * m0.max()):.6g}, "
+    g0 = np.array(a0_samples, dtype=complex)
+    m0_max = float(np.max(np.abs(g0) ** 2))
+    if a > 0 and 2 * a * times[-1] * m0_max >= 1:
+        raise NumericalError(f"the amplitude blows up at t = {1 / (2 * a * m0_max):.6g}, "
                              f"before t_end = {t_end:.6g}")
-    g = np.empty((n_steps + 1, len(x)), dtype=complex)
-    g[0] = g0
-    for i, t in enumerate(times[1:], start=1):
-        # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
-        gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
-        g[i] = np.fft.ifft(np.fft.fft(g0 * np.exp(gain)) * np.exp((-1j * vg * t) * kappa))
-
-    correctors = None
-    if with_correctors:
-        correctors = {2: setup.second_harmonic, 0: setup.mean_mode,
-                      -2: setup.second_harmonic.conj()}
-
-    return WKBSolution(spec=spec, phase=phase, e1=np.asarray(e1, dtype=complex), x=x,
-                       times=times, g=g, setup=setup,
-                       with_correctors=with_correctors, corrector_vectors=correctors)
-
-
-def _spectral_dx(f, kappa):
-    return np.fft.ifft(1j * kappa * np.fft.fft(f))
+    return WKBSolution(spec=spec, phase=phase, e1=np.asarray(e1, dtype=complex),
+                       x=np.asarray(x, dtype=float), times=times, g0=g0, setup=setup,
+                       with_correctors=with_correctors)
 
 
 def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
@@ -233,61 +236,46 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
 
     Evaluates d_t u_a + A0 u_a / eps + A(d_x) u_a - B(u_a, u_a)/sqrt(eps) on
     the spatial grid with spectral x-derivatives and analytic t-derivatives
-    (through the amplitude equation), and returns its L2 norm.
+    (through the amplitude equation), and returns its L2 norm.  Only snapshot
+    ``it`` is formed; with u_a = V F, constant vectors times oscillating
+    profiles, the linear part is one product [L(i p beta) V/eps | V | A1 V] [F; F_t; F_x].
     """
     spec, phase = wkb.spec, wkb.phase
     if spec.d != 1:
         raise InputError("the residual is evaluated in one spatial dimension (spec.d must be 1)")
     x = wkb.x
+    L, kappa = _periodic_grid(x)
     n = len(x)
-    L = float(x[-1] - x[0]) * n / (n - 1)
-    kappa = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
     k = float(phase.k[0])
-    kmax_needed = abs(k) / epsilon
-    if kmax_needed > 0:
-        ppw = n / (L * kmax_needed / (2 * np.pi))
-        if ppw < MIN_POINTS_PER_WAVELENGTH:
-            raise NumericalError(
-                f"grid resolves only {ppw:.1f} points per oscillation wavelength; need "
-                f">= {MIN_POINTS_PER_WAVELENGTH}")
+    ppw = 2 * np.pi * n * epsilon / (L * abs(k)) if k else np.inf
+    if ppw < MIN_POINTS_PER_WAVELENGTH:
+        raise NumericalError(f"grid resolves only {ppw:.1f} points per oscillation wavelength; "
+                             f"need >= {MIN_POINTS_PER_WAVELENGTH}")
 
-    g = wkb.g[it]
-    t = wkb.times[it]
-    vg = float(wkb.setup.group_velocity[0])
-    c3 = wkb.setup.cubic_coefficient
-    gx = _spectral_dx(g, kappa)
-    gt = -vg * gx + c3 * np.abs(g) ** 2 * g
+    g = wkb.amplitude(it)
+    setup = wkb.setup
+    gx = np.fft.ifft(1j * kappa * np.fft.fft(g))
+    gt = -float(setup.group_velocity[0]) * gx + setup.cubic_coefficient * np.abs(g) ** 2 * g
 
-    # harmonic content: p -> (field, d_t field, d_x field) as (N, n) arrays
-    e1 = wkb.e1
-    harmonics = {
-        1: (np.outer(e1, g), np.outer(e1, gt), np.outer(e1, gx)),
-        -1: (np.outer(e1.conj(), g.conj()), np.outer(e1.conj(), gt.conj()),
-             np.outer(e1.conj(), gx.conj())),
-    }
+    # harmonic p, its constant vector, and its profile with d_t and d_x; -p conjugates p
+    terms = [(1, wkb.e1, (g, gt, gx))]
     if wkb.with_correctors:
         se = np.sqrt(epsilon)
-        u12, u10 = wkb.corrector_vectors[2], wkb.corrector_vectors[0]
-        g2, g2t, g2x = g * g, 2 * g * gt, 2 * g * gx
-        m, mt, mx = np.abs(g) ** 2, (g.conj() * gt + g * gt.conj()), (g.conj() * gx + g * gx.conj())
-        harmonics[2] = (se * np.outer(u12, g2), se * np.outer(u12, g2t), se * np.outer(u12, g2x))
-        harmonics[-2] = tuple(a.conj() for a in harmonics[2])
-        harmonics[0] = (se * np.outer(u10, m), se * np.outer(u10, mt), se * np.outer(u10, mx))
+        terms += [(2, se * setup.second_harmonic, (g * g, 2 * g * gt, 2 * g * gx)),
+                  (0, se * setup.mean_mode, (np.abs(g) ** 2, 2 * (g.conj() * gt).real,
+                                             2 * (g.conj() * gx).real))]
+    terms += [(-p, v.conj(), [f.conj() for f in fs]) for p, v, fs in terms if p]
+    theta = (k * x - phase.omega * wkb.times[it]) / epsilon
+    F = np.empty((3, len(terms), n), dtype=complex)
+    for h, (p, _, fs) in enumerate(terms):
+        F[:, h] = np.multiply(fs, np.exp(1j * p * theta))
 
-    theta = (k * x - phase.omega * t) / epsilon
-    u = np.zeros((spec.N, n), dtype=complex)
-    ut = np.zeros_like(u)
-    ux = np.zeros_like(u)
-    for p, (f, ft, fx) in harmonics.items():
-        osc = np.exp(1j * p * theta)
-        u += f * osc
-        ut += (ft + (-1j * p * phase.omega / epsilon) * f) * osc
-        ux += (fx + (1j * p * k / epsilon) * f) * osc
-
-    A1 = spec.Aj[0]
-    res = ut + (spec.A0 @ u) / epsilon + A1 @ ux - spec.B(u, u) / np.sqrt(epsilon)
-    dx = L / n
-    return float(np.sqrt(np.sum(np.abs(res) ** 2) * dx))
+    V = np.array([v for _, v, _ in terms]).T
+    LV = np.array([harmonic_matrix(spec, phase, p) @ v for p, v, _ in terms]).T
+    u = V @ F[0]
+    res = np.hstack([LV / epsilon, V, spec.Aj[0] @ V]) @ F.reshape(-1, n)
+    res -= spec.B(u, u) / np.sqrt(epsilon)
+    return float(np.sqrt(np.sum(np.abs(res) ** 2) * (L / n)))
 
 
 @dataclass
@@ -302,16 +290,19 @@ def consistency_residual(wkb_factory, spec: SystemSpec, epsilons) -> Consistency
 
     ``wkb_factory(eps)`` must return a :class:`WKBSolution` on a grid that
     resolves the oscillation at that epsilon; the result is the least-squares
-    slope of log residual against log epsilon.  Each solution is scored at
-    its last snapshot (:func:`pde_residual` at ``it=-1``).
+    slope of log residual against log epsilon, over at least two distinct
+    epsilons.  Each solution is scored at its last snapshot, the only one
+    formed (:func:`pde_residual` at ``it=-1``).
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    if len(np.unique(epsilons)) < 2:
+        raise InputError(f"a residual order needs two distinct epsilons, got {epsilons.tolist()}")
     res = []
     for eps in epsilons:
         wkb = wkb_factory(eps)
         res.append(pde_residual(wkb, eps, it=-1))
     res = np.array(res)
-    if np.all(res < 1e-10):
+    if np.all(res < DEFAULT_POLICY.residual_floor):
         order = np.inf   # exact solution: residual at floor
     else:
         order = float(np.polyfit(np.log(epsilons), np.log(np.maximum(res, 1e-300)), 1)[0])

@@ -184,6 +184,9 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["catalog", "emit", "three-wave", "--b", "0,1,x"],
     ["analyze", "--system", "catalog:kg-equal", "--k", "1", "--omega", "nan"],
     ["wkb", "--system", "catalog:kg-equal", "--check-transparency", "--k", "inf"],
+    ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2"],
+    ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2,1e-2"],
+    ["flow", "--system", "catalog:kg-equal", "--epsilons", "1e-2"],
 ])
 def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
     """A flag value outside its domain (first the epsilons) exits 2 before

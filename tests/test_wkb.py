@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oscillant import catalog
 from oscillant.catalog import kg_default_phase, kg_diff, kg_e1, kg_equal, three_wave
 from oscillant.numeric import InputError, MultiplicityError, NumericalError
 from oscillant.resonance import Phase
@@ -214,9 +215,140 @@ def test_residual_rejects_d2_systems():
     spec = kg_equal(d=2)
     phase = kg_default_phase(spec)
     x = np.linspace(-4, 4, 2048, endpoint=False)   # resolves the eps=1e-2 oscillation
-    g = np.exp(-x ** 2).astype(complex)[None, :]
+    g0 = np.exp(-x ** 2).astype(complex)
     wkb = WKBSolution(spec=spec, phase=phase, e1=kg_e1(spec, phase), x=x, times=np.zeros(1),
-                      g=g, setup=TransportSetup(group_velocity=np.zeros(2), cubic_coefficient=0j,
-                                                second_harmonic=np.zeros(6), mean_mode=np.zeros(6)))
+                      g0=g0, setup=TransportSetup(group_velocity=np.zeros(2), cubic_coefficient=0j,
+                                                  second_harmonic=np.zeros(6), mean_mode=np.zeros(6)))
     with pytest.raises(InputError, match="one spatial dimension"):
         pde_residual(wkb, 1e-2)
+
+
+def _harmonic_dict_residual(wkb, epsilon, it):
+    """The residual as it was assembled before the rank-structured product: one
+    (field, d_t field, d_x field) triple of (N, n) arrays per harmonic, summed
+    with their oscillations."""
+    spec, phase, x = wkb.spec, wkb.phase, wkb.x
+    n = len(x)
+    L = float(x[-1] - x[0]) * n / (n - 1)
+    kappa = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+    k = float(phase.k[0])
+    g, t = wkb.g[it], wkb.times[it]
+    vg, c3 = float(wkb.setup.group_velocity[0]), wkb.setup.cubic_coefficient
+    gx = np.fft.ifft(1j * kappa * np.fft.fft(g))
+    gt = -vg * gx + c3 * np.abs(g) ** 2 * g
+    e1 = wkb.e1
+    harmonics = {
+        1: (np.outer(e1, g), np.outer(e1, gt), np.outer(e1, gx)),
+        -1: (np.outer(e1.conj(), g.conj()), np.outer(e1.conj(), gt.conj()),
+             np.outer(e1.conj(), gx.conj())),
+    }
+    if wkb.with_correctors:
+        se = np.sqrt(epsilon)
+        u12, u10 = wkb.setup.second_harmonic, wkb.setup.mean_mode
+        g2, g2t, g2x = g * g, 2 * g * gt, 2 * g * gx
+        m, mt, mx = np.abs(g) ** 2, (g.conj() * gt + g * gt.conj()), (g.conj() * gx + g * gx.conj())
+        harmonics[2] = (se * np.outer(u12, g2), se * np.outer(u12, g2t), se * np.outer(u12, g2x))
+        harmonics[-2] = tuple(a.conj() for a in harmonics[2])
+        harmonics[0] = (se * np.outer(u10, m), se * np.outer(u10, mt), se * np.outer(u10, mx))
+    theta = (k * x - phase.omega * t) / epsilon
+    u = np.zeros((spec.N, n), dtype=complex)
+    ut = np.zeros_like(u)
+    ux = np.zeros_like(u)
+    for p, (f, ft, fx) in harmonics.items():
+        osc = np.exp(1j * p * theta)
+        u += f * osc
+        ut += (ft + (-1j * p * phase.omega / epsilon) * f) * osc
+        ux += (fx + (1j * p * k / epsilon) * f) * osc
+    res = ut + (spec.A0 @ u) / epsilon + spec.Aj[0] @ ux - spec.B(u, u) / np.sqrt(epsilon)
+    return float(np.sqrt(np.sum(np.abs(res) ** 2) * L / n))
+
+
+def _stock_case(cid):
+    """A stock system with its phase and polarization; three-wave rides its
+    first transport branch at k = 1, so the residual oscillates."""
+    spec = catalog.build_catalog_system(cid)
+    phase = Phase(1.0, [1.0]) if cid == "three-wave" else catalog.default_phase(spec)
+    return spec, phase, catalog.reference_polarization(spec, phase)
+
+
+@pytest.mark.parametrize("it", [0, -1])
+@pytest.mark.parametrize("with_corr", [False, True])
+@pytest.mark.parametrize("cid", ["kg-equal", "kg-diff", "three-wave"])
+def test_rank_structured_residual_matches_harmonic_oracle(cid, with_corr, it):
+    spec, phase, e1 = _stock_case(cid)
+    x = np.linspace(-8, 8, 2048, endpoint=False)   # 8 points a wavelength at eps = 1e-2
+    g0 = np.exp(-x ** 2) * (1 + 0.5j * np.sin(x))
+    sol = solve_transport(spec, phase, e1, g0, x, t_end=0.05, n_steps=4, with_correctors=with_corr)
+    for eps in (1e-2, 3e-2):
+        ref = _harmonic_dict_residual(sol, eps, it)
+        # three-wave's expansion is exact: both residuals sit at rounding level (1.7e-12)
+        assert abs(pde_residual(sol, eps, it=it) - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_amplitude_forms_each_snapshot_of_the_stack(kg_analysis):
+    spec, phase = kg_analysis.spec, kg_analysis.phase
+    x = np.linspace(-12, 12, 256, endpoint=False)
+    datum = np.exp(-x ** 2) * (1 + 0.5j * np.sin(x))
+    sol = solve_transport(spec, phase, kg_e1(spec, phase), datum, x, t_end=0.5, n_steps=8)
+    stack = sol.g
+    assert stack.shape == (9, 256)
+    for i in range(9):
+        assert np.array_equal(sol.amplitude(i), stack[i])
+    assert sol.amplitude(0) is sol.g0 and np.array_equal(sol.g0, datum)
+
+
+def test_fits_need_two_distinct_epsilons(kg_analysis):
+    spec, phase = kg_analysis.spec, kg_analysis.phase
+    make = _kg_residual_factory(spec, phase, kg_e1(spec, phase), False)
+    for eps_list in ([1e-2], [1e-2, 1e-2]):
+        with pytest.raises(InputError, match="two distinct"):
+            consistency_residual(make, spec, eps_list)
+
+
+def _cli_fit_factory(with_corr, sizes=None):
+    """``oscillant wkb --residual``'s solutions on kg-equal, with its grid rule
+    (65,536 points at eps = 1e-3); ``sizes`` collects the grid lengths."""
+    spec, phase, e1 = _stock_case("kg-equal")
+
+    def make(eps):
+        need = max(512, 10 * 24 * abs(phase.k[0]) / eps / (2 * np.pi))
+        xg = np.linspace(-12, 12, int(2 ** np.ceil(np.log2(need))), endpoint=False)
+        if sizes is not None:
+            sizes.append(len(xg))
+        return solve_transport(spec, phase, e1, np.exp(-xg ** 2), xg, t_end=0.1, n_steps=32,
+                               with_correctors=with_corr)
+    return spec, make
+
+
+def _traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transport_and_residual_memory_on_the_finest_fit_grid():
+    # the (33, 65,536) snapshot stack alone is 34.6 MB; one (N, n) field is 6.3 MB
+    _, make = _cli_fit_factory(True)
+    sol, transport_peak = _traced_peak(lambda: make(1e-3))
+    assert len(sol.x) == 65536
+    assert transport_peak <= 4e6
+    _, residual_peak = _traced_peak(lambda: pde_residual(sol, 1e-3, it=-1))
+    assert residual_peak <= 64e6
+
+
+def test_fit_transforms_only_the_scored_snapshot(monkeypatch):
+    # per grid: 2 FFTs form the last snapshot, 2 more differentiate it
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+    sizes = []
+    spec, make = _cli_fit_factory(True, sizes)
+    consistency_residual(make, spec, [1e-2, 3e-3, 1e-3])
+    assert sizes == [4096, 16384, 65536]
+    assert len(calls) == 12
