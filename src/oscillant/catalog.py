@@ -8,8 +8,6 @@ systems are provided for cross-checking the generic pipeline.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
 from .numeric import DEFAULT_POLICY, InputError
 from .resonance import Phase
@@ -79,12 +77,19 @@ def _kg_blocks(d, speed, mass):
     return Aj, L
 
 
+def _block_diag(a, b):
+    """The block-diagonal matrix diag(a, b)."""
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[:len(a), :len(a)], out[len(a):, len(a):] = a, b
+    return out
+
+
 def _kg_pair(d, theta0, mass_u, mass_v):
     """Blocks u (speed 1) and v (speed theta0) side by side: N, A0, the
     transport matrices and the indices of u2, u3, v2, v3."""
     (Au, Lu), (Av, Lv) = _kg_blocks(d, 1.0, mass_u), _kg_blocks(d, theta0, mass_v)
     n = d + 2
-    return (2 * n, block_diag(Lu, Lv), tuple(block_diag(a, b) for a, b in zip(Au, Av)),
+    return (2 * n, _block_diag(Lu, Lv), tuple(_block_diag(a, b) for a, b in zip(Au, Av)),
             (d, d + 1, n + d, n + d + 1))
 
 
@@ -224,25 +229,6 @@ def kg_gamma12_trace(spec, phase: Phase, xi):
     """Closed form of the orthoprojected interaction trace: half the scalar
     product (the slow-branch closed-form vector has squared norm 2)."""
     return kg_gamma12_product(spec, phase, xi) / 2.0
-
-
-def kg_r12_roots(spec, phase: Phase, window=(-12.0, 12.0)):
-    """Independent bisection oracle for the fast/slow resonance set in 1-d."""
-    w = phase.omega
-    k = float(phase.k[0])
-
-    def f(x):
-        return kg_lambda_fast(spec, [x + k]) - w - kg_lambda_slow(spec, [x])
-
-    xs = np.linspace(window[0], window[1], 4001)
-    v = np.array([f(x) for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        if v[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif v[i] * v[i + 1] < 0:
-            roots.append(float(brentq(f, xs[i], xs[i + 1], xtol=1e-14)))
-    return sorted(roots)
 
 
 def kg_r15_roots(phase: Phase):

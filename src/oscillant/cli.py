@@ -93,13 +93,15 @@ def _grid_points(text):
     return n
 
 
-def _epsilons(text):
+def _epsilons(least):
     """argparse type of the comma-separated epsilons a law is fitted across:
-    two distinct values at least."""
-    epsilons = [_epsilon(e) for e in text.split(",")]
-    if len(set(epsilons)) < 2:
-        raise argparse.ArgumentTypeError(f"a fit needs two distinct values, got '{text}'")
-    return epsilons
+    ``least`` distinct values at least (two for a fit, three for a sweep)."""
+    def parse(text):
+        epsilons = [_epsilon(e) for e in text.split(",")]
+        if len(set(epsilons)) < least:
+            raise argparse.ArgumentTypeError(f"needs {least} distinct values at least, got '{text}'")
+        return epsilons
+    return parse
 
 
 def _phase_from(args, spec):
@@ -302,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("flow", help="symbolic-flow growth bound report")
     _add_system_flags(p)
-    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons(2), default="1e-2,1e-3,1e-4")
     p.add_argument("--T", type=_positive, default=2.0)
     p.add_argument("--h", type=_positive, default=0.1)
     p.set_defaults(fn=cmd_flow)
@@ -319,7 +321,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="epsilon sweep with scaling checks")
     _add_system_flags(p)
-    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons(3), default="1e-2,1e-3,1e-4")
     p.add_argument("--K", type=_positive, default=3.0)
     p.add_argument("--Kprime", type=_positive, default=0.6)
     p.add_argument("--T", type=_positive, default=3.2)
@@ -331,7 +333,7 @@ def build_parser():
     _add_system_flags(p)
     p.add_argument("--check-transparency", action="store_true")
     p.add_argument("--residual", action="store_true")
-    p.add_argument("--epsilons", type=_epsilons, default="1e-2,1e-3,1e-4")
+    p.add_argument("--epsilons", type=_epsilons(2), default="1e-2,1e-3,1e-4")
     p.set_defaults(fn=cmd_wkb)
 
     p = sub.add_parser("catalog", help="list or emit stock systems")

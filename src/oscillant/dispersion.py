@@ -5,14 +5,14 @@ Longitudinal branches solve
     (omega^2 - alpha^2 k^2 theta_i^2)(omega^2 - 1 - k^2 theta_e^2)
         = (omega^2 - k^2 theta_e^2) (theta_i/theta_e)^2,
 a quadratic in omega^2 whose large root is the electron-wave branch and whose
-small root is the acoustic branch.
+small root is the acoustic branch.  Phase matching refines its roots with
+scipy's ``brentq``, imported only when :func:`match_phases_on_dispersion` runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numeric import InputError
 
@@ -92,6 +92,7 @@ def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0)):
     transverse) branch.  Returns the matched wavenumbers and the dispersion
     residuals of all three phases.
     """
+    from scipy.optimize import brentq
     if relation not in RELATIONS:
         raise InputError(f"unknown dispersion relation '{relation}'")
     theta_e = float(params["theta_e"])

@@ -12,7 +12,8 @@ here numerically.
 
 The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
 exponentiates a trajectory's steps as one stack: in closed form when both coupling
-products have rank <= 1 (tested once per trajectory), by one ``expm`` otherwise.
+products have rank <= 1 (tested once per trajectory), by one ``expm`` otherwise,
+whose first call imports scipy.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numeric import DEFAULT_POLICY, InputError, NumericalError, numerical_rank, supnorm
 
@@ -31,6 +31,12 @@ GROWTH_EXPONENT_CAP = 8.0
 AWAY_CAP = 10.0
 # largest step exponent dt |K(tau)| / sqrt(eps) the integrator accepts at its first step
 STEP_EXPONENT_CAP = 0.1
+
+
+def expm(A):
+    """scipy's matrix exponential, imported on first use (the dense flow path only)."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 def smoothstep(t):

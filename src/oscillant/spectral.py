@@ -17,8 +17,9 @@ nearest grid point's labelled columns.  The argmax labels stand when every
 column's best overlap exceeds 1/2, the label counts match the branch
 multiplicities and every eigenvalue cluster carries exactly one branch;
 there they equal what an optimal assignment gives.  Any other point falls
-back to :func:`_assign_columns` (optimal assignment plus cluster
-re-alignment), whose columns replace the point's eigenvectors.  A chain of
+back to :func:`_assign_columns` (optimal assignment, by the numpy Hungarian
+method :func:`linear_sum_assignment`, plus cluster re-alignment), whose columns
+replace the point's eigenvectors; the module imports no scipy.  A chain of
 points (the field's grid, or a ray for the asymptotic slopes) is labelled by
 :func:`_chain` in one pass over the same chunks: labels carry over from each
 point's predecessor through overlaps with its eigenvalue clusters, and only
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .numeric import DEFAULT_POLICY, InputError, NumericalError, NumericPolicy
 from .system import SystemSpec
@@ -151,6 +151,31 @@ def _branch_lams(evals, labels, multiplicities):
     return np.stack([grouped[:, hi - 1] + 0.0 if m == 1 else
                      np.mean(np.ascontiguousarray(grouped[:, hi - m:hi]), axis=1)
                      for m, hi in zip(multiplicities, bounds)], axis=1)
+
+
+def linear_sum_assignment(cost):
+    """Minimum-cost assignment of a square matrix, ``(arange(N), cols)`` as the scipy.optimize
+    function of that name returns it: the Hungarian method with potentials, O(N^3)."""
+    n = len(cost)
+    C = np.zeros((n + 1, n + 1))             # row and column 0: the virtual start of a path
+    C[1:, 1:] = cost
+    u, v, match, way = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1, int), np.zeros(n + 1, int)
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0                  # match: row of each column (0: free); way: path
+        slack, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while match[j0]:                     # grow the shortest path until a free column
+            used[j0] = True
+            reduced = C[match[j0]] - u[match[j0]] - v
+            better = ~used & (reduced < slack)
+            slack[better], way[better] = reduced[better], j0
+            j0 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:                            # augment along the path
+            match[j0], j0 = match[way[j0]], way[j0]
+    return np.arange(n), np.argsort(match[1:])
 
 
 def _assign_columns(H, evals, vecs, refs, multiplicities, policy, xi):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscillant
 from oscillant.cli import _system_overrides, build_parser, main
 
 
@@ -187,6 +190,8 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2"],
     ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2,1e-2"],
     ["flow", "--system", "catalog:kg-equal", "--epsilons", "1e-2"],
+    ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3"],
+    ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3,1e-2"],
 ])
 def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
     """A flag value outside its domain (first the epsilons) exits 2 before
@@ -227,3 +232,26 @@ def test_wkb_residual_three_wave(capsys):
     # L(2 beta) is singular here: the corrector is the range-checked pseudo-inverse solution
     assert _run(["wkb", "--system", "catalog:three-wave", "--residual"]) == 0
     assert "with-corrector residual order: inf" in capsys.readouterr().out
+
+
+def test_analyze_and_flow_load_no_scipy(tmp_path):
+    # a fresh interpreter, as the console script is: import, analyze and the
+    # (rank-one) flow bound on kg-equal leave no scipy module loaded
+    code = (
+        "import sys, oscillant, oscillant.cli\n"
+        "for argv in (['analyze', '--system', 'catalog:kg-equal', '--out', sys.argv[1]],\n"
+        "             ['flow', '--system', 'catalog:kg-equal', '--T', '0.5', '--out', sys.argv[1]]):\n"
+        "    try:\n"
+        "        oscillant.cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(oscillant.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "stability_report.json").exists()
+    assert (tmp_path / "flow_bound_report.json").exists()

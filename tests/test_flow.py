@@ -201,6 +201,11 @@ def test_rank_two_coupling_takes_the_expm_path(monkeypatch):
     assert sum(calls) == int(np.ceil(1.5 / dt))
     ref = _per_step_sups(m, 0.0, 1.5, dt)
     assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
+    # unpatched: the module's expm imports scipy's on first use
+    monkeypatch.undo()
+    traj = integrate_flow(m, 0.0, 1.5, dt)
+    assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
+    monkeypatch.setattr(flow, "expm", counted)
     # a rank-one coupling makes no expm call
     calls.clear()
     m = InteractionMatrix(mu1=0.4, mu2=-0.1, b12=_rank_one(rng, 3), b21=_rank_one(rng, 3),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oscillant.catalog import (kg_default_phase, kg_equal, kg_r12_roots, kg_r15_roots,
-                               kg_r54_roots, mll_boundedness_verdict, three_wave)
+from oscillant.catalog import (kg_default_phase, kg_equal, kg_r15_roots, kg_r54_roots,
+                               mll_boundedness_verdict, three_wave)
 from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
@@ -12,6 +12,7 @@ from oscillant.resonance import (Phase, characteristic_harmonics, find_resonance
 from oscillant.spectral import eigendecompose_field, uniform_grid
 
 from conftest import assert_close
+from oracles import kg_r12_roots
 
 
 def test_phase_characteristic_check(kg_analysis):

@@ -6,7 +6,8 @@ from oscillant.catalog import (kg_equal, kg_lambda_fast, kg_lambda_slow,
                                mll_asymptotic_slopes, three_wave)
 from oscillant.numeric import InputError
 from oscillant.spectral import (_assign_columns, _eigh, _projectors, assemble_symbol,
-                                asymptotic_slopes, eigendecompose_field, uniform_grid)
+                                asymptotic_slopes, eigendecompose_field, linear_sum_assignment,
+                                uniform_grid)
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close, random_characteristic_system
@@ -284,6 +285,23 @@ def test_fallback_at_crossing_matches_assignment(kg_analysis):
     assert np.array_equal(ev.lams[0], lams)
     for j in range(field.J):
         assert np.array_equal(ev.projectors(j)[0], projs[j])
+
+
+def test_assignment_matches_scipy_with_ties():
+    # the numpy Hungarian method against scipy's on N = 1..12, each size as
+    # normal entries, entries rounded to 0.1 and integers in {0, 1, 2}: the
+    # last two tie entries and optima, where the permutations may differ
+    from scipy.optimize import linear_sum_assignment as scipy_assignment
+    rng = np.random.default_rng(12)
+    for trial in range(1440):
+        N = 1 + (trial // 3) % 12
+        C = [rng.normal(size=(N, N)), np.round(rng.normal(size=(N, N)), 1),
+             rng.integers(0, 3, size=(N, N)).astype(float)][trial % 3]
+        rows, cols = linear_sum_assignment(C)
+        r, c = scipy_assignment(C)
+        assert np.array_equal(rows, np.arange(N))
+        assert np.array_equal(np.sort(cols), np.arange(N))
+        assert abs(C[rows, cols].sum() - C[r, c].sum()) <= 1e-12, (trial, N)
 
 
 def _sequential_field(spec, axes):
