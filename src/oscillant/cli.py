@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .dispersion import RELATIONS, match_phases_on_dispersion
+from .dispersion import RELATIONS
 from .experiments import analyze, flow_bound_experiment, run_simulation, run_sweep
 from .interaction import ReportInputs
 from .numeric import InputError, NumericalError
@@ -83,13 +83,13 @@ def _positive_or_inf(text):
 
 
 def _grid_points(text):
-    """argparse type of a simulator grid size: a positive power of two."""
+    """argparse type of a simulator grid size: a power of two, 2 at least."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: '{text}'") from None
-    if n < 1 or n & (n - 1):
-        raise argparse.ArgumentTypeError(f"must be a positive power of two, got '{text}'")
+    if n < 2 or n & (n - 1):
+        raise argparse.ArgumentTypeError(f"must be a power of two >= 2, got '{text}'")
     return n
 
 

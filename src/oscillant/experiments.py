@@ -216,8 +216,10 @@ def reference_solution(spec: SystemSpec, phase: Phase, amplitude: AmplitudeProfi
         if abs(c3) > 0:   # constant-|g| phase rotation approximation of the cubic term
             g = g * np.exp(c3.real * 0 + 1j * (c3.imag * np.abs(g) ** 2 * t))
         osc = np.exp(1j * (k * x - phase.omega * t) / epsilon)
-        u = np.outer(e1, g) * osc
-        return (u + u.conj()).astype(complex)
+        u = np.outer(e1, g)
+        u *= osc
+        u += u.conj()
+        return u
     return ref
 
 

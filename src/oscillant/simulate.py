@@ -6,10 +6,13 @@ per Fourier mode through the precomputed eigendecomposition of
 advances with classical Runge-Kutta stages.  Deviation norms from a reference
 solution are recorded against the predicted amplification times.
 
-The half-step propagator is cached per step size, a step starts from the
-spectrum the last one ended with (three transforms, not four), and real-state
-systems keep the ``rfft`` half spectrum.  Half-steps are not fused across steps:
-the dt-halving test reads sup|u| in x after each step, so fusing saves no transform.
+The half-step propagator is cached per step size with its nonzero entries, the
+only ones a half-step multiplies.  A step starts from the spectrum the last one
+ended with (three transforms, not four) and overwrites it; its transforms, RK4
+stages and source evaluations write into a workspace allocated once per run, as
+the deviation samples do.  Real-state systems keep the ``rfft`` half spectrum.
+Half-steps are not fused across steps: the dt-halving test reads sup|u| in x
+after each step, so fusing saves no transform.
 """
 from __future__ import annotations
 
@@ -93,8 +96,8 @@ class SimConfig:
     def __post_init__(self):
         if self.spec.d != 1:
             raise InputError("the simulator runs in one spatial dimension (spec.d must be 1)")
-        if self.grid_points < 1 or self.grid_points & (self.grid_points - 1):
-            raise InputError("grid_points must be a positive power of two")
+        if self.grid_points < 2 or self.grid_points & (self.grid_points - 1):
+            raise InputError(f"grid_points (--grid) must be a power of two >= 2, got {self.grid_points}")
         if self.domain_length is None:
             self.domain_length = 40.0 * self.amplitude.width
         if self.rho is None:
@@ -122,7 +125,8 @@ class SimConfig:
 
 class _Stepper:
     """Strang splitting with exact linear half-steps per Fourier mode, from
-    spectrum to spectrum (see the module docstring)."""
+    spectrum to spectrum, in a workspace of one spectrum, the state, three RK4 arrays
+    and a spectrum row (see the module docstring)."""
 
     def __init__(self, spec: SystemSpec, epsilon: float, x: np.ndarray, real_state: bool):
         self.real_state = real_state
@@ -135,45 +139,61 @@ class _Stepper:
         self.evals, self.evecs = np.linalg.eigh(Hs)
         self.source = spec.B.scaled(1 / np.sqrt(epsilon))
         self._h = self._prop = None
+        self._hat = np.empty((spec.N, len(kappa)), dtype=complex)
+        self._row = np.empty(len(kappa), dtype=complex)
+        state = float if real_state else complex
+        self._u, *self._rk4 = (np.empty((spec.N, n), dtype=state) for _ in range(4))
 
-    def spectrum(self, u):
+    def spectrum(self, u, out=None):
         """(N, modes) transform of an (N, points) state."""
-        return np.fft.rfft(u, axis=1) if self.real_state else np.fft.fft(u, axis=1)
+        return np.fft.rfft(u, axis=1, out=out) if self.real_state else np.fft.fft(u, axis=1, out=out)
 
     def field(self, u_hat):
+        """(N, points) state of a spectrum, formed in the workspace."""
         if self.real_state:
-            return np.fft.irfft(u_hat, n=self.n, axis=1)
-        return np.fft.ifft(u_hat, axis=1)
+            return np.fft.irfft(u_hat, n=self.n, axis=1, out=self._u)
+        return np.fft.ifft(u_hat, axis=1, out=self._u)
 
     def propagator(self, h):
-        """V e^{-i (h/2) Lambda} V* as an (N, N, modes) array, rebuilt when h changes."""
+        """V e^{-i (h/2) Lambda} V* as an (N, N, modes) array and, per row i, the
+        columns j nonzero for some mode; rebuilt when h changes."""
         if h != self._h:
+            self._prop = None   # released before the new one is formed: peak memory
             ph = np.exp(-1j * (h / 2) * self.evals)
             P = (self.evecs * ph[:, None, :]) @ self.evecs.conj().transpose(0, 2, 1)
-            self._h, self._prop = h, np.ascontiguousarray(P.transpose(1, 2, 0))
+            P = np.ascontiguousarray(P.transpose(1, 2, 0))
+            self._h, self._prop = h, (P, [np.flatnonzero(row).tolist() for row in np.any(P != 0, axis=2)])
         return self._prop
 
-    @staticmethod
-    def linear_half(P, u_hat):
-        out = P[:, 0] * u_hat[0]
-        for j in range(1, len(u_hat)):
-            out += P[:, j] * u_hat[j]
+    def linear_half(self, prop, u_hat, out):
+        """out[i] = sum_j P[i, j] u_hat[j] over the nonzero entries, in j order."""
+        P, columns = prop
+        for i, js in enumerate(columns):
+            np.multiply(P[i, js[0]], u_hat[js[0]], out=out[i])
+            for j in js[1:]:
+                out[i] += np.multiply(P[i, j], u_hat[j], out=self._row)
         return out
 
     def nonlinear(self, u, dt):
-        # RK4 on du/dt = B(u, u)/sqrt(eps), pointwise in x (u shape (N, points))
-        f = lambda w: self.source(w, w)
-        k1 = f(u)
-        k2 = f(u + 0.5 * dt * k1)
-        k3 = f(u + 0.5 * dt * k2)
-        k4 = f(u + dt * k3)
-        return u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        """RK4 on du/dt = B(u, u)/sqrt(eps), pointwise in x, in place on u (N, points):
+        u + dt/6 (k1 + 2 k2 + 2 k3 + k4) in that operation order."""
+        acc, w, k = self._rk4
+        np.copyto(acc, self.source(u, u, out=k))
+        for stage, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+            np.add(u, np.multiply(c, k, out=w), out=w)
+            if stage:   # k holds k2 or k3
+                acc += np.multiply(2, k, out=k)
+            self.source(w, w, out=k)
+        acc += k
+        u += np.multiply(dt / 6.0, acc, out=acc)
 
     def step(self, u_hat, h):
-        """Advance the spectrum ``u_hat`` by h: the state and its spectrum."""
-        P = self.propagator(h)
-        u = self.nonlinear(self.field(self.linear_half(P, u_hat)), h)
-        u_hat = self.linear_half(P, self.spectrum(u))
+        """Advance the spectrum ``u_hat`` by h in place.  Returns the state and
+        ``u_hat``; the state is the workspace's, overwritten by the next step."""
+        prop = self.propagator(h)
+        u = self.field(self.linear_half(prop, u_hat, self._hat))
+        self.nonlinear(u, h)
+        self.linear_half(prop, self.spectrum(u, out=self._hat), u_hat)
         if self.real_state and self.n % 2 == 0:
             u_hat[:, -1].imag = 0.0   # a real state's Nyquist coefficient is real
         return self.field(u_hat), u_hat
@@ -199,12 +219,6 @@ class SimulationRun:
                          f"{self.norm_dev[i]:.12g},{self.norm_dev_ball[i]:.12g},"
                          f"{self.sup_dev[i]:.12g}")
         return "\n".join(lines) + "\n"
-
-
-def _l2(u, dx, mask=None):
-    if mask is not None:
-        u = u[:, mask]
-    return float(np.sqrt(np.sum(np.abs(u) ** 2) * dx))
 
 
 def run_instability_experiment(config: SimConfig, reference, perturbation=None) -> SimulationRun:
@@ -252,14 +266,17 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     u_hat = stepper.spectrum(u)
     sample_dt = t_end / RUN_SAMPLES
     times, n_tot, n_dev, n_ball, s_dev = [], [], [], [], []
+    dev = np.empty(u.shape, dtype=complex)
+    mag = np.empty(u.shape)
 
     def record(t, u):
-        dev = u - np.asarray(reference(t, x), dtype=complex)
         times.append(t)
-        n_tot.append(_l2(u, dx))
-        n_dev.append(_l2(dev, dx))
-        n_ball.append(_l2(dev, dx, ball))
-        s_dev.append(float(np.abs(dev).max()))
+        n_tot.append(float(np.sqrt(np.square(np.abs(u, out=mag), out=mag).sum() * dx)))
+        np.abs(np.subtract(u, np.asarray(reference(t, x), dtype=complex), out=dev), out=mag)
+        s_dev.append(float(mag.max()))
+        np.square(mag, out=mag)
+        n_dev.append(float(np.sqrt(mag.sum() * dx)))
+        n_ball.append(float(np.sqrt(mag[:, ball].sum() * dx)))
 
     t = 0.0
     record(t, u)
@@ -267,7 +284,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     halvings = 0
     next_sample = sample_dt
     while t < t_end - 1e-14:
-        sup = float(np.abs(u).max())
+        sup = float(np.abs(u, out=mag).max())
         while dt > 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12):
             dt *= 0.5
             halvings += 1
@@ -316,7 +333,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     run = SimulationRun(times=times, norm_total=np.array(n_tot), norm_dev=n_dev,
                         norm_dev_ball=n_ball, sup_dev=np.array(s_dev), fitted_rate=rate,
                         t_star=t_star, verdict=verdict, config=config, dt_used=dt)
-    run.final_state = u
+    run.final_state = u.copy()
     return run
 
 

@@ -28,14 +28,20 @@ class BilinearMap:
         for (o, l, r, v) in self.triplets:
             if not (0 <= o < self.N and 0 <= l < self.N and 0 <= r < self.N):
                 raise InputError(f"triplet index out of range for N={self.N}: {(o, l, r, v)}")
+            if not np.isfinite(v):
+                raise InputError(f"B triplet {(o, l, r)} has a non-finite value {v}")
 
-    def __call__(self, u, v):
-        """Evaluate B(u, v).  Accepts vectors of shape (N,) or fields (N, M)."""
+    def __call__(self, u, v, out=None):
+        """Evaluate B(u, v), into ``out`` if given.  Accepts vectors of shape
+        (N,) or fields (N, M).  Triplets whose value is exactly 0 add nothing."""
         u = np.asarray(u)
         v = np.asarray(v)
-        out = np.zeros(u.shape, dtype=np.result_type(u, v))
+        if out is None:
+            out = np.empty(u.shape, dtype=np.result_type(u, v))
+        out.fill(0)
         for (o, l, r, val) in self.triplets:
-            out[o] += val * u[l] * v[r]
+            if val != 0:
+                out[o] += val * u[l] * v[r]
         return out
 
     def symmetrized(self, vec):
@@ -87,6 +93,9 @@ class SystemSpec:
         object.__setattr__(self, "Aj", tuple(np.asarray(a, dtype=float) for a in self.Aj))
         if self.d not in (1, 2):
             raise InputError(f"spatial dimension must be 1 or 2, got {self.d}")
+        for what, a in [("A0", self.A0)] + [(f"A{j + 1}", a) for j, a in enumerate(self.Aj)]:
+            for idx in np.argwhere(~np.isfinite(a))[:1]:
+                raise InputError(f"{what}{[int(i) for i in idx]} is not finite: {a[tuple(idx)]}")
         if self.A0.shape != (self.N, self.N):
             raise InputError("A0 has wrong shape")
         if len(self.Aj) != self.d:

@@ -192,6 +192,8 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["flow", "--system", "catalog:kg-equal", "--epsilons", "1e-2"],
     ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3"],
     ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3,1e-2"],
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--grid", "1"],
+    ["sweep", "--system", "catalog:three-wave", "--grid", "1"],
 ])
 def test_epsilon_outside_unit_interval_exit_2(argv, capsys):
     """A flag value outside its domain (first the epsilons) exits 2 before
@@ -255,3 +257,27 @@ def test_analyze_and_flow_load_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "stability_report.json").exists()
     assert (tmp_path / "flow_bound_report.json").exists()
+
+
+@pytest.mark.parametrize("entry, edit", [
+    ("A0[0, 1] is not finite: nan", lambda doc: doc["A0"][0].__setitem__(1, "nan")),
+    ("A1[2, 2] is not finite: inf", lambda doc: doc["Aj"][0][2].__setitem__(2, "inf")),
+    ("B triplet (1, 0, 2) has a non-finite value nan", lambda doc: doc["B"][1].__setitem__(3, "nan")),
+    ("B triplet (2, 0, 1) has a non-finite value -inf",
+     lambda doc: doc["B"][2].__setitem__(3, "-inf")),
+], ids=["A0-nan", "A1-inf", "B-nan", "B-minus-inf"])
+def test_non_finite_system_entry_exit_2(entry, edit, tmp_path, capsys):
+    path = _emitted("three-wave", tmp_path / "bad.json", edit)
+    assert _run(["analyze", "--system", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and path in err and entry in err
+
+
+@pytest.mark.parametrize("cid", ["three-wave", "brillouin", "kg-diff"])
+def test_emitted_system_round_trips_byte_identical(cid, tmp_path):
+    # kg-equal's round trip is test_catalog_emit_roundtrip
+    from oscillant.system import load_spec, save_spec
+    path, again = tmp_path / "a.json", tmp_path / "b.json"
+    assert _run(["catalog", "emit", cid, "--outfile", str(path)]) == 0
+    save_spec(load_spec(str(path)), str(again))
+    assert path.read_bytes() == again.read_bytes()

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
                                 run_instability_experiment, snapshot_bytes,
                                 snapshot_from_bytes)
+from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
 
@@ -330,3 +334,124 @@ def test_resolution_guard():
                     xi0=1.45, k=1.0, e0=np.zeros(6, dtype=complex))
     with pytest.raises(InputError):
         cfg.check_resolution()
+
+
+# ---------------------------------------------------------------------------
+# the stepper's workspace
+# ---------------------------------------------------------------------------
+
+def _dense_half(P, u_hat):
+    """Every (i, j) slice of the propagator applied, zero or not."""
+    out = P[:, 0] * u_hat[0]
+    for j in range(1, len(u_hat)):
+        out += P[:, j] * u_hat[j]
+    return out
+
+
+def _coupled_spec(N=4, seed=3):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((N, N))
+    s = rng.standard_normal((N, N))
+    return SystemSpec("coupled", N, 1, a - a.T, (s + s.T,), BilinearMap(N, ()))
+
+
+@pytest.mark.parametrize("system, nonzero", [("coupled", 16), ("kg-equal", 18),
+                                             ("three-wave", 3)])
+def test_linear_half_skips_zero_entries_only(system, nonzero):
+    # the nonzero-only product equals the dense one (-0 == +0 here); the
+    # Klein-Gordon blocks decouple u from v, the three-wave propagator is diagonal
+    spec, real_state = {"coupled": (_coupled_spec(), False), "kg-equal": (kg_equal(), True),
+                        "three-wave": (three_wave(b=(0.0, 1.0, 1.0)), False)}[system]
+    x = np.linspace(-6.0, 6.0, 256, endpoint=False)
+    st = _Stepper(spec, 1e-2, x, real_state)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((spec.N, 256))
+    u_hat = st.spectrum(u if real_state else u + 1j * rng.standard_normal((spec.N, 256)))
+    prop = st.propagator(1e-3)
+    P, columns = prop
+    assert sum(len(js) for js in columns) == nonzero
+    assert np.array_equal(st.linear_half(prop, u_hat, np.empty_like(u_hat)), _dense_half(P, u_hat))
+
+
+def test_steps_allocate_less_than_one_state():
+    # after the first step every array a step needs is in the workspace
+    import tracemalloc
+    x = np.linspace(-20.0, 20.0, 16384, endpoint=False)
+    st = _Stepper(kg_equal(), 1e-2, x, True)
+    u = np.outer(np.arange(1.0, 7.0), np.exp(-x ** 2) * np.cos(x / 1e-2))
+    u_hat = st.spectrum(u)
+    st.step(u_hat, 1e-3)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            st.step(u_hat, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes   # 0.33 of it measured: two source rows
+
+
+def test_final_state_is_a_copy(three_wave_analysis):
+    an = three_wave_analysis()
+    kw = dict(analysis=an, amplitude=AmplitudeProfile(width=2.0), grid_points=1024, t_end=0.1)
+    run = run_simulation(an.spec, 1e-2, **kw)
+    kept = run.final_state.copy()
+    later = run_simulation(an.spec, 1e-2, **kw)
+    assert np.array_equal(run.final_state, kept) and np.array_equal(later.final_state, kept)
+    dx = run.config.domain_length / run.config.grid_points
+    assert np.sqrt(np.sum(np.abs(kept) ** 2) * dx) == run.norm_total[-1]
+
+
+def test_sweep_workers_match_serial(three_wave_analysis):
+    an = three_wave_analysis()
+    kw = dict(analysis=an, amplitude=AmplitudeProfile(width=2.0), grid_points=1024, t_end=0.1)
+    serial = run_sweep(an.spec, [1e-2, 1e-3, 1e-4], workers=1, **kw)
+    pooled = run_sweep(an.spec, [1e-2, 1e-3, 1e-4], workers=2, **kw)
+    for key in ("epsilons", "t_stars", "rates", "t_star_ratios", "rate_scaled"):
+        assert np.array_equal(getattr(serial, key), getattr(pooled, key)), key
+    assert (serial.ratio_spread, serial.rate_spread, serial.flags) == \
+        (pooled.ratio_spread, pooled.rate_spread, pooled.flags)
+
+
+# ---------------------------------------------------------------------------
+# recorded runs
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SERIES = ("times", "norm_total", "norm_dev", "norm_dev_ball", "sup_dev")
+STATE_STRIDE = 256
+
+
+def _recorded_run(system, kg_analysis, three_wave_analysis):
+    if system == "three-wave":
+        an = three_wave_analysis()
+        return run_simulation(an.spec, 1e-2, analysis=an, amplitude=AmplitudeProfile(width=2.0),
+                              K=3.0, K_prime=0.6, T_obs=3.2, rho=0.4, t_end=0.3)
+    return run_simulation(kg_equal(), 1e-2, analysis=kg_analysis, grid_points=16384, t_end=0.05)
+
+
+def run_document(run) -> dict:
+    """What ``golden/<system>.run.json`` holds: the recorded series, the fit,
+    and every STATE_STRIDE-th point of the final state."""
+    state = run.final_state[:, ::STATE_STRIDE]
+    doc = {key: getattr(run, key).tolist() for key in SERIES}
+    doc.update(verdict=run.verdict, dt_used=run.dt_used, fitted_rate=run.fitted_rate,
+               t_star=run.t_star if np.isfinite(run.t_star) else "inf",
+               state_scale=float(np.abs(run.final_state).max()),
+               state_re=state.real.tolist(), state_im=state.imag.tolist())
+    return doc
+
+
+@pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
+def test_runs_match_recorded(system, kg_analysis, three_wave_analysis):
+    # series and fit to 1e-12 relative; the state to 1e-12 of its sup norm
+    got = run_document(_recorded_run(system, kg_analysis, three_wave_analysis))
+    want = json.loads((GOLDEN / f"{system}.run.json").read_text())
+    assert sorted(got) == sorted(want)
+    assert (got["verdict"], got["t_star"] == "inf") == (want["verdict"], want["t_star"] == "inf")
+    for key in SERIES + ("dt_used", "fitted_rate", "state_scale") + (
+            () if want["t_star"] == "inf" else ("t_star",)):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
+    for key in ("state_re", "state_im"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0,
+                                   atol=1e-12 * want["state_scale"], err_msg=key)
