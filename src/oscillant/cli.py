@@ -165,6 +165,8 @@ def cmd_flow(args):
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),
            "away_sup": rep.away_sup, "away_passed": rep.away_passed,
+           "liouville_defect_max": rep.liouville_defect_max,
+           "max_step_exponent": rep.max_step_exponent,
            "gamma_plus": result.stability.gamma_plus, "T": args.T, "h": args.h}
     _json_dump(doc, os.path.join(args.out, "flow_bound_report.json"))
     print(f"flow bound: fitted exponent {rep.fitted_exponent:.3f} "

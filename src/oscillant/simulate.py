@@ -270,21 +270,23 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     mag = np.empty(u.shape)
 
     def record(t, u):
+        """Append the norms at t; return max |u|, which the next dt check reads."""
         times.append(t)
-        n_tot.append(float(np.sqrt(np.square(np.abs(u, out=mag), out=mag).sum() * dx)))
+        sup = float(np.abs(u, out=mag).max())
+        n_tot.append(float(np.sqrt(np.square(mag, out=mag).sum() * dx)))
         np.abs(np.subtract(u, np.asarray(reference(t, x), dtype=complex), out=dev), out=mag)
         s_dev.append(float(mag.max()))
         np.square(mag, out=mag)
         n_dev.append(float(np.sqrt(mag.sum() * dx)))
         n_ball.append(float(np.sqrt(mag[:, ball].sum() * dx)))
+        return sup
 
     t = 0.0
-    record(t, u)
+    sup = record(t, u)
     verdict = "completed"
     halvings = 0
     next_sample = sample_dt
     while t < t_end - 1e-14:
-        sup = float(np.abs(u, out=mag).max())
         while dt > 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12):
             dt *= 0.5
             halvings += 1
@@ -298,8 +300,10 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         u, u_hat = stepper.step(u_hat, h)
         t += h
         if t >= next_sample - 1e-14 or t >= t_end - 1e-14:
-            record(t, u)
+            sup = record(t, u)
             next_sample += sample_dt
+        else:
+            sup = float(np.abs(u, out=mag).max())
 
     times = np.array(times)
     n_dev = np.array(n_dev)

@@ -256,7 +256,9 @@ def test_analyze_and_flow_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "stability_report.json").exists()
-    assert (tmp_path / "flow_bound_report.json").exists()
+    doc = json.loads((tmp_path / "flow_bound_report.json").read_text())
+    assert doc["passed"] and 0.0 < doc["liouville_defect_max"] <= 1e-10
+    assert doc["max_step_exponent"] >= 0.1
 
 
 @pytest.mark.parametrize("entry, edit", [

@@ -141,21 +141,70 @@ def _dense_exponentials(m, t, dt):
     return expm(-(dt / np.sqrt(m.epsilon)) * (m.stack(t) - shift))
 
 
-def _per_step_sups(m, tau, t_end, dt, samples=200):
-    """Sup-norm samples of the per-step integrator the stacked one replaced:
-    one dense block and one expm per step, t accumulated step by step."""
+def _per_step_flow(m, tau, t_end, dt, samples=200):
+    """Sample times and sup norms of the per-step integrator the stacked one
+    replaced: one dense block, one expm and one product per step, t accumulated
+    step by step."""
     n_steps = int(np.ceil((t_end - tau) / dt))
     dt = (t_end - tau) / n_steps
     sample_every = max(1, n_steps // samples)
     S = np.eye(2 * m.N, dtype=complex)
-    sups = [supnorm(S)]
+    times, sups = [tau], [supnorm(S)]
     t = tau
     for step in range(n_steps):
         S = _dense_exponentials(m, [t + 0.5 * dt], dt)[0] @ S
         t += dt
         if (step + 1) % sample_every == 0 or step == n_steps - 1:
+            times.append(t)
             sups.append(max(1.0, supnorm(S)) if m.extra_diag else supnorm(S))
-    return np.array(sups)
+    return np.array(times), np.array(sups)
+
+
+def _dense_coupling():
+    rng = np.random.default_rng(3)
+    b12, b21 = (0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(2))
+    return InteractionMatrix(mu1=0.4, mu2=-0.1, b12=b12, b21=b21, epsilon=1e-2,
+                             envelope=lambda t: np.exp(-0.2 * t).astype(complex))
+
+
+def _rank_one_coupling():
+    rng = np.random.default_rng(8)
+    return InteractionMatrix(mu1=0.3, mu2=0.2, b12=_rank_one(rng, 3), b21=_rank_one(rng, 3),
+                             epsilon=1e-2, extra_diag=(0.7,),
+                             envelope=lambda t: (1 + 0.5 * np.sin(t)).astype(complex))
+
+
+@pytest.mark.parametrize("coupling", [_dense_coupling, _rank_one_coupling])
+@pytest.mark.parametrize("samples", [7, 12, 10 ** 6])
+def test_block_product_matches_per_step_loop(coupling, samples):
+    # samples = 7 and 12 leave a shorter last block; 10**6 >= n_steps samples every step
+    m = coupling()
+    dt = largest_step(m, 0.0)
+    n_steps = int(np.ceil(2.0 / dt))
+    every = max(1, n_steps // samples)
+    assert (n_steps % every != 0) if samples < n_steps else every == 1
+    traj = integrate_flow(m, 0.0, 2.0, dt, samples=samples)
+    times, sups = _per_step_flow(m, 0.0, 2.0, dt, samples=samples)
+    assert np.array_equal(traj.times, times)
+    assert np.abs(traj.sup_norm_series / sups - 1.0).max() <= 1e-12
+    assert traj.S.shape == (len(times), 2 * m.N, 2 * m.N)
+    assert traj.liouville_defect <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [0, 45, -1])
+def test_liouville_check_catches_one_bad_factor(monkeypatch, bad):
+    # one step factor off by 1e-6 moves log |det| by 2N 1e-6, wherever its block
+    m = _rank_one_coupling()
+    dt = largest_step(m, 0.0)
+    assert integrate_flow(m, 0.0, 2.0, dt, samples=7).liouville_defect <= 1e-10
+    exact = flow.rank_one_exponentials
+
+    def skewed(m, g, dt):
+        F = exact(m, g, dt)
+        F[bad] *= 1 + 1e-6
+        return F
+    monkeypatch.setattr(flow, "rank_one_exponentials", skewed)
+    assert integrate_flow(m, 0.0, 2.0, dt, samples=7).liouville_defect >= 1e-7
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-12, 1e-8, 1e-3])
@@ -199,7 +248,7 @@ def test_rank_two_coupling_takes_the_expm_path(monkeypatch):
     dt = largest_step(m, 0.0)
     traj = integrate_flow(m, 0.0, 1.5, dt)
     assert sum(calls) == int(np.ceil(1.5 / dt))
-    ref = _per_step_sups(m, 0.0, 1.5, dt)
+    ref = _per_step_flow(m, 0.0, 1.5, dt)[1]
     assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
     # unpatched: the module's expm imports scipy's on first use
     monkeypatch.undo()
@@ -222,7 +271,7 @@ def test_integrate_flow_matches_per_step_loop(kg_analysis, eps):
         m = interaction_matrix_factory(kg_analysis, x, xi0, eps, cutoff_active=cutoff_active)
         t_end, dt = 2 * abs(np.log(eps)), largest_step(m, 0.0)
         traj = integrate_flow(m, 0.0, t_end, dt)
-        ref = _per_step_sups(m, 0.0, t_end, dt)
+        ref = _per_step_flow(m, 0.0, t_end, dt)[1]
         assert np.abs(traj.sup_norm_series / ref - 1.0).max() <= 1e-12
         assert traj.liouville_defect <= 1e-10
 
@@ -319,6 +368,9 @@ def test_kg_flow_bound_family(kg_analysis):
     assert rep.passed
     assert rep.fitted_exponent <= 8.0
     assert rep.away_sup <= 10.0
+    # worst over every trajectory: the first step is held to the cap, later ones are not
+    assert 0.0 < rep.liouville_defect_max <= 1e-10
+    assert flow.STEP_EXPONENT_CAP <= rep.max_step_exponent <= 2.0
 
 
 def test_flow_sampler_evaluates_each_frequency_once(kg_analysis, monkeypatch):
