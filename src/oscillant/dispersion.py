@@ -5,8 +5,8 @@ Longitudinal branches solve
     (omega^2 - alpha^2 k^2 theta_i^2)(omega^2 - 1 - k^2 theta_e^2)
         = (omega^2 - k^2 theta_e^2) (theta_i/theta_e)^2,
 a quadratic in omega^2 whose large root is the electron-wave branch and whose
-small root is the acoustic branch.  Phase matching refines its roots with
-scipy's ``brentq``, imported only when :func:`match_phases_on_dispersion` runs.
+small root is the acoustic branch.  Phase matching refines every sign change
+of its mismatch by the resonance module's lockstep bisection.
 """
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import InputError
-
-# brentq's absolute tolerance on the matched partner wavenumber k2
-MATCH_XTOL = 1e-12
+from .resonance import _bisect
 
 RELATIONS = ("euler-maxwell-transverse", "euler-maxwell-longitudinal-l",
              "euler-maxwell-longitudinal-s")
@@ -92,7 +90,6 @@ def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0)):
     transverse) branch.  Returns the matched wavenumbers and the dispersion
     residuals of all three phases.
     """
-    from scipy.optimize import brentq
     if relation not in RELATIONS:
         raise InputError(f"unknown dispersion relation '{relation}'")
     theta_e = float(params["theta_e"])
@@ -102,25 +99,28 @@ def match_phases_on_dispersion(relation, params, k1, bracket=(-60.0, 60.0)):
     w1 = float(omega_transverse(k1, theta_e, theta_i, alpha))
 
     def mismatch(k2, sign):
-        w2 = sign * float(omega_transverse(k2, theta_e, theta_i, alpha))
-        return w1 + w2 - float(target(k1 + k2, theta_e, theta_i, alpha))
+        return (w1 + sign * omega_transverse(k2, theta_e, theta_i, alpha)
+                - target(k1 + k2, theta_e, theta_i, alpha))
 
-    for sign in (+1, -1):
-        xs = np.linspace(bracket[0], bracket[1], 4001)
-        vals = np.array([mismatch(x, sign) for x in xs])
-        hits = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-        for h in hits:
-            k2 = float(brentq(lambda x: mismatch(x, sign), xs[h], xs[h + 1], xtol=MATCH_XTOL))
-            if abs(k2) < 1e-9 and abs(k1) > 1e-9:
-                continue  # reject the degenerate copy of beta1 itself
-            w2 = sign * float(omega_transverse(k2, theta_e, theta_i, alpha))
-            k = k1 + k2
-            w = w1 + w2
-            res = (
-                dispersion_residual("euler-maxwell-transverse", w1, k1, theta_e, theta_i, alpha),
-                dispersion_residual("euler-maxwell-transverse", abs(w2), k2, theta_e, theta_i, alpha),
-                dispersion_residual(relation, w, k, theta_e, theta_i, alpha),
-            )
-            return PhaseMatch(k1=float(k1), k2=k2, k=float(k), omega1=w1, omega2=w2,
-                              omega=float(w), branch2_sign=sign, residuals=res)
+    # sign changes of both partner signs on one scan, refined in lockstep and
+    # taken in (sign, k2) order
+    xs = np.linspace(bracket[0], bracket[1], 4001)
+    signs = np.array([+1.0, -1.0])[:, None]
+    vals = mismatch(xs, signs)
+    s, h = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0)
+    roots, _ = _bisect(lambda m, idx: mismatch(m[:, 0], signs[s[idx], 0]), xs[h], xs[h + 1],
+                       vals[s, h])
+    for sign, k2 in zip(signs[s, 0].astype(int).tolist(), roots[:, 0].tolist()):
+        k = k1 + k2
+        if min(abs(k2), abs(k)) < 1e-9:
+            continue  # no match: beta2 with k2 = 0, or beta2 = -beta1 (beta = 0)
+        w2 = sign * float(omega_transverse(k2, theta_e, theta_i, alpha))
+        w = w1 + w2
+        res = (
+            dispersion_residual("euler-maxwell-transverse", w1, k1, theta_e, theta_i, alpha),
+            dispersion_residual("euler-maxwell-transverse", abs(w2), k2, theta_e, theta_i, alpha),
+            dispersion_residual(relation, w, k, theta_e, theta_i, alpha),
+        )
+        return PhaseMatch(k1=float(k1), k2=k2, k=float(k), omega1=w1, omega2=w2,
+                          omega=float(w), branch2_sign=sign, residuals=res)
     raise NotMatchableError(f"no phase-matched partner for k1={k1} on {relation} in {bracket}")

@@ -15,7 +15,7 @@ from . import catalog
 from .flow import (FlowTrajectory, GrowthBoundReport, InteractionMatrix, bump_weight,
                    integrate_flow, largest_step, verify_growth_bound)
 # pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
-from .interaction import (PolarizationVectors, ReportInputs, StabilityReport,
+from .interaction import (PolarizationVectors, ReportInputs, StabilityReport, _sources,
                           pair_coefficients_at, polarization_vectors, stability_report)
 from .numeric import InputError, MultiplicityError, NumericalError
 from .resonance import Phase, ResonanceReport, _bisect, _PairBatch, default_window, find_resonances
@@ -63,11 +63,7 @@ def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
         window = (tuple(window),)
     pad = float(np.max(np.abs(phase.k))) + 1e-9
     field_window = tuple((lo - pad, hi + pad) for (lo, hi) in window)
-    if spec.d == 1:
-        grid = uniform_grid(field_window[0], grid_n)
-    else:
-        grid = uniform_grid(field_window, (grid_n, grid_n))
-    field = eigendecompose_field(spec, grid)
+    field = eigendecompose_field(spec, uniform_grid(field_window, (grid_n,) * spec.d))
     pol = resolve_polarization(spec, phase)
     resonances = find_resonances(field, phase, window=window)
     if inputs is None:
@@ -89,7 +85,7 @@ def _pair_sample(analysis: Analysis, xi):
     branches' eigenvalues."""
     i, j = analysis.stability.selected_pair
     pb = _PairBatch(analysis.field, analysis.phase, xi)
-    bp, bm, _ = pb.coupling(i, j, analysis.pol.linearized_source(analysis.spec.B))
+    bp, bm, _ = pb.coupling(i, j, _sources(analysis.field, analysis.pol)[0])
     extra = tuple(float(pb.base.lams[0, b]) for b in range(analysis.field.J) if b not in (i, j))
     return (float(pb.shift.lams[0, i] - analysis.phase.omega), float(pb.base.lams[0, j]),
             bp[0], bm[0], extra)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .flow import _real_pivot, unstable_datum_direction
 from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, numerical_rank, supnorm
-from .resonance import Phase, ResonanceReport, _kernel_basis, _PairBatch, separation_check
+from .resonance import (Phase, ResonanceReport, _PairBatch, harmonic, harmonic_matrix,
+                        separation_check)
 from .spectral import SpectralField
 from .system import SystemSpec
 
@@ -63,16 +64,16 @@ def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     significant component rotated to the positive real axis, and the opposite
     phase carries the component-wise conjugate.
     """
-    kernel = _kernel_basis(spec, phase, 1)
+    kernel = harmonic(spec, phase, 1).basis
     if kernel.shape[1] != 1:
         raise MultiplicityError(
             f"kernel of the characteristic matrix has dimension {kernel.shape[1]}, need 1 "
             f"(phase omega={phase.omega}, k={phase.k})")
     e1 = _real_pivot(kernel[:, 0])
     em1 = e1.conj()
-    res1 = supnorm((-1j * phase.omega) * e1 + spec.A0 @ e1 + 1j * spec.transport_symbol(phase.k) @ e1)
-    resm = supnorm((1j * phase.omega) * em1 + spec.A0 @ em1 - 1j * spec.transport_symbol(phase.k) @ em1)
-    return PolarizationVectors(e1=e1, em1=em1, residuals=(float(res1), float(resm)))
+    res = (supnorm(harmonic_matrix(spec, phase, 1) @ e1),
+           supnorm(harmonic_matrix(spec, phase, -1) @ em1))
+    return PolarizationVectors(e1=e1, em1=em1, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def _sources(field: SpectralField, pol: PolarizationVectors):
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                          pair, xi):
     """b+(xi), b-(xi) and their interaction trace at one frequency (exact)."""
-    bp, bm, g = _PairBatch(field, phase, xi).coupling(*pair, pol.linearized_source(field.spec.B))
+    bp, bm, g = _PairBatch(field, phase, xi).coupling(*pair, _sources(field, pol)[0])
     return bp[0], bm[0], complex(g[0])
 
 
@@ -119,7 +120,7 @@ def root_couplings(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                    report: ResonanceReport, pairs) -> dict:
     """pair -> :class:`RootCouplings` for each of ``pairs``, from one
     evaluation of all their roots."""
-    sources = pol.linearized_source(field.spec.B)
+    sources, _ = _sources(field, pol)
     roots = {p: np.reshape([np.atleast_1d(r) for r in report.pairs[p].roots], (-1, field.d))
              for p in pairs}
     pb = _PairBatch(field, phase, np.reshape([r for rs in roots.values() for r in rs],
@@ -444,7 +445,7 @@ def _gamma_plus_for_pair(field, pol, phase, pair, roots: RootCouplings, h, a_sup
 
     The band is scanned around each root; ``roots`` carries the pair's
     values at the roots themselves."""
-    sources = pol.linearized_source(field.spec.B)
+    sources, _ = _sources(field, pol)
     best = 0.0
     offsets = np.concatenate([np.geomspace(1e-4, 0.5 * span, 25),
                               -np.geomspace(1e-4, 0.5 * span, 25)])

@@ -34,7 +34,7 @@ class NumericPolicy:
 
     algebra_tol: float = 1e-10     # weak transparency holds; a polarization diagonalizes transport
     sym_tol: float = 1e-12         # SystemSpec accepts A0 as skew-symmetric, each Aj as symmetric
-    char_tol: float = 1e-8         # a harmonic p (omega, k) is characteristic (kernel test)
+    char_tol: float = 1e-8         # a harmonic p (omega, k) is characteristic; its kernel (inverse off it)
     root_tol: float = 1e-10        # bisection stops on a root; a pair's phase vanishes identically
     root_report_tol: float = 1e-8  # stored roots match the recorded reference roots (benchmark)
     degenerate_tol: float = 1e-9   # eigenvalues share a cluster: branches coalesce
@@ -43,7 +43,6 @@ class NumericPolicy:
     rank_gap: float = 1e6          # singular values this far below the largest do not add rank
     index_degenerate_tol: float = 1e-10  # the stability index is zero; the trace is complex
     slope_tol: float = 1e-6        # asymptotic slopes coincide: the resonant set may be unbounded
-    pinv_rcond: float = 1e-10      # a singular value of L(i p beta) counts as kernel: partial inverse
     harmonic_solve_tol: float = 1e-9  # L(2 beta) w = B(e1, e1) is solved: 2 beta not characteristic
     residual_floor: float = 1e-10  # every WKB residual below it: exact solution, fitted order inf
 

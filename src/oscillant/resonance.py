@@ -5,9 +5,14 @@ resonant set is the zero set of the scalar phase
 ``xi -> lambda_i(xi + k) - lambda_j(xi) - omega``.  Roots are bracketed on the
 field grid and refined by bisection against exact per-point eigenvalues; the
 boundedness of the full resonant set is judged from asymptotic slopes.
+
+Whether a harmonic p (omega, k) is characteristic is decided here once: its
+characteristic matrix is diagonalized by :func:`harmonic`, whose kernel mask,
+projector and partial inverse every consumer reads.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,19 +39,48 @@ class Phase:
 
     def is_characteristic(self, spec: SystemSpec) -> bool:
         """True when -i omega + A0 + A(i k) is singular to relative tolerance."""
-        return _kernel_basis(spec, self, 1).shape[1] > 0
+        return bool(harmonic(spec, self, 1).kernel.any())
 
 
-def _kernel_basis(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of L(i p beta) = -i p omega + A0 + i p A(k).
+def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
+    """L(i p beta) = -i p omega + A0 + i p A(k)."""
+    return -1j * p * phase.omega * np.eye(spec.N) + spec.A0 + 1j * p * spec.transport_symbol(phase.k)
 
-    An eigenvector of the symbol at p k belongs to the kernel when its
-    eigenvalue lies within ``char_tol * max(1, supnorm(A0 + i A(p k)))`` of
-    p omega (the default policy's ``char_tol``).
+
+@dataclass(frozen=True)
+class Harmonic:
+    """L(i p beta) = i (H(p k) - p omega) diagonalized: V diag(i mu) V*.
+
+    The kernel is every eigenvector whose mu lies within
+    ``char_tol * max(1, supnorm(H(p k)))`` of zero (the default policy's
+    ``char_tol``); every characteristic-variety decision reads this mask.
     """
-    evals, evecs = np.linalg.eigh(assemble_symbol(spec, p * phase.k))
-    scale = max(supnorm(spec.A0 + 1j * spec.transport_symbol(p * phase.k)), 1.0)
-    return evecs[:, np.abs(evals - p * phase.omega) <= DEFAULT_POLICY.char_tol * scale]
+
+    mu: np.ndarray       # (N,) eigenvalues of H(p k) - p omega, ascending
+    vecs: np.ndarray     # (N, N) orthonormal eigenvector columns
+    kernel: np.ndarray   # (N,) bool
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Orthonormal kernel basis (columns)."""
+        return self.vecs[:, self.kernel]
+
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the kernel."""
+        return self.basis @ self.basis.conj().T
+
+    def partial_inverse(self) -> np.ndarray:
+        """V diag(1 / (i mu)) V* off the kernel: L^(-1) L = Id - Pi."""
+        V = self.vecs[:, ~self.kernel]
+        return (V / (1j * self.mu[~self.kernel])) @ V.conj().T
+
+
+def harmonic(spec: SystemSpec, phase: Phase, p: int) -> Harmonic:
+    """The characteristic matrix of the harmonic p (omega, k), diagonalized once."""
+    H = assemble_symbol(spec, p * phase.k)
+    evals, vecs = np.linalg.eigh(H)
+    mu = evals - p * phase.omega
+    return Harmonic(mu, vecs, np.abs(mu) <= DEFAULT_POLICY.char_tol * max(supnorm(H), 1.0))
 
 
 @dataclass
@@ -150,8 +184,9 @@ def _bisect(f, a, b, fa, tol=0.0, maxit=200):
     size; returns the (K, d) final midpoints and their (K,) values.
     """
     fa = np.array(fa, dtype=float).reshape(-1)
-    a = np.array(a, dtype=float).reshape(len(fa), -1)
-    b = np.array(b, dtype=float).reshape(len(fa), -1)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if a.ndim == 1:     # scalar brackets
+        a, b = a[:, None], b[:, None]
     m_out, f_out = np.empty_like(a), np.empty(len(fa))
     live = np.arange(len(fa))
     for _ in range(maxit):
@@ -176,8 +211,7 @@ def characteristic_harmonics(spec: SystemSpec, phase: Phase, pmax: int):
     """All integers |p| <= pmax whose harmonic p*(omega, k) is characteristic."""
     if pmax < 2:
         raise InputError("pmax must be at least 2")
-    return tuple(p for p in range(-pmax, pmax + 1)
-                 if _kernel_basis(spec, phase, p).shape[1] > 0)
+    return tuple(p for p in range(-pmax, pmax + 1) if harmonic(spec, phase, p).kernel.any())
 
 
 def default_window(spec: SystemSpec, phase: Phase):
@@ -189,13 +223,14 @@ def default_window(spec: SystemSpec, phase: Phase):
 def find_resonances(field: SpectralField, phase: Phase, window=None) -> ResonanceReport:
     """Locate the resonant sets of every ordered branch pair within a window.
 
-    In 1-d, sign changes of the phase between grid nodes are refined by
-    bisection on exact eigenvalue evaluations until the residual drops below
-    the root tolerance.  In 2-d, zero-level cells are detected marching-squares
-    style and a representative root is refined on a crossing edge.  Pairs whose
-    phase vanishes identically (auto-resonances of a trivial phase) are flagged
-    rather than enumerated.  Boundedness is judged from the asymptotic slopes
-    along +-1 in 1-d and eight equally spaced directions in 2-d.
+    The phase is evaluated on the window's nodes in one batch.  Every grid cell
+    whose 2^d corners take both signs (in 1-d: a sign change between nodes)
+    holds a representative root, refined by bisection from its first negative
+    to its first non-negative corner on exact eigenvalue evaluations until the
+    residual drops below the root tolerance; in 1-d, exact-zero nodes are roots
+    too.  Pairs whose phase vanishes identically (auto-resonances of a trivial
+    phase) are flagged rather than enumerated.  Boundedness is judged from the
+    asymptotic slopes along +-1 in 1-d and eight equally spaced directions in 2-d.
     """
     policy = field.policy
     if window is None:
@@ -209,99 +244,71 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
         if lo + min(x, 0) < flo - 1e-12 or hi + max(x, 0) > fhi + 1e-12:
             raise InputError("window (translated by k) not covered by the field grid")
 
-    J = field.J
-    d = field.d
-    # branch values on the window grid and on the k-shifted grid (exact evaluation)
-    if d == 1:
-        ax = field.axes[0]
-        sel = (ax >= window[0][0] - 1e-12) & (ax <= window[0][1] + 1e-12)
-        xs = ax[sel]
-        lam = field.lambdas[sel]
-        lam_shift = field.evaluate(xs[:, None] + phase.k).lams
-    else:
-        ax0 = field.axes[0]
-        ax1 = field.axes[1]
-        s0 = (ax0 >= window[0][0] - 1e-12) & (ax0 <= window[0][1] + 1e-12)
-        s1 = (ax1 >= window[1][0] - 1e-12) & (ax1 <= window[1][1] + 1e-12)
-        xs0, xs1 = ax0[s0], ax1[s1]
-        lam = field.lambdas.reshape(len(ax0), len(ax1), J)[np.ix_(s0, s1)]
-        g0, g1 = np.meshgrid(xs0, xs1, indexing="ij")
-        shifted = np.stack([g0.ravel(), g1.ravel()], axis=1) + phase.k
-        lam_shift = field.evaluate(shifted).lams.reshape(len(xs0), len(xs1), J)
+    J, d = field.J, field.d
+    # branch values on the window's nodes and at the nodes shifted by k (exact evaluation)
+    sel = [(ax >= lo - 1e-12) & (ax <= hi + 1e-12) for ax, (lo, hi) in zip(field.axes, window)]
+    xs = [ax[s] for ax, s in zip(field.axes, sel)]
+    shape = tuple(len(x) for x in xs)
+    lam = field.lambdas.reshape(*(len(ax) for ax in field.axes), J)[np.ix_(*sel)]
+    nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, d)
+    lam_shift = field.evaluate(nodes + phase.k).lams.reshape(*shape, J)
+    # the phase of every ordered pair at every node, pair axes first
+    lam_shift, lam = (np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (lam_shift, lam))
+    ph = lam_shift[:, None] - lam[None, :] - phase.omega
+    absph = np.abs(ph)
+    tol = policy.root_tol * (1.0 + float(np.max(np.abs(field.lambdas))))
+    vanishing = np.max(absph, axis=tuple(range(2, 2 + d))) <= tol
 
-    pairs = {}
-    brackets = []   # (pair resonance, slot in its root list, a, b, phase sign at a)
-    scale = 1.0 + float(np.max(np.abs(field.lambdas)))
-    for i in range(J):
-        for j in range(J):
-            pr = PairResonance(pair=(i, j), roots=[], residuals=[], auto=(i == j))
-            if d == 1:
-                ph = lam_shift[:, i] - lam[:, j] - phase.omega
-                if np.max(np.abs(ph)) <= policy.root_tol * scale:
-                    pr.identically_zero = True
-                    pr.roots = [0.0] if (xs[0] <= 0.0 <= xs[-1]) else [float(xs[0])]
-                    pr.residuals = [0.0]
-                else:
-                    # exact-zero nodes and sign changes, in grid order
-                    zero = ph[:-1] == 0.0
-                    for m in np.flatnonzero(zero | (ph[:-1] * ph[1:] < 0)):
-                        if zero[m]:
-                            pr.roots.append(float(xs[m]))
-                            pr.residuals.append(0.0)
-                        else:
-                            brackets.append((pr, len(pr.roots), [float(xs[m])],
-                                             [float(xs[m + 1])], float(ph[m])))
-                            pr.roots.append(None)
-                            pr.residuals.append(None)
-                    if abs(ph[-1]) == 0.0:
-                        pr.roots.append(float(xs[-1]))
-                        pr.residuals.append(0.0)
-                    # phase heading monotonically toward zero at either edge
-                    if len(xs) >= 3:
-                        left = abs(ph[0]) < abs(ph[1]) < abs(ph[2])
-                        right = abs(ph[-1]) < abs(ph[-2]) < abs(ph[-3])
-                        pr.edge_suspect = bool(left or right)
-            else:
-                ph = lam_shift[:, :, i] - lam[:, :, j] - phase.omega
-                if np.max(np.abs(ph)) <= policy.root_tol * scale:
-                    pr.identically_zero = True
-                else:
-                    for a in range(len(xs0) - 1):
-                        for b in range(len(xs1) - 1):
-                            corners = ph[a:a + 2, b:b + 2]
-                            if corners.min() < 0 < corners.max():
-                                # a representative zero between the first negative
-                                # and the first non-negative corner
-                                pr.cells.append((a, b))
-                                flat = corners.ravel()
-                                neg, pos = np.argmax(flat < 0), np.argmax(flat >= 0)
-                                brackets.append((pr, len(pr.roots),
-                                                 [xs0[a + neg // 2], xs1[b + neg % 2]],
-                                                 [xs0[a + pos // 2], xs1[b + pos % 2]], flat[neg]))
-                                pr.roots.append(None)
-                                pr.residuals.append(None)
-            pairs[(i, j)] = pr
+    # zero-level cells: the 2^d corners of a cell take both signs (in 1-d, a sign
+    # change between nodes); each is bracketed from its first negative to its first
+    # non-negative corner.  hits = (i, j, cell index), pair-major in C order.
+    corners = np.indices((2,) * d).reshape(d, -1).T
+    views = [ph[(..., *(slice(o, n - 1 + o) for o, n in zip(c, shape)))] for c in corners]
+    level = ((functools.reduce(np.minimum, views) < 0) & (functools.reduce(np.maximum, views) > 0)
+             & ~vanishing[(...,) + (None,) * d])
+    hits = np.unravel_index(np.flatnonzero(level), level.shape)
+    cells, cv = np.stack(hits[2:], axis=1), np.array([v[hits] for v in views])
+    neg, pos = np.argmax(cv < 0, axis=0), np.argmax(cv >= 0, axis=0)
+    first, second = (np.stack([x[cells[:, a] + corners[c, a]] for a, x in enumerate(xs)], axis=1)
+                     for c in (neg, pos))
 
     # every bracket of every pair refined in lockstep
-    if brackets:
-        which = np.array([pr.pair for pr, *_ in brackets])
+    def phase_at(m, idx):
+        pb, rows = _PairBatch(field, phase, m), np.arange(len(idx))
+        return pb.shift.lams[rows, hits[0][idx]] - pb.base.lams[rows, hits[1][idx]] - pb.offset
 
-        def phase_at(m, idx):
-            pb, rows = _PairBatch(field, phase, m), np.arange(len(idx))
-            return (pb.shift.lams[rows, which[idx, 0]] - pb.base.lams[rows, which[idx, 1]]
-                    - pb.offset)
-
-        roots, vals = _bisect(phase_at, [a for _, _, a, _, _ in brackets],
-                              [b for _, _, _, b, _ in brackets],
-                              [fa for *_, fa in brackets], policy.root_tol * scale)
-        for (pr, slot, *_), r, v in zip(brackets, roots, vals):
-            pr.roots[slot] = float(r[0]) if d == 1 else r.copy()
-            pr.residuals[slot] = abs(float(v))
+    roots, vals = _bisect(phase_at, first, second, cv[neg, np.arange(len(cells))], tol)
+    code, vals = hits[0] * J + hits[1], np.abs(vals)
     if d == 1:
-        for pr in pairs.values():
-            order = np.argsort(pr.roots)
-            pr.roots = [pr.roots[o] for o in order]
-            pr.residuals = [pr.residuals[o] for o in order]
+        # exact-zero nodes are roots too, and each pair's roots come in ascending order
+        zi, zj, zm = np.unravel_index(np.flatnonzero((ph == 0.0) & ~vanishing[..., None]),
+                                      ph.shape)
+        code = np.concatenate([zi * J + zj, code])
+        roots = np.concatenate([xs[0][zm], roots[:, 0]])
+        vals = np.concatenate([np.zeros(len(zm)), vals])
+        order = np.lexsort((roots, code))
+        code, roots, vals = code[order], roots[order], vals[order]
+        # phase heading monotonically toward zero at either edge
+        heading = (np.zeros((J, J), bool) if shape[0] < 3 else
+                   (absph[..., 0] < absph[..., 1]) & (absph[..., 1] < absph[..., 2])
+                   | (absph[..., -1] < absph[..., -2]) & (absph[..., -2] < absph[..., -3]))
+    bounds = np.searchsorted(code, np.arange(J * J + 1))
+    pairs = {}
+    for i in range(J):
+        for j in range(J):
+            pr = pairs[(i, j)] = PairResonance(pair=(i, j), roots=[], residuals=[], auto=(i == j),
+                                               identically_zero=bool(vanishing[i, j]))
+            rows = slice(bounds[i * J + j], bounds[i * J + j + 1])
+            pr.residuals = vals[rows].tolist()
+            if d > 1:
+                pr.cells = [tuple(c) for c in cells[rows].tolist()]
+                pr.roots = [r.copy() for r in roots[rows]]
+            elif pr.identically_zero:
+                pr.roots = [0.0] if (xs[0][0] <= 0.0 <= xs[0][-1]) else [float(xs[0][0])]
+                pr.residuals = [0.0]
+            else:
+                pr.roots = roots[rows].tolist()
+                pr.edge_suspect = bool(heading[i, j])
 
     # boundedness from asymptotic slopes
     directions = [np.array([1.0]), np.array([-1.0])] if d == 1 else \

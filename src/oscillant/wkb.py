@@ -20,30 +20,22 @@ import numpy as np
 
 from .numeric import (DEFAULT_POLICY, MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError,
                       NumericalError, supnorm)
-from .resonance import Phase, _kernel_basis, characteristic_harmonics
-from .spectral import assemble_symbol
+from .resonance import Phase, characteristic_harmonics, harmonic, harmonic_matrix
 from .system import SystemSpec
-
-
-def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
-    """L(i p beta) = -i p omega + A0 + i p A(k)."""
-    return -1j * p * phase.omega * np.eye(spec.N) + spec.A0 + 1j * p * spec.transport_symbol(phase.k)
 
 
 def harmonic_projector(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     """Orthogonal projector onto the kernel of L(i p beta)."""
-    V = _kernel_basis(spec, phase, p)
-    return V @ V.conj().T
+    return harmonic(spec, phase, p).projector()
 
 
 def partial_inverse(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
-    """Pseudo-inverse of L(i p beta) on its range (the kernel complement).
+    """Inverse of L(i p beta) on its range (the kernel complement).
 
     The matrix is skew-hermitian so kernel and range are orthogonal and
-    L^(-1) L = Id - Pi(p beta) holds exactly.
+    L^(-1) L = Id - Pi(p beta) holds, with the kernel of :func:`harmonic`.
     """
-    L = harmonic_matrix(spec, phase, p)
-    return np.linalg.pinv(L, rcond=DEFAULT_POLICY.pinv_rcond)
+    return harmonic(spec, phase, p).partial_inverse()
 
 
 # random sample vectors (after the unit vectors) of the weak-transparency battery, and
@@ -100,10 +92,6 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase) -> WeakTransparencyR
                                   witness=None if passed else witness)
 
 
-# step of the centered finite difference that gives the group velocity
-FD_STEP = 1e-5
-
-
 @dataclass
 class TransportSetup:
     """Scalar transport data for the leading amplitude, and the corrector
@@ -118,38 +106,26 @@ class TransportSetup:
 def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     """Group velocity and cubic coefficient of the leading-amplitude equation.
 
-    The group velocity is the frequency gradient of the branch carrying the
-    phase (centered finite difference).  The cubic coefficient reduces the two
-    quadratic feedback channels (second harmonic and mean mode) to a scalar
-    against the polarization; their vectors are kept as the correctors.
+    The group velocity is Re e1* Pi A_j e1, with Pi the projector onto the
+    kernel of the characteristic matrix: for a simple kernel the gradient of
+    the branch carrying the phase (Hellmann-Feynman); at a crossing, scalar
+    transport needs the polarization to diagonalize the transport within the
+    kernel.  The cubic coefficient reduces the two quadratic feedback channels
+    (second harmonic and mean mode) to a scalar against the polarization;
+    their vectors are kept as the correctors.
     """
     e1 = np.asarray(e1, dtype=complex)
-    # branch carrying the phase: the kernel of the characteristic matrix at k
-    kernel = _kernel_basis(spec, phase, 1)
-    if kernel.shape[1] != 1:
-        # a coalescing phase admits scalar transport only when the supplied
-        # polarization diagonalizes the transport within the eigenspace
-        P = kernel @ kernel.conj().T
-        vg = np.zeros(spec.d)
-        for a in range(spec.d):
-            Av = P @ (spec.Aj[a] @ e1)
-            coef = complex(np.vdot(e1, Av))
-            if supnorm(Av - coef * e1) > DEFAULT_POLICY.algebra_tol * max(1.0, supnorm(Av)):
-                raise MultiplicityError(
-                    "the phase sits at a crossing and the polarization does not "
-                    "diagonalize the transport; a family of transport equations "
-                    "would be required")
-            vg[a] = coef.real
-    else:
-        def branch_value(xi):
-            ev = np.linalg.eigvalsh(assemble_symbol(spec, xi))
-            return ev[int(np.argmin(np.abs(ev - phase.omega)))]
-
-        vg = np.zeros(spec.d)
-        for a in range(spec.d):
-            dx = np.zeros(spec.d)
-            dx[a] = FD_STEP
-            vg[a] = (branch_value(phase.k + dx) - branch_value(phase.k - dx)) / (2 * FD_STEP)
+    P = harmonic_projector(spec, phase, 1)
+    vg = np.zeros(spec.d)
+    for a in range(spec.d):
+        Av = P @ (spec.Aj[a] @ e1)
+        coef = complex(np.vdot(e1, Av))
+        if supnorm(Av - coef * e1) > DEFAULT_POLICY.algebra_tol * max(1.0, supnorm(Av)):
+            raise MultiplicityError(
+                "the polarization does not diagonalize the transport within the "
+                "phase's kernel; at a crossing a family of transport equations "
+                "would be required")
+        vg[a] = coef.real
 
     B = spec.B
     second = B(e1, e1)

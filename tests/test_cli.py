@@ -237,8 +237,9 @@ def test_wkb_residual_three_wave(capsys):
 
 
 def test_analyze_and_flow_load_no_scipy(tmp_path):
-    # a fresh interpreter, as the console script is: import, analyze and the
-    # (rank-one) flow bound on kg-equal leave no scipy module loaded
+    # a fresh interpreter, as the console script is: import, analyze, the
+    # (rank-one) flow bound on kg-equal and an acoustic phase match leave no
+    # scipy module loaded
     code = (
         "import sys, oscillant, oscillant.cli\n"
         "for argv in (['analyze', '--system', 'catalog:kg-equal', '--out', sys.argv[1]],\n"
@@ -247,6 +248,9 @@ def test_analyze_and_flow_load_no_scipy(tmp_path):
         "        oscillant.cli.main(argv)\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, (argv, exc.code)\n"
+        "from oscillant.dispersion import match_phases_on_dispersion\n"
+        "match_phases_on_dispersion('euler-maxwell-longitudinal-s',\n"
+        "                           {'theta_e': 0.1, 'theta_i': 1e-3}, k1=25.0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(oscillant.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

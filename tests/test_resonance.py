@@ -7,12 +7,13 @@ from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
-from oscillant.resonance import (Phase, characteristic_harmonics, find_resonances,
-                                 resonance_phase, separation_check)
+from oscillant.resonance import (Phase, characteristic_harmonics, default_window,
+                                 find_resonances, resonance_phase, separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
+from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
-from oracles import kg_r12_roots
+from oracles import kg_r12_roots, scan_cells_2d
 
 
 def test_phase_characteristic_check(kg_analysis):
@@ -204,6 +205,40 @@ def test_2d_resonance_cells():
         assert res <= 1e-8
 
 
+def _random_2d_system():
+    rng = np.random.default_rng(7)
+    G = rng.normal(size=(3, 3))
+    S = [rng.normal(size=(3, 3)) for _ in range(2)]
+    spec = SystemSpec("random-2d", 3, 2, G - G.T, [a + a.T for a in S], BilinearMap(3, ()))
+    k = rng.uniform(0.5, 1.0, size=2)
+    omega = float(np.linalg.eigvalsh(spec.A0 / 1j + k[0] * spec.Aj[0] + k[1] * spec.Aj[1])[1])
+    return spec, Phase(omega, k)
+
+
+@pytest.mark.parametrize("case", ["kg-equal", "random"])
+def test_2d_scan_matches_per_cell_oracle(case):
+    # one vectorized comparison over every cell's corners finds the cells, brackets
+    # and roots the per-cell loop finds; grid and window as analyze builds them
+    if case == "kg-equal":
+        spec, n = kg_equal(d=2), 33
+        phase = kg_default_phase(spec)
+    else:
+        (spec, phase), n = _random_2d_system(), 21
+    window = default_window(spec, phase)
+    pad = float(np.max(np.abs(phase.k))) + 1e-9
+    field = eigendecompose_field(spec, uniform_grid(tuple((lo - pad, hi + pad)
+                                                          for lo, hi in window), (n, n)))
+    rep = find_resonances(field, phase, window=window)
+    want = scan_cells_2d(field, phase, window)
+    assert sum(len(c) for c, _, _ in want.values()) > 20
+    for pair, pr in rep.pairs.items():
+        cells, roots, residuals = want.get(pair, ([], [], []))
+        assert pr.identically_zero == (pair not in want)
+        assert pr.cells == cells
+        assert np.array_equal(np.reshape(pr.roots, (-1, 2)), np.reshape(roots, (-1, 2)))
+        assert pr.residuals == residuals
+
+
 def test_window_not_covered(kg_analysis):
     with pytest.raises(InputError):
         find_resonances(kg_analysis.field, kg_analysis.phase, window=(-50.0, 50.0))
@@ -243,6 +278,7 @@ def test_longitudinal_expansions():
 def test_phase_matching_plasma_wave():
     match = match_phases_on_dispersion("euler-maxwell-longitudinal-l", EM, k1=25.0)
     assert max(match.residuals) <= 1e-8
+    assert abs(match.k2 - -23.99406645265666) <= 1e-12
     assert abs(match.omega1 + match.omega2 - match.omega) < 1e-12
     assert abs(match.k1 + match.k2 - match.k) < 1e-12
 
@@ -251,6 +287,9 @@ def test_phase_matching_acoustic():
     match = match_phases_on_dispersion("euler-maxwell-longitudinal-s", EM, k1=25.0)
     assert max(match.residuals) <= 1e-8
     assert match.branch2_sign == -1   # acoustic matching needs the opposite branch
+    # a genuine acoustic wave, not beta2 = -beta1 (k = 0, omega = 0): backscatter, k near 2 k1
+    assert match.k != 0 and match.omega > 0
+    assert abs(match.k2 - 24.97313678196472) <= 1e-12 * 25
 
 
 def test_phase_matching_below_threshold():

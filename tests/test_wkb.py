@@ -50,6 +50,37 @@ def test_partial_inverse_identity(kg_analysis):
         assert np.abs(Linv @ L - (np.eye(spec.N) - Pi)).max() <= 1e-10
 
 
+def test_partial_inverse_agrees_with_projector_near_kernel():
+    # a 5e-9 rotation block lies within char_tol of zero: kernel for the projector,
+    # so the partial inverse leaves it alone instead of inverting it (2e8)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A0 = np.zeros((4, 4))
+    A0[:2, :2], A0[2:, 2:] = 5e-9 * rot, rot
+    spec = SystemSpec("near-kernel", 4, 1, A0, [np.diag([1.0, 2.0, 3.0, 4.0])],
+                      BilinearMap(4, ()))
+    phase = Phase(0.0, [0.0])
+    Pi = harmonic_projector(spec, phase, 0)
+    Linv = partial_inverse(spec, phase, 0)
+    assert np.trace(Pi).real == pytest.approx(2.0, abs=1e-12)
+    assert np.abs(Linv @ harmonic_matrix(spec, phase, 0) - (np.eye(4) - Pi)).max() <= 1e-12
+    assert np.abs(Linv).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("case", ["kg-equal", "kg-diff", "kg-equal-d2"])
+def test_group_velocity_closed_form(case):
+    # Re e1* Pi A_j e1: the branch gradient, k/omega = 1/sqrt(2) on the fast branch
+    # and theta0^2 k / lambda_slow(k) = 0.2236067977... on the slow one
+    spec = {"kg-equal": kg_equal(), "kg-diff": kg_diff(iota=1), "kg-equal-d2": kg_equal(d=2)}[case]
+    phase = kg_default_phase(spec)
+    vg = transport_setup(spec, phase, kg_e1(spec, phase)).group_velocity
+    k = float(phase.k[0])
+    want = (spec.params["theta0"] ** 2 * k / float(catalog.kg_lambda_slow(spec, [k]))
+            if case == "kg-diff" else k / phase.omega)
+    assert abs(vg[0] - want) <= 1e-14 * want
+    if case == "kg-equal-d2":
+        assert abs(vg[1]) <= 1e-14 * want
+
+
 def test_transport_three_wave_exact():
     spec = three_wave()
     setup = transport_setup(spec, TW_PHASE, EBAR)
