@@ -204,18 +204,22 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     else:
         F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(2 * m.N)))
 
-    # the product of each run of sample_every steps (the last run may be shorter):
-    # sample_every - 1 batched matmuls, then one sequential pass over the runs
-    starts = np.arange(0, n_steps, sample_every)
-    P = F[starts]
+    # the product of each run of sample_every steps (the last, the tail, may be shorter):
+    # sample_every - 1 batched matmuls over a (runs, sample_every, 2N, 2N) view of the steps,
+    # then one sequential pass over the runs
+    full = n_steps // sample_every
+    runs = F[:full * sample_every].reshape(full, sample_every, *F.shape[1:])
+    tail = F[full * sample_every:]
+    P = np.concatenate((runs[:, 0], tail[:1]))
     for j in range(1, sample_every):
-        live = starts[starts + j < n_steps]
-        P[:len(live)] = F[live + j] @ P[:len(live)]
+        np.matmul(runs[:, j], P[:full], out=P[:full])
+        if j < len(tail):
+            P[full] = tail[j] @ P[full]
     S = np.empty((len(P) + 1, 2 * m.N, 2 * m.N), dtype=complex)
     S[0] = np.eye(2 * m.N)
     for i, Pi in enumerate(P):
         S[i + 1] = Pi @ S[i]
-    times = ends[np.append(0, np.minimum(starts + sample_every, n_steps))]
+    times = ends[np.append(np.arange(0, n_steps, sample_every), n_steps)]
     sups = np.maximum(np.abs(S).sum(axis=2).max(axis=1), 1.0 if m.extra_diag else 0.0)
     flows = np.exp(-1j * mean_mu * (times - tau) / se)[:, None, None] * S
     half = len(times) // 2

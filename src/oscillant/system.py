@@ -28,6 +28,8 @@ class BilinearMap:
         for (o, l, r, v) in self.triplets:
             if not (0 <= o < self.N and 0 <= l < self.N and 0 <= r < self.N):
                 raise InputError(f"triplet index out of range for N={self.N}: {(o, l, r, v)}")
+            if np.iscomplexobj(v):
+                raise InputError(f"B triplet {(o, l, r)} has a non-real value {v}")
             if not np.isfinite(v):
                 raise InputError(f"B triplet {(o, l, r)} has a non-finite value {v}")
 
@@ -36,12 +38,13 @@ class BilinearMap:
         (N,) or fields (N, M).  Triplets whose value is exactly 0 add nothing."""
         u = np.asarray(u)
         v = np.asarray(v)
+        row = np.empty(u.shape[1:], dtype=np.result_type(u, v))
         if out is None:
-            out = np.empty(u.shape, dtype=np.result_type(u, v))
+            out = np.empty(u.shape, dtype=row.dtype)
         out.fill(0)
         for (o, l, r, val) in self.triplets:
             if val != 0:
-                out[o] += val * u[l] * v[r]
+                out[o] += np.multiply(np.multiply(val, u[l], out=row), v[r], out=row)
         return out
 
     def symmetrized(self, vec):

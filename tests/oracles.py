@@ -1,10 +1,14 @@
 """Test-only oracles: closed-form roots refined independently of the program's
-own solvers, and a one-cell-at-a-time reference for the vectorized 2-d scan."""
+own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, and a
+pair-by-pair reference for the stacked weak-transparency battery."""
 import numpy as np
 from scipy.optimize import brentq
 
 from oscillant.catalog import kg_lambda_fast, kg_lambda_slow
+from oscillant.numeric import DEFAULT_POLICY, supnorm
 from oscillant.resonance import Phase, _bisect, _PairBatch
+from oscillant.wkb import (WEAK_TRANSPARENCY_SAMPLES, WEAK_TRANSPARENCY_SEED,
+                           WeakTransparencyResult, harmonic_projector)
 
 
 def kg_r12_roots(spec, phase: Phase, window=(-12.0, 12.0)):
@@ -74,3 +78,33 @@ def scan_cells_2d(field, phase, window):
         out[pair][1].append(r)
         out[pair][2].append(abs(float(v)))
     return out
+
+
+def weak_transparency_pairwise(spec, phase):
+    """Pair-by-pair reference for :func:`oscillant.wkb.weak_transparency_check`
+    (without its harmonics gate): one B call per sample pair and harmonic
+    combination, the witness the first strict maximum in (p, u, v) order."""
+    projs = {p: harmonic_projector(spec, phase, p) for p in (-1, 0, 1)}
+    rng = np.random.default_rng(WEAK_TRANSPARENCY_SEED)
+    samples = [np.eye(spec.N)[i] for i in range(spec.N)]
+    samples += [rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
+                for _ in range(WEAK_TRANSPARENCY_SAMPLES)]
+    scale = 1e-300
+    worst = 0.0
+    witness = None
+    for p in (-1, 0, 1):
+        combos = [(p1, p - p1) for p1 in (-1, 0, 1) if (p - p1) in (-1, 0, 1)]
+        for u in samples:
+            for v in samples:
+                total = np.zeros(spec.N, dtype=complex)
+                for (p1, p2) in combos:
+                    term = spec.B(projs[p1] @ u, projs[p2] @ v)
+                    scale = max(scale, supnorm(term))
+                    total += term
+                defect = supnorm(projs[p] @ total)
+                if defect > worst:
+                    worst = defect
+                    witness = (p, u, v)
+    passed = worst <= DEFAULT_POLICY.algebra_tol * max(scale, 1.0)
+    return WeakTransparencyResult(passed=passed, max_defect=float(worst),
+                                  witness=None if passed else witness)

@@ -23,6 +23,34 @@ def test_triplet_index_range():
         BilinearMap(2, ((0, 0, 2, 1.0),))
 
 
+@pytest.mark.parametrize("value", [1j, 0.5 + 0.5j, complex(1.0, 0.0), np.complex128(2.0)])
+def test_non_real_triplet_value_refused(value):
+    with pytest.raises(InputError, match=r"B triplet \(0, 1, 1\) has a non-real value"):
+        BilinearMap(2, ((1, 0, 0, 1.0), (0, 1, 1, value)))
+
+
+@pytest.mark.parametrize("shape", [(4, 33), (4,)])
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)])
+def test_bilinear_eval_bit_identical_to_triplet_products(kinds, shape):
+    rng = np.random.default_rng(7)
+
+    def draw(is_complex):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if is_complex else x
+
+    u, v = draw(kinds[0]), draw(kinds[1])
+    B = BilinearMap(4, ((0, 1, 2, 0.3), (0, 2, 1, -1.7), (3, 3, 3, 1e-3), (1, 0, 0, 0.0),
+                        (3, 0, 2, 2.5), (0, 1, 2, -0.3)))
+    ref = np.zeros(shape, dtype=np.result_type(u, v))
+    for (o, l, r, val) in B.triplets:
+        if val != 0:
+            ref[o] += val * u[l] * v[r]
+    out = B(u, v)
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    into = np.full(shape, np.nan, dtype=ref.dtype)
+    assert B(u, v, out=into) is into and np.array_equal(into, ref)
+
+
 def test_bilinear_eval_and_symmetrized():
     B = BilinearMap(3, ((0, 1, 2, 2.0), (2, 0, 0, -1.0)))
     u = np.array([1.0, 2.0, 3.0])
