@@ -11,7 +11,7 @@ from .resonance import (Phase, ResonanceReport, characteristic_harmonics, find_r
 from .interaction import (PolarizationVectors, ReportInputs, RootCouplings, StabilityReport,
                           partial_transparency_conditions, polarization_vectors,
                           root_couplings, solve_homological, stability_report,
-                          symmetrizer_basis, transparency_check)
+                          transparency_check)
 from .flow import (FlowTrajectory, InteractionMatrix, flow_spectrum, integrate_flow,
                    unstable_datum_direction, verify_growth_bound)
 from .wkb import (WKBSolution, consistency_residual, pde_residual, solve_transport,

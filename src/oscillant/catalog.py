@@ -314,7 +314,8 @@ def mll_boundedness_verdict():
     The asymptotic branches are not distinct (two branches share each slope
     +-1, and several vanish), so the distinct-slope criterion cannot certify a
     bounded resonant set: the verdict is 'undetermined', never 'bounded'.
-    Slopes within the default policy's ``slope_tol`` coincide.
+    Slopes within the default policy's ``slope_tol`` coincide: the variety is
+    given by closed-form branches, not by a :class:`SystemSpec` carrying a policy.
     """
     for cosa in (1.0, 0.7, 0.0):
         slopes = np.sort(mll_asymptotic_slopes(cosa))

@@ -94,6 +94,7 @@ def largest_step(m: InteractionMatrix, t):
 
 def _rank_at_most_one(*products) -> bool:
     """The closed forms' precondition: each product has numerical rank <= 1."""
+    # bare matrices, no system to carry a policy: the default one decides
     return bool(np.all(numerical_rank(np.array(products), DEFAULT_POLICY) <= 1))
 
 

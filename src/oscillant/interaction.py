@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import _real_pivot, unstable_datum_direction
-from .numeric import DEFAULT_POLICY, MultiplicityError, NumericalError, numerical_rank, supnorm
+from .numeric import MultiplicityError, NumericalError, numerical_rank, supnorm
 from .resonance import (Phase, ResonanceReport, _PairBatch, harmonic, harmonic_matrix,
                         separation_check)
 from .spectral import SpectralField
@@ -194,10 +194,10 @@ def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Ph
     transparent.  Non-transparent: a root carries a coefficient above the
     non-transparency threshold.  Anything in between is reported as
     borderline.  ``roots`` is the pair's :func:`root_couplings` record;
-    thresholds are the field's policy, relative to the sup norms of B(e1)
+    thresholds are the system's policy, relative to the sup norms of B(e1)
     and B(e-1).
     """
-    policy = field.policy
+    policy = field.spec.policy
     sources, scale = _sources(field, pol)
     root_norm = float(roots.norms.max(initial=0.0))
     if root_norm >= policy.nontransparent_tol * scale:
@@ -256,7 +256,7 @@ def partial_transparency_conditions(field: SpectralField, pol: PolarizationVecto
     translates of other non-transparent resonant sets (shifted by +-k) and
     with coalescence-driven sets R_ii' and R_j'j, matched within one coarse
     cell (1/COARSE_CELLS of the window span).  The pair passes when its
-    coupling vanishes (the field policy's ``transparent_tol``) at every such
+    coupling vanishes (the system policy's ``transparent_tol``) at every such
     point.  ``roots`` maps each pair of R0 to its :func:`root_couplings` record.
     """
     _, scale = _sources(field, pol)
@@ -290,7 +290,7 @@ def partial_transparency_conditions(field: SpectralField, pol: PolarizationVecto
         norms = roots[(i, j)].norms
         passed, witness = True, None
         for n, p in uniq:
-            if norms[n] > field.policy.transparent_tol * scale:
+            if norms[n] > field.spec.policy.transparent_tol * scale:
                 passed, witness = False, p
                 break
         out[(i, j)] = PartialTransparencyResult(pair=(i, j),
@@ -336,7 +336,7 @@ def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Pha
     for xi, ph, S in zip(grid, phs, sources):
         if abs(ph) > 1e-6:
             sup_q = max(sup_q, supnorm(S) / abs(ph))
-        elif supnorm(S) > field.policy.transparent_tol * scale:
+        elif supnorm(S) > field.spec.policy.transparent_tol * scale:
             return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=np.inf,
                                        solvable=False, witness=xi)
     return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=float(sup_q),
@@ -470,9 +470,9 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     coupling sup over the coarse grid and the band scans around the roots
     add their own points.  The verdict follows the sign of the stability
     index; an empty non-transparent set is stable by transparency with a
-    degenerate (zero) index.  Thresholds are the field's policy.
+    degenerate (zero) index.  Thresholds are the system's policy.
     """
-    policy = field.policy
+    policy = field.spec.policy
     inputs = inputs or ReportInputs(d=field.spec.d)
     span = max(hi - lo for (lo, hi) in report.window)
     candidates = report.resonant_pairs(include_auto=True)
@@ -580,53 +580,3 @@ def _safe_div(num, den, default=np.inf):
     if den == 0 or not np.isfinite(den):
         return default
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# symmetrizer basis (stable case)
-# ---------------------------------------------------------------------------
-
-def symmetrizer_basis(C12, C21):
-    """Block change of basis reducing a rank-one off-diagonal pair to scalars.
-
-    For rank-one C12, C21 with tr(C12 C21) != 0, returns (P, c12, c21) with
-    columns of P given by: the distinguished range vector e of C12 C21, a
-    kernel basis of C21 (upper block), then the range vector f of C21 C12 and
-    a kernel basis of C12 (lower block).  The conjugation identity
-
-        P^-1 [[0, nu12 C12], [nu21 C21, 0]] P = [[0, D12], [D21, 0]],
-        Dij = diag(nu_ij c_ij, 0, ..., 0),
-
-    holds for any scalars nu12, nu21, and tr(C12 C21) = c12 c21.
-    """
-    C12 = np.asarray(C12, dtype=complex)
-    C21 = np.asarray(C21, dtype=complex)
-    N = C12.shape[0]
-    for name, C in (("C12", C12), ("C21", C21)):
-        if numerical_rank(C, DEFAULT_POLICY) != 1:
-            raise MultiplicityError(f"{name} is not numerically rank one")
-    tr = complex(np.trace(C12 @ C21))
-    scale = supnorm(C12) * supnorm(C21)
-    if abs(tr) < DEFAULT_POLICY.index_degenerate_tol * max(scale, 1e-300):
-        raise MultiplicityError("tr(C12 C21) vanishes; the pair cannot be reduced")
-
-    u_e, _, _ = np.linalg.svd(C12 @ C21)
-    e = _real_pivot(u_e[:, 0])
-    u_f, _, _ = np.linalg.svd(C21 @ C12)
-    f = _real_pivot(u_f[:, 0])
-
-    # C21 e = c21 f, C12 f = c12 e
-    c21 = complex(np.vdot(f, C21 @ e))
-    c12 = complex(np.vdot(e, C12 @ f))
-
-    _, _, vt21 = np.linalg.svd(C21)
-    ker21 = vt21.conj().T[:, 1:]       # orthonormal basis of ker C21
-    _, _, vt12 = np.linalg.svd(C12)
-    ker12 = vt12.conj().T[:, 1:]
-
-    P = np.zeros((2 * N, 2 * N), dtype=complex)
-    P[:N, 0] = e
-    P[:N, 1:N] = ker21
-    P[N:, N] = f
-    P[N:, N + 1:] = ker12
-    return P, c12, c21

@@ -1,10 +1,13 @@
 """Shared numeric tolerances and error types.
 
-Every numerical threshold lives in one :class:`NumericPolicy` record, read
-one way: code downstream of a spectral field reads the field's ``policy``
-(chosen once, where :func:`~oscillant.spectral.eigendecompose_field` builds
-the field); checks that have no field read :data:`DEFAULT_POLICY`.  No
-function takes a tolerance of its own.
+Every numerical threshold lives in one :class:`NumericPolicy` record, carried
+by the system: every decision about a :class:`~oscillant.system.SystemSpec`
+(its own validation, the spectral field and asymptotic slopes, resonances,
+interaction and the WKB checks) reads ``spec.policy``, which defaults to
+:data:`DEFAULT_POLICY`; a caller sets another with
+``dataclasses.replace(spec, policy=...)``.  Only checks that have no system
+(bare matrices, closed-form varieties) read :data:`DEFAULT_POLICY` directly.
+No function takes a tolerance of its own.
 """
 from dataclasses import dataclass
 

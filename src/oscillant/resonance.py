@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError, supnorm
+from .numeric import InputError, supnorm
 from .spectral import SpectralField, assemble_symbol, asymptotic_slopes
 from .system import SystemSpec
 
@@ -52,8 +52,8 @@ class Harmonic:
     """L(i p beta) = i (H(p k) - p omega) diagonalized: V diag(i mu) V*.
 
     The kernel is every eigenvector whose mu lies within
-    ``char_tol * max(1, supnorm(H(p k)))`` of zero (the default policy's
-    ``char_tol``); every characteristic-variety decision reads this mask.
+    ``char_tol * max(1, supnorm(H(p k)))`` of zero (``char_tol`` of the
+    system's policy); every characteristic-variety decision reads this mask.
     """
 
     mu: np.ndarray       # (N,) eigenvalues of H(p k) - p omega, ascending
@@ -80,7 +80,7 @@ def harmonic(spec: SystemSpec, phase: Phase, p: int) -> Harmonic:
     H = assemble_symbol(spec, p * phase.k)
     evals, vecs = np.linalg.eigh(H)
     mu = evals - p * phase.omega
-    return Harmonic(mu, vecs, np.abs(mu) <= DEFAULT_POLICY.char_tol * max(supnorm(H), 1.0))
+    return Harmonic(mu, vecs, np.abs(mu) <= spec.policy.char_tol * max(supnorm(H), 1.0))
 
 
 @dataclass
@@ -232,7 +232,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
     phase) are flagged rather than enumerated.  Boundedness is judged from the
     asymptotic slopes along +-1 in 1-d and eight equally spaced directions in 2-d.
     """
-    policy = field.policy
+    policy = field.spec.policy
     if window is None:
         window = default_window(field.spec, phase)
     if np.isscalar(window[0]):

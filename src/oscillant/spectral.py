@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError, NumericalError, NumericPolicy
+from .numeric import InputError, NumericalError, NumericPolicy
 from .system import SystemSpec
 
 # points per stacked eigh; bounds the per-chunk symbol and overlap temporaries
@@ -72,11 +72,11 @@ def _cluster_ids(evals, H, policy):
     return np.concatenate([np.zeros((len(evals), 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
 
 
-def _multiplicities(spec, xi, policy):
+def _multiplicities(spec, xi):
     """Sizes of the ascending eigenvalue clusters of the symbol at xi: the branches
     a chain starting there is labelled with."""
     H = _symbols(spec, np.asarray(xi, dtype=float)[None])
-    return np.bincount(_cluster_ids(_eigh(H)[0], H, policy)[0])
+    return np.bincount(_cluster_ids(_eigh(H)[0], H, spec.policy)[0])
 
 
 def _unambiguous(best, top, cid, sizes):
@@ -266,7 +266,6 @@ class SpectralField:
     vecs: np.ndarray         # (M, N, N) complex
     labels: np.ndarray       # (M, N)
     multiplicities: np.ndarray  # (J,)
-    policy: NumericPolicy
 
     @property
     def projectors(self) -> np.ndarray:
@@ -320,7 +319,7 @@ class SpectralField:
             near = self._nearest_index(pts[c])
             lams[c], labels[c], fallback[c] = _resolve(H, evals, vecs[c], self.vecs[near],
                                                        self.labels[near], pts[c],
-                                                       self.multiplicities, self.policy)
+                                                       self.multiplicities, self.spec.policy)
         return BranchEval(lams, vecs, labels, self.multiplicities, fallback)
 
     def eigensystem_at(self, xi):
@@ -346,7 +345,7 @@ def uniform_grid(window, n):
     return tuple(np.linspace(lo, hi, m) for (lo, hi), m in zip(window, n))
 
 
-def _chain(spec, points, prev, multiplicities, policy, anchor=None):
+def _chain(spec, points, prev, multiplicities, anchor=None):
     """Branch eigenvalues (M, J), eigenvector columns (M, N, N) and column
     labels (M, N) along a chain of points, each continued from its
     predecessor ``prev[m] < m`` (m > 0).
@@ -360,7 +359,7 @@ def _chain(spec, points, prev, multiplicities, policy, anchor=None):
     fell back, whose columns are no eigenvalue clusters.  Chunks are taken in
     index order; each point is diagonalized once.
     """
-    M, N, J = len(points), spec.N, len(multiplicities)
+    M, N, J, policy = len(points), spec.N, len(multiplicities), spec.policy
     lams, vecs = np.empty((M, J)), np.empty((M, N, N), dtype=complex)
     labels, cid, fell = np.empty((M, N), dtype=int), np.empty((M, N), dtype=int), np.zeros(M, bool)
     for s in range(0, M, EVAL_CHUNK):
@@ -392,7 +391,7 @@ def _chain(spec, points, prev, multiplicities, policy, anchor=None):
     return lams, vecs, labels
 
 
-def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT_POLICY) -> SpectralField:
+def eigendecompose_field(spec: SystemSpec, grid) -> SpectralField:
     """Branch-tracked eigendecomposition over a grid.
 
     ``grid`` is a tuple of per-axis sorted 1-d arrays (see :func:`uniform_grid`).
@@ -413,7 +412,7 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
         if np.any(np.diff(ax) <= 0):
             raise InputError("grid axes must be strictly increasing")
 
-    multiplicities = _multiplicities(spec, [ax[0] for ax in axes], policy)
+    multiplicities = _multiplicities(spec, [ax[0] for ax in axes])
     M = int(np.prod([ax.size for ax in axes]))
     need = M * spec.N ** 2 * 16
     if need > FIELD_BYTES_LIMIT:
@@ -423,8 +422,8 @@ def eigendecompose_field(spec: SystemSpec, grid, policy: NumericPolicy = DEFAULT
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     m, n_last = np.arange(M), len(axes[-1])
     prev = np.where(m % n_last, m - 1, np.maximum(m - n_last, 0))
-    lambdas, vecs, labels = _chain(spec, points, prev, multiplicities, policy)
-    return SpectralField(spec, axes, points, lambdas, vecs, labels, multiplicities, policy)
+    lambdas, vecs, labels = _chain(spec, points, prev, multiplicities)
+    return SpectralField(spec, axes, points, lambdas, vecs, labels, multiplicities)
 
 
 @dataclass
@@ -448,7 +447,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
 
     Labels the branches along the ray as one :func:`_chain` (anchored against
     the field's labelled columns at its edge point when a field is supplied, so
-    slope indices match field branch indices and the field's policy applies),
+    slope indices match field branch indices; the clusters follow ``spec.policy``),
     then refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the
     last two radii and fits the decay exponent of the residual by least squares.
     """
@@ -467,10 +466,10 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
     if field is not None:
         edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
         r0, anchor = max(edge[0], 1e-3), (field.vecs[edge[1]], field.labels[edge[1]])
-        multiplicities, policy = field.multiplicities, field.policy
+        multiplicities = field.multiplicities
     else:
-        r0, anchor, policy = radii[0], None, DEFAULT_POLICY
-        multiplicities = _multiplicities(spec, r0 * direction, policy)
+        r0, anchor = radii[0], None
+        multiplicities = _multiplicities(spec, r0 * direction)
 
     # march outward with bounded multiplicative steps so overlap tracking stays sound
     march = [r0]
@@ -481,7 +480,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
             march.append(float(r))
     J = len(multiplicities)
     lams = _chain(spec, np.array(march)[:, None] * direction,
-                  np.maximum(np.arange(len(march)) - 1, 0), multiplicities, policy, anchor)[0]
+                  np.maximum(np.arange(len(march)) - 1, 0), multiplicities, anchor)[0]
     vals = dict(zip(march, lams))
     samples = np.array([vals[float(r)] for r in radii])  # (len(radii), J)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError
+from .numeric import DEFAULT_POLICY, InputError, NumericPolicy
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,9 @@ class SystemSpec:
     B : bilinear source
     name : identifier
     params : free-form parameter map (catalog metadata)
+    policy : the tolerances every decision about this system reads, this
+        validation included; set with ``dataclasses.replace(spec, policy=...)``
+        (system files do not store it)
     """
 
     name: str
@@ -90,6 +93,7 @@ class SystemSpec:
     Aj: tuple
     B: BilinearMap
     params: dict = field(default_factory=dict)
+    policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         object.__setattr__(self, "A0", np.asarray(self.A0, dtype=float))
@@ -103,7 +107,7 @@ class SystemSpec:
             raise InputError("A0 has wrong shape")
         if len(self.Aj) != self.d:
             raise InputError("need one transport matrix per spatial dimension")
-        tol = DEFAULT_POLICY.sym_tol
+        tol = self.policy.sym_tol
         scale = 1.0 + abs(self.A0).max()
         if abs(self.A0 + self.A0.T).max() > tol * scale:
             raise InputError("A0 must be skew-symmetric")

@@ -10,17 +10,19 @@ velocity with a cubic self-interaction assembled from the quadratic source
 through the partial inverses of the harmonic characteristic matrices.  In
 one dimension that equation is solved exactly along its characteristics
 (:func:`solve_transport`, an error on blow-up).  A solution keeps the datum;
-each snapshot is formed where it is read (2 FFTs), and the residual reads one
-and forms only the harmonics p >= 0, as -p conjugates p in a real system.
+each snapshot is formed where it is read, from its spectrum (2 FFTs).  The
+residual reads one spectrum, forms g and g_x from it (3 FFTs in all) and only
+the harmonics p >= 0, as -p conjugates p in a real system.  Every threshold is
+the system's ``policy``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numeric import (DEFAULT_POLICY, MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError,
-                      NumericalError, supnorm)
+from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError, NumericalError, supnorm
 from .resonance import Phase, characteristic_harmonics, harmonic, harmonic_matrix
 from .system import SystemSpec
 
@@ -82,7 +84,7 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase) -> WeakTransparencyR
     # the first maximum in (p, u, v) order, the pair a pair-by-pair scan would keep
     ip, pair = np.unravel_index(np.argmax(defects), (3, n * n))
     worst = float(defects[ip][pair])
-    passed = worst <= DEFAULT_POLICY.algebra_tol * max(scale, 1.0)
+    passed = worst <= spec.policy.algebra_tol * max(scale, 1.0)
     witness = None if passed else (int(ip) - 1, samples[:, pair // n], samples[:, pair % n])
     return WeakTransparencyResult(passed=passed, max_defect=worst, witness=witness)
 
@@ -109,13 +111,13 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     (second harmonic and mean mode) to a scalar against the polarization;
     their vectors are kept as the correctors.
     """
-    e1 = np.asarray(e1, dtype=complex)
+    e1, policy = np.asarray(e1, dtype=complex), spec.policy
     P = harmonic_projector(spec, phase, 1)
     vg = np.zeros(spec.d)
     for a in range(spec.d):
         Av = P @ (spec.Aj[a] @ e1)
         coef = complex(np.vdot(e1, Av))
-        if supnorm(Av - coef * e1) > DEFAULT_POLICY.algebra_tol * max(1.0, supnorm(Av)):
+        if supnorm(Av - coef * e1) > policy.algebra_tol * max(1.0, supnorm(Av)):
             raise MultiplicityError(
                 "the polarization does not diagonalize the transport within the "
                 "phase's kernel; at a crossing a family of transport equations "
@@ -126,7 +128,7 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     second = B(e1, e1)
     L2 = harmonic_matrix(spec, phase, 2)
     Lm2 = partial_inverse(spec, phase, 2) @ second
-    if supnorm(L2 @ Lm2 - second) > DEFAULT_POLICY.harmonic_solve_tol * max(1.0, supnorm(second)):
+    if supnorm(L2 @ Lm2 - second) > policy.harmonic_solve_tol * max(1.0, supnorm(second)):
         raise NumericalError("second-harmonic source not invertible (harmonics condition fails)")
     em1 = e1.conj()
     mean = B(e1, em1) + B(em1, e1)
@@ -135,13 +137,6 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     c3 = complex(np.vdot(e1, v))
     return TransportSetup(group_velocity=vg, cubic_coefficient=c3, second_harmonic=Lm2,
                           mean_mode=w0)
-
-
-def _periodic_grid(x):
-    """Period of a uniform periodic grid and its angular wavenumbers."""
-    n = len(x)
-    L = float(x[-1] - x[0]) * n / (n - 1)
-    return L, 2 * np.pi * np.fft.fftfreq(n, d=L / n)
 
 
 @dataclass
@@ -157,18 +152,29 @@ class WKBSolution:
     setup: TransportSetup
     with_correctors: bool = False   # the residual adds the sqrt(eps) correctors of setup
 
-    def amplitude(self, it) -> np.ndarray:
-        """g at ``times[it]``: the exact factor on g0 shifted by v_g t (2 FFTs); g0 at t = 0."""
+    @cached_property
+    def grid(self):
+        """Period of the uniform periodic grid ``x`` and its angular wavenumbers."""
+        n = len(self.x)
+        L = float(self.x[-1] - self.x[0]) * n / (n - 1)
+        return L, 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+
+    def spectrum(self, it) -> np.ndarray:
+        """Fourier coefficients of g at ``times[it]``: the exact factor on g0, shifted
+        by v_g t per mode (1 FFT)."""
         t = self.times[it]
         if t == 0:
-            return self.g0
-        _, kappa = _periodic_grid(self.x)
+            return np.fft.fft(self.g0)
         vg, c3 = float(self.setup.group_velocity[0]), self.setup.cubic_coefficient
         a = c3.real
         m0 = np.abs(self.g0) ** 2
         # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
         gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
-        return np.fft.ifft(np.fft.fft(self.g0 * np.exp(gain)) * np.exp((-1j * vg * t) * kappa))
+        return np.fft.fft(self.g0 * np.exp(gain)) * np.exp((-1j * vg * t) * self.grid[1])
+
+    def amplitude(self, it) -> np.ndarray:
+        """g at ``times[it]``, the inverse of its :meth:`spectrum` (2 FFTs); g0 at t = 0."""
+        return self.g0 if self.times[it] == 0 else np.fft.ifft(self.spectrum(it))
 
     @property
     def g(self) -> np.ndarray:
@@ -217,7 +223,7 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
     if spec.d != 1:
         raise InputError("the residual is evaluated in one spatial dimension (spec.d must be 1)")
     x = wkb.x
-    L, kappa = _periodic_grid(x)
+    L, kappa = wkb.grid
     n = len(x)
     k = float(phase.k[0])
     ppw = 2 * np.pi * n * epsilon / (L * abs(k)) if k else np.inf
@@ -225,9 +231,11 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
         raise NumericalError(f"grid resolves only {ppw:.1f} points per oscillation wavelength; "
                              f"need >= {MIN_POINTS_PER_WAVELENGTH}")
 
-    g = wkb.amplitude(it)
+    # g and g_x from one spectrum (g_x in its buffer); at t = 0, g is the datum itself
+    ghat = wkb.spectrum(it)
+    g = wkb.g0 if wkb.times[it] == 0 else np.fft.ifft(ghat)
     setup = wkb.setup
-    gx = np.fft.ifft(1j * kappa * np.fft.fft(g))
+    gx = np.fft.ifft(np.multiply(1j * kappa, ghat, out=ghat), out=ghat)
     gt = -float(setup.group_velocity[0]) * gx + setup.cubic_coefficient * np.abs(g) ** 2 * g
 
     # harmonic p >= 0, its constant vector, and its profile with d_t and d_x
@@ -264,13 +272,14 @@ def consistency_residual(wkb_factory, spec: SystemSpec, epsilons) -> Consistency
     resolves the oscillation at that epsilon; the result is the least-squares
     slope of log residual against log epsilon, over at least two distinct
     epsilons.  Each solution is scored at its last snapshot, the only one
-    formed (:func:`pde_residual` at ``it=-1``).
+    formed (:func:`pde_residual` at ``it=-1``).  Residuals all below
+    ``spec.policy.residual_floor`` make an exact solution, of order inf.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     if len(np.unique(epsilons)) < 2:
         raise InputError(f"a residual order needs two distinct epsilons, got {epsilons.tolist()}")
     res = np.array([pde_residual(wkb_factory(eps), eps, it=-1) for eps in epsilons])
-    if np.all(res < DEFAULT_POLICY.residual_floor):
+    if np.all(res < spec.policy.residual_floor):
         order = np.inf   # exact solution: residual at floor
     else:
         order = float(np.polyfit(np.log(epsilons), np.log(np.maximum(res, 1e-300)), 1)[0])

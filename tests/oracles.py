@@ -1,11 +1,13 @@
 """Test-only oracles: closed-form roots refined independently of the program's
-own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, and a
-pair-by-pair reference for the stacked weak-transparency battery."""
+own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, a
+pair-by-pair reference for the stacked weak-transparency battery, and the
+symmetrizer basis of a rank-one pair, whose identities the tests check."""
 import numpy as np
 from scipy.optimize import brentq
 
 from oscillant.catalog import kg_lambda_fast, kg_lambda_slow
-from oscillant.numeric import DEFAULT_POLICY, supnorm
+from oscillant.flow import _real_pivot
+from oscillant.numeric import DEFAULT_POLICY, MultiplicityError, numerical_rank, supnorm
 from oscillant.resonance import Phase, _bisect, _PairBatch
 from oscillant.wkb import (WEAK_TRANSPARENCY_SAMPLES, WEAK_TRANSPARENCY_SEED,
                            WeakTransparencyResult, harmonic_projector)
@@ -40,7 +42,7 @@ def scan_cells_2d(field, phase, window):
     negative to its first non-negative corner.  Returns pair -> (cells,
     roots, residuals).
     """
-    policy, J = field.policy, field.J
+    policy, J = field.spec.policy, field.J
     ax0, ax1 = field.axes
     s0 = (ax0 >= window[0][0] - 1e-12) & (ax0 <= window[0][1] + 1e-12)
     s1 = (ax1 >= window[1][0] - 1e-12) & (ax1 <= window[1][1] + 1e-12)
@@ -105,6 +107,53 @@ def weak_transparency_pairwise(spec, phase):
                 if defect > worst:
                     worst = defect
                     witness = (p, u, v)
-    passed = worst <= DEFAULT_POLICY.algebra_tol * max(scale, 1.0)
+    passed = worst <= spec.policy.algebra_tol * max(scale, 1.0)
     return WeakTransparencyResult(passed=passed, max_defect=float(worst),
                                   witness=None if passed else witness)
+
+
+def symmetrizer_basis(C12, C21):
+    """Block change of basis reducing a rank-one off-diagonal pair to scalars.
+
+    For rank-one C12, C21 with tr(C12 C21) != 0, returns (P, c12, c21) with
+    columns of P given by: the distinguished range vector e of C12 C21, a
+    kernel basis of C21 (upper block), then the range vector f of C21 C12 and
+    a kernel basis of C12 (lower block).  The conjugation identity
+
+        P^-1 [[0, nu12 C12], [nu21 C21, 0]] P = [[0, D12], [D21, 0]],
+        Dij = diag(nu_ij c_ij, 0, ..., 0),
+
+    holds for any scalars nu12, nu21, and tr(C12 C21) = c12 c21.  Bare
+    matrices carry no system, so the default policy decides rank and trace.
+    """
+    C12 = np.asarray(C12, dtype=complex)
+    C21 = np.asarray(C21, dtype=complex)
+    N = C12.shape[0]
+    for name, C in (("C12", C12), ("C21", C21)):
+        if numerical_rank(C, DEFAULT_POLICY) != 1:
+            raise MultiplicityError(f"{name} is not numerically rank one")
+    tr = complex(np.trace(C12 @ C21))
+    scale = supnorm(C12) * supnorm(C21)
+    if abs(tr) < DEFAULT_POLICY.index_degenerate_tol * max(scale, 1e-300):
+        raise MultiplicityError("tr(C12 C21) vanishes; the pair cannot be reduced")
+
+    u_e, _, _ = np.linalg.svd(C12 @ C21)
+    e = _real_pivot(u_e[:, 0])
+    u_f, _, _ = np.linalg.svd(C21 @ C12)
+    f = _real_pivot(u_f[:, 0])
+
+    # C21 e = c21 f, C12 f = c12 e
+    c21 = complex(np.vdot(f, C21 @ e))
+    c12 = complex(np.vdot(e, C12 @ f))
+
+    _, _, vt21 = np.linalg.svd(C21)
+    ker21 = vt21.conj().T[:, 1:]       # orthonormal basis of ker C21
+    _, _, vt12 = np.linalg.svd(C12)
+    ker12 = vt12.conj().T[:, 1:]
+
+    P = np.zeros((2 * N, 2 * N), dtype=complex)
+    P[:N, 0] = e
+    P[:N, 1:N] = ker21
+    P[N:, N] = f
+    P[N:, N + 1:] = ker12
+    return P, c12, c21

@@ -18,13 +18,13 @@ from oscillant.dispersion import (match_phases_on_dispersion, omega_longitudinal
                                   omega_longitudinal_s)
 from oscillant.experiments import analyze, flow_bound_experiment
 from oscillant.flow import InteractionMatrix, flow_spectrum
-from oscillant.interaction import pair_coefficients_at, symmetrizer_basis
+from oscillant.interaction import pair_coefficients_at
 from oscillant.resonance import Phase
 from oscillant.simulate import AmplitudeProfile, SimConfig, run_instability_experiment
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import consistency_residual, solve_transport, weak_transparency_check
 
-from oracles import kg_r12_roots
+from oracles import kg_r12_roots, symmetrizer_basis
 
 
 def record(num, ok, detail):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,15 @@ from oscillant.catalog import (kg_default_phase, kg_diff, kg_e1, kg_equal,
                                kg_gamma12_product, kg_gamma12_trace, kg_lambda_slow,
                                kg_omega_vec, kg_scalar_couplings, three_wave)
 from oscillant.interaction import (pair_coefficients_at, polarization_vectors, root_couplings,
-                                   solve_homological, stability_report, symmetrizer_basis,
-                                   transparency_check)
+                                   solve_homological, stability_report, transparency_check)
 from oscillant.experiments import analyze
 from oscillant.numeric import InputError, MultiplicityError, NumericPolicy, numerical_rank, supnorm
-from oscillant.resonance import Phase, default_window, find_resonances, resonance_phase
-from oscillant.spectral import SpectralField, eigendecompose_field, uniform_grid
+from oscillant.resonance import Phase, find_resonances, resonance_phase
+from oscillant.spectral import SpectralField
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close, random_characteristic_system
+from oracles import symmetrizer_basis
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,8 @@ def test_interaction_coefficients_ranks(kg_analysis, kg_branches):
     pair = (kg_branches[1], kg_branches[2])
     for xi in np.linspace(-2, 2, 21) + 0.01:
         bp, bm, g = pair_coefficients_at(field, pol, phase, pair, [xi])
-        assert numerical_rank(bp, field.policy) <= 1
-        assert numerical_rank(bm, field.policy) <= 1
+        assert numerical_rank(bp, field.spec.policy) <= 1
+        assert numerical_rank(bm, field.spec.policy) <= 1
         assert abs(g.imag) <= 1e-12
 
 
@@ -313,16 +315,13 @@ def test_report_degenerate_when_all_transparent():
 
 def test_field_policy_reaches_the_interaction_layer(kg_analysis):
     # thresholds so loose that every coupling counts as zero: the verdict must
-    # follow the policy the field was built with, not the default one
-    spec, phase = kg_analysis.spec, kg_analysis.phase
-    window = default_window(spec, phase)
-    pad = float(np.max(np.abs(phase.k))) + 1e-9
-    grid = uniform_grid((window[0][0] - pad, window[0][1] + pad), 2048)
+    # follow the policy the system carries, not the default one
     policy = NumericPolicy(index_degenerate_tol=1.0, transparent_tol=1e3, nontransparent_tol=1e4)
-    field = eigendecompose_field(spec, grid, policy)
-    report = find_resonances(field, phase, window=window)
+    an = analyze(replace(kg_analysis.spec, policy=policy), kg_analysis.phase)
+    assert an.field.spec.policy is policy
+    report = an.resonances
     assert report.to_dict() == kg_analysis.resonances.to_dict()   # root_tol is unchanged
-    sr = stability_report(field, kg_analysis.pol, phase, report)
+    sr = an.stability
     assert all(t.verdict == "transparent" for t in sr.transparency.values())
     assert sr.R0 == [] and sr.verdict == "stable-by-transparency"
 

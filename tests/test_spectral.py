@@ -187,7 +187,7 @@ def test_field_representation_random_systems(seed):
     # eigenvalues back, and the projectors formed from them are a resolution of H
     spec, _, _ = random_characteristic_system(seed)
     field = eigendecompose_field(spec, uniform_grid((-4.0, 4.0), 256))
-    tol = field.policy.algebra_tol
+    tol = field.spec.policy.algebra_tol
     ev = field.evaluate(field.points)
     assert np.array_equal(ev.lams, field.lambdas)
     P = field.projectors
@@ -236,7 +236,7 @@ def _per_point(field, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     ref = field.projectors[field._nearest_index(xi[None])[0]]
     return _assign_to_branches(assemble_symbol(field.spec, xi), ref, field.multiplicities,
-                               field.policy, xi)
+                               field.spec.policy, xi)
 
 
 def _crossings(field):
@@ -267,7 +267,7 @@ def test_batched_evaluate_matches_per_point(system, kg_analysis, kg_diff_analysi
     xs = np.array(random + near)
     ev = field.evaluate(xs[:, None])
     assert not ev.fallback[:len(random)].any()   # random points need no fallback
-    tol = field.policy.algebra_tol
+    tol = field.spec.policy.algebra_tol
     for p, x in enumerate(xs):
         lams, projs = _per_point(field, [x])
         assert np.array_equal(ev.lams[p], lams), f"eigenvalues at {x}"
@@ -318,7 +318,7 @@ def _sequential_field(spec, axes):
         prev = m - 1 if spec.d == 1 or m % n1 else m - n1
         lambdas[m], projectors[m] = _assign_to_branches(
             assemble_symbol(spec, points[m]), projectors[prev], first.multiplicities,
-            first.policy, points[m])
+            first.spec.policy, points[m])
     return lambdas, projectors
 
 
@@ -333,7 +333,7 @@ def test_chained_field_matches_sequential_assignment(spec, axes):
     field = eigendecompose_field(spec, axes)
     lambdas, projectors = _sequential_field(spec, axes)
     assert np.array_equal(field.lambdas, lambdas)
-    assert np.abs(field.projectors - projectors).max() <= field.policy.algebra_tol
+    assert np.abs(field.projectors - projectors).max() <= field.spec.policy.algebra_tol
 
 
 def test_field_memory_guard():
@@ -350,11 +350,11 @@ def _marched_slopes(spec, direction, radii, field=None):
     if field is not None:
         edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
         r0, ref = max(edge[0], 1e-3), field.projectors[edge[1]]
-        multiplicities, policy = field.multiplicities, field.policy
+        multiplicities, policy = field.multiplicities, field.spec.policy
     else:
         r0 = radii[0]
         first = eigendecompose_field(spec, tuple(np.array([x]) for x in r0 * direction))
-        ref, multiplicities, policy = first.projectors[0], first.multiplicities, first.policy
+        ref, multiplicities, policy = first.projectors[0], first.multiplicities, first.spec.policy
     march = [r0]
     for r in radii:
         while r / march[-1] > 1.3:

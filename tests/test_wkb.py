@@ -403,14 +403,15 @@ def test_transport_and_residual_memory_on_the_finest_fit_grid():
 
 
 def test_fit_transforms_only_the_scored_snapshot(monkeypatch):
-    # per grid: 2 FFTs form the last snapshot, 2 more differentiate it
+    # per grid: 1 FFT forms the last snapshot's spectrum, 2 inverse FFTs give g
+    # and g_x from it; the wavenumbers are formed once
     calls = []
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "fftfreq"):
         original = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name,
-                            lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+                            lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
     sizes = []
     spec, make = _cli_fit_factory(True, sizes)
     consistency_residual(make, spec, [1e-2, 3e-3, 1e-3])
     assert sizes == [4096, 16384, 65536]
-    assert len(calls) == 12
+    assert [calls.count(n) for n in ("fft", "ifft", "fftfreq")] == [3, 6, 3]
