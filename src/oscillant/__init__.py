@@ -12,8 +12,8 @@ from .interaction import (PolarizationVectors, ReportInputs, RootCouplings, Stab
                           partial_transparency_conditions, polarization_vectors,
                           root_couplings, solve_homological, stability_report,
                           transparency_check)
-from .flow import (FlowTrajectory, InteractionMatrix, flow_spectrum, integrate_flow,
-                   unstable_datum_direction, verify_growth_bound)
+from .flow import (FlowTrajectory, InteractionMatrix, integrate_flow, unstable_datum_direction,
+                   verify_growth_bound)
 from .wkb import (WKBSolution, consistency_residual, pde_residual, solve_transport,
                   weak_transparency_check)
 from .simulate import (AmplitudeProfile, SimConfig, SimulationRun, amplitude_norms,

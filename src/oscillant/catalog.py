@@ -2,8 +2,8 @@
 magnetization-wave characteristic variety, and plasma dispersion parameters.
 
 Each builder returns a :class:`SystemSpec` with exact matrices; closed-form
-eigenvalues, polarization vectors and coupling scalars for the Klein-Gordon
-systems are provided for cross-checking the generic pipeline.
+branch values, the polarization vector and the resonant sets of the
+Klein-Gordon systems are provided for cross-checking the generic pipeline.
 """
 from __future__ import annotations
 
@@ -183,54 +183,6 @@ def kg_e1(spec, phase: Phase) -> np.ndarray:
     return e / np.sqrt(2.0)
 
 
-def kg_omega_vec(spec, xi, branch) -> np.ndarray:
-    """Eigenvector of branch 'fast+'/'slow+'/'slow-'/'fast-' at xi, in the text's
-    normalization: fast vectors are unit (carry 1/sqrt(2)), slow vectors are not."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d, n = spec.d, spec.d + 2
-    w0, th0 = spec.params["omega0"], spec.params["theta0"]
-    a0 = spec.params.get("alpha0", 1.0)
-    out = np.zeros(spec.N, dtype=complex)
-    if branch in ("fast+", "fast-"):
-        lam = kg_lambda_fast(spec, xi) * (1 if branch == "fast+" else -1)
-        out[:d] = -xi / lam
-        out[d] = 1.0
-        out[d + 1] = 1j * a0 * w0 / lam
-        return out / np.sqrt(2.0)
-    lam = kg_lambda_slow(spec, xi) * (1 if branch == "slow+" else -1)
-    out[n:n + d] = -th0 * xi / lam
-    out[n + d] = 1.0
-    out[n + d + 1] = 1j * w0 / lam
-    return out
-
-
-def kg_scalar_couplings(spec, phase: Phase, xi):
-    """The two coupling scalars of the fast/slow resonance, in the text's
-    vector normalization: returns ((Omega1(xi+k), B(e1) Omega2(xi)),
-    (Omega2(xi), B(e-1) Omega1(xi+k)))."""
-    e1 = kg_e1(spec, phase)
-    om1 = kg_omega_vec(spec, np.atleast_1d(xi) + phase.k, "fast+")
-    om2 = kg_omega_vec(spec, xi, "slow+")
-    b1 = spec.B.symmetrized(e1)
-    bm1 = spec.B.symmetrized(e1.conj())
-    s1 = complex(np.vdot(om1, b1 @ om2))
-    s2 = complex(np.vdot(om2, bm1 @ om1))
-    return s1, s2
-
-
-def kg_gamma12_product(spec, phase: Phase, xi):
-    """Closed-form product of the coupling scalars: (iota) omega0^2/(4 w lam_slow(xi))."""
-    w0 = spec.params["omega0"]
-    iota = spec.params.get("iota", 1)
-    return iota * w0 ** 2 / (4.0 * phase.omega * kg_lambda_slow(spec, xi))
-
-
-def kg_gamma12_trace(spec, phase: Phase, xi):
-    """Closed form of the orthoprojected interaction trace: half the scalar
-    product (the slow-branch closed-form vector has squared norm 2)."""
-    return kg_gamma12_product(spec, phase, xi) / 2.0
-
-
 def kg_r15_roots(phase: Phase):
     """{xi : |xi + k| = |k|} in 1-d: {0, -2k}."""
     k = float(phase.k[0])
@@ -257,18 +209,6 @@ def kg_branch_map(spec, field):
         if abs(lams[j] - val) > 1e-8 * (1 + abs(val)):
             raise InputError("field branches do not match Klein-Gordon closed forms")
         out[label] = j
-    return out
-
-
-def three_wave_branch_map(spec, field):
-    """Map mode index 1..3 (components u1, u2, u3) to field branch indices."""
-    probe = np.array([1.3])
-    lams = field.evaluate(probe[None]).lams[0]
-    out = {}
-    for mode in (1, 2, 3):
-        target = spec.params[f"c{mode}"] * probe[0]
-        j = int(np.argmin(np.abs(lams - target)))
-        out[mode] = j
     return out
 
 

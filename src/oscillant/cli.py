@@ -193,6 +193,7 @@ def cmd_simulate(args):
             f.write(blob)
     print(f"verdict: {run.verdict}  fitted_rate: {run.fitted_rate:.6g}  "
           f"t_star: {run.t_star:.6g}")
+    print(f"dt_used: {run.dt_used:.6g}  halvings: {run.halvings}")
     print(f"wrote {path}")
     return 0
 

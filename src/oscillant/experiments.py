@@ -99,7 +99,7 @@ def _group_velocity(analysis: Analysis) -> float:
         return 0.0
 
 
-def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
+def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active, policy):
     mu1, mu2, bp, bm, extra = sample
     ph = mu1 - mu2
     chi0 = bump_weight(ph, h, 2 * h) if cutoff_active else 1.0
@@ -109,7 +109,7 @@ def _matrix_of_t(sample, vg, x, epsilon, h, amplitude, cutoff_active):
     def envelope(t):
         return chi0 * phi1 * amplitude(x - vg * np.sqrt(epsilon) * t).astype(complex)
     return InteractionMatrix(mu1=mu1, mu2=mu2, b12=bp, b21=bm, epsilon=epsilon,
-                             extra_diag=extra, chi1=chi1, envelope=envelope)
+                             extra_diag=extra, chi1=chi1, envelope=envelope, policy=policy)
 
 
 def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
@@ -120,10 +120,11 @@ def interaction_matrix_factory(analysis: Analysis, x, xi, epsilon, h=0.1,
     by the frequency cutoff (plateau at phase size h, gone by 2h), a spatial
     plateau around the amplitude maximum, and the transported amplitude value
     g(sqrt(eps) t, x); the remaining branches enter as decoupled imaginary
-    diagonal entries.
+    diagonal entries.  The matrix carries the system's policy, whose ``rank_gap``
+    decides the flow's closed-form path.
     """
     return _matrix_of_t(_pair_sample(analysis, xi), _group_velocity(analysis), x, epsilon, h,
-                        amplitude or AmplitudeProfile(), cutoff_active)
+                        amplitude or AmplitudeProfile(), cutoff_active, analysis.spec.policy)
 
 
 def sample_trajectory(m: InteractionMatrix, t_end, samples=100) -> FlowTrajectory:
@@ -175,8 +176,8 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
         samples = [_pair_sample(analysis, xi) for xi in xis]
 
         def factory(eps, t_end):
-            return [sample_trajectory(_matrix_of_t(s, vg, x, eps, h, amplitude, cutoff_active),
-                                      t_end)
+            return [sample_trajectory(_matrix_of_t(s, vg, x, eps, h, amplitude, cutoff_active,
+                                                   analysis.spec.policy), t_end)
                     for x in x_samples for s in samples]
         return factory
 
@@ -224,7 +225,6 @@ def simulation_config(spec: SystemSpec, analysis: Analysis, epsilon, K=3.0, K_pr
                       T_obs=None, rho=None, t_end=None) -> SimConfig:
     sr = analysis.stability
     amplitude = amplitude or AmplitudeProfile()
-    real_state = catalog.stock_family(spec) == "klein-gordon"
     xi0 = float(np.atleast_1d(sr.xi0)[0]) if sr.xi0 is not None else 0.0
     k = float(analysis.phase.k[0])
     e0 = sr.e0 if sr.e0 is not None else np.eye(spec.N)[0].astype(complex)
@@ -233,7 +233,7 @@ def simulation_config(spec: SystemSpec, analysis: Analysis, epsilon, K=3.0, K_pr
         T_obs = sr.t0 if np.isfinite(sr.t0) else 2.0
     return SimConfig(spec=spec, epsilon=epsilon, grid_points=grid_points,
                      amplitude=amplitude, K=K, K_prime=K_prime, T_obs=T_obs,
-                     e0=e0, xi0=xi0, k=k, rho=rho, real_state=real_state, t_end=t_end)
+                     e0=e0, xi0=xi0, k=k, rho=rho, t_end=t_end)
 
 
 def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None, **cfg_kw):

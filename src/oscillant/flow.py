@@ -7,14 +7,14 @@ The interaction matrix
 
 drives the flow dS/dt + M S / sqrt(eps) = 0, S(tau; tau) = Id.  Its spectrum
 is known in closed form when b12 b21 has rank one, and the flow's sup norm is
-bounded by a polylog times exp(t * upper growth rate); both facts are checked
+bounded by a polylog times exp(t * upper growth rate); the bound is checked
 here numerically.
 
 The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
 exponentiates a trajectory's steps as one stack: in closed form when both coupling
-products have rank <= 1 (tested once per trajectory), as one coefficient GEMM;
-by one ``expm`` otherwise, whose first call imports scipy.  Either stack is then
-multiplied block by block, one block per sample interval.
+products have rank <= 1 (tested once per trajectory, under the matrix's policy), as
+one coefficient GEMM; by one ``expm`` otherwise, whose first call imports scipy.
+Either stack is then multiplied block by block, one block per sample interval.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError, NumericalError, numerical_rank, supnorm
+from .numeric import (DEFAULT_POLICY, InputError, NumericalError, NumericPolicy, numerical_rank,
+                      supnorm)
 
 # largest fitted exponent of Q(eps) against |log eps| the polylog bound accepts
 GROWTH_EXPONENT_CAP = 8.0
@@ -55,7 +56,8 @@ def bump_weight(value, plateau, cutoff):
 class InteractionMatrix:
     """Frozen symbol of the localized two-branch propagator at one (x, xi): the
     couplings at time t are g(t) b12 and conj(g(t)) b21, where the envelope g
-    carries the cutoff weights and the transported amplitude."""
+    carries the cutoff weights and the transported amplitude.  ``policy`` is the
+    system's: its ``rank_gap`` decides the closed-form path."""
 
     mu1: float
     mu2: float
@@ -65,6 +67,7 @@ class InteractionMatrix:
     extra_diag: tuple = ()       # remaining branch eigenvalues (decoupled, unitary)
     chi1: float = 1.0            # diagonal cutoff weight
     envelope: Callable = lambda t: np.ones(np.shape(t), dtype=complex)  # times -> g
+    policy: NumericPolicy = DEFAULT_POLICY
 
     @property
     def N(self) -> int:
@@ -92,30 +95,9 @@ def largest_step(m: InteractionMatrix, t):
     return STEP_EXPONENT_CAP * np.sqrt(m.epsilon) / np.maximum(norm, 1e-12)
 
 
-def _rank_at_most_one(*products) -> bool:
+def _rank_at_most_one(policy: NumericPolicy, *products) -> bool:
     """The closed forms' precondition: each product has numerical rank <= 1."""
-    # bare matrices, no system to carry a policy: the default one decides
-    return bool(np.all(numerical_rank(np.array(products), DEFAULT_POLICY) <= 1))
-
-
-def flow_spectrum(m: InteractionMatrix):
-    """Closed-form spectrum of the coupled block of M at unit envelope.
-
-    Returns the eigenvalues [i mu1 (x N-1), i mu2 (x N-1), mu+, mu-] where
-    mu+- = i (mu1 + mu2)/2 +- sqrt(4 eps tr(b12 b21) - (mu1 - mu2)^2)/2.
-    Requires the coupling product to have rank at most one.
-    """
-    prod = m.b12 @ m.b21
-    if not _rank_at_most_one(prod):
-        raise NumericalError("coupling product has rank above one; closed form unavailable")
-    mu1 = m.chi1 * m.mu1
-    mu2 = m.chi1 * m.mu2
-    tr = complex(np.trace(prod))
-    disc = np.sqrt(4.0 * m.epsilon * tr - (mu1 - mu2) ** 2 + 0j)
-    mu_p = 0.5j * (mu1 + mu2) + 0.5 * disc
-    mu_m = 0.5j * (mu1 + mu2) - 0.5 * disc
-    N = m.N
-    return np.array([1j * mu1] * (N - 1) + [1j * mu2] * (N - 1) + [mu_p, mu_m])
+    return bool(np.all(numerical_rank(np.array(products), policy) <= 1))
 
 
 @dataclass
@@ -200,7 +182,7 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     mids = ends[:-1] + 0.5 * dt
     max_exponent = float(STEP_EXPONENT_CAP * dt / np.min(largest_step(m, mids)))
     mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
-    if max_exponent <= 2.0 and _rank_at_most_one(m.b12 @ m.b21, m.b21 @ m.b12):
+    if max_exponent <= 2.0 and _rank_at_most_one(m.policy, m.b12 @ m.b21, m.b21 @ m.b12):
         F = rank_one_exponentials(m, m.envelope(mids), dt)
     else:
         F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(2 * m.N)))

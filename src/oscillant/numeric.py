@@ -5,9 +5,9 @@ by the system: every decision about a :class:`~oscillant.system.SystemSpec`
 (its own validation, the spectral field and asymptotic slopes, resonances,
 interaction and the WKB checks) reads ``spec.policy``, which defaults to
 :data:`DEFAULT_POLICY`; a caller sets another with
-``dataclasses.replace(spec, policy=...)``.  Only checks that have no system
-(bare matrices, closed-form varieties) read :data:`DEFAULT_POLICY` directly.
-No function takes a tolerance of its own.
+``dataclasses.replace(spec, policy=...)``; a flow's interaction matrix carries
+its system's policy.  Only a check that has no system (a closed-form variety)
+reads :data:`DEFAULT_POLICY` directly.  No function takes a tolerance of its own.
 """
 from dataclasses import dataclass
 

@@ -1,18 +1,21 @@
 """Direct pseudospectral simulation with highly-oscillating data.
 
-Strang splitting on a periodic grid: the stiff linear part advances exactly
-per Fourier mode through the precomputed eigendecomposition of
+Every run evolves a real field: the systems are real (``A0``, ``Aj`` and ``B``)
+and the datum enters through its real part, so the state lives on the ``rfft``
+half spectrum.  Strang splitting on a periodic grid: the stiff linear part
+advances exactly per Fourier mode through the precomputed eigendecomposition of
 ``A0/(i eps) + A(kappa)`` (unitary), and the pointwise quadratic source
 advances with classical Runge-Kutta stages.  Deviation norms from a reference
 solution are recorded against the predicted amplification times.
 
 The half-step propagator is cached per step size with its nonzero entries, the
-only ones a half-step multiplies.  A step starts from the spectrum the last one
-ended with (three transforms, not four) and overwrites it; its transforms, RK4
-stages and source evaluations write into a workspace allocated once per run, as
-the deviation samples do.  Real-state systems keep the ``rfft`` half spectrum.
-Half-steps are not fused across steps: the dt-halving test reads sup|u| in x
-after each step, so fusing saves no transform.
+only ones a half-step multiplies; it and the eigendecomposition are built a
+chunk of modes at a time, into arrays of their final size.  A step starts from
+the spectrum the last one ended with (three transforms, not four) and
+overwrites it; its transforms, RK4 stages and source evaluations write into a
+workspace allocated once per run, as the deviation samples do.  Half-steps are
+not fused across steps: the dt-halving test reads sup|u| in x after each step,
+so fusing saves no transform.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ from .system import SystemSpec
 
 # deviation samples recorded over a run, after the initial one
 RUN_SAMPLES = 400
+# Fourier modes per chunk of the stepper's eigendecomposition and propagator
+# build: bounds their temporaries, not the arrays they fill
+MODE_CHUNK = 512
 
 
 @dataclass
@@ -87,7 +93,6 @@ class SimConfig:
     K_prime: float = 0.5
     amplitude: AmplitudeProfile = dc_field(default_factory=AmplitudeProfile)
     rho: float = None                  # observation ball radius; default width/2
-    real_state: bool = False
     # resonant perturbation data (from a stability report)
     xi0: float = 0.0
     k: float = 0.0
@@ -124,44 +129,47 @@ class SimConfig:
 
 
 class _Stepper:
-    """Strang splitting with exact linear half-steps per Fourier mode, from
-    spectrum to spectrum, in a workspace of one spectrum, the state, three RK4 arrays
-    and a spectrum row (see the module docstring)."""
+    """Strang splitting of a real field with exact linear half-steps per mode of
+    its ``rfft`` half spectrum, from spectrum to spectrum, in a workspace of one
+    spectrum, the state, three RK4 arrays and a spectrum row (see the module
+    docstring)."""
 
-    def __init__(self, spec: SystemSpec, epsilon: float, x: np.ndarray, real_state: bool):
-        self.real_state = real_state
+    def __init__(self, spec: SystemSpec, epsilon: float, x: np.ndarray):
         self.n = n = len(x)
         L = float(x[-1] - x[0]) * n / (n - 1)
-        freq = np.fft.rfftfreq if real_state else np.fft.fftfreq
-        kappa = 2 * np.pi * freq(n, d=L / n)
+        kappa = 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
+        self._chunks = [slice(s, s + MODE_CHUNK) for s in range(0, len(kappa), MODE_CHUNK)]
         # H_eps(kappa) = A0/(i eps) + A(kappa); per-mode unitary update e^{-i dt H}
-        Hs = spec.A0[None, :, :] / (1j * epsilon) + kappa[:, None, None] * spec.Aj[0][None, :, :]
-        self.evals, self.evecs = np.linalg.eigh(Hs)
+        self.evals = np.empty((len(kappa), spec.N))
+        self.evecs = np.empty((len(kappa), spec.N, spec.N), dtype=complex)
+        for c in self._chunks:
+            Hs = spec.A0[None, :, :] / (1j * epsilon) + kappa[c, None, None] * spec.Aj[0][None, :, :]
+            self.evals[c], self.evecs[c] = np.linalg.eigh(Hs)
         self.source = spec.B.scaled(1 / np.sqrt(epsilon))
         self._h = self._prop = None
         self._hat = np.empty((spec.N, len(kappa)), dtype=complex)
         self._row = np.empty(len(kappa), dtype=complex)
-        state = float if real_state else complex
-        self._u, *self._rk4 = (np.empty((spec.N, n), dtype=state) for _ in range(4))
+        self._u, *self._rk4 = (np.empty((spec.N, n)) for _ in range(4))
 
     def spectrum(self, u, out=None):
-        """(N, modes) transform of an (N, points) state."""
-        return np.fft.rfft(u, axis=1, out=out) if self.real_state else np.fft.fft(u, axis=1, out=out)
+        """(N, modes) half spectrum of an (N, points) real state."""
+        return np.fft.rfft(u, axis=1, out=out)
 
     def field(self, u_hat):
-        """(N, points) state of a spectrum, formed in the workspace."""
-        if self.real_state:
-            return np.fft.irfft(u_hat, n=self.n, axis=1, out=self._u)
-        return np.fft.ifft(u_hat, axis=1, out=self._u)
+        """(N, points) real state of a half spectrum, formed in the workspace."""
+        return np.fft.irfft(u_hat, n=self.n, axis=1, out=self._u)
 
     def propagator(self, h):
         """V e^{-i (h/2) Lambda} V* as an (N, N, modes) array and, per row i, the
-        columns j nonzero for some mode; rebuilt when h changes."""
+        columns j nonzero for some mode; rebuilt when h changes, a chunk of modes
+        at a time."""
         if h != self._h:
             self._prop = None   # released before the new one is formed: peak memory
-            ph = np.exp(-1j * (h / 2) * self.evals)
-            P = (self.evecs * ph[:, None, :]) @ self.evecs.conj().transpose(0, 2, 1)
-            P = np.ascontiguousarray(P.transpose(1, 2, 0))
+            P = np.empty(self.evecs.shape[1:] + (len(self.evals),), dtype=complex)
+            for c in self._chunks:
+                V = self.evecs[c]
+                ph = np.exp(-1j * (h / 2) * self.evals[c])
+                P[:, :, c] = ((V * ph[:, None, :]) @ V.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
             self._h, self._prop = h, (P, [np.flatnonzero(row).tolist() for row in np.any(P != 0, axis=2)])
         return self._prop
 
@@ -194,7 +202,7 @@ class _Stepper:
         u = self.field(self.linear_half(prop, u_hat, self._hat))
         self.nonlinear(u, h)
         self.linear_half(prop, self.spectrum(u, out=self._hat), u_hat)
-        if self.real_state and self.n % 2 == 0:
+        if self.n % 2 == 0:
             u_hat[:, -1].imag = 0.0   # a real state's Nyquist coefficient is real
         return self.field(u_hat), u_hat
 
@@ -211,6 +219,7 @@ class SimulationRun:
     verdict: str                 # completed | unbounded
     config: SimConfig = None
     dt_used: float = None
+    halvings: int = 0            # dt halvings over the run
 
     def csv(self) -> str:
         lines = ["t,norm_total,norm_dev,norm_dev_ball,sup_dev"]
@@ -224,10 +233,12 @@ class SimulationRun:
 def run_instability_experiment(config: SimConfig, reference, perturbation=None) -> SimulationRun:
     """Integrate the system from a perturbed reference datum and track deviation.
 
-    ``reference(t, x)`` returns the reference state (N, points).  The default
-    perturbation is the resonant datum: eps^K times a plateau bump around the
-    amplitude maximum, oscillating at (xi0 + k)/eps, pointing along e0; a
-    real-state system starts from the real part of the datum.  Integration runs to
+    ``reference(t, x)`` returns the reference state (N, points), whose datum
+    ``reference(0, x)`` must be real (else :class:`InputError`); deviations are
+    measured from its real part.  The default perturbation is the resonant
+    datum: eps^K times a plateau bump around the amplitude maximum, oscillating
+    at (xi0 + k)/eps, pointing along e0.  The run evolves a real field from the
+    real part of the perturbed datum.  Integration runs to
     ``min(T_obs, user T) sqrt(eps) |log eps|`` with the nonlinear-step bound
     on dt, halving adaptively (at most 20 times) before declaring blow-up.
     """
@@ -238,7 +249,10 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     dx = config.domain_length / config.grid_points
     ball = np.abs(x - config.amplitude.center) <= config.rho
 
-    u_ref0 = np.asarray(reference(0.0, x), dtype=complex)
+    u_ref0 = np.asarray(reference(0.0, x))
+    if np.any(np.imag(u_ref0) != 0):
+        raise InputError("the reference datum reference(0, x) has a nonzero imaginary part: "
+                         "the simulator evolves real fields")
     if perturbation is None:
         if config.e0 is None:
             raise InputError("resonant perturbation needs e0 from a stability report")
@@ -247,10 +261,8 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         osc = np.exp(1j * x * (config.xi0 + config.k) / eps)
         pert = eps ** config.K * np.outer(config.e0, phi0 * osc)
     else:
-        pert = np.asarray(perturbation(x), dtype=complex)
-    u = u_ref0 + pert
-    if config.real_state:
-        u = u.real
+        pert = np.asarray(perturbation(x))
+    u = (u_ref0 + pert).real
 
     if config.t_end is not None:
         t_end = config.t_end
@@ -262,11 +274,11 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup0, 1e-12)
     dt = min(dt, t_end / 16)
 
-    stepper = _Stepper(spec, eps, x, config.real_state)
+    stepper = _Stepper(spec, eps, x)
     u_hat = stepper.spectrum(u)
     sample_dt = t_end / RUN_SAMPLES
     times, n_tot, n_dev, n_ball, s_dev = [], [], [], [], []
-    dev = np.empty(u.shape, dtype=complex)
+    dev = np.empty(u.shape)
     mag = np.empty(u.shape)
 
     def record(t, u):
@@ -274,7 +286,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         times.append(t)
         sup = float(np.abs(u, out=mag).max())
         n_tot.append(float(np.sqrt(np.square(mag, out=mag).sum() * dx)))
-        np.abs(np.subtract(u, np.asarray(reference(t, x), dtype=complex), out=dev), out=mag)
+        np.abs(np.subtract(u, np.asarray(reference(t, x)).real, out=dev), out=mag)
         s_dev.append(float(mag.max()))
         np.square(mag, out=mag)
         n_dev.append(float(np.sqrt(mag.sum() * dx)))
@@ -336,7 +348,8 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
 
     run = SimulationRun(times=times, norm_total=np.array(n_tot), norm_dev=n_dev,
                         norm_dev_ball=n_ball, sup_dev=np.array(s_dev), fitted_rate=rate,
-                        t_star=t_star, verdict=verdict, config=config, dt_used=dt)
+                        t_star=t_star, verdict=verdict, config=config, dt_used=dt,
+                        halvings=halvings)
     run.final_state = u.copy()
     return run
 
@@ -408,20 +421,10 @@ def epsilon_sweep(config_factory, reference_factory, epsilons, time_factor_power
 
 
 def snapshot_bytes(state, config: SimConfig, t: float) -> bytes:
-    """Binary state dump: magic, N, grid points, epsilon, time, raw complex field."""
+    """Binary state dump: magic, N, grid points, epsilon, time, raw complex128 field
+    (a simulated state is real: its imaginary parts are written as 0)."""
     import struct
 
     head = struct.pack("<4sIIdd", b"OSC1", config.spec.N, config.grid_points,
                        config.epsilon, t)
     return head + np.ascontiguousarray(state, dtype=np.complex128).tobytes()
-
-
-def snapshot_from_bytes(blob: bytes):
-    import struct
-
-    magic, N, n, eps, t = struct.unpack_from("<4sIIdd", blob, 0)
-    if magic != b"OSC1":
-        raise InputError("not a state snapshot")
-    off = struct.calcsize("<4sIIdd")
-    state = np.frombuffer(blob, dtype=np.complex128, offset=off).reshape(N, n)
-    return state, {"N": N, "grid_points": n, "epsilon": eps, "t": t}

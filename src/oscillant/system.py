@@ -130,11 +130,6 @@ class SystemSpec:
         return out
 
     @property
-    def transport_norm(self) -> float:
-        """max_j ||Aj|| in spectral norm."""
-        return max(float(np.linalg.norm(a, 2)) for a in self.Aj)
-
-    @property
     def a0_spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A0)))) if self.N else 0.0
 

@@ -1,13 +1,19 @@
 """Test-only oracles: closed-form roots refined independently of the program's
 own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, a
-pair-by-pair reference for the stacked weak-transparency battery, and the
-symmetrizer basis of a rank-one pair, whose identities the tests check."""
+pair-by-pair reference for the stacked weak-transparency battery, the
+symmetrizer basis of a rank-one pair, whose identities the tests check, the
+Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
+closed-form spectrum, a complex-arithmetic Strang step for the real-field
+simulator, and the reader of the simulator's state snapshots."""
+import struct
+
 import numpy as np
 from scipy.optimize import brentq
 
-from oscillant.catalog import kg_lambda_fast, kg_lambda_slow
-from oscillant.flow import _real_pivot
-from oscillant.numeric import DEFAULT_POLICY, MultiplicityError, numerical_rank, supnorm
+from oscillant.catalog import kg_e1, kg_lambda_fast, kg_lambda_slow
+from oscillant.flow import InteractionMatrix, _rank_at_most_one, _real_pivot
+from oscillant.numeric import (DEFAULT_POLICY, InputError, MultiplicityError, NumericalError,
+                               numerical_rank, supnorm)
 from oscillant.resonance import Phase, _bisect, _PairBatch
 from oscillant.wkb import (WEAK_TRANSPARENCY_SAMPLES, WEAK_TRANSPARENCY_SEED,
                            WeakTransparencyResult, harmonic_projector)
@@ -157,3 +163,133 @@ def symmetrizer_basis(C12, C21):
     P[N:, N] = f
     P[N:, N + 1:] = ker12
     return P, c12, c21
+
+
+# ---------------------------------------------------------------------------
+# Klein-Gordon and three-wave closed forms
+# ---------------------------------------------------------------------------
+
+def kg_omega_vec(spec, xi, branch) -> np.ndarray:
+    """Eigenvector of branch 'fast+'/'slow+'/'slow-'/'fast-' at xi, in the text's
+    normalization: fast vectors are unit (carry 1/sqrt(2)), slow vectors are not."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    d, n = spec.d, spec.d + 2
+    w0, th0 = spec.params["omega0"], spec.params["theta0"]
+    a0 = spec.params.get("alpha0", 1.0)
+    out = np.zeros(spec.N, dtype=complex)
+    if branch in ("fast+", "fast-"):
+        lam = kg_lambda_fast(spec, xi) * (1 if branch == "fast+" else -1)
+        out[:d] = -xi / lam
+        out[d] = 1.0
+        out[d + 1] = 1j * a0 * w0 / lam
+        return out / np.sqrt(2.0)
+    lam = kg_lambda_slow(spec, xi) * (1 if branch == "slow+" else -1)
+    out[n:n + d] = -th0 * xi / lam
+    out[n + d] = 1.0
+    out[n + d + 1] = 1j * w0 / lam
+    return out
+
+
+def kg_scalar_couplings(spec, phase: Phase, xi):
+    """The two coupling scalars of the fast/slow resonance, in the text's
+    vector normalization: returns ((Omega1(xi+k), B(e1) Omega2(xi)),
+    (Omega2(xi), B(e-1) Omega1(xi+k)))."""
+    e1 = kg_e1(spec, phase)
+    om1 = kg_omega_vec(spec, np.atleast_1d(xi) + phase.k, "fast+")
+    om2 = kg_omega_vec(spec, xi, "slow+")
+    b1 = spec.B.symmetrized(e1)
+    bm1 = spec.B.symmetrized(e1.conj())
+    s1 = complex(np.vdot(om1, b1 @ om2))
+    s2 = complex(np.vdot(om2, bm1 @ om1))
+    return s1, s2
+
+
+def kg_gamma12_product(spec, phase: Phase, xi):
+    """Closed-form product of the coupling scalars: (iota) omega0^2/(4 w lam_slow(xi))."""
+    w0 = spec.params["omega0"]
+    iota = spec.params.get("iota", 1)
+    return iota * w0 ** 2 / (4.0 * phase.omega * kg_lambda_slow(spec, xi))
+
+
+def kg_gamma12_trace(spec, phase: Phase, xi):
+    """Closed form of the orthoprojected interaction trace: half the scalar
+    product (the slow-branch closed-form vector has squared norm 2)."""
+    return kg_gamma12_product(spec, phase, xi) / 2.0
+
+
+def three_wave_branch_map(spec, field):
+    """Map mode index 1..3 (components u1, u2, u3) to field branch indices."""
+    probe = np.array([1.3])
+    lams = field.evaluate(probe[None]).lams[0]
+    out = {}
+    for mode in (1, 2, 3):
+        target = spec.params[f"c{mode}"] * probe[0]
+        j = int(np.argmin(np.abs(lams - target)))
+        out[mode] = j
+    return out
+
+
+def transport_norm(spec) -> float:
+    """max_j ||Aj|| in spectral norm."""
+    return max(float(np.linalg.norm(a, 2)) for a in spec.Aj)
+
+
+# ---------------------------------------------------------------------------
+# flow and simulator references
+# ---------------------------------------------------------------------------
+
+def flow_spectrum(m: InteractionMatrix):
+    """Closed-form spectrum of the coupled block of M at unit envelope.
+
+    Returns the eigenvalues [i mu1 (x N-1), i mu2 (x N-1), mu+, mu-] where
+    mu+- = i (mu1 + mu2)/2 +- sqrt(4 eps tr(b12 b21) - (mu1 - mu2)^2)/2.
+    Requires the coupling product to have rank at most one under the matrix's policy.
+    """
+    prod = m.b12 @ m.b21
+    if not _rank_at_most_one(m.policy, prod):
+        raise NumericalError("coupling product has rank above one; closed form unavailable")
+    mu1 = m.chi1 * m.mu1
+    mu2 = m.chi1 * m.mu2
+    tr = complex(np.trace(prod))
+    disc = np.sqrt(4.0 * m.epsilon * tr - (mu1 - mu2) ** 2 + 0j)
+    mu_p = 0.5j * (mu1 + mu2) + 0.5 * disc
+    mu_m = 0.5j * (mu1 + mu2) - 0.5 * disc
+    N = m.N
+    return np.array([1j * mu1] * (N - 1) + [1j * mu2] * (N - 1) + [mu_p, mu_m])
+
+
+def complex_strang_step(spec, eps, x):
+    """The simulator's Strang step in complex arithmetic, from x space: fft over
+    the full spectrum, half-step through the eigenvector stack, ifft, RK4, fft,
+    half-step, ifft (four transforms, nothing taken real).  Returns step(u, dt)."""
+    n = len(x)
+    L = float(x[-1] - x[0]) * n / (n - 1)
+    kappa = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+    evals, evecs = np.linalg.eigh(spec.A0[None] / (1j * eps) + kappa[:, None, None] * spec.Aj[0])
+
+    def half(u, dt):
+        u_hat = np.fft.fft(u, axis=1).T
+        coeff = np.einsum("mij,mj->mi", evecs.conj().transpose(0, 2, 1), u_hat)
+        ph = np.exp(-1j * (dt / 2) * evals)
+        return np.fft.ifft(np.einsum("mij,mj->mi", evecs, ph * coeff).T, axis=1)
+
+    def step(u, dt):
+        f = lambda w: spec.B(w, w) / np.sqrt(eps)
+        u = half(np.asarray(u, dtype=complex), dt)
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        return half(u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dt)
+    return step
+
+
+def snapshot_from_bytes(blob: bytes):
+    """Read :func:`oscillant.simulate.snapshot_bytes`: the (N, points) complex
+    state and its header."""
+    magic, N, n, eps, t = struct.unpack_from("<4sIIdd", blob, 0)
+    if magic != b"OSC1":
+        raise InputError("not a state snapshot")
+    off = struct.calcsize("<4sIIdd")
+    state = np.frombuffer(blob, dtype=np.complex128, offset=off).reshape(N, n)
+    return state, {"N": N, "grid_points": n, "epsilon": eps, "t": t}

@@ -10,21 +10,20 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, linear_sum_assignment
 
-from oscillant.catalog import (kg_diff, kg_e1, kg_equal, kg_gamma12_product,
-                               kg_gamma12_trace, kg_lambda_slow, kg_r15_roots,
-                               kg_r54_roots, kg_scalar_couplings, mll_boundedness_verdict,
-                               three_wave)
+from oscillant.catalog import (kg_diff, kg_e1, kg_equal, kg_lambda_slow, kg_r15_roots,
+                               kg_r54_roots, mll_boundedness_verdict, three_wave)
 from oscillant.dispersion import (match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s)
 from oscillant.experiments import analyze, flow_bound_experiment
-from oscillant.flow import InteractionMatrix, flow_spectrum
+from oscillant.flow import InteractionMatrix
 from oscillant.interaction import pair_coefficients_at
 from oscillant.resonance import Phase
 from oscillant.simulate import AmplitudeProfile, SimConfig, run_instability_experiment
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import consistency_residual, solve_transport, weak_transparency_check
 
-from oracles import kg_r12_roots, symmetrizer_basis
+from oracles import (flow_spectrum, kg_gamma12_product, kg_gamma12_trace, kg_r12_roots,
+                     kg_scalar_couplings, symmetrizer_basis)
 
 
 def record(num, ok, detail):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -120,7 +121,7 @@ def test_cli_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_simulate_writes_csv(tmp_path):
+def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "sim"
     rc = _run(["simulate", "--system", "catalog:three-wave", "--b", "0,1,1",
                "--c", "0,0.5,-0.5", "--epsilon", "1e-2", "--width", "2.0",
@@ -129,6 +130,9 @@ def test_simulate_writes_csv(tmp_path):
     lines = (out / "run.csv").read_text().strip().splitlines()
     assert lines[0] == "t,norm_total,norm_dev,norm_dev_ball,sup_dev"
     assert len(lines) > 10
+    # the step report goes to stdout only
+    assert re.search(r"^dt_used: \S+  halvings: \d+$", capsys.readouterr().out, re.M)
+    assert sorted(p.name for p in out.iterdir()) == ["run.csv"]
 
 
 def test_wkb_check_transparency():

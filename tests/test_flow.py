@@ -4,13 +4,13 @@ from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
 from oscillant import flow
-from oscillant.flow import (InteractionMatrix, bump_weight, flow_spectrum, integrate_flow,
-                            largest_step, rank_one_exponentials, unstable_datum_direction,
-                            verify_growth_bound)
+from oscillant.flow import (InteractionMatrix, bump_weight, integrate_flow, largest_step,
+                            rank_one_exponentials, unstable_datum_direction, verify_growth_bound)
 from oscillant.interaction import pair_coefficients_at
 from oscillant.numeric import InputError, NumericalError, supnorm
 
 from conftest import assert_close
+from oracles import flow_spectrum, kg_omega_vec, three_wave_branch_map
 
 
 def spectrum_match_error(a, b):
@@ -263,6 +263,30 @@ def test_rank_two_coupling_takes_the_expm_path(monkeypatch):
     assert calls == []
 
 
+def test_flow_path_follows_the_system_policy(kg_analysis, monkeypatch):
+    # kg-equal's coupling products have rank one, their singular values ~1e16 apart:
+    # a rank_gap past that counts them as rank two, and the flow takes expm
+    from dataclasses import replace
+    from oscillant.experiments import interaction_matrix_factory
+    from oscillant.numeric import NumericPolicy
+    calls = []
+
+    def counted(A):
+        calls.append(len(A))
+        return expm(A)
+    monkeypatch.setattr(flow, "expm", counted)
+    xi0 = float(np.atleast_1d(kg_analysis.stability.xi0)[0])
+    sups = []
+    for gap, dense in ((NumericPolicy().rank_gap, False), (1e18, True)):
+        an = replace(kg_analysis, spec=replace(kg_analysis.spec, policy=NumericPolicy(rank_gap=gap)))
+        m = interaction_matrix_factory(an, 0.0, xi0, 1e-2)
+        assert m.policy.rank_gap == gap
+        calls.clear()
+        sups.append(integrate_flow(m, 0.0, 2.0, largest_step(m, 0.0)).sup_norm_series)
+        assert bool(calls) == dense
+    assert np.abs(sups[1] / sups[0] - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_integrate_flow_matches_per_step_loop(kg_analysis, eps):
     from oscillant.experiments import interaction_matrix_factory
@@ -332,7 +356,6 @@ def test_unstable_datum_direction_zero_matrix():
 def test_unstable_datum_direction_three_wave(three_wave_analysis):
     # seeding the (slow-minus, slow-plus) ordering amplifies the third component
     an = three_wave_analysis()
-    from oscillant.catalog import three_wave_branch_map
     bm = three_wave_branch_map(an.spec, an.field)
     bp, bmn, g = pair_coefficients_at(an.field, an.pol, an.phase, (bm[3], bm[2]), [0.0])
     e0 = unstable_datum_direction(bp @ bmn)
@@ -344,7 +367,6 @@ def test_unstable_datum_direction_three_wave(three_wave_analysis):
 
 
 def test_unstable_datum_direction_kg_root(kg_analysis, kg_branches):
-    from oscillant.catalog import kg_omega_vec
     sr = kg_analysis.stability
     bp, bm, g = pair_coefficients_at(kg_analysis.field, kg_analysis.pol, kg_analysis.phase,
                                      sr.selected_pair, sr.xi0)

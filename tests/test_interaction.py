@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillant.catalog import (kg_default_phase, kg_diff, kg_e1, kg_equal,
-                               kg_gamma12_product, kg_gamma12_trace, kg_lambda_slow,
-                               kg_omega_vec, kg_scalar_couplings, three_wave)
+from oscillant.catalog import (kg_default_phase, kg_diff, kg_e1, kg_equal, kg_lambda_slow,
+                               three_wave)
 from oscillant.interaction import (pair_coefficients_at, polarization_vectors, root_couplings,
                                    solve_homological, stability_report, transparency_check)
 from oscillant.experiments import analyze
@@ -16,7 +15,8 @@ from oscillant.spectral import SpectralField
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close, random_characteristic_system
-from oracles import symmetrizer_basis
+from oracles import (kg_gamma12_product, kg_gamma12_trace, kg_omega_vec, kg_scalar_couplings,
+                     symmetrizer_basis)
 
 
 # ---------------------------------------------------------------------------

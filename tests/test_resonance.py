@@ -13,7 +13,7 @@ from oscillant.spectral import eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
-from oracles import kg_r12_roots, scan_cells_2d
+from oracles import kg_r12_roots, scan_cells_2d, three_wave_branch_map
 
 
 def test_phase_characteristic_check(kg_analysis):
@@ -25,7 +25,6 @@ def test_phase_characteristic_check(kg_analysis):
 
 def test_resonance_phase_three_wave(three_wave_analysis):
     an = three_wave_analysis()
-    from oscillant.catalog import three_wave_branch_map
     bm = three_wave_branch_map(an.spec, an.field)
     for xi in (-2.0, -0.3, 0.0, 1.7):
         val = resonance_phase(an.field, an.phase, bm[2], bm[3], [xi])

@@ -10,11 +10,11 @@ from oscillant.flow import bump_weight
 from oscillant.numeric import InputError
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
-                                run_instability_experiment, snapshot_bytes,
-                                snapshot_from_bytes)
+                                run_instability_experiment, snapshot_bytes)
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
+from oracles import complex_strang_step, snapshot_from_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +73,9 @@ def _static_ref(t, x):
 def test_linear_step_conserves_l2():
     spec = three_wave(b=(0, 0, 0))
     cfg = _tw_config(1e-2, spec=spec)
-    st = _Stepper(spec, 1e-2, cfg.x, False)
+    st = _Stepper(spec, 1e-2, cfg.x)
     u = np.asarray([np.exp(-cfg.x ** 2), 0.3 * np.exp(-(cfg.x - 2) ** 2),
-                    np.zeros_like(cfg.x)], dtype=complex)
+                    np.zeros_like(cfg.x)])
     l0 = np.linalg.norm(u)
     u_hat = st.spectrum(u)
     for _ in range(200):
@@ -84,67 +84,42 @@ def test_linear_step_conserves_l2():
 
 
 def test_single_mode_phase_rotation():
-    # linear-only evolution of one Fourier mode rotates by the exact eigenvalue
+    # linear-only evolution of one real Fourier mode rotates its coefficient by
+    # the exact eigenvalue
     spec = three_wave(c=(1.0, 0.5, -0.5), b=(0, 0, 0))
     eps = 1e-2
     cfg = _tw_config(eps, spec=spec, grid_points=256, domain_length=2 * np.pi * 8)
-    st = _Stepper(spec, eps, cfg.x, False)
+    st = _Stepper(spec, eps, cfg.x)
     kap = 2 * np.pi / cfg.domain_length * 16
-    u = np.zeros((3, 256), dtype=complex)
-    u[0] = np.exp(1j * kap * cfg.x)
+    u = np.zeros((3, 256))
+    u[0] = np.cos(kap * cfg.x)
     dt = 1e-3
     v, _ = st.step(st.spectrum(u), dt)
-    expect = np.exp(-1j * dt * 1.0 * kap) * u[0]
+    expect = np.real(np.exp(-1j * dt * 1.0 * kap) * np.exp(1j * kap * cfg.x))
     assert np.abs(v[0] - expect).max() <= 1e-12
-
-
-def _reference_step(spec, eps, x, real_state):
-    """The four-transform Strang step from x space (the reference for the
-    carried-spectrum stepper): fft, half-step through the eigenvector stack,
-    ifft, RK4, fft, half-step, ifft, and the real part for real states."""
-    n = len(x)
-    L = float(x[-1] - x[0]) * n / (n - 1)
-    kappa = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
-    evals, evecs = np.linalg.eigh(spec.A0[None] / (1j * eps) + kappa[:, None, None] * spec.Aj[0])
-
-    def half(u, dt):
-        u_hat = np.fft.fft(u, axis=1).T
-        coeff = np.einsum("mij,mj->mi", evecs.conj().transpose(0, 2, 1), u_hat)
-        ph = np.exp(-1j * (dt / 2) * evals)
-        return np.fft.ifft(np.einsum("mij,mj->mi", evecs, ph * coeff).T, axis=1)
-
-    def step(u, dt):
-        f = lambda w: spec.B(w, w) / np.sqrt(eps)
-        u = half(u, dt)
-        k1 = f(u)
-        k2 = f(u + 0.5 * dt * k1)
-        k3 = f(u + 0.5 * dt * k2)
-        k4 = f(u + dt * k3)
-        u = half(u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dt)
-        return u.real.astype(complex) if real_state else u
-    return step
 
 
 @pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
 def test_stepper_matches_reference_strang_step(system):
     # a dt halving mid-run and a shortened last step: the propagator must follow h
+    # the oracle steps the full spectrum in complex arithmetic; on an even grid
+    # the real stepper's half spectrum carries the Nyquist mode
     if system == "three-wave":
-        spec, eps, real_state = three_wave(c=(0.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)), 1e-3, False
+        spec, eps = three_wave(c=(0.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)), 1e-3
         x = np.linspace(-20.0, 20.0, 2048, endpoint=False)
-        u = np.asarray(_static_ref(0.0, x))
-        u[2] += 0.2 * np.exp(-x ** 2 + 3j * x)
+        u = np.asarray(_static_ref(0.0, x)).real
+        u[2] += 0.2 * np.exp(-x ** 2) * np.cos(3 * x)
         dts = [4e-3] * 4 + [2e-3] * 4 + [7e-4]
     else:
-        # real state on an even grid: the half spectrum carries the Nyquist mode
-        spec, eps, real_state = kg_equal(), 1e-2, True
+        spec, eps = kg_equal(), 1e-2
         x = np.linspace(-6.0, 6.0, 4096, endpoint=False)
         ref = reference_solution(spec, default_phase(spec), AmplitudeProfile(), eps)
-        u = ref(0.0, x)
+        u = ref(0.0, x).real
         u[0] += 0.3 * np.exp(-x ** 2) * np.cos(2.0 * x / eps)
         dts = [2e-3] * 4 + [1e-3] * 4 + [3e-4]
-    st = _Stepper(spec, eps, x, real_state)
-    reference = _reference_step(spec, eps, x, real_state)
-    v, v_hat = u.real if real_state else u, st.spectrum(u.real if real_state else u)
+    st = _Stepper(spec, eps, x)
+    reference = complex_strang_step(spec, eps, x)
+    v, v_hat = u, st.spectrum(u)
     for dt in dts:
         u = reference(u, dt)
         v, v_hat = st.step(v_hat, dt)
@@ -153,11 +128,39 @@ def test_stepper_matches_reference_strang_step(system):
         assert np.abs(st.spectrum(v) - v_hat).max() <= 1e-12 * np.abs(v_hat).max()
 
 
+def test_run_matches_complex_arithmetic_oracle(three_wave_analysis, monkeypatch):
+    # the real run replayed step for step by the complex oracle, from its datum
+    steps, _ = _record_steps(monkeypatch)
+    data = []
+    spectrum = _Stepper.spectrum
+
+    def recorded_spectrum(self, u, out=None):
+        if not data:
+            data.append(np.array(u))   # the first transform is the datum's
+        return spectrum(self, u, out=out)
+    monkeypatch.setattr(_Stepper, "spectrum", recorded_spectrum)
+    run = _recorded_run("three-wave", None, three_wave_analysis)
+    assert run.final_state.dtype == float and data[0].dtype == float
+    step = complex_strang_step(run.config.spec, run.config.epsilon, run.config.x)
+    u = data[0]
+    for h in steps:
+        u = step(u, h)
+    scale = np.abs(run.final_state).max()
+    assert np.abs(u - run.final_state).max() <= 1e-13 * scale
+
+
+def test_complex_reference_datum_refused():
+    def ref(t, x):
+        return np.asarray(_static_ref(t, x)) * np.exp(1e-3j)
+    with pytest.raises(InputError, match="imaginary"):
+        run_instability_experiment(_tw_config(1e-2, t_end=0.1), ref)
+
+
 def test_real_state_step_carries_the_state_spectrum():
     # a real state's Nyquist coefficient is real: the carried half spectrum
     # must stay the spectrum of the returned state even with Nyquist content
     x = np.linspace(-6.0, 6.0, 256, endpoint=False)
-    st = _Stepper(kg_equal(), 1e-2, x, True)
+    st = _Stepper(kg_equal(), 1e-2, x)
     u = np.outer(np.arange(1.0, 7.0), np.exp(-x ** 2) + 0.1 * (-1.0) ** np.arange(256))
     v, v_hat = st.step(st.spectrum(u), 1e-3)
     assert v.dtype == float
@@ -192,7 +195,8 @@ def _record_steps(monkeypatch):
 
 @pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
 def test_step_transform_and_propagator_counts(system, monkeypatch, kg_analysis):
-    # three transforms a step plus the first; one propagator per distinct step size
+    # three transforms a step plus the first, on the half spectrum only; one
+    # propagator per distinct step size
     steps, props = _record_steps(monkeypatch)
     counts = _count_transforms(monkeypatch)
     if system == "three-wave":
@@ -200,7 +204,7 @@ def test_step_transform_and_propagator_counts(system, monkeypatch, kg_analysis):
     else:
         run = run_simulation(kg_equal(), 1e-2, analysis=kg_analysis, grid_points=16384,
                              t_end=0.05)
-        assert set(counts) == {"rfft", "irfft"}   # half spectrum only
+    assert set(counts) == {"rfft", "irfft"}
     assert run.verdict == "completed"
     assert len(set(steps)) >= 2   # the shortened last step changes h
     assert sum(counts.values()) <= 3 * len(steps) + 1
@@ -254,8 +258,13 @@ def test_stable_case_bounded():
 
 def test_unstable_rate_and_localization():
     eps = 1e-3
-    run = run_instability_experiment(_tw_config(eps), _static_ref)
+    cfg = _tw_config(eps)
+    run = run_instability_experiment(cfg, _static_ref)
     assert run.verdict == "completed"
+    # the growth halved dt: dt_used is the first dt (sup|u| starts at 1) over 2^halvings
+    t_end = cfg.T_obs * np.sqrt(eps) * abs(np.log(eps))
+    dt0 = min(0.1 * np.sqrt(eps) / cfg.spec.B.norm_bound, t_end / 16)
+    assert run.halvings >= 1 and run.dt_used * 2 ** run.halvings == dt0
     assert abs(run.fitted_rate * np.sqrt(eps) - 1.0) <= 0.15
     i = np.searchsorted(run.times, run.t_star)
     assert run.norm_dev_ball[i] / run.norm_dev[i] >= 0.5
@@ -306,7 +315,7 @@ def test_blowup_verdict():
                     amplitude=AmplitudeProfile(width=1.0))
     run = run_instability_experiment(cfg, lambda t, x: np.zeros((3, len(x))),
                                      perturbation=lambda x: 5.0 * np.ones((3, len(x)), complex))
-    assert run.verdict == "unbounded"
+    assert run.verdict == "unbounded" and run.halvings == 21
 
 
 def test_snapshot_roundtrip():
@@ -360,13 +369,11 @@ def _coupled_spec(N=4, seed=3):
 def test_linear_half_skips_zero_entries_only(system, nonzero):
     # the nonzero-only product equals the dense one (-0 == +0 here); the
     # Klein-Gordon blocks decouple u from v, the three-wave propagator is diagonal
-    spec, real_state = {"coupled": (_coupled_spec(), False), "kg-equal": (kg_equal(), True),
-                        "three-wave": (three_wave(b=(0.0, 1.0, 1.0)), False)}[system]
+    spec = {"coupled": _coupled_spec(), "kg-equal": kg_equal(),
+            "three-wave": three_wave(b=(0.0, 1.0, 1.0))}[system]
     x = np.linspace(-6.0, 6.0, 256, endpoint=False)
-    st = _Stepper(spec, 1e-2, x, real_state)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((spec.N, 256))
-    u_hat = st.spectrum(u if real_state else u + 1j * rng.standard_normal((spec.N, 256)))
+    st = _Stepper(spec, 1e-2, x)
+    u_hat = st.spectrum(np.random.default_rng(0).standard_normal((spec.N, 256)))
     prop = st.propagator(1e-3)
     P, columns = prop
     assert sum(len(js) for js in columns) == nonzero
@@ -377,7 +384,7 @@ def test_steps_allocate_less_than_one_state():
     # after the first step every array a step needs is in the workspace
     import tracemalloc
     x = np.linspace(-20.0, 20.0, 16384, endpoint=False)
-    st = _Stepper(kg_equal(), 1e-2, x, True)
+    st = _Stepper(kg_equal(), 1e-2, x)
     u = np.outer(np.arange(1.0, 7.0), np.exp(-x ** 2) * np.cos(x / 1e-2))
     u_hat = st.spectrum(u)
     st.step(u_hat, 1e-3)
@@ -389,6 +396,30 @@ def test_steps_allocate_less_than_one_state():
     finally:
         tracemalloc.stop()
     assert peak < u.nbytes   # 0.33 of it measured: two source rows
+
+
+def test_propagator_built_by_chunks_of_modes():
+    # the chunked eigendecomposition and propagator equal the one-shot ones, and
+    # a rebuild stays near the propagator's own size (it once peaked at 3.2x)
+    import tracemalloc
+    spec, eps = kg_equal(), 1e-2
+    x = np.linspace(-20.0, 20.0, 16384, endpoint=False)
+    st = _Stepper(spec, eps, x)
+    assert len(st._chunks) > 1
+    kappa = 2 * np.pi * np.fft.rfftfreq(len(x), d=x[1] - x[0])
+    evals, evecs = np.linalg.eigh(spec.A0[None] / (1j * eps) + kappa[:, None, None] * spec.Aj[0])
+    assert np.array_equal(st.evals, evals) and np.array_equal(st.evecs, evecs)
+    st.propagator(1e-3)
+    tracemalloc.start()
+    try:
+        P, _ = st.propagator(5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * P.nbytes
+    ph = np.exp(-1j * (5e-4 / 2) * evals)
+    assert np.array_equal(P, ((evecs * ph[:, None, :]) @ evecs.conj().transpose(0, 2, 1))
+                          .transpose(1, 2, 0))
 
 
 def test_final_state_is_a_copy(three_wave_analysis):

@@ -11,6 +11,7 @@ from oscillant.spectral import (_assign_columns, _eigh, _projectors, assemble_sy
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close, random_characteristic_system
+from oracles import three_wave_branch_map, transport_norm
 
 
 def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
@@ -73,7 +74,7 @@ def test_field_invariants(kg_analysis):
 
 def test_branch_lipschitz(kg_analysis):
     field = kg_analysis.field
-    L = field.spec.transport_norm + 1.0
+    L = transport_norm(field.spec) + 1.0
     dxi = np.diff(field.axes[0])
     dlam = np.abs(np.diff(field.lambdas, axis=0))
     assert np.all(dlam <= L * dxi[:, None] + 1e-12)
@@ -112,7 +113,6 @@ def test_three_wave_branches_linear(three_wave_analysis):
     an = three_wave_analysis()
     xs = an.field.axes[0]
     for mode, c in ((1, 1.0), (2, 0.5), (3, -0.5)):
-        from oscillant.catalog import three_wave_branch_map
         bm = three_wave_branch_map(an.spec, an.field)
         assert_close(an.field.lambdas[:, bm[mode]], c * xs, 1e-12, f"mode {mode}")
 
@@ -175,7 +175,7 @@ def test_field_invariants_random_systems(seed, N):
         assert np.abs(rec - H).max() <= 1e-10 * scale
         total = field.projectors[m].sum(axis=0)
         assert np.abs(total - np.eye(N)).max() <= 1e-10
-    L = spec.transport_norm + 1.0
+    L = transport_norm(spec) + 1.0
     dlam = np.abs(np.diff(field.lambdas, axis=0))
     assert np.all(dlam <= L * np.diff(field.axes[0])[:, None] + 1e-12)
 
