@@ -33,12 +33,6 @@ def three_wave(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
                               "b1": b[0], "b2": b[1], "b3": b[2]})
 
 
-def three_wave_reference_direction() -> np.ndarray:
-    """Polarization of the non-oscillating reference solution (kernel direction
-    supplied directly: the phase (0, 0) has a full kernel)."""
-    return np.array([1.0, 0.0, 0.0])
-
-
 def brillouin(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
     """Singularly scaled three-wave system, reduced to the standard scaling.
 
@@ -316,7 +310,9 @@ def default_phase(spec: SystemSpec, k=None) -> Phase:
 
 
 def reference_polarization(spec: SystemSpec, phase: Phase) -> np.ndarray:
-    """Polarization of the reference solution: closed form for stock systems."""
+    """Polarization of the reference solution in closed form, for a phase whose
+    kernel is not one-dimensional: three-wave's (0, 0) has a full kernel, and its
+    reference solution (a(x - c1 t), 0, 0) the first direction."""
     if stock_family(spec) == "three-wave":
-        return three_wave_reference_direction().astype(complex)
+        return np.array([1.0, 0.0, 0.0], dtype=complex)
     return kg_e1(spec, phase)

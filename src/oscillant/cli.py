@@ -15,11 +15,11 @@ import numpy as np
 
 from . import catalog
 from .dispersion import RELATIONS
-from .experiments import analyze, flow_bound_experiment, run_simulation, run_sweep
-from .interaction import ReportInputs
+from .experiments import (analyze, flow_bound_experiment, report_inputs, resolve_polarization,
+                          run_simulation, run_sweep)
 from .numeric import InputError, NumericalError
 from .resonance import Phase
-from .simulate import AmplitudeProfile, amplitude_norms
+from .simulate import AmplitudeProfile
 from .system import load_spec, save_spec, write_text_atomic
 from .wkb import solve_transport, weak_transparency_check, consistency_residual
 
@@ -119,16 +119,10 @@ def _json_dump(doc, path):
 def cmd_analyze(args):
     spec = _load_system(args.system, _system_overrides(args))
     phase = _phase_from(args, spec)
-    amp = AmplitudeProfile(width=args.width)
-    inputs = None
-    if args.K is not None or args.Ka is not None:
-        x = np.linspace(-20 * amp.width, 20 * amp.width, 4096, endpoint=False)
-        an = amplitude_norms(amp(x), x)
-        inputs = ReportInputs(K=args.K if args.K is not None else 3.0,
-                              K_a=args.Ka if args.Ka is not None else np.inf,
-                              a_sup=an.a_sup, a_hatL1=an.a_hatL1, d=spec.d, h=args.h)
+    inputs = report_inputs(spec.d, AmplitudeProfile(width=args.width), K=args.K, K_a=args.Ka,
+                           h=args.h)
     window = (-args.window, args.window) if args.window else None
-    result = analyze(spec, phase, window=window, inputs=inputs, amplitude=amp)
+    result = analyze(spec, phase, window=window, inputs=inputs)
     os.makedirs(args.out, exist_ok=True)
     if args.format == "csv":
         doc = result.stability.to_dict()
@@ -152,7 +146,7 @@ def cmd_analyze(args):
 def cmd_flow(args):
     spec = _load_system(args.system, _system_overrides(args))
     phase = _phase_from(args, spec)
-    result = analyze(spec, phase)
+    result = analyze(spec, phase, inputs=report_inputs(spec.d, h=args.h))
     rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h)
     os.makedirs(args.out, exist_ok=True)
     # dump one representative trajectory per epsilon for inspection
@@ -178,7 +172,7 @@ def cmd_flow(args):
 
 def cmd_simulate(args):
     spec = _load_system(args.system, _system_overrides(args))
-    result = analyze(spec)
+    result = analyze(spec, _phase_from(args, spec))
     run = run_simulation(spec, args.epsilon, analysis=result, K=args.K,
                          K_prime=args.Kprime, grid_points=args.grid,
                          t_end=args.tend,
@@ -200,7 +194,7 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     spec = _load_system(args.system, _system_overrides(args))
-    result = analyze(spec)
+    result = analyze(spec, _phase_from(args, spec))
     rep = run_sweep(spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
                     grid_points=args.grid, amplitude=AmplitudeProfile(width=args.width),
                     T_obs=args.T, rho=args.rho, workers=_thread_cap())
@@ -224,7 +218,7 @@ def cmd_wkb(args):
               f"(max defect {res.max_defect:.3g})")
         return 0 if res.passed else 4
     if args.residual:
-        e1 = catalog.reference_polarization(spec, phase)
+        e1 = resolve_polarization(spec, phase).e1
 
         def factory(with_corr):
             def make(eps):
@@ -298,8 +292,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="resonance + stability reports")
     _add_system_flags(p)
-    p.add_argument("--K", type=_positive, default=None)
-    p.add_argument("--Ka", type=_positive_or_inf, default=None)
+    p.add_argument("--K", type=_positive, default=3.0)
+    p.add_argument("--Ka", type=_positive_or_inf, default=np.inf)
     p.add_argument("--window", type=_positive, default=None)
     p.add_argument("--h", type=_positive, default=0.1)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,9 +1,10 @@
 """End-to-end pipelines: analyze a system, run flow-bound and simulation
-experiments with the catalog's reference data.
+experiments on the analysed wave.
 
 These are the entry points the command line and the experiment scripts call;
 they wire the spectral field, resonance report, stability report, symbolic
-flow, and simulator together with consistent defaults.
+flow, and simulator together with consistent defaults.  The catalog gives
+only a default phase and the reference direction of a full-kernel phase.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms
                        epsilon_sweep, run_instability_experiment)
 from .spectral import SpectralField, eigendecompose_field, uniform_grid
 from .system import SystemSpec
-from .wkb import transport_setup
+from .wkb import amplitude_factor, transport_setup
 
 
 @dataclass
@@ -48,13 +49,20 @@ def resolve_polarization(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
         return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(0.0, 0.0))
 
 
-def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
-            inputs: ReportInputs = None, amplitude: AmplitudeProfile = None) -> Analysis:
-    """Full analysis: spectral field, resonances, and the stability report.
+def report_inputs(d: int, amplitude: AmplitudeProfile = None, **kw) -> ReportInputs:
+    """The stability report's inputs for an amplitude profile (default: unit
+    gaussian), which supplies |a|_sup and the transform L1 norm entering the
+    observation-time formulas; ``kw`` sets K, K_a and h."""
+    amplitude = amplitude or AmplitudeProfile()
+    x = np.linspace(-20 * amplitude.width, 20 * amplitude.width, 4096, endpoint=False)
+    an = amplitude_norms(amplitude(x), x)
+    return ReportInputs(d=d, a_sup=an.a_sup, a_hatL1=an.a_hatL1, **kw)
 
-    The amplitude profile supplies |a|_sup and the transform L1 norm entering
-    the observation-time formulas (catalog default: unit gaussian).
-    """
+
+def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
+            inputs: ReportInputs = None) -> Analysis:
+    """Full analysis: spectral field, resonances, and the stability report
+    (``inputs`` default: :func:`report_inputs` of the unit gaussian)."""
     if phase is None:
         phase = catalog.default_phase(spec)
     if window is None:
@@ -66,12 +74,7 @@ def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
     field = eigendecompose_field(spec, uniform_grid(field_window, (grid_n,) * spec.d))
     pol = resolve_polarization(spec, phase)
     resonances = find_resonances(field, phase, window=window)
-    if inputs is None:
-        amplitude = amplitude or AmplitudeProfile()
-        x = np.linspace(-20 * amplitude.width, 20 * amplitude.width, 4096, endpoint=False)
-        an = amplitude_norms(amplitude(x), x)
-        inputs = ReportInputs(d=spec.d, a_sup=an.a_sup, a_hatL1=an.a_hatL1)
-    stability = stability_report(field, pol, phase, resonances, inputs)
+    stability = stability_report(field, pol, phase, resonances, inputs or report_inputs(spec.d))
     return Analysis(spec=spec, phase=phase, field=field, pol=pol,
                     resonances=resonances, stability=stability)
 
@@ -190,33 +193,28 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
 # simulation wiring
 # ---------------------------------------------------------------------------
 
-def reference_solution(spec: SystemSpec, phase: Phase, amplitude: AmplitudeProfile,
-                       epsilon: float):
-    """Reference state as a function (t, x) -> (N, points) for stock systems."""
-    if catalog.stock_family(spec) == "three-wave":
-        c1 = spec.params["c1"]
-
-        def ref(t, x):
-            a = amplitude(x - c1 * t)
-            z = np.zeros_like(a)
-            return np.asarray([a, z, z], dtype=complex)
-        return ref
-    # Klein-Gordon: leading-order two-scale solution with the transported amplitude
-    e1 = catalog.kg_e1(spec, phase)
-    ts = transport_setup(spec, phase, e1)
-    vg = float(ts.group_velocity[0])
-    c3 = ts.cubic_coefficient
+def reference_solution(analysis: Analysis, amplitude: AmplitudeProfile, epsilon: float):
+    """The analysed wave, (t, x) -> real (N, points): the leading-order WKB solution
+    g e1 e^{i theta/eps} + c.c. (theta = k x - omega t, e1 the analysis' polarization)
+    grown from the datum g = a, with g = a(x - v_g t) times :func:`amplitude_factor`.
+    At a zero phase it is g e1, real: e1 is rotated onto the real vector spanning a
+    real system's kernel there.  An amplitude blow-up raises :class:`NumericalError`.
+    """
+    phase, e1 = analysis.phase, analysis.pol.e1
+    setup = transport_setup(analysis.spec, phase, e1)
+    vg, c3 = float(setup.group_velocity[0]), setup.cubic_coefficient
     k = float(phase.k[0])
+    oscillating = phase.omega != 0 or k != 0
+    if not oscillating:
+        e1, c3 = e1.real, c3.real
 
     def ref(t, x):
-        g = amplitude(x - vg * t).astype(complex)
-        if abs(c3) > 0:   # constant-|g| phase rotation approximation of the cubic term
-            g = g * np.exp(c3.real * 0 + 1j * (c3.imag * np.abs(g) ** 2 * t))
-        osc = np.exp(1j * (k * x - phase.omega * t) / epsilon)
-        u = np.outer(e1, g)
-        u *= osc
-        u += u.conj()
-        return u
+        a = amplitude(x - vg * t)
+        u = np.outer(e1, a * amplitude_factor(c3, t, a * a))
+        if not oscillating:
+            return u
+        u *= np.exp(1j * (k * x - phase.omega * t) / epsilon)
+        return 2 * u.real
     return ref
 
 
@@ -240,7 +238,7 @@ def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None, **cfg_k
     analysis = analysis or analyze(spec)
     amplitude = cfg_kw.pop("amplitude", None) or AmplitudeProfile()
     cfg = simulation_config(spec, analysis, epsilon, amplitude=amplitude, **cfg_kw)
-    ref = reference_solution(spec, analysis.phase, amplitude, epsilon)
+    ref = reference_solution(analysis, amplitude, epsilon)
     return run_instability_experiment(cfg, ref)
 
 
@@ -254,7 +252,7 @@ def run_sweep(spec: SystemSpec, epsilons, analysis: Analysis = None,
         return simulation_config(spec, analysis, eps, amplitude=amplitude, **cfg_kw)
 
     def ref_factory(eps):
-        return reference_solution(spec, analysis.phase, amplitude, eps)
+        return reference_solution(analysis, amplitude, eps)
 
     return epsilon_sweep(cfg_factory, ref_factory, epsilons, time_factor_power=tf,
                          workers=workers)

@@ -203,7 +203,7 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     for i, Pi in enumerate(P):
         S[i + 1] = Pi @ S[i]
     times = ends[np.append(np.arange(0, n_steps, sample_every), n_steps)]
-    sups = np.maximum(np.abs(S).sum(axis=2).max(axis=1), 1.0 if m.extra_diag else 0.0)
+    sups = np.maximum(supnorm(S), 1.0 if m.extra_diag else 0.0)
     flows = np.exp(-1j * mean_mu * (times - tau) / se)[:, None, None] * S
     half = len(times) // 2
     with np.errstate(divide="ignore"):

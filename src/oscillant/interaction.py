@@ -80,11 +80,6 @@ def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
 # coefficients
 # ---------------------------------------------------------------------------
 
-def _supnorms(z) -> np.ndarray:
-    """:func:`supnorm` of each matrix of a (P, N, N) stack."""
-    return np.max(np.sum(np.abs(z), axis=-1), axis=-1)
-
-
 def _sources(field: SpectralField, pol: PolarizationVectors):
     """The linearized sources (B(e1), B(e-1)) and the scale every coupling
     threshold is relative to: the larger of their sup norms."""
@@ -113,7 +108,7 @@ class RootCouplings:
     @property
     def norms(self) -> np.ndarray:
         """max(|b+|, |b-|) at each root."""
-        return np.maximum(_supnorms(self.b_plus), _supnorms(self.b_minus))
+        return np.maximum(supnorm(self.b_plus), supnorm(self.b_minus))
 
 
 def root_couplings(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -149,7 +144,7 @@ def _coupling_sup(field, pol, phase, report, pairs) -> float:
     best = 0.0
     for (i, j), m in rows.items():
         bp, bm, _ = pb.coupling(i, j, sources, slice(m))
-        best = max(best, _supnorms(bp).max(), _supnorms(bm).max())
+        best = max(best, supnorm(bp).max(), supnorm(bm).max())
     return float(best)
 
 
@@ -217,7 +212,7 @@ def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Ph
         if not rows.size:
             continue
         bp, bm, _ = pb.coupling(*pair, sources, rows)
-        c = np.maximum(_supnorms(bp), _supnorms(bm))
+        c = np.maximum(supnorm(bp), supnorm(bm))
         for h, band in zip(TRANSPARENCY_BANDS, in_band):
             band = band[rows]
             if band.any():

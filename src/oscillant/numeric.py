@@ -63,10 +63,11 @@ def numerical_rank(M, policy: NumericPolicy):
     return np.sum(s * policy.rank_gap > s[..., :1], axis=-1)
 
 
-def supnorm(z) -> float:
-    """Matrix norm induced by the sup norm on vectors (max absolute row sum);
-    for vectors, the plain sup norm."""
+def supnorm(z):
+    """Matrix norm induced by the sup norm on vectors (max absolute row sum),
+    a float; of each matrix of a stack, an array; for vectors, the plain sup norm."""
     z = np.asarray(z)
     if z.ndim <= 1:
         return float(np.max(np.abs(z))) if z.size else 0.0
-    return float(np.max(np.sum(np.abs(z), axis=1)))
+    norms = np.max(np.sum(np.abs(z), axis=-1), axis=-1)
+    return float(norms) if z.ndim == 2 else norms

@@ -9,11 +9,11 @@ where the scalar amplitude g rides a transport equation at the group
 velocity with a cubic self-interaction assembled from the quadratic source
 through the partial inverses of the harmonic characteristic matrices.  In
 one dimension that equation is solved exactly along its characteristics
-(:func:`solve_transport`, an error on blow-up).  A solution keeps the datum;
-each snapshot is formed where it is read, from its spectrum (2 FFTs).  The
-residual reads one spectrum, forms g and g_x from it (3 FFTs in all) and only
-the harmonics p >= 0, as -p conjugates p in a real system.  Every threshold is
-the system's ``policy``.
+(:func:`amplitude_factor`, an error on blow-up; the simulator's reference wave
+reads it too).  A solution keeps the datum; each snapshot is formed where it
+is read, from its spectrum (2 FFTs).  The residual reads one spectrum, forms g
+and g_x from it (3 FFTs in all) and only the harmonics p >= 0, as -p
+conjugates p in a real system.  Every threshold is the system's ``policy``.
 """
 from __future__ import annotations
 
@@ -139,6 +139,23 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
                           mean_mode=w0)
 
 
+def amplitude_factor(c3, t, m0):
+    """g / g0 at time t along a characteristic of dg/dt + v_g . dg/dx = c3 |g|^2 g
+    from a datum with |g0|^2 = m0: 1 when c3 = 0, else exp(c3 m0 t phi(z)), with
+    z = 2 Re(c3) m0 t and phi(z) = -log1p(-z) / z.  Raises :class:`NumericalError`
+    when Re c3 > 0 and |g|^2 = m0 / (1 - z) blows up by t."""
+    if c3 == 0:
+        return 1.0
+    a = c3.real
+    m0_max = float(np.max(m0))
+    if a > 0 and 2 * a * t * m0_max >= 1:
+        raise NumericalError(f"the amplitude blows up at t = {1 / (2 * a * m0_max):.6g}, "
+                             f"before t = {t:.6g}")
+    # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
+    gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
+    return np.exp(gain)
+
+
 @dataclass
 class WKBSolution:
     """Leading-order approximate solution on a periodic grid: the datum, at ``times``."""
@@ -166,11 +183,8 @@ class WKBSolution:
         if t == 0:
             return np.fft.fft(self.g0)
         vg, c3 = float(self.setup.group_velocity[0]), self.setup.cubic_coefficient
-        a = c3.real
-        m0 = np.abs(self.g0) ** 2
-        # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
-        gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
-        return np.fft.fft(self.g0 * np.exp(gain)) * np.exp((-1j * vg * t) * self.grid[1])
+        factor = amplitude_factor(c3, t, np.abs(self.g0) ** 2)
+        return np.fft.fft(self.g0 * factor) * np.exp((-1j * vg * t) * self.grid[1])
 
     def amplitude(self, it) -> np.ndarray:
         """g at ``times[it]``, the inverse of its :meth:`spectrum` (2 FFTs); g0 at t = 0."""
@@ -187,22 +201,17 @@ def solve_transport(spec: SystemSpec, phase: Phase, e1, a0_samples, x, t_end,
     """Leading amplitude of dg/dt + v_g . dg/dx = c3 |g|^2 g at n_steps + 1 equal times.
 
     Periodic in x, one spatial dimension.  Along each characteristic the exact
-    solution is g = g0 exp(c3 m0 t phi(z)), with m0 = |g0|^2, z = 2 Re(c3) m0 t
-    and phi(z) = -log1p(-z) / z; :meth:`WKBSolution.amplitude` forms a snapshot
-    where it is read, as that factor on the datum shifted by v_g t exactly per
-    Fourier mode (2 FFTs).  Raises :class:`NumericalError` when Re c3 > 0 and
-    |g|^2 = m0 / (1 - z) blows up by t_end.
+    solution is g0 times :func:`amplitude_factor`; :meth:`WKBSolution.amplitude`
+    forms a snapshot where it is read, as that factor on the datum shifted by v_g t
+    exactly per Fourier mode (2 FFTs).  Raises :class:`NumericalError` when the
+    amplitude blows up by t_end.
     """
     if spec.d != 1:
         raise InputError("amplitude transport is implemented in one spatial dimension")
     setup = transport_setup(spec, phase, e1)
-    a = setup.cubic_coefficient.real
     times = np.concatenate(([0.0], np.cumsum(np.full(n_steps, t_end / n_steps))))
     g0 = np.array(a0_samples, dtype=complex)
-    m0_max = float(np.max(np.abs(g0) ** 2))
-    if a > 0 and 2 * a * times[-1] * m0_max >= 1:
-        raise NumericalError(f"the amplitude blows up at t = {1 / (2 * a * m0_max):.6g}, "
-                             f"before t_end = {t_end:.6g}")
+    amplitude_factor(setup.cubic_coefficient, times[-1], np.max(np.abs(g0) ** 2))  # blow-up check
     return WKBSolution(spec=spec, phase=phase, e1=np.asarray(e1, dtype=complex),
                        x=np.asarray(x, dtype=float), times=times, g0=g0, setup=setup,
                        with_correctors=with_correctors)

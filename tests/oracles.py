@@ -4,7 +4,8 @@ pair-by-pair reference for the stacked weak-transparency battery, the
 symmetrizer basis of a rank-one pair, whose identities the tests check, the
 Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
 closed-form spectrum, a complex-arithmetic Strang step for the real-field
-simulator, and the reader of the simulator's state snapshots."""
+simulator, the reader of the simulator's state snapshots, and the conjugation
+of a system by a rotation."""
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from oscillant.flow import InteractionMatrix, _rank_at_most_one, _real_pivot
 from oscillant.numeric import (DEFAULT_POLICY, InputError, MultiplicityError, NumericalError,
                                numerical_rank, supnorm)
 from oscillant.resonance import Phase, _bisect, _PairBatch
+from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import (WEAK_TRANSPARENCY_SAMPLES, WEAK_TRANSPARENCY_SEED,
                            WeakTransparencyResult, harmonic_projector)
 
@@ -293,3 +295,23 @@ def snapshot_from_bytes(blob: bytes):
     off = struct.calcsize("<4sIIdd")
     state = np.frombuffer(blob, dtype=np.complex128, offset=off).reshape(N, n)
     return state, {"N": N, "grid_points": n, "epsilon": eps, "t": t}
+
+
+# ---------------------------------------------------------------------------
+# systems without stock closed forms
+# ---------------------------------------------------------------------------
+
+def rotated(spec, Q):
+    """``spec`` conjugated by the orthogonal matrix Q: A0 -> Q A0 Q^T,
+    Aj -> Q Aj Q^T, B(u, v) -> Q B(Q^T u, Q^T v).  ``params`` are dropped, so
+    no stock closed form describes the result."""
+    N = spec.N
+    T = np.zeros((N, N, N))
+    for o, l, r, v in spec.B.triplets:
+        T[o, l, r] += v
+    R = np.einsum("ao,olr,bl,cr->abc", Q, T, Q, Q)
+    triplets = tuple((int(a), int(b), int(c), float(R[a, b, c])) for a, b, c in np.argwhere(R != 0))
+    A0 = Q @ spec.A0 @ Q.T
+    return SystemSpec(f"rotated-{spec.name}", N, spec.d, (A0 - A0.T) / 2,
+                      tuple((A + A.T) / 2 for A in (Q @ a @ Q.T for a in spec.Aj)),
+                      BilinearMap(N, triplets))

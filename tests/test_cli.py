@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import oscillant
+from oscillant import cli
+from oscillant.catalog import kg_default_phase, kg_equal
 from oscillant.cli import _system_overrides, build_parser, main
+from oscillant.experiments import analyze, run_simulation
+from oscillant.system import save_spec
+from oscillant.wkb import consistency_residual
+
+from oracles import rotated
 
 
 def _run(argv):
@@ -110,6 +117,33 @@ def test_analyze_file_without_params_exit_2(tmp_path, capsys):
     path = _emitted("kg-equal", tmp_path / "bare.json", lambda doc: doc.pop("params"))
     assert _run(["analyze", "--system", path, "--out", str(tmp_path / "out")]) == 2
     assert "--omega/--k" in capsys.readouterr().err
+
+
+def test_analyze_and_flow_report_the_given_h(tmp_path):
+    # --h reaches the stability report without --K/--Ka, and the flow's gamma+
+    assert _run(["analyze", "--system", "catalog:kg-equal", "--h", "0.3",
+                 "--out", str(tmp_path / "a")]) == 0
+    doc = json.loads((tmp_path / "a" / "stability_report.json").read_text())
+    assert doc["inputs"]["h"] == 0.3
+    assert doc["gamma_plus"] == 0.2765774847122608
+    assert _run(["flow", "--system", "catalog:kg-equal", "--h", "0.3", "--T", "0.5",
+                 "--epsilons", "1e-2,1e-3", "--out", str(tmp_path / "f")]) == 0
+    flow = json.loads((tmp_path / "f" / "flow_bound_report.json").read_text())
+    assert (flow["h"], flow["gamma_plus"]) == (0.3, doc["gamma_plus"])
+
+
+def test_simulate_honours_k(tmp_path, capsys, kg_analysis):
+    # the k = 2 wave is simulated, not the default phase's: on 16384 points at
+    # eps = 1e-2 it is under-resolved, at eps = 2e-2 it is the k = 2 analysis' run
+    argv = ["simulate", "--system", "catalog:kg-equal", "--k", "2", "--grid", "16384",
+            "--tend", "0.02", "--out", str(tmp_path)]
+    assert _run(argv + ["--epsilon", "1e-2"]) == 2
+    assert "points per wavelength" in capsys.readouterr().err
+    assert _run(argv + ["--epsilon", "2e-2"]) == 0
+    spec = kg_analysis.spec
+    run = run_simulation(spec, 2e-2, analysis=analyze(spec, kg_default_phase(spec, k=2.0)),
+                         grid_points=16384, t_end=0.02)
+    assert (tmp_path / "run.csv").read_text() == run.csv()
 
 
 def test_cli_determinism(tmp_path):
@@ -291,3 +325,55 @@ def test_emitted_system_round_trips_byte_identical(cid, tmp_path):
     assert _run(["catalog", "emit", cid, "--outfile", str(path)]) == 0
     save_spec(load_spec(str(path)), str(again))
     assert path.read_bytes() == again.read_bytes()
+
+
+# the default phase of kg-equal, given explicitly: a rotated file has no stock default
+KG_PHASE = ["--omega", "1.4142135623730951", "--k", "1"]
+
+
+@pytest.fixture(scope="module")
+def rotated_kg_file(tmp_path_factory):
+    """kg-equal conjugated by a random rotation, written without params."""
+    Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
+    path = tmp_path_factory.mktemp("rotated") / "rotated-kg-equal.json"
+    save_spec(rotated(kg_equal(), Q), str(path))
+    return str(path)
+
+
+def test_rotated_system_runs_every_command(rotated_kg_file, tmp_path, capsys):
+    # no stock closed form applies: every command reads the analysed polarization
+    for argv in (["analyze"], ["flow"], ["wkb", "--check-transparency"],
+                 ["wkb", "--residual", "--epsilons", "1e-2,3e-3"],
+                 ["simulate", "--epsilon", "1e-2", "--grid", "16384", "--tend", "0.02"]):
+        assert _run(argv + ["--system", rotated_kg_file, *KG_PHASE,
+                            "--out", str(tmp_path)]) == 0, argv
+    capsys.readouterr()
+    # the default sweep's grid is too coarse for this wave: the refusal names it
+    assert _run(["sweep", "--system", rotated_kg_file, *KG_PHASE, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "points per wavelength" in err and "stock" not in err
+
+
+def test_rotated_system_matches_its_stock_system(rotated_kg_file, kg_analysis, monkeypatch):
+    # L2 norms, residual orders and growth rates do not see the rotation; the
+    # bounds are about 40x the largest gap measured over six random rotations
+    # (orders 6.2e-14 absolute, rate 2.3e-13 and norm_total 9.1e-15 relative)
+    fits = []
+
+    def recorded(*args):
+        fits.append(fit := consistency_residual(*args))
+        return fit
+    monkeypatch.setattr(cli, "consistency_residual", recorded)
+    for system in ("catalog:kg-equal", rotated_kg_file):
+        assert _run(["wkb", "--system", system, *KG_PHASE, "--residual",
+                     "--epsilons", "1e-2,3e-3"]) == 0
+    assert len(fits) == 4   # leading order and with correctors, per system
+    for a, b in zip(fits[:2], fits[2:]):
+        assert abs(a.fitted_order - b.fitted_order) <= 4e-12
+    spec = cli.load_spec(rotated_kg_file)
+    runs = [run_simulation(an.spec, 1e-2, analysis=an, grid_points=16384, t_end=0.02)
+            for an in (kg_analysis, analyze(spec, kg_analysis.phase))]
+    assert [r.verdict for r in runs] == ["completed"] * 2
+    assert runs[0].dt_used == runs[1].dt_used
+    assert runs[1].fitted_rate == pytest.approx(runs[0].fitted_rate, rel=1e-11, abs=0)
+    np.testing.assert_allclose(runs[1].norm_total, runs[0].norm_total, rtol=4e-13, atol=0)

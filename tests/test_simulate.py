@@ -4,14 +4,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from oscillant.catalog import default_phase, kg_equal, three_wave
+from oscillant.catalog import kg_equal, three_wave
 from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
 from oscillant.flow import bump_weight
-from oscillant.numeric import InputError
+from oscillant.numeric import InputError, NumericalError
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
                                 run_instability_experiment, snapshot_bytes)
 from oscillant.system import BilinearMap, SystemSpec
+from oscillant.wkb import TransportSetup, solve_transport
 
 from conftest import assert_close
 from oracles import complex_strang_step, snapshot_from_bytes
@@ -100,7 +101,7 @@ def test_single_mode_phase_rotation():
 
 
 @pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
-def test_stepper_matches_reference_strang_step(system):
+def test_stepper_matches_reference_strang_step(system, kg_analysis):
     # a dt halving mid-run and a shortened last step: the propagator must follow h
     # the oracle steps the full spectrum in complex arithmetic; on an even grid
     # the real stepper's half spectrum carries the Nyquist mode
@@ -111,10 +112,9 @@ def test_stepper_matches_reference_strang_step(system):
         u[2] += 0.2 * np.exp(-x ** 2) * np.cos(3 * x)
         dts = [4e-3] * 4 + [2e-3] * 4 + [7e-4]
     else:
-        spec, eps = kg_equal(), 1e-2
+        spec, eps = kg_analysis.spec, 1e-2
         x = np.linspace(-6.0, 6.0, 4096, endpoint=False)
-        ref = reference_solution(spec, default_phase(spec), AmplitudeProfile(), eps)
-        u = ref(0.0, x).real
+        u = reference_solution(kg_analysis, AmplitudeProfile(), eps)(0.0, x)
         u[0] += 0.3 * np.exp(-x ** 2) * np.cos(2.0 * x / eps)
         dts = [2e-3] * 4 + [1e-3] * 4 + [3e-4]
     st = _Stepper(spec, eps, x)
@@ -154,6 +154,38 @@ def test_complex_reference_datum_refused():
         return np.asarray(_static_ref(t, x)) * np.exp(1e-3j)
     with pytest.raises(InputError, match="imaginary"):
         run_instability_experiment(_tw_config(1e-2, t_end=0.1), ref)
+
+
+@pytest.mark.parametrize("c3", [-0.8 + 0.5j, 0.8 - 0.3j])
+def test_reference_is_the_analysed_wkb_wave(kg_analysis, monkeypatch, c3):
+    # g e1 e^{i theta/eps} + c.c. with the analysis' e1 and the amplitude that
+    # solve_transport forms; injected v_g = 0.7, and Re c3 = 0.8 on a unit peak
+    # blows up at t = 0.625
+    spec, phase, e1 = kg_analysis.spec, kg_analysis.phase, kg_analysis.pol.e1
+    setup = TransportSetup(group_velocity=np.array([0.7]), cubic_coefficient=c3,
+                           second_harmonic=np.zeros(spec.N), mean_mode=np.zeros(spec.N))
+    for module in ("wkb", "experiments"):
+        monkeypatch.setattr(f"oscillant.{module}.transport_setup", lambda *args: setup)
+    x, eps = np.linspace(-12, 12, 1024, endpoint=False), 1e-2
+    g = solve_transport(spec, phase, e1, AmplitudeProfile()(x), x, t_end=0.5,
+                        n_steps=4).amplitude(-1)
+    wave = 2 * (np.outer(e1, g) * np.exp(1j * (phase.k[0] * x - phase.omega * 0.5) / eps)).real
+    ref = reference_solution(kg_analysis, AmplitudeProfile(), eps)
+    u = ref(0.5, x)
+    assert u.dtype == float
+    assert np.abs(u - wave).max() <= 1e-14 * np.abs(wave).max()   # 4.4e-16 measured
+    if c3.real > 0:
+        with pytest.raises(NumericalError, match="blows up"):
+            ref(0.7, x)
+
+
+def test_zero_phase_reference_is_the_real_transported_datum(three_wave_analysis):
+    # three-wave at (0, 0): e1 = (1, 0, 0), v_g = c1 and no cubic term
+    an = three_wave_analysis()
+    x = np.linspace(-20.0, 20.0, 2048, endpoint=False)
+    u = reference_solution(an, AmplitudeProfile(width=2.0), 1e-2)(0.3, x)
+    assert u.dtype == float
+    assert np.array_equal(u, [AmplitudeProfile(width=2.0)(x - 0.3), 0 * x, 0 * x])
 
 
 def test_real_state_step_carries_the_state_spectrum():
