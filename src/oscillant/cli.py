@@ -146,14 +146,15 @@ def cmd_analyze(args):
 def cmd_flow(args):
     spec = _load_system(args.system, _system_overrides(args))
     phase = _phase_from(args, spec)
-    result = analyze(spec, phase, inputs=report_inputs(spec.d, h=args.h))
-    rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h)
+    amplitude = AmplitudeProfile(width=args.width)
+    result = analyze(spec, phase, inputs=report_inputs(spec.d, amplitude, h=args.h))
+    rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h, amplitude=amplitude)
     os.makedirs(args.out, exist_ok=True)
     # dump one representative trajectory per epsilon for inspection
     from .experiments import interaction_matrix_factory, sample_trajectory
     for eps in args.epsilons:
         m = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
-            result.stability.xi0)[0]), eps, h=args.h)
+            result.stability.xi0)[0]), eps, h=args.h, amplitude=amplitude)
         traj = sample_trajectory(m, args.T * abs(np.log(eps)), samples=200)
         write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
@@ -172,11 +173,11 @@ def cmd_flow(args):
 
 def cmd_simulate(args):
     spec = _load_system(args.system, _system_overrides(args))
-    result = analyze(spec, _phase_from(args, spec))
+    amplitude = AmplitudeProfile(width=args.width)
+    result = analyze(spec, _phase_from(args, spec), inputs=report_inputs(spec.d, amplitude))
     run = run_simulation(spec, args.epsilon, analysis=result, K=args.K,
                          K_prime=args.Kprime, grid_points=args.grid,
-                         t_end=args.tend,
-                         amplitude=AmplitudeProfile(width=args.width))
+                         t_end=args.tend, amplitude=amplitude)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "run.csv")
     write_text_atomic(path, run.csv())
@@ -194,9 +195,10 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     spec = _load_system(args.system, _system_overrides(args))
-    result = analyze(spec, _phase_from(args, spec))
+    amplitude = AmplitudeProfile(width=args.width)
+    result = analyze(spec, _phase_from(args, spec), inputs=report_inputs(spec.d, amplitude))
     rep = run_sweep(spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
-                    grid_points=args.grid, amplitude=AmplitudeProfile(width=args.width),
+                    grid_points=args.grid, amplitude=amplitude,
                     T_obs=args.T, rho=args.rho, workers=_thread_cap())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")

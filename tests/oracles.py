@@ -3,9 +3,9 @@ own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, a
 pair-by-pair reference for the stacked weak-transparency battery, the
 symmetrizer basis of a rank-one pair, whose identities the tests check, the
 Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
-closed-form spectrum, a complex-arithmetic Strang step for the real-field
-simulator, the reader of the simulator's state snapshots, and the conjugation
-of a system by a rotation."""
+closed-form spectrum, a complex-arithmetic Strang step and a full-state RK4
+for the real-field simulator, the reader of the simulator's state snapshots,
+and the conjugation of a system by a rotation."""
 import struct
 
 import numpy as np
@@ -284,6 +284,20 @@ def complex_strang_step(spec, eps, x):
         k4 = f(u + dt * k3)
         return half(u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), dt)
     return step
+
+
+def full_state_rk4(source, u, dt):
+    """The simulator's RK4 source step on every row of u, in its operation order:
+    u + dt/6 (k1 + 2 k2 + 2 k3 + k4), accumulated as k1, then 2 k2 and 2 k3, then k4."""
+    k = source(u, u)
+    acc = k.copy()
+    for stage, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        w = u + c * k
+        if stage:
+            acc += 2 * k
+        k = source(w, w)
+    acc += k
+    return u + dt / 6.0 * acc
 
 
 def snapshot_from_bytes(blob: bytes):

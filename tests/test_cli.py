@@ -11,7 +11,9 @@ import oscillant
 from oscillant import cli
 from oscillant.catalog import kg_default_phase, kg_equal
 from oscillant.cli import _system_overrides, build_parser, main
-from oscillant.experiments import analyze, run_simulation
+from oscillant.experiments import (analyze, flow_bound_experiment, interaction_matrix_factory,
+                                   report_inputs, run_simulation, sample_trajectory)
+from oscillant.simulate import AmplitudeProfile
 from oscillant.system import save_spec
 from oscillant.wkb import consistency_residual
 
@@ -130,6 +132,26 @@ def test_analyze_and_flow_report_the_given_h(tmp_path):
                  "--epsilons", "1e-2,1e-3", "--out", str(tmp_path / "f")]) == 0
     flow = json.loads((tmp_path / "f" / "flow_bound_report.json").read_text())
     assert (flow["h"], flow["gamma_plus"]) == (0.3, doc["gamma_plus"])
+
+
+def test_flow_honours_width(tmp_path):
+    # --width reaches the analysis inputs, the flow bound and the dumped trajectories
+    argv = ["flow", "--system", "catalog:kg-equal", "--T", "0.5", "--epsilons", "1e-2,1e-3"]
+    docs = {}
+    for width in ("1", "3"):
+        assert _run(argv + ["--width", width, "--out", str(tmp_path / width)]) == 0
+        docs[width] = json.loads((tmp_path / width / "flow_bound_report.json").read_text())
+    amplitude = AmplitudeProfile(width=3.0)
+    an = analyze(kg_equal(), inputs=report_inputs(1, amplitude, h=0.1))
+    rep = flow_bound_experiment(an, [1e-2, 1e-3], T=0.5, h=0.1, amplitude=amplitude)
+    assert docs["3"]["Q"] == [float(q) for q in rep.Q] != docs["1"]["Q"]
+    assert (docs["3"]["fitted_exponent"], docs["3"]["away_sup"]) == \
+        (rep.fitted_exponent, rep.away_sup)
+    m = interaction_matrix_factory(an, 0.0, float(np.atleast_1d(an.stability.xi0)[0]), 1e-2,
+                                   h=0.1, amplitude=amplitude)
+    traj = sample_trajectory(m, 0.5 * abs(np.log(1e-2)), samples=200)
+    assert (tmp_path / "3" / "trajectory_eps0.01.csv").read_text() == traj.csv() != \
+        (tmp_path / "1" / "trajectory_eps0.01.csv").read_text()
 
 
 def test_simulate_honours_k(tmp_path, capsys, kg_analysis):

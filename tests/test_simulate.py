@@ -12,10 +12,10 @@ from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
                                 run_instability_experiment, snapshot_bytes)
 from oscillant.system import BilinearMap, SystemSpec
-from oscillant.wkb import TransportSetup, solve_transport
+from oscillant.wkb import TransportSetup, amplitude_factor, solve_transport, transport_setup
 
 from conftest import assert_close
-from oracles import complex_strang_step, snapshot_from_bytes
+from oracles import complex_strang_step, full_state_rk4, snapshot_from_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,36 @@ def test_zero_phase_reference_is_the_real_transported_datum(three_wave_analysis)
     u = reference_solution(an, AmplitudeProfile(width=2.0), 1e-2)(0.3, x)
     assert u.dtype == float
     assert np.array_equal(u, [AmplitudeProfile(width=2.0)(x - 0.3), 0 * x, 0 * x])
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "three-wave"])
+def test_reference_forms_fixed_factors_once_per_grid(system, kg_analysis, three_wave_analysis):
+    # one reference called on two grids in turn: the carrier (kg-equal, v_g != 0)
+    # or a(x) (three-wave at c1 = 0, v_g = 0) kept from one grid must not leak into
+    # the other, and writing into a returned wave must not change the next one
+    an = kg_analysis if system == "kg-equal" else three_wave_analysis(c=(0.0, 0.5, -0.5))
+    eps, amplitude = 1e-2, AmplitudeProfile()
+    setup = transport_setup(an.spec, an.phase, an.pol.e1)
+    vg, c3 = float(setup.group_velocity[0]), setup.cubic_coefficient
+    assert (vg == 0) == (system == "three-wave")
+    k, omega, e1 = float(an.phase.k[0]), an.phase.omega, an.pol.e1
+    ref = reference_solution(an, amplitude, eps)
+    grids = [np.linspace(-12.0, 12.0, 2048, endpoint=False),
+             np.linspace(-10.0, 10.0, 2048, endpoint=False)]
+    for t in (0.0, 0.3, 0.7):
+        for x in grids:
+            a = amplitude(x - vg * t)
+            g = a * amplitude_factor(c3, t, a * a)
+            if system == "kg-equal":
+                wave = 2 * (np.outer(e1, g) * np.exp(1j * (k * x - omega * t) / eps)).real
+            else:
+                wave = np.outer(e1.real, g)
+            u = ref(t, x)
+            assert u.dtype == float
+            assert np.abs(u - wave).max() <= 1e-14 * np.abs(wave).max(), (t, x[0])
+            if u.flags.writeable:
+                u.fill(np.nan)
+            assert np.abs(ref(t, x) - wave).max() <= 1e-14 * np.abs(wave).max()
 
 
 def test_real_state_step_carries_the_state_spectrum():
@@ -410,6 +440,35 @@ def test_linear_half_skips_zero_entries_only(system, nonzero):
     P, columns = prop
     assert sum(len(js) for js in columns) == nonzero
     assert np.array_equal(st.linear_half(prop, u_hat, np.empty_like(u_hat)), _dense_half(P, u_hat))
+
+
+def _fed_spec(N=4, seed=5):
+    """A random coupled system whose B writes every row."""
+    spec = _coupled_spec(N, seed)
+    rng = np.random.default_rng(seed)
+    triplets = tuple((o, int(l), int(r), float(v)) for o in range(N)
+                     for l, r, v in zip(rng.integers(0, N, 2), rng.integers(0, N, 2),
+                                        rng.standard_normal(2)))
+    return SystemSpec("fed", N, 1, spec.A0, spec.Aj, BilinearMap(N, triplets))
+
+
+@pytest.mark.parametrize("system, moved", [("kg-equal", [slice(1, 2), slice(4, 5)]),
+                                           ("three-wave", [slice(1, 3)]),
+                                           ("fed", [slice(0, 4)])])
+def test_rk4_on_written_rows_equals_full_state_rk4(system, moved):
+    # RK4 runs on the rows a nonzero triplet writes (three-wave's (0, 1, 2, 0.0)
+    # writes none); the others get k = 0, so the full-state step leaves them too
+    spec = {"kg-equal": kg_equal(), "three-wave": three_wave(b=(0.0, 1.0, 1.0)),
+            "fed": _fed_spec()}[system]
+    x = np.linspace(-6.0, 6.0, 256, endpoint=False)
+    st = _Stepper(spec, 1e-2, x)
+    assert st._moved == moved
+    u = np.random.default_rng(1).standard_normal((spec.N, 256))
+    want = full_state_rk4(st.source, u, 1e-2)
+    got = u.copy()
+    st.nonlinear(got, 1e-2)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, u)
 
 
 def test_steps_allocate_less_than_one_state():
