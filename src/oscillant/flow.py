@@ -11,10 +11,12 @@ bounded by a polylog times exp(t * upper growth rate); the bound is checked
 here numerically.
 
 The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
-exponentiates a trajectory's steps as one stack: in closed form when both coupling
-products have rank <= 1 (tested once per trajectory, under the matrix's policy), as
-one coefficient GEMM; by one ``expm`` otherwise, whose first call imports scipy.
-Either stack is then multiplied block by block, one block per sample interval.
+exponentiates a trajectory's steps as one stack.  When both coupling products have
+rank <= 1 (tested once per trajectory, under the matrix's policy), each step is in
+closed form, 8 coefficients on 8 constant matrices, which span an algebra: the steps
+of a sample interval are multiplied in their coefficients, and each interval's block
+is expanded to 2N x 2N once.  Otherwise one ``expm``, whose first call imports scipy,
+gives the dense steps, multiplied as matrices.  Both paths meet at the blocks.
 """
 from __future__ import annotations
 
@@ -122,18 +124,71 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
+# the closed form's basis: the block (row, column) of each matrix and its word in
+# B = b12 and C = b21, the empty word the identity; I, BC, B, BCB, C, CBC, I, CB
+_RANK_ONE_BASIS = (((0, 0), ""), ((0, 0), "BC"), ((0, 1), "B"), ((0, 1), "BCB"),
+                   ((1, 0), "C"), ((1, 0), "CBC"), ((1, 1), ""), ((1, 1), "CB"))
+
+
+def _rank_one_products():
+    """(i, j, k, n) with e_i e_j = t^n e_k in the closed form's basis: two words
+    multiply by concatenation, shortened by (BC)^2 = t BC and (CB)^2 = t CB, which
+    hold when BC and CB have rank <= 1 (t = tr BC); every other product is 0."""
+    terms = []
+    for i, ((r, c), w) in enumerate(_RANK_ONE_BASIS):
+        for j, ((c2, s), v) in enumerate(_RANK_ONE_BASIS):
+            if c == c2:
+                word = w + v
+                keep = min(len(word), 2 + len(word) % 2)
+                terms.append((i, j, _RANK_ONE_BASIS.index(((r, s), word[:keep])),
+                              (len(word) - keep) // 2))
+    return np.array(terms)
+
+
+_PRODUCTS = _rank_one_products()
+# the identity's coefficients: 1 on both empty words
+RANK_ONE_IDENTITY = np.array([w == "" for _, w in _RANK_ONE_BASIS], dtype=complex)
+
+
+def rank_one_basis(m: InteractionMatrix) -> np.ndarray:
+    """The 8 constant 2N x 2N matrices of ``_RANK_ONE_BASIS``, stacked (8, 2N, 2N)."""
+    N = m.N
+    words = {"": np.eye(N), "B": m.b12, "C": m.b21}
+    for w in ("BC", "CB", "BCB", "CBC"):
+        words[w] = words[w[:-1]] @ words[w[-1]]
+    basis = np.zeros((8, 2, N, 2, N), dtype=complex)
+    for k, ((i, j), w) in enumerate(_RANK_ONE_BASIS):
+        basis[k, i, :, j] = words[w]
+    return basis.reshape(8, 2 * N, 2 * N)
+
+
+def rank_one_structure(t) -> np.ndarray:
+    """(64, 8) structure constants G, polynomial in t = tr(b12 b21): the coefficients
+    of x y are the outer product of those of x and y, flattened, times G."""
+    i, j, k, n = _PRODUCTS.T
+    G = np.zeros((64, 8), dtype=complex)
+    G[8 * i + j, k] = np.power(complex(t), n)
+    return G
+
+
+def rank_one_product(x, y, G) -> np.ndarray:
+    """Coefficients of the products x y of two (rows, 8) coefficient stacks, by the
+    structure constants G of :func:`rank_one_structure`."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), 64) @ G
+
+
 def rank_one_exponentials(m: InteractionMatrix, g, dt) -> np.ndarray:
-    """exp(A), A = -dt K / sqrt(eps), at the envelope values g, in closed form:
+    """exp(A), A = -dt K / sqrt(eps), at the envelope values g, in closed form, as
+    (steps, 8) coefficients on :func:`rank_one_basis`:
     A = [[-i a I, dt g b12], [dt conj(g) b21, i a I]] squares to the block
     diagonal alpha + r b12 b21, alpha + r b21 b12 (alpha = -a^2, r = dt^2 |g|^2),
     so exp(A) = C(A^2) + S(A^2) A with C(z) = cosh sqrt z, S(z) = sinh sqrt z / sqrt z,
     and f(alpha + X) = f(alpha) + f[alpha, alpha + tr X] X for X of rank one."""
-    B, C, N = m.b12, m.b21, m.N
     a = dt * m.chi1 * (m.mu1 - m.mu2) / (2 * np.sqrt(m.epsilon))
     r = (dt * np.abs(g)) ** 2
     # C[alpha, z], S[alpha, z] term by term: z^k gives sum_j alpha^j z^(k-1-j), so nothing
     # cancels, z = alpha (nilpotent coupling) is no special case; exact for |z| <= 4
-    z = r * np.trace(B @ C) - a * a
+    z = r * np.trace(m.b12 @ m.b21) - a * a
     c1, s1, h, p = 0.0, 0.0, np.ones_like(z), 1.0
     for k in range(1, 17):
         c1, s1 = c1 + h / math.factorial(2 * k), s1 + h / math.factorial(2 * k + 1)
@@ -141,16 +196,21 @@ def rank_one_exponentials(m: InteractionMatrix, g, dt) -> np.ndarray:
         h = z * h + p
     c0, s0 = np.cos(a), np.sinc(a / np.pi)      # C(alpha), S(alpha)
     x, y, dg = r * c1, r * s1, dt * g
-    # F = sum of coefficient(step) x constant basis matrix: one (n, 8) x (8, (2N)^2) GEMM
-    I, BC, CB = np.eye(N), B @ C, C @ B
-    basis = np.zeros((8, 2, N, 2, N), dtype=complex)
-    for k, (i, j, E) in enumerate([(0, 0, I), (0, 0, BC), (0, 1, B), (0, 1, BC @ B),
-                                   (1, 0, C), (1, 0, CB @ C), (1, 1, I), (1, 1, CB)]):
-        basis[k, i, :, j] = E
-    coef = np.stack(np.broadcast_arrays(c0 - 1j * a * s0, x - 1j * a * y, dg * s0, dg * y,
+    return np.stack(np.broadcast_arrays(c0 - 1j * a * s0, x - 1j * a * y, dg * s0, dg * y,
                                         np.conj(dg) * s0, np.conj(dg) * y,
                                         c0 + 1j * a * s0, x + 1j * a * y), axis=1)
-    return (coef @ basis.reshape(8, -1)).reshape(-1, 2 * N, 2 * N)
+
+
+def _block_products(steps, identity, multiply, every):
+    """The product of each run of ``every`` consecutive steps, the last run padded
+    with ``identity``: every - 1 batched ``multiply(later, earlier)`` calls."""
+    blocks = -(-len(steps) // every)
+    pad = np.broadcast_to(identity, (blocks * every - len(steps), *identity.shape))
+    runs = np.concatenate((steps, pad)).reshape(blocks, every, *identity.shape)
+    P = runs[:, 0]
+    for j in range(1, every):
+        P = multiply(runs[:, j], P)
+    return P
 
 
 def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
@@ -165,9 +225,10 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     step exponent exceeds 2, by one stacked ``expm`` otherwise.  Only the first
     step is held to ``largest_step``; ``max_step_exponent`` reads every step.
     The steps between two samples (every ``n_steps // samples``-th step and the
-    last) form a block P, all blocks multiplied at once.  tr K is imaginary, so
-    the Liouville defect |sum log |det P|| checks the steps; a block, unlike the
-    full product, stays well conditioned.
+    last) form a block P, all blocks multiplied at once: closed-form steps in
+    their coefficients (one (blocks, 64) x (64, 8) product a step), each block then
+    expanded once.  tr K is imaginary, so the Liouville defect |sum log |det P||
+    checks the steps; a block, unlike the full product, stays well conditioned.
     """
     se = np.sqrt(m.epsilon)
     limit = largest_step(m, tau)
@@ -182,24 +243,18 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     mids = ends[:-1] + 0.5 * dt
     max_exponent = float(STEP_EXPONENT_CAP * dt / np.min(largest_step(m, mids)))
     mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
+    dim = 2 * m.N
     if max_exponent <= 2.0 and _rank_at_most_one(m.policy, m.b12 @ m.b21, m.b21 @ m.b12):
-        F = rank_one_exponentials(m, m.envelope(mids), dt)
+        G = rank_one_structure(np.trace(m.b12 @ m.b21))
+        P = _block_products(rank_one_exponentials(m, m.envelope(mids), dt), RANK_ONE_IDENTITY,
+                            lambda x, y: rank_one_product(x, y, G), sample_every)
+        P = (P @ rank_one_basis(m).reshape(8, -1)).reshape(-1, dim, dim)
     else:
-        F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(2 * m.N)))
+        F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(dim)))
+        P = _block_products(F, np.eye(dim, dtype=complex), np.matmul, sample_every)
 
-    # the product of each run of sample_every steps (the last, the tail, may be shorter):
-    # sample_every - 1 batched matmuls over a (runs, sample_every, 2N, 2N) view of the steps,
-    # then one sequential pass over the runs
-    full = n_steps // sample_every
-    runs = F[:full * sample_every].reshape(full, sample_every, *F.shape[1:])
-    tail = F[full * sample_every:]
-    P = np.concatenate((runs[:, 0], tail[:1]))
-    for j in range(1, sample_every):
-        np.matmul(runs[:, j], P[:full], out=P[:full])
-        if j < len(tail):
-            P[full] = tail[j] @ P[full]
-    S = np.empty((len(P) + 1, 2 * m.N, 2 * m.N), dtype=complex)
-    S[0] = np.eye(2 * m.N)
+    S = np.empty((len(P) + 1, dim, dim), dtype=complex)
+    S[0] = np.eye(dim)
     for i, Pi in enumerate(P):
         S[i + 1] = Pi @ S[i]
     times = ends[np.append(np.arange(0, n_steps, sample_every), n_steps)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .numeric import InputError, supnorm
-from .spectral import SpectralField, assemble_symbol, asymptotic_slopes
+from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol, asymptotic_slopes
 from .system import SystemSpec
 
 
@@ -178,29 +178,59 @@ def resonance_phase(field: SpectralField, phase: Phase, i: int, j: int, xi) -> f
 def _bisect(f, a, b, fa, tol=0.0, maxit=200):
     """Sign bisection of K brackets [a_k, b_k] (scalars or points) in lockstep.
 
-    ``f(m, idx)`` returns, in one batch, the values at the midpoints ``m`` of
-    the brackets ``idx`` still open.  ``fa`` holds f(a) or any number of its
-    sign.  A bracket stops when |f(m)| <= tol or it has shrunk to rounding
-    size; returns the (K, d) final midpoints and their (K,) values.
+    ``f(m, idx)`` returns, in one batch, the values at the points ``m`` of the
+    brackets ``idx`` still open.  ``fa`` holds f(a) or any number of its sign.
+    A bracket stops when |f(m)| <= tol at its midpoint m or it has shrunk to
+    rounding size; returns the (K, d) final midpoints and their (K,) values.
+    Each round evaluates the midpoint tree of every open bracket, as many levels
+    as fit EVAL_CHUNK / 2 midpoints (a pair batch evaluates each at two points),
+    in one call, then walks the levels one halving at a time; past EVAL_CHUNK / 6
+    open brackets, a round is one level.  So is every round with tol > 0: any
+    level may then stop a bracket, and the rest of its tree would be wasted.
     """
     fa = np.array(fa, dtype=float).reshape(-1)
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     if a.ndim == 1:     # scalar brackets
         a, b = a[:, None], b[:, None]
     m_out, f_out = np.empty_like(a), np.empty(len(fa))
-    live = np.arange(len(fa))
-    for _ in range(maxit):
-        if not live.size:
-            return m_out, f_out
-        m = 0.5 * (a[live] + b[live])
-        fm = np.asarray(f(m, live), dtype=float)
+    live, it, room = np.arange(len(fa)), 0, 1 if tol > 0 else EVAL_CHUNK // 2
+
+    def halve(m, fm):
+        """One halving of the open brackets at their midpoints m, of values fm: a
+        stopped bracket leaves, the others keep the half where the sign changes."""
+        nonlocal live
         stop = (np.abs(fm) <= tol) | (np.max(np.abs(b[live] - a[live]), axis=1)
                                       < 1e-15 * (1 + np.max(np.abs(m), axis=1)))
         m_out[live[stop]], f_out[live[stop]] = m[stop], fm[stop]
-        live, m, fm = live[~stop], m[~stop], fm[~stop]
+        keep = ~stop
+        live, m, fm = live[keep], m[keep], fm[keep]
         left = fa[live] * fm <= 0
         b[live[left]] = m[left]
         a[live[~left]], fa[live[~left]] = m[~left], fm[~left]
+        return keep, left
+
+    while live.size and it < maxit:
+        depth = min(max(1, (room // live.size + 1).bit_length() - 1), maxit - it)
+        if depth == 1:
+            m = 0.5 * (a[live] + b[live])
+            halve(m, np.asarray(f(m, live), dtype=float))
+        else:
+            # level l of the tree holds the 2^l midpoints the next l halvings may reach
+            lo, hi = a[live][:, None], b[live][:, None]
+            levels = [0.5 * (lo + hi)]
+            for _ in range(1, depth):
+                lo, hi = (np.stack(pair, axis=2).reshape(len(live), -1, a.shape[1])
+                          for pair in ((lo, levels[-1]), (levels[-1], hi)))
+                levels.append(0.5 * (lo + hi))
+            tree = np.concatenate(levels, axis=1)
+            values = np.asarray(f(tree.reshape(-1, a.shape[1]), np.repeat(live, tree.shape[1])),
+                                dtype=float).reshape(tree.shape[:2])
+            rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
+            for level in range(depth):
+                at = 2 ** level - 1 + node
+                keep, left = halve(tree[rows, at], values[rows, at])
+                rows, node = rows[keep], 2 * node[keep] + ~left
+        it += depth
     if live.size:
         m_out[live] = 0.5 * (a[live] + b[live])
         f_out[live] = f(m_out[live], live)

@@ -13,7 +13,8 @@ one dimension that equation is solved exactly along its characteristics
 reads it too).  A solution keeps the datum; each snapshot is formed where it
 is read, from its spectrum (2 FFTs).  The residual reads one spectrum, forms g
 and g_x from it (3 FFTs in all) and only the harmonics p >= 0, as -p
-conjugates p in a real system.  Every threshold is the system's ``policy``.
+conjugates p in a real system, by blocks of x.  Every threshold is the
+system's ``policy``.
 """
 from __future__ import annotations
 
@@ -40,6 +41,9 @@ def partial_inverse(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
     """
     return harmonic(spec, phase, p).partial_inverse()
 
+
+# grid points per block of :func:`pde_residual`'s evaluation
+RESIDUAL_BLOCK = 4096
 
 # random sample vectors (after the unit vectors) of the weak-transparency battery, and
 # the seed they are drawn with
@@ -151,9 +155,18 @@ def amplitude_factor(c3, t, m0):
     if a > 0 and 2 * a * t * m0_max >= 1:
         raise NumericalError(f"the amplitude blows up at t = {1 / (2 * a * m0_max):.6g}, "
                              f"before t = {t:.6g}")
+    if a == 0:  # |g| is conserved: the factor is a phase
+        return _unit_phase((c3.imag * t) * m0)
     # c3 times the integral of |g|^2 along the characteristic, c3 m0 t phi(z)
-    gain = (c3 * t) * m0 if a == 0 else np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a))
-    return np.exp(gain)
+    return np.exp(np.log1p((-2 * a * t) * m0) * (-c3 / (2 * a)))
+
+
+def _unit_phase(phi):
+    """e^{i phi} of a real array, from its cosine and sine."""
+    out = np.empty(np.shape(phi), dtype=complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
 
 
 @dataclass
@@ -184,7 +197,7 @@ class WKBSolution:
             return np.fft.fft(self.g0)
         vg, c3 = float(self.setup.group_velocity[0]), self.setup.cubic_coefficient
         factor = amplitude_factor(c3, t, np.abs(self.g0) ** 2)
-        return np.fft.fft(self.g0 * factor) * np.exp((-1j * vg * t) * self.grid[1])
+        return np.fft.fft(self.g0 * factor) * _unit_phase((-vg * t) * self.grid[1])
 
     def amplitude(self, it) -> np.ndarray:
         """g at ``times[it]``, the inverse of its :meth:`spectrum` (2 FFTs); g0 at t = 0."""
@@ -226,7 +239,11 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
     ``it`` is formed; with u_a = V F, constant vectors times oscillating
     profiles, the linear part is one product [L(i p beta) V/eps | V | A1 V] [F; F_t; F_x].
     A0, A1 and B are real, so harmonic -p conjugates p: V F holds p >= 0 only (p = 0
-    at half weight), and u_a and the linear part are 2 Re of the products.
+    at half weight), and u_a and the linear part are 2 Re of the products.  Only g
+    and g_x span the grid: F, u_a and the residual are formed ``RESIDUAL_BLOCK``
+    points at a time, and the squared norm summed over the blocks.  One phase
+    e^{i theta/eps} per point serves every harmonic: F of p = 2 is the square of
+    F of p = 1, and p = 0 has none.
     """
     spec, phase = wkb.spec, wkb.phase
     if spec.d != 1:
@@ -245,26 +262,36 @@ def pde_residual(wkb: WKBSolution, epsilon: float, it=0):
     g = wkb.g0 if wkb.times[it] == 0 else np.fft.ifft(ghat)
     setup = wkb.setup
     gx = np.fft.ifft(np.multiply(1j * kappa, ghat, out=ghat), out=ghat)
-    gt = -float(setup.group_velocity[0]) * gx + setup.cubic_coefficient * np.abs(g) ** 2 * g
+    vg, c3 = float(setup.group_velocity[0]), setup.cubic_coefficient
 
-    # harmonic p >= 0, its constant vector, and its profile with d_t and d_x
-    terms = [(1, wkb.e1, (g, gt, gx))]
+    # harmonic p >= 0 and its constant vector
+    terms = [(1, wkb.e1)]
     if wkb.with_correctors:
         se = np.sqrt(epsilon)
-        terms += [(2, se * setup.second_harmonic, (g * g, 2 * g * gt, 2 * g * gx)),
-                  (0, se / 2 * setup.mean_mode, (np.abs(g) ** 2, 2 * (g.conj() * gt).real,
-                                                 2 * (g.conj() * gx).real))]
-    theta = (k * x - phase.omega * wkb.times[it]) / epsilon
-    F = np.empty((3, len(terms), n), dtype=complex)
-    for h, (p, _, fs) in enumerate(terms):
-        F[:, h] = np.multiply(fs, np.exp(1j * p * theta))
-
-    V = np.array([v for _, v, _ in terms]).T
-    LV = np.array([harmonic_matrix(spec, phase, p) @ v for p, v, _ in terms]).T
-    u = 2 * (V @ F[0]).real
-    res = 2 * (np.hstack([LV / epsilon, V, spec.Aj[0] @ V]) @ F.reshape(-1, n)).real
-    res -= spec.B(u, u) / np.sqrt(epsilon)
-    return float(np.sqrt(np.vdot(res, res) * (L / n)))
+        terms += [(2, se * setup.second_harmonic), (0, se / 2 * setup.mean_mode)]
+    V = np.array([v for _, v in terms]).T
+    LV = np.array([harmonic_matrix(spec, phase, p) @ v for p, v in terms]).T
+    # the 2 of 2 Re(...) scales the constant factors, exactly
+    V2, linear2 = 2 * V, 2 * np.hstack([LV / epsilon, V, spec.Aj[0] @ V])
+    norm2 = 0.0
+    for start in range(0, n, RESIDUAL_BLOCK):
+        b = slice(start, start + RESIDUAL_BLOCK)
+        gb, gxb = g[b], gx[b]
+        gt = -vg * gxb + c3 * np.abs(gb) ** 2 * gb
+        # each harmonic's profile with d_t and d_x, times e^{i p theta}: harmonic 2's is
+        # the square of harmonic 1's, harmonic 0's has no phase
+        F = np.empty((3, len(terms), len(gb)), dtype=complex)
+        np.multiply((gb, gt, gxb), _unit_phase((k * x[b] - phase.omega * wkb.times[it]) / epsilon),
+                    out=F[:, 0])
+        if wkb.with_correctors:
+            F[0, 1] = F[0, 0] * F[0, 0]
+            F[1:, 1] = 2 * F[0, 0] * F[1:, 0]
+            F[:, 2] = (np.abs(gb) ** 2, 2 * (gb.conj() * gt).real, 2 * (gb.conj() * gxb).real)
+        u = (V2 @ F[0]).real
+        res = (linear2 @ F.reshape(3 * len(terms), -1)).real
+        res -= spec.B(u, u) / np.sqrt(epsilon)
+        norm2 += float(np.vdot(res, res))
+    return float(np.sqrt(norm2 * (L / n)))
 
 
 @dataclass

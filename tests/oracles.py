@@ -5,7 +5,8 @@ symmetrizer basis of a rank-one pair, whose identities the tests check, the
 Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
 closed-form spectrum, a complex-arithmetic Strang step and a full-state RK4
 for the real-field simulator, the reader of the simulator's state snapshots,
-and the conjugation of a system by a rotation."""
+the conjugation of a system by a rotation, and the one-level lockstep
+bisection the prefetching one must reproduce bit for bit."""
 import struct
 
 import numpy as np
@@ -329,3 +330,30 @@ def rotated(spec, Q):
     return SystemSpec(f"rotated-{spec.name}", N, spec.d, (A0 - A0.T) / 2,
                       tuple((A + A.T) / 2 for A in (Q @ a @ Q.T for a in spec.Aj)),
                       BilinearMap(N, triplets))
+
+
+def bisect_one_level(f, a, b, fa, tol=0.0, maxit=200):
+    """Sign bisection of K brackets in lockstep, one midpoint per open bracket per
+    ``f`` call: the contract of ``resonance._bisect``, one halving at a time."""
+    fa = np.array(fa, dtype=float).reshape(-1)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if a.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    m_out, f_out = np.empty_like(a), np.empty(len(fa))
+    live = np.arange(len(fa))
+    for _ in range(maxit):
+        if not live.size:
+            return m_out, f_out
+        m = 0.5 * (a[live] + b[live])
+        fm = np.asarray(f(m, live), dtype=float)
+        stop = (np.abs(fm) <= tol) | (np.max(np.abs(b[live] - a[live]), axis=1)
+                                      < 1e-15 * (1 + np.max(np.abs(m), axis=1)))
+        m_out[live[stop]], f_out[live[stop]] = m[stop], fm[stop]
+        live, m, fm = live[~stop], m[~stop], fm[~stop]
+        left = fa[live] * fm <= 0
+        b[live[left]] = m[left]
+        a[live[~left]], fa[live[~left]] = m[~left], fm[~left]
+    if live.size:
+        m_out[live] = 0.5 * (a[live] + b[live])
+        f_out[live] = f(m_out[live], live)
+    return m_out, f_out

@@ -4,8 +4,9 @@ from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
 from oscillant import flow
-from oscillant.flow import (InteractionMatrix, bump_weight, integrate_flow, largest_step,
-                            rank_one_exponentials, unstable_datum_direction, verify_growth_bound)
+from oscillant.flow import (RANK_ONE_IDENTITY, InteractionMatrix, bump_weight, integrate_flow,
+                            largest_step, rank_one_basis, rank_one_exponentials, rank_one_product,
+                            rank_one_structure, unstable_datum_direction, verify_growth_bound)
 from oscillant.interaction import pair_coefficients_at
 from oscillant.numeric import InputError, NumericalError, supnorm
 
@@ -193,7 +194,8 @@ def test_block_product_matches_per_step_loop(coupling, samples):
 
 @pytest.mark.parametrize("bad", [0, 45, -1])
 def test_liouville_check_catches_one_bad_factor(monkeypatch, bad):
-    # one step factor off by 1e-6 moves log |det| by 2N 1e-6, wherever its block
+    # one step's coefficient row off by 1e-6 scales that step, and moves log |det| by
+    # 2N 1e-6, wherever its block
     m = _rank_one_coupling()
     dt = largest_step(m, 0.0)
     assert integrate_flow(m, 0.0, 2.0, dt, samples=7).liouville_defect <= 1e-10
@@ -229,9 +231,40 @@ def test_rank_one_exponentials_match_expm(tau, detuning):
         assert abs(dt ** 2 * np.trace(m.b12 @ m.b21) - tau) <= 1e-14 + 1e-6 * tau
         if tau == 0.0 and N > 1:
             assert supnorm(m.b12 @ m.b21) > 1e-3
-        closed = rank_one_exponentials(m, g, dt)
-        dense = _dense_exponentials(m, [0, 1, 2], dt)
+        closed = rank_one_exponentials(m, g, dt) @ rank_one_basis(m).reshape(8, -1)
+        dense = _dense_exponentials(m, [0, 1, 2], dt).reshape(3, -1)
         assert np.abs(closed - dense).max() <= 1e-13 * max(supnorm(F) for F in dense)
+
+
+def _rank_one_couplings(rng, N):
+    """(b12, b21) pairs whose products b12 b21 and b21 b12 have rank <= 1: both of rank
+    one, tr(b12 b21) = 0 with b12 b21 != 0, b12 of rank one against a dense b21, and
+    zero couplings."""
+    u, v, w, z = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(4))
+    dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    nilpotent = z - (z @ u) / (u @ u) * u if N > 1 else 0 * z     # z . u = 0
+    return [(np.outer(u, v), np.outer(w, z)), (np.outer(u, v), np.outer(w, nilpotent)),
+            (np.outer(u, v), dense), (np.zeros((N, N)), np.zeros((N, N)))]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_coefficient_product_matches_dense_product(N):
+    rng = np.random.default_rng(20 + N)
+    for case, (b12, b21) in enumerate(_rank_one_couplings(rng, N)):
+        m = InteractionMatrix(mu1=0.3, mu2=-0.2, b12=b12, b21=b21, epsilon=1.0)
+        t = np.trace(b12 @ b21)
+        if case == 1 and N > 1:     # nilpotent: b12 b21 != 0 of trace 0
+            assert supnorm(b12 @ b21) > 1e-3 and abs(t) <= 1e-14 * supnorm(b12 @ b21)
+        basis = rank_one_basis(m).reshape(8, -1)
+        G = rank_one_structure(t)
+        x, y = (rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8)) for _ in range(2))
+        got = rank_one_product(x, y, G) @ basis
+        want = np.matmul((x @ basis).reshape(5, 2 * N, 2 * N), (y @ basis).reshape(5, 2 * N, 2 * N))
+        assert np.abs(got - want.reshape(5, -1)).max() <= 1e-13 * np.abs(want).max()
+        # the identity's coefficients multiply exactly
+        one = np.broadcast_to(RANK_ONE_IDENTITY, x.shape)
+        for a, b in ((x, one), (one, x)):
+            assert np.array_equal(rank_one_product(a, b, G), x)
 
 
 def test_rank_two_coupling_takes_the_expm_path(monkeypatch):

@@ -7,13 +7,13 @@ from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
-from oscillant.resonance import (Phase, characteristic_harmonics, default_window,
+from oscillant.resonance import (Phase, _bisect, characteristic_harmonics, default_window,
                                  find_resonances, resonance_phase, separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
-from oracles import kg_r12_roots, scan_cells_2d, three_wave_branch_map
+from oracles import bisect_one_level, kg_r12_roots, scan_cells_2d, three_wave_branch_map
 
 
 def test_phase_characteristic_check(kg_analysis):
@@ -300,3 +300,50 @@ def test_phase_matching_below_threshold():
 def test_dispersion_residual_units():
     w = omega_transverse(2.0, **EM)
     assert dispersion_residual("euler-maxwell-transverse", w, 2.0, **EM) < 1e-15
+
+
+def _random_brackets(rng, K, d, zero_band=0.0):
+    """K brackets of a pointwise function with a sign change along each, exactly 0
+    within ``zero_band`` of it, and f(a) or a number of its sign."""
+    center, slope = rng.uniform(-1, 1, size=(K, d)), rng.uniform(0.5, 2.0, size=K)
+    span = rng.uniform(0.1, 1.0, size=(K, d))
+    a, b = center - span * rng.uniform(0.1, 0.9, size=(K, 1)), center + span
+
+    def f(m, idx):
+        s = (m - center[idx]) @ np.ones(d)
+        return np.where(np.abs(s) < zero_band, 0.0, slope[idx] * (s + 0.3 * np.sin(7 * s)))
+    fa = f(a, np.arange(K)) * rng.uniform(0.5, 3.0, size=K)
+    return f, (a[:, 0], b[:, 0]) if d == 1 else (a, b), fa
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 5, 10, 11, 70])
+@pytest.mark.parametrize("tol, zero_band, maxit", [(0.0, 0.0, 200), (0.0, 1e-3, 200),
+                                                   (1e-6, 0.0, 200), (0.0, 0.0, 13),
+                                                   (0.0, 1e-4, 31), (0.0, 0.0, 0)])
+def test_prefetched_bisection_matches_one_level_oracle(d, K, tol, zero_band, maxit):
+    # exact zeros stop brackets early inside a prefetched tree; tol > 0 runs one level
+    rng = np.random.default_rng(100 * d + K)
+    f, (a, b), fa = _random_brackets(rng, K, d, zero_band)
+    got = _bisect(f, a.copy(), b.copy(), fa, tol, maxit)
+    want = bisect_one_level(f, a.copy(), b.copy(), fa, tol, maxit)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if zero_band and maxit == 200:
+        assert np.any(want[1] == 0.0)
+
+
+@pytest.mark.parametrize("K, tol", [(40, 0.0), (2, 1e-9)])
+def test_bisection_runs_one_level_where_a_tree_does_not_pay(K, tol):
+    # past EVAL_CHUNK / 6 open brackets, or with a value tolerance, each call
+    # evaluates the midpoints the one-level loop evaluates
+    rng = np.random.default_rng(7)
+    f, (a, b), fa = _random_brackets(rng, K, 1)
+    calls = {}
+    for name, run in (("prefetched", _bisect), ("one-level", bisect_one_level)):
+        seen = calls[name] = []
+        run(lambda m, idx: seen.append(m.copy()) or f(m, idx), a.copy(), b.copy(), fa, tol,
+            maxit=5)
+    assert len(calls["prefetched"]) == 6
+    for g, w in zip(*calls.values(), strict=True):
+        assert np.array_equal(g, w)
