@@ -146,8 +146,6 @@ def _rank_one_products():
 
 
 _PRODUCTS = _rank_one_products()
-# the identity's coefficients: 1 on both empty words
-RANK_ONE_IDENTITY = np.array([w == "" for _, w in _RANK_ONE_BASIS], dtype=complex)
 
 
 def rank_one_basis(m: InteractionMatrix) -> np.ndarray:
@@ -201,16 +199,21 @@ def rank_one_exponentials(m: InteractionMatrix, g, dt) -> np.ndarray:
                                         c0 + 1j * a * s0, x + 1j * a * y), axis=1)
 
 
-def _block_products(steps, identity, multiply, every):
-    """The product of each run of ``every`` consecutive steps, the last run padded
-    with ``identity``: every - 1 batched ``multiply(later, earlier)`` calls."""
-    blocks = -(-len(steps) // every)
-    pad = np.broadcast_to(identity, (blocks * every - len(steps), *identity.shape))
-    runs = np.concatenate((steps, pad)).reshape(blocks, every, *identity.shape)
+def _block_products(steps, multiply, every):
+    """The product of each run of ``every`` consecutive steps, the last run possibly
+    shorter: every - 1 batched ``multiply(later, earlier)`` calls over a view of the
+    full runs, then the short last run's own products."""
+    full, rest = divmod(len(steps), every)
+    runs = steps[:full * every].reshape(full, every, *steps.shape[1:])
     P = runs[:, 0]
     for j in range(1, every):
         P = multiply(runs[:, j], P)
-    return P
+    if not rest:
+        return P
+    last = steps[full * every:full * every + 1]
+    for step in steps[full * every + 1:]:
+        last = multiply(step[None], last)
+    return np.concatenate((P, last))
 
 
 def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
@@ -246,12 +249,12 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     dim = 2 * m.N
     if max_exponent <= 2.0 and _rank_at_most_one(m.policy, m.b12 @ m.b21, m.b21 @ m.b12):
         G = rank_one_structure(np.trace(m.b12 @ m.b21))
-        P = _block_products(rank_one_exponentials(m, m.envelope(mids), dt), RANK_ONE_IDENTITY,
+        P = _block_products(rank_one_exponentials(m, m.envelope(mids), dt),
                             lambda x, y: rank_one_product(x, y, G), sample_every)
         P = (P @ rank_one_basis(m).reshape(8, -1)).reshape(-1, dim, dim)
     else:
         F = expm(-(dt / se) * (m.stack(mids) - 1j * mean_mu * np.eye(dim)))
-        P = _block_products(F, np.eye(dim, dtype=complex), np.matmul, sample_every)
+        P = _block_products(F, np.matmul, sample_every)
 
     S = np.empty((len(P) + 1, dim, dim), dtype=complex)
     S[0] = np.eye(dim)

@@ -211,25 +211,21 @@ def _bisect(f, a, b, fa, tol=0.0, maxit=200):
 
     while live.size and it < maxit:
         depth = min(max(1, (room // live.size + 1).bit_length() - 1), maxit - it)
-        if depth == 1:
-            m = 0.5 * (a[live] + b[live])
-            halve(m, np.asarray(f(m, live), dtype=float))
-        else:
-            # level l of the tree holds the 2^l midpoints the next l halvings may reach
-            lo, hi = a[live][:, None], b[live][:, None]
-            levels = [0.5 * (lo + hi)]
-            for _ in range(1, depth):
-                lo, hi = (np.stack(pair, axis=2).reshape(len(live), -1, a.shape[1])
-                          for pair in ((lo, levels[-1]), (levels[-1], hi)))
-                levels.append(0.5 * (lo + hi))
-            tree = np.concatenate(levels, axis=1)
-            values = np.asarray(f(tree.reshape(-1, a.shape[1]), np.repeat(live, tree.shape[1])),
-                                dtype=float).reshape(tree.shape[:2])
-            rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
-            for level in range(depth):
-                at = 2 ** level - 1 + node
-                keep, left = halve(tree[rows, at], values[rows, at])
-                rows, node = rows[keep], 2 * node[keep] + ~left
+        # level l of the tree holds the 2^l midpoints the next l halvings may reach
+        lo, hi = a[live][:, None], b[live][:, None]
+        levels = [0.5 * (lo + hi)]
+        for _ in range(1, depth):
+            lo, hi = (np.stack(pair, axis=2).reshape(len(live), -1, a.shape[1])
+                      for pair in ((lo, levels[-1]), (levels[-1], hi)))
+            levels.append(0.5 * (lo + hi))
+        tree = np.concatenate(levels, axis=1)
+        values = np.asarray(f(tree.reshape(-1, a.shape[1]), np.repeat(live, tree.shape[1])),
+                            dtype=float).reshape(tree.shape[:2])
+        rows, node = np.arange(len(live)), np.zeros(len(live), dtype=int)
+        for level in range(depth):
+            at = 2 ** level - 1 + node
+            keep, left = halve(tree[rows, at], values[rows, at])
+            rows, node = rows[keep], 2 * node[keep] + ~left
         it += depth
     if live.size:
         m_out[live] = 0.5 * (a[live] + b[live])

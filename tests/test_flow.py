@@ -4,7 +4,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
 from oscillant import flow
-from oscillant.flow import (RANK_ONE_IDENTITY, InteractionMatrix, bump_weight, integrate_flow,
+from oscillant.flow import (InteractionMatrix, bump_weight, integrate_flow,
                             largest_step, rank_one_basis, rank_one_exponentials, rank_one_product,
                             rank_one_structure, unstable_datum_direction, verify_growth_bound)
 from oscillant.interaction import pair_coefficients_at
@@ -261,8 +261,10 @@ def test_coefficient_product_matches_dense_product(N):
         got = rank_one_product(x, y, G) @ basis
         want = np.matmul((x @ basis).reshape(5, 2 * N, 2 * N), (y @ basis).reshape(5, 2 * N, 2 * N))
         assert np.abs(got - want.reshape(5, -1)).max() <= 1e-13 * np.abs(want).max()
-        # the identity's coefficients multiply exactly
-        one = np.broadcast_to(RANK_ONE_IDENTITY, x.shape)
+        # the identity's coefficients (1 on both empty words) multiply exactly
+        one = np.zeros_like(x)
+        one[:, [0, 6]] = 1
+        assert np.array_equal(one[0] @ basis, np.eye(2 * N).reshape(-1))
         for a, b in ((x, one), (one, x)):
             assert np.array_equal(rank_one_product(a, b, G), x)
 
