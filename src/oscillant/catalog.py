@@ -1,17 +1,21 @@
 """Stock systems: three-wave interaction, coupled Klein-Gordon pairs, the
 magnetization-wave characteristic variety, and plasma dispersion parameters.
 
-Each builder returns a :class:`SystemSpec` with exact matrices; closed-form
-branch values, the polarization vector and the resonant sets of the
-Klein-Gordon systems are provided for cross-checking the generic pipeline.
+Each builder returns a :class:`SystemSpec` with exact matrices and its phase
+entries, written by :func:`with_stock_phase` from the recorded ``params``, which
+also completes a system file that has stock ``params`` but no ``phase``.
+Closed-form branch values and the resonant sets of the Klein-Gordon systems
+are provided for cross-checking the generic pipeline.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from . import experiments
 from .numeric import DEFAULT_POLICY, InputError
-from .resonance import Phase
-from .system import BilinearMap, SystemSpec
+from .system import BilinearMap, Phase, SystemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +32,9 @@ def three_wave(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
     b = tuple(float(x) for x in b)
     A1 = np.diag(c)
     B = BilinearMap(3, ((0, 1, 2, b[0]), (1, 0, 2, b[1]), (2, 0, 1, b[2])))
-    return SystemSpec("three-wave", 3, 1, np.zeros((3, 3)), (A1,), B,
-                      params={"c1": c[0], "c2": c[1], "c3": c[2],
-                              "b1": b[0], "b2": b[1], "b3": b[2]})
+    return with_stock_phase(SystemSpec("three-wave", 3, 1, np.zeros((3, 3)), (A1,), B,
+                                       params={"c1": c[0], "c2": c[1], "c3": c[2],
+                                               "b1": b[0], "b2": b[1], "b3": b[2]}))
 
 
 def brillouin(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
@@ -46,7 +50,7 @@ def brillouin(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
     # amplification time scales as eps^1 |log eps| (an extra sqrt(eps) against
     # the standard scaling); lengths dilate by eps^(-1/2)
     params.update({"scaling": "brillouin", "time_factor_power": 1.0, "space_factor_power": -0.5})
-    return SystemSpec("brillouin", 3, 1, spec.A0, spec.Aj, spec.B, params=params)
+    return replace(spec, name="brillouin", params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +102,8 @@ def kg_equal(omega0=1.0, theta0=0.5, d=1) -> SystemSpec:
         (iu2, iu3, iv3, 0.5), (iu2, iv3, iu3, 0.5), (iu2, iv3, iv3, 0.5),
         (iv2, iu2, iu2, -0.5), (iv2, iv2, iv3, 0.5), (iv2, iv3, iv2, 0.5),
     ))
-    return SystemSpec("kg-equal", N, d, A0, Aj, B,
-                      params={"omega0": float(omega0), "theta0": float(theta0)})
+    return with_stock_phase(SystemSpec("kg-equal", N, d, A0, Aj, B,
+                                       params={"omega0": float(omega0), "theta0": float(theta0)}))
 
 
 def kg_diff(omega0=1.0, theta0=0.5, alpha0=1.7, iota=1, d=1) -> SystemSpec:
@@ -117,9 +121,9 @@ def kg_diff(omega0=1.0, theta0=0.5, alpha0=1.7, iota=1, d=1) -> SystemSpec:
         (iu2, iu3, iv3, 0.5), (iu2, iv3, iu3, 0.5), (iu2, iv3, iv3, 0.5),
         (iv2, iu2, iu2, -iota / 2), (iv2, iu2, iv2, -iota / 2), (iv2, iv2, iu2, -iota / 2),
     ))
-    return SystemSpec("kg-diff", N, d, A0, Aj, B,
-                      params={"omega0": float(omega0), "theta0": float(theta0),
-                              "alpha0": float(alpha0), "iota": int(iota)})
+    return with_stock_phase(SystemSpec("kg-diff", N, d, A0, Aj, B,
+                                       params={"omega0": float(omega0), "theta0": float(theta0),
+                                               "alpha0": float(alpha0), "iota": int(iota)}))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -137,44 +141,6 @@ def kg_lambda_slow(spec, xi):
     w0, th0 = spec.params["omega0"], spec.params["theta0"]
     xi = np.asarray(xi, dtype=float)
     return np.sqrt(w0 ** 2 + th0 ** 2 * np.sum(np.atleast_2d(xi) ** 2, axis=-1).squeeze())
-
-
-def kg_default_phase(spec, k=1.0) -> Phase:
-    """Characteristic phase carried by the initial oscillation.
-
-    Equal masses: on the fast branch.  Different masses: on the slow branch,
-    with the wavenumber gate |k|^2 < (alpha0^2 - 1) omega0^2 / theta0^2.
-    """
-    w0, th0 = spec.params["omega0"], spec.params["theta0"]
-    kvec = np.full(spec.d, 0.0)
-    kvec[0] = k
-    knorm2 = float(np.sum(kvec ** 2))
-    a0 = spec.params.get("alpha0", 1.0)
-    if a0 > 1:
-        if not knorm2 < (a0 ** 2 - 1) * w0 ** 2 / th0 ** 2:
-            raise InputError("wavenumber too large: |k|^2 must be below (alpha0^2-1) omega0^2/theta0^2")
-        omega = float(np.sqrt(w0 ** 2 + th0 ** 2 * knorm2))
-    else:
-        omega = float(np.sqrt(w0 ** 2 + knorm2))
-    return Phase(omega, kvec)
-
-
-def kg_e1(spec, phase: Phase) -> np.ndarray:
-    """Unit polarization vector of the fundamental phase (closed form)."""
-    d, n = spec.d, spec.d + 2
-    w0 = spec.params["omega0"]
-    w = phase.omega
-    e = np.zeros(spec.N, dtype=complex)
-    if spec.params.get("alpha0", 1.0) > 1:
-        # slow-branch phase lives in the second block
-        e[n:n + d] = -spec.params["theta0"] * phase.k / w
-        e[n + d] = 1.0
-        e[n + d + 1] = 1j * w0 / w
-    else:
-        e[:d] = -phase.k / w
-        e[d] = 1.0
-        e[d + 1] = 1j * w0 / w
-    return e / np.sqrt(2.0)
 
 
 def kg_r15_roots(phase: Phase):
@@ -290,29 +256,26 @@ def build_catalog_system(entry_id: str, **params) -> SystemSpec:
     return builder(**params)
 
 
-def stock_family(spec: SystemSpec) -> str:
-    """Which stock closed forms describe ``spec``, read from its recorded
-    parameters: ``c1`` means three-wave, ``omega0`` and ``theta0`` mean
-    Klein-Gordon.  ``spec.name`` is only a label."""
-    if "c1" in spec.params:
-        return "three-wave"
-    if "omega0" in spec.params and "theta0" in spec.params:
-        return "klein-gordon"
-    raise InputError(f"system '{spec.name}' has no stock closed forms (params record neither c1 "
-                     "nor omega0/theta0): give it a characteristic phase with --omega/--k")
-
-
-def default_phase(spec: SystemSpec, k=None) -> Phase:
-    """The documented fundamental phase for a stock system."""
-    if stock_family(spec) == "three-wave":
-        return Phase(0.0, np.zeros(1))
-    return kg_default_phase(spec, k=1.0 if k is None else k)
+def with_stock_phase(spec: SystemSpec) -> SystemSpec:
+    """``spec`` with the phase entries its stock ``params`` give, as the builders
+    write them and a system file without a ``phase`` gets them on load: ``c1``
+    (three-wave) gives (0, 0), a full kernel, and the direction of the reference
+    solution (a(x - c1 t), 0, 0); ``omega0`` and ``theta0`` (Klein-Gordon) give
+    k = (1, 0, ..) on the fast branch, or for ``alpha0 > 1`` on the slow branch
+    under the gate |k|^2 < (alpha0^2 - 1) omega0^2 / theta0^2."""
+    p, k = spec.params, np.zeros(spec.d)
+    if "c1" in p:
+        return replace(spec, phase=Phase(0.0, k), reference_direction=np.eye(spec.N)[0])
+    if "omega0" not in p or "theta0" not in p:
+        return spec
+    w0, th0, a0 = p["omega0"], p["theta0"], p.get("alpha0", 1.0)
+    k[0] = 1.0
+    if a0 > 1:
+        return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + th0 ** 2), k),
+                       k_bound=float(np.sqrt((a0 ** 2 - 1) * w0 ** 2 / th0 ** 2)))
+    return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + 1.0), k))
 
 
 def reference_polarization(spec: SystemSpec, phase: Phase) -> np.ndarray:
-    """Polarization of the reference solution in closed form, for a phase whose
-    kernel is not one-dimensional: three-wave's (0, 0) has a full kernel, and its
-    reference solution (a(x - c1 t), 0, 0) the first direction."""
-    if stock_family(spec) == "three-wave":
-        return np.array([1.0, 0.0, 0.0], dtype=complex)
-    return kg_e1(spec, phase)
+    """The polarization e1 the analysis takes (kept for the benchmark's callers)."""
+    return experiments.resolve_polarization(spec, phase).e1

@@ -16,11 +16,10 @@ import numpy as np
 from . import catalog
 from .dispersion import RELATIONS
 from .experiments import (analyze, flow_bound_experiment, report_inputs, resolve_polarization,
-                          run_simulation, run_sweep)
+                          run_simulation, run_sweep, system_phase)
 from .numeric import InputError, NumericalError
-from .resonance import Phase
 from .simulate import AmplitudeProfile
-from .system import load_spec, save_spec, write_text_atomic
+from .system import Phase, load_spec, save_spec, write_text_atomic
 from .wkb import solve_transport, weak_transparency_check, consistency_residual
 
 
@@ -31,16 +30,27 @@ def _thread_cap():
         return 1
 
 
-def _load_system(token, overrides):
-    if token.startswith("catalog:"):
-        return catalog.build_catalog_system(token.split(":", 1)[1], **overrides)
-    return load_spec(token)
+SCALAR_PARAMS, LIST_PARAMS = ("omega0", "theta0", "alpha0", "iota", "d"), ("c", "b")
+
+
+def _load_system(args):
+    """A catalog system built with the parameter flags, or a system file (which
+    takes none), completed by its stock ``params`` when it has no ``phase``."""
+    if args.system.startswith("catalog:"):
+        return catalog.build_catalog_system(args.system.split(":", 1)[1],
+                                            **_system_overrides(args))
+    given = [f"--{key}" for key in SCALAR_PARAMS + LIST_PARAMS if getattr(args, key) is not None]
+    if given:
+        raise InputError(f"{', '.join(given)}: parameter flags build catalog systems, and "
+                         f"{args.system} is a system file")
+    spec = load_spec(args.system)
+    return spec if spec.phase is not None else catalog.with_stock_phase(spec)
 
 
 def _system_overrides(args):
-    out = {key: getattr(args, key) for key in ("omega0", "theta0", "alpha0", "iota", "d")
+    out = {key: getattr(args, key) for key in SCALAR_PARAMS
            if getattr(args, key, None) is not None}
-    for key in ("c", "b"):
+    for key in LIST_PARAMS:
         for i, v in enumerate(getattr(args, key, None) or (), start=1):
             out[f"{key}{i}"] = v
     return out
@@ -105,11 +115,20 @@ def _epsilons(least):
 
 
 def _phase_from(args, spec):
-    if args.omega is not None:
-        if args.k is None:
-            raise InputError("--omega needs --k")
-        return Phase(args.omega, [args.k])
-    return catalog.default_phase(spec, k=args.k)
+    if args.omega is None:
+        return system_phase(spec, args.k)
+    if args.k is None:
+        raise InputError("--omega needs --k")
+    return Phase(args.omega, [args.k])
+
+
+def _analysis(args, window=None, **inputs):
+    """The system's analysis at the flags' phase, with the amplitude of --width
+    (returned too) and the report ``inputs`` (K, K_a, h)."""
+    spec = _load_system(args)
+    amplitude = AmplitudeProfile(width=args.width)
+    return analyze(spec, _phase_from(args, spec), window=window,
+                   inputs=report_inputs(spec.d, amplitude, **inputs)), amplitude
 
 
 def _json_dump(doc, path):
@@ -117,12 +136,8 @@ def _json_dump(doc, path):
 
 
 def cmd_analyze(args):
-    spec = _load_system(args.system, _system_overrides(args))
-    phase = _phase_from(args, spec)
-    inputs = report_inputs(spec.d, AmplitudeProfile(width=args.width), K=args.K, K_a=args.Ka,
-                           h=args.h)
     window = (-args.window, args.window) if args.window else None
-    result = analyze(spec, phase, window=window, inputs=inputs)
+    result, _ = _analysis(args, window, K=args.K, K_a=args.Ka, h=args.h)
     os.makedirs(args.out, exist_ok=True)
     if args.format == "csv":
         doc = result.stability.to_dict()
@@ -144,10 +159,7 @@ def cmd_analyze(args):
 
 
 def cmd_flow(args):
-    spec = _load_system(args.system, _system_overrides(args))
-    phase = _phase_from(args, spec)
-    amplitude = AmplitudeProfile(width=args.width)
-    result = analyze(spec, phase, inputs=report_inputs(spec.d, amplitude, h=args.h))
+    result, amplitude = _analysis(args, h=args.h)
     rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h, amplitude=amplitude)
     os.makedirs(args.out, exist_ok=True)
     # dump one representative trajectory per epsilon for inspection
@@ -172,10 +184,8 @@ def cmd_flow(args):
 
 
 def cmd_simulate(args):
-    spec = _load_system(args.system, _system_overrides(args))
-    amplitude = AmplitudeProfile(width=args.width)
-    result = analyze(spec, _phase_from(args, spec), inputs=report_inputs(spec.d, amplitude))
-    run = run_simulation(spec, args.epsilon, analysis=result, K=args.K,
+    result, amplitude = _analysis(args, K=args.K)
+    run = run_simulation(result.spec, args.epsilon, analysis=result, K=args.K,
                          K_prime=args.Kprime, grid_points=args.grid,
                          t_end=args.tend, amplitude=amplitude)
     os.makedirs(args.out, exist_ok=True)
@@ -194,10 +204,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    spec = _load_system(args.system, _system_overrides(args))
-    amplitude = AmplitudeProfile(width=args.width)
-    result = analyze(spec, _phase_from(args, spec), inputs=report_inputs(spec.d, amplitude))
-    rep = run_sweep(spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
+    result, amplitude = _analysis(args, K=args.K)
+    rep = run_sweep(result.spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
                     grid_points=args.grid, amplitude=amplitude,
                     T_obs=args.T, rho=args.rho, workers=_thread_cap())
     os.makedirs(args.out, exist_ok=True)
@@ -212,7 +220,7 @@ def cmd_sweep(args):
 
 
 def cmd_wkb(args):
-    spec = _load_system(args.system, _system_overrides(args))
+    spec = _load_system(args)
     phase = _phase_from(args, spec)
     if args.check_transparency:
         res = weak_transparency_check(spec, phase)

@@ -3,8 +3,10 @@ experiments on the analysed wave.
 
 These are the entry points the command line and the experiment scripts call;
 they wire the spectral field, resonance report, stability report, symbolic
-flow, and simulator together with consistent defaults.  The catalog gives
-only a default phase and the reference direction of a full-kernel phase.
+flow, and simulator together with consistent defaults.  Everything about
+the system comes from its :class:`SystemSpec`: the operator, the source, the
+phase taken when none is given, and the reference direction of a phase whose
+kernel is not one-dimensional.
 """
 from __future__ import annotations
 
@@ -12,17 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog
 from .flow import (FlowTrajectory, GrowthBoundReport, InteractionMatrix, bump_weight,
                    integrate_flow, largest_step, verify_growth_bound)
 # pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport, _sources,
                           pair_coefficients_at, polarization_vectors, stability_report)
-from .numeric import InputError, MultiplicityError, NumericalError
-from .resonance import Phase, ResonanceReport, _bisect, _PairBatch, default_window, find_resonances
+from .numeric import InputError, MultiplicityError, NumericalError, supnorm
+from .resonance import (Phase, ResonanceReport, _bisect, _PairBatch, default_window,
+                        find_resonances, harmonic, harmonic_matrix)
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
                        epsilon_sweep, run_instability_experiment)
-from .spectral import SpectralField, eigendecompose_field, uniform_grid
+from .spectral import SpectralField, assemble_symbol, eigendecompose_field, uniform_grid
 from .system import SystemSpec
 from .wkb import amplitude_factor, transport_setup
 
@@ -39,14 +41,50 @@ class Analysis:
     stability: StabilityReport
 
 
+def system_phase(spec: SystemSpec, k=None) -> Phase:
+    """The system's phase entry; given ``k``, the phase at wavenumber (k, 0, ..)
+    with |k| < ``k_bound`` on the entry's branch: the eigenvalue of the symbol at
+    k whose ascending index the entry's omega has at its k, which must be simple
+    at both wavenumbers (at the entry's k, the entry itself)."""
+    phase = spec.phase
+    if phase is None:
+        raise InputError(f"system '{spec.name}' has no phase entry: give it a characteristic "
+                         "phase with --omega/--k")
+    if k is None:
+        return phase
+    kvec = np.zeros(spec.d)
+    kvec[0] = k
+    if not np.linalg.norm(kvec) < spec.k_bound:
+        raise InputError(f"wavenumber too large: |k| must be below {spec.k_bound:.6g}, the "
+                         "bound of the system's phase")
+    if np.array_equal(kvec, phase.k):
+        return phase
+    branch = np.flatnonzero(harmonic(spec, phase, 1).kernel)
+    if len(branch) != 1:
+        raise InputError(f"--k {k:g}: the phase entry's omega is not a simple eigenvalue at its "
+                         f"k {phase.k.tolist()}, so it names no branch; give --omega with --k")
+    at_k = Phase(harmonic(spec, Phase(0.0, kvec), 1).mu[branch[0]], kvec)
+    if np.count_nonzero(harmonic(spec, at_k, 1).kernel) != 1:
+        raise InputError(f"--k {k:g}: the phase entry's branch value {at_k.omega:.17g} is not a "
+                         "simple eigenvalue there; give --omega with --k")
+    return at_k
+
+
 def resolve_polarization(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
-    """Polarization vectors, taking the catalog's closed form when the phase
-    kernel is not one-dimensional (non-oscillating reference solutions)."""
+    """Polarization vectors; when the phase kernel is not one-dimensional
+    (non-oscillating reference solutions), e1 is the system's unit reference
+    direction, which must lie in that kernel."""
     try:
         return polarization_vectors(spec, phase)
-    except MultiplicityError:
-        e1 = catalog.reference_polarization(spec, phase)
-        return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(0.0, 0.0))
+    except MultiplicityError as exc:
+        if spec.reference_direction is None:
+            raise InputError(f"{exc}; the system has no reference_direction") from None
+        e1 = (spec.reference_direction / np.linalg.norm(spec.reference_direction)).astype(complex)
+        # L(-beta) is the conjugate of L(beta): one residual serves both phases
+        res = supnorm(harmonic_matrix(spec, phase, 1) @ e1)
+        if res > spec.policy.char_tol * max(supnorm(assemble_symbol(spec, phase.k)), 1.0):
+            raise InputError(f"{exc}; the system's reference_direction is not in it") from None
+        return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(res, res))
 
 
 def report_inputs(d: int, amplitude: AmplitudeProfile = None, **kw) -> ReportInputs:
@@ -64,7 +102,7 @@ def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
     """Full analysis: spectral field, resonances, and the stability report
     (``inputs`` default: :func:`report_inputs` of the unit gaussian)."""
     if phase is None:
-        phase = catalog.default_phase(spec)
+        phase = system_phase(spec)
     if window is None:
         window = default_window(spec, phase)
     if np.isscalar(window[0]):
@@ -243,22 +281,25 @@ def simulation_config(spec: SystemSpec, analysis: Analysis, epsilon, K=3.0, K_pr
                      e0=e0, xi0=xi0, k=k, rho=rho, t_end=t_end)
 
 
-def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None, **cfg_kw):
-    analysis = analysis or analyze(spec)
-    amplitude = cfg_kw.pop("amplitude", None) or AmplitudeProfile()
-    cfg = simulation_config(spec, analysis, epsilon, amplitude=amplitude, **cfg_kw)
+def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None,
+                   amplitude: AmplitudeProfile = None, K=3.0, **cfg_kw):
+    """One run; ``analysis`` defaults to the system's phase under the run's K and amplitude."""
+    amplitude = amplitude or AmplitudeProfile()
+    analysis = analysis or analyze(spec, inputs=report_inputs(spec.d, amplitude, K=K))
+    cfg = simulation_config(spec, analysis, epsilon, amplitude=amplitude, K=K, **cfg_kw)
     ref = reference_solution(analysis, amplitude, epsilon)
     return run_instability_experiment(cfg, ref)
 
 
 def run_sweep(spec: SystemSpec, epsilons, analysis: Analysis = None,
-              amplitude: AmplitudeProfile = None, workers=1, **cfg_kw) -> SweepReport:
-    analysis = analysis or analyze(spec)
+              amplitude: AmplitudeProfile = None, workers=1, K=3.0, **cfg_kw) -> SweepReport:
+    """An epsilon sweep; ``analysis`` defaults as in :func:`run_simulation`."""
     amplitude = amplitude or AmplitudeProfile()
+    analysis = analysis or analyze(spec, inputs=report_inputs(spec.d, amplitude, K=K))
     tf = spec.params.get("time_factor_power", 0.5)
 
     def cfg_factory(eps):
-        return simulation_config(spec, analysis, eps, amplitude=amplitude, **cfg_kw)
+        return simulation_config(spec, analysis, eps, amplitude=amplitude, K=K, **cfg_kw)
 
     def ref_factory(eps):
         return reference_solution(analysis, amplitude, eps)

@@ -295,50 +295,6 @@ def partial_transparency_conditions(field: SpectralField, pol: PolarizationVecto
 
 
 # ---------------------------------------------------------------------------
-# homological solvability
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HomologicalSolution:
-    pair: tuple
-    harmonic: int
-    sup_norm: float
-    solvable: bool
-    witness: np.ndarray = None
-
-
-def solve_homological(field: SpectralField, pol: PolarizationVectors, phase: Phase,
-                      pair, harmonic: int, grid, source=None) -> HomologicalSolution:
-    """Divide a coupling source by its homological phase over a grid.
-
-    The harmonic-``ell`` phase of pair (i, j) is
-    ``lambda_i(xi + ell k) - ell omega - lambda_j(xi)``; where it exceeds the
-    division floor the quotient is formed pointwise, and near its zeros the
-    equation is solvable only if the source vanishes there (transparency).
-    An unsolvable outcome is a normal return carrying a witness frequency.
-    """
-    i, j = pair
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    e_h = pol.e1 if harmonic >= 0 else pol.em1
-    Bh = field.spec.B.symmetrized(e_h)
-    scale = max(supnorm(Bh), 1e-300)
-    sup_q = 0.0
-    pb = _PairBatch(field, phase, grid, harmonic)
-    phs = pb.phase(i, j)
-    sources = pb.coupling(i, j, (Bh, Bh))[0] if source is None else map(source, grid)
-    for xi, ph, S in zip(grid, phs, sources):
-        if abs(ph) > 1e-6:
-            sup_q = max(sup_q, supnorm(S) / abs(ph))
-        elif supnorm(S) > field.spec.policy.transparent_tol * scale:
-            return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=np.inf,
-                                       solvable=False, witness=xi)
-    return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=float(sup_q),
-                               solvable=True)
-
-
-# ---------------------------------------------------------------------------
 # stability report
 # ---------------------------------------------------------------------------
 

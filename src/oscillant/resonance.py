@@ -19,27 +19,7 @@ import numpy as np
 
 from .numeric import InputError, supnorm
 from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol, asymptotic_slopes
-from .system import SystemSpec
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Temporal frequency and spatial wavenumber of the fundamental oscillation."""
-
-    omega: float
-    k: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", np.atleast_1d(np.asarray(self.k, dtype=float)))
-        object.__setattr__(self, "omega", float(self.omega))
-
-    @property
-    def d(self) -> int:
-        return len(self.k)
-
-    def is_characteristic(self, spec: SystemSpec) -> bool:
-        """True when -i omega + A0 + A(i k) is singular to relative tolerance."""
-        return bool(harmonic(spec, self, 1).kernel.any())
+from .system import Phase, SystemSpec
 
 
 def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:

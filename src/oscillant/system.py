@@ -1,9 +1,12 @@
-"""System description: hyperbolic operator matrices and the bilinear source.
+"""System description: hyperbolic operator matrices, the bilinear source and
+the fundamental phase.
 
 A :class:`SystemSpec` is the single source of truth for all analyses: the
 skew-symmetric zeroth-order matrix ``A0``, the symmetric transport matrices
-``Aj``, and the bilinear source ``B`` stored as sparse triplets
-``(out, left, right, value)`` meaning ``B(u, v)[out] += value * u[left] * v[right]``.
+``Aj``, the bilinear source ``B`` stored as sparse triplets
+``(out, left, right, value)`` meaning ``B(u, v)[out] += value * u[left] * v[right]``,
+and the phase a command analyses when given none, with the reference direction
+of a phase whose kernel is not one-dimensional.
 """
 from __future__ import annotations
 
@@ -69,6 +72,18 @@ class BilinearMap:
 
 
 @dataclass(frozen=True)
+class Phase:
+    """Temporal frequency and spatial wavenumber of the fundamental oscillation."""
+
+    omega: float
+    k: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", np.atleast_1d(np.asarray(self.k, dtype=float)))
+        object.__setattr__(self, "omega", float(self.omega))
+
+
+@dataclass(frozen=True)
 class SystemSpec:
     """Semilinear hyperbolic system with a large zeroth-order term.
 
@@ -80,10 +95,14 @@ class SystemSpec:
     Aj : tuple of d real symmetric N x N transport matrices
     B : bilinear source
     name : identifier
-    params : free-form parameter map (catalog metadata)
+    params : free-form parameter map (labels; see :func:`catalog.with_stock_phase`)
     policy : the tolerances every decision about this system reads, this
         validation included; set with ``dataclasses.replace(spec, policy=...)``
         (system files do not store it)
+    phase : the fundamental phase a command takes when given no ``--omega/--k``
+    k_bound : a ``--k`` on the phase's branch must keep |k| below it
+    reference_direction : real N-vector, the polarization of a phase whose
+        kernel is not one-dimensional (None: such a phase is refused)
     """
 
     name: str
@@ -94,6 +113,9 @@ class SystemSpec:
     B: BilinearMap
     params: dict = field(default_factory=dict)
     policy: NumericPolicy = DEFAULT_POLICY
+    phase: Phase = None
+    k_bound: float = np.inf
+    reference_direction: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "A0", np.asarray(self.A0, dtype=float))
@@ -118,6 +140,15 @@ class SystemSpec:
                 raise InputError(f"A{j + 1} must be symmetric")
         if self.B.N != self.N:
             raise InputError("bilinear map dimension mismatch")
+        if self.phase is not None and not (len(self.phase.k) == self.d and np.all(
+                np.isfinite([self.phase.omega, *self.phase.k]))):
+            raise InputError(f"phase must be finite, with a wavenumber of dimension {self.d}")
+        if self.reference_direction is not None:
+            r = np.asarray(self.reference_direction)
+            if (np.iscomplexobj(r) or r.shape != (self.N,) or not np.all(np.isfinite(r))
+                    or not r.any()):
+                raise InputError(f"reference_direction must be a finite nonzero real {self.N}-vector")
+            object.__setattr__(self, "reference_direction", r.astype(float))
 
     def transport_symbol(self, xi):
         """A(xi) = sum_j xi_j Aj as a real symmetric matrix."""
@@ -140,7 +171,7 @@ def _fmt(x: float) -> str:
 
 
 def spec_to_dict(spec: SystemSpec) -> dict:
-    return {
+    doc = {
         "name": spec.name,
         "N": spec.N,
         "d": spec.d,
@@ -149,6 +180,13 @@ def spec_to_dict(spec: SystemSpec) -> dict:
         "B": [[o, l, r, _fmt(v)] for (o, l, r, v) in spec.B.triplets],
         "params": {k: (_fmt(v) if isinstance(v, float) else v) for k, v in spec.params.items()},
     }
+    if spec.phase is not None:
+        doc["phase"] = {"omega": _fmt(spec.phase.omega), "k": [_fmt(x) for x in spec.phase.k]}
+        if np.isfinite(spec.k_bound):
+            doc["phase"]["k_bound"] = _fmt(spec.k_bound)
+    if spec.reference_direction is not None:
+        doc["reference_direction"] = [_fmt(x) for x in spec.reference_direction]
+    return doc
 
 
 def spec_from_dict(doc: dict) -> SystemSpec:
@@ -161,6 +199,7 @@ def spec_from_dict(doc: dict) -> SystemSpec:
             except ValueError:
                 pass
         params[k] = v
+    phase, direction = doc.get("phase"), doc.get("reference_direction")
     return SystemSpec(
         name=doc["name"],
         N=N,
@@ -169,6 +208,10 @@ def spec_from_dict(doc: dict) -> SystemSpec:
         Aj=tuple(np.array([[float(x) for x in row] for row in a]) for a in doc["Aj"]),
         B=BilinearMap(N, tuple((int(o), int(l), int(r), float(v)) for (o, l, r, v) in doc["B"])),
         params=params,
+        phase=None if phase is None else Phase(float(phase["omega"]),
+                                               [float(x) for x in phase["k"]]),
+        k_bound=float(phase.get("k_bound", np.inf)) if phase else np.inf,
+        reference_direction=None if direction is None else [float(x) for x in direction],
     )
 
 

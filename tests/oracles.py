@@ -1,5 +1,6 @@
 """Test-only oracles: closed-form roots refined independently of the program's
-own solvers, a one-cell-at-a-time reference for the vectorized 2-d scan, a
+own solvers, the Klein-Gordon closed-form phase and polarization, the
+homological division over a grid, a one-cell-at-a-time reference for the vectorized 2-d scan, a
 pair-by-pair reference for the stacked weak-transparency battery, the
 symmetrizer basis of a rank-one pair, whose identities the tests check, the
 Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
@@ -8,11 +9,12 @@ for the real-field simulator, the reader of the simulator's state snapshots,
 the conjugation of a system by a rotation, and the one-level lockstep
 bisection the prefetching one must reproduce bit for bit."""
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from oscillant.catalog import kg_e1, kg_lambda_fast, kg_lambda_slow
+from oscillant.catalog import kg_lambda_fast, kg_lambda_slow
 from oscillant.flow import InteractionMatrix, _rank_at_most_one, _real_pivot
 from oscillant.numeric import (DEFAULT_POLICY, InputError, MultiplicityError, NumericalError,
                                numerical_rank, supnorm)
@@ -172,6 +174,36 @@ def symmetrizer_basis(C12, C21):
 # Klein-Gordon and three-wave closed forms
 # ---------------------------------------------------------------------------
 
+def kg_default_phase(spec, k=1.0) -> Phase:
+    """The Klein-Gordon carrier at wavenumber (k, 0, ..) in closed form: on the
+    fast branch for equal masses, on the slow branch when alpha0 > 1."""
+    w0, th0 = spec.params["omega0"], spec.params["theta0"]
+    kvec = np.zeros(spec.d)
+    kvec[0] = k
+    knorm2 = float(np.sum(kvec ** 2))
+    if spec.params.get("alpha0", 1.0) > 1:
+        return Phase(np.sqrt(w0 ** 2 + th0 ** 2 * knorm2), kvec)
+    return Phase(np.sqrt(w0 ** 2 + knorm2), kvec)
+
+
+def kg_e1(spec, phase: Phase) -> np.ndarray:
+    """Unit polarization vector of the fundamental phase (closed form)."""
+    d, n = spec.d, spec.d + 2
+    w0 = spec.params["omega0"]
+    w = phase.omega
+    e = np.zeros(spec.N, dtype=complex)
+    if spec.params.get("alpha0", 1.0) > 1:
+        # slow-branch phase lives in the second block
+        e[n:n + d] = -spec.params["theta0"] * phase.k / w
+        e[n + d] = 1.0
+        e[n + d + 1] = 1j * w0 / w
+    else:
+        e[:d] = -phase.k / w
+        e[d] = 1.0
+        e[d + 1] = 1j * w0 / w
+    return e / np.sqrt(2.0)
+
+
 def kg_omega_vec(spec, xi, branch) -> np.ndarray:
     """Eigenvector of branch 'fast+'/'slow+'/'slow-'/'fast-' at xi, in the text's
     normalization: fast vectors are unit (carry 1/sqrt(2)), slow vectors are not."""
@@ -235,6 +267,46 @@ def three_wave_branch_map(spec, field):
 def transport_norm(spec) -> float:
     """max_j ||Aj|| in spectral norm."""
     return max(float(np.linalg.norm(a, 2)) for a in spec.Aj)
+
+
+@dataclass
+class HomologicalSolution:
+    pair: tuple
+    harmonic: int
+    sup_norm: float
+    solvable: bool
+    witness: np.ndarray = None
+
+
+def solve_homological(field, pol, phase: Phase, pair, harmonic: int, grid,
+                      source=None) -> HomologicalSolution:
+    """Divide a coupling source by its homological phase over a grid.
+
+    The harmonic-``ell`` phase of pair (i, j) is
+    ``lambda_i(xi + ell k) - ell omega - lambda_j(xi)``; where it exceeds the
+    division floor the quotient is formed pointwise, and near its zeros the
+    equation is solvable only if the source vanishes there (transparency).
+    An unsolvable outcome is a normal return carrying a witness frequency.
+    """
+    i, j = pair
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim == 1:
+        grid = grid[:, None]
+    e_h = pol.e1 if harmonic >= 0 else pol.em1
+    Bh = field.spec.B.symmetrized(e_h)
+    scale = max(supnorm(Bh), 1e-300)
+    sup_q = 0.0
+    pb = _PairBatch(field, phase, grid, harmonic)
+    phs = pb.phase(i, j)
+    sources = pb.coupling(i, j, (Bh, Bh))[0] if source is None else map(source, grid)
+    for xi, ph, S in zip(grid, phs, sources):
+        if abs(ph) > 1e-6:
+            sup_q = max(sup_q, supnorm(S) / abs(ph))
+        elif supnorm(S) > field.spec.policy.transparent_tol * scale:
+            return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=np.inf,
+                                       solvable=False, witness=xi)
+    return HomologicalSolution(pair=tuple(pair), harmonic=harmonic, sup_norm=float(sup_q),
+                               solvable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +385,14 @@ def snapshot_from_bytes(blob: bytes):
 
 
 # ---------------------------------------------------------------------------
-# systems without stock closed forms
+# systems without stock closed forms or a phase
 # ---------------------------------------------------------------------------
 
 def rotated(spec, Q):
     """``spec`` conjugated by the orthogonal matrix Q: A0 -> Q A0 Q^T,
-    Aj -> Q Aj Q^T, B(u, v) -> Q B(Q^T u, Q^T v).  ``params`` are dropped, so
-    no stock closed form describes the result."""
+    Aj -> Q Aj Q^T, B(u, v) -> Q B(Q^T u, Q^T v).  ``params`` and the phase
+    entries are dropped, so neither a stock closed form nor a phase of its own
+    describes the result."""
     N = spec.N
     T = np.zeros((N, N, N))
     for o, l, r, v in spec.B.triplets:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, linear_sum_assignment
 
-from oscillant.catalog import (kg_diff, kg_e1, kg_equal, kg_lambda_slow, kg_r15_roots,
+from oscillant.catalog import (kg_diff, kg_equal, kg_lambda_slow, kg_r15_roots,
                                kg_r54_roots, mll_boundedness_verdict, three_wave)
 from oscillant.dispersion import (match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s)
@@ -22,7 +22,7 @@ from oscillant.simulate import AmplitudeProfile, SimConfig, run_instability_expe
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import consistency_residual, solve_transport, weak_transparency_check
 
-from oracles import (flow_spectrum, kg_gamma12_product, kg_gamma12_trace, kg_r12_roots,
+from oracles import (flow_spectrum, kg_e1, kg_gamma12_product, kg_gamma12_trace, kg_r12_roots,
                      kg_scalar_couplings, symmetrizer_basis)
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oscillant.catalog import (CATALOG_IDS, build_catalog_system, default_phase, kg_diff,
-                               kg_default_phase, kg_e1, kg_equal, kg_lambda_fast,
-                               kg_lambda_slow, mll_branch_values,
+from oscillant.catalog import (CATALOG_IDS, build_catalog_system, kg_diff, kg_equal,
+                               kg_lambda_fast, kg_lambda_slow, mll_branch_values,
                                mll_characteristic_polynomial, three_wave)
+from oscillant.experiments import system_phase
 from oscillant.numeric import InputError, supnorm
 from oscillant.spectral import assemble_symbol
 
 from conftest import assert_close
+from oracles import kg_default_phase, kg_e1
 
 
 def test_kg_equal_dimensions_and_eigenvalues():
@@ -54,11 +55,14 @@ def test_kg_diff_gates():
 
 
 def test_kg_diff_wavenumber_gate():
+    # the builder stores the gate |k|^2 < (alpha0^2 - 1) omega0^2 / theta0^2 = 7.56
+    # as a bound on |k|, and a --k on the stored branch keeps below it
     spec = kg_diff(omega0=1.0, theta0=0.5, alpha0=1.7)
-    # |k|^2 < (alpha0^2 - 1) omega0^2 / theta0^2 = 7.56
-    kg_default_phase(spec, k=2.0)
-    with pytest.raises(InputError):
-        kg_default_phase(spec, k=3.0)
+    assert spec.k_bound == pytest.approx(np.sqrt(7.56), rel=1e-15)
+    assert system_phase(spec, 2.0).omega == pytest.approx(kg_default_phase(spec, 2.0).omega,
+                                                          rel=1e-15)
+    with pytest.raises(InputError, match="wavenumber too large"):
+        system_phase(spec, 3.0)
 
 
 def test_three_wave_matrices():
@@ -86,14 +90,15 @@ def test_catalog_three_wave_param_overrides():
 
 
 def test_default_phases():
-    spec = kg_equal()
-    ph = default_phase(spec)
-    assert_close(ph.omega, np.sqrt(2.0), 1e-14, "fast-branch frequency")
-    spec = kg_diff()
-    ph = default_phase(spec)
-    assert_close(ph.omega, np.sqrt(1.25), 1e-14, "slow-branch frequency")
-    ph = default_phase(three_wave())
-    assert ph.omega == 0.0 and ph.k[0] == 0.0
+    # the builders store the closed-form carriers bit for bit
+    for spec in (kg_equal(), kg_diff(), kg_equal(omega0=0.7, theta0=0.3, d=2)):
+        want = kg_default_phase(spec)
+        assert spec.phase.omega == want.omega and np.array_equal(spec.phase.k, want.k)
+    assert_close(kg_equal().phase.omega, np.sqrt(2.0), 1e-14, "fast-branch frequency")
+    assert_close(kg_diff().phase.omega, np.sqrt(1.25), 1e-14, "slow-branch frequency")
+    for spec in (three_wave(), build_catalog_system("brillouin")):
+        assert spec.phase.omega == 0.0 and spec.phase.k.tolist() == [0.0]
+        assert spec.reference_direction.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_degeneration_consistency():

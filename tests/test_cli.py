@@ -9,12 +9,12 @@ import pytest
 
 import oscillant
 from oscillant import cli
-from oscillant.catalog import kg_default_phase, kg_equal
+from oscillant.catalog import build_catalog_system, kg_equal, three_wave
 from oscillant.cli import _system_overrides, build_parser, main
 from oscillant.experiments import (analyze, flow_bound_experiment, interaction_matrix_factory,
-                                   report_inputs, run_simulation, sample_trajectory)
+                                   report_inputs, run_simulation, sample_trajectory, system_phase)
 from oscillant.simulate import AmplitudeProfile
-from oscillant.system import save_spec
+from oscillant.system import save_spec, spec_to_dict
 from oscillant.wkb import consistency_residual
 
 from oracles import rotated
@@ -105,6 +105,11 @@ def _emitted(cid, path, edit):
     return str(path)
 
 
+def _drop(*keys):
+    """An ``_emitted`` edit removing ``keys`` from the document."""
+    return lambda doc: [doc.pop(key) for key in keys]
+
+
 @pytest.mark.parametrize("cid", ["three-wave", "brillouin", "kg-equal", "kg-diff"])
 def test_renamed_stock_file_analyzed_like_its_catalog_entry(cid, tmp_path):
     # the stock closed forms follow the recorded params; the name is only a label
@@ -116,9 +121,11 @@ def test_renamed_stock_file_analyzed_like_its_catalog_entry(cid, tmp_path):
 
 
 def test_analyze_file_without_params_exit_2(tmp_path, capsys):
-    path = _emitted("kg-equal", tmp_path / "bare.json", lambda doc: doc.pop("params"))
+    # neither a phase entry nor stock params to give one: the phase is missing
+    path = _emitted("kg-equal", tmp_path / "bare.json", _drop("params", "phase"))
     assert _run(["analyze", "--system", path, "--out", str(tmp_path / "out")]) == 2
-    assert "--omega/--k" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no phase entry" in err and "--omega/--k" in err
 
 
 def test_analyze_and_flow_report_the_given_h(tmp_path):
@@ -163,7 +170,7 @@ def test_simulate_honours_k(tmp_path, capsys, kg_analysis):
     assert "points per wavelength" in capsys.readouterr().err
     assert _run(argv + ["--epsilon", "2e-2"]) == 0
     spec = kg_analysis.spec
-    run = run_simulation(spec, 2e-2, analysis=analyze(spec, kg_default_phase(spec, k=2.0)),
+    run = run_simulation(spec, 2e-2, analysis=analyze(spec, system_phase(spec, 2.0)),
                          grid_points=16384, t_end=0.02)
     assert (tmp_path / "run.csv").read_text() == run.csv()
 
@@ -399,3 +406,124 @@ def test_rotated_system_matches_its_stock_system(rotated_kg_file, kg_analysis, m
     assert runs[0].dt_used == runs[1].dt_used
     assert runs[1].fitted_rate == pytest.approx(runs[0].fitted_rate, rel=1e-11, abs=0)
     np.testing.assert_allclose(runs[1].norm_total, runs[0].norm_total, rtol=4e-13, atol=0)
+
+
+def _loaded(*argv):
+    """The system and phase a command takes from its flags."""
+    args = build_parser().parse_args(["analyze", *argv])
+    spec = cli._load_system(args)
+    return spec, cli._phase_from(args, spec)
+
+
+@pytest.mark.parametrize("cid", ["three-wave", "brillouin", "kg-equal", "kg-diff"])
+def test_legacy_file_gets_the_builders_phase_entries(cid, tmp_path):
+    # a file without phase entries but with stock params is its catalog system,
+    # entry for entry, so every report comes out the same
+    path = _emitted(cid, tmp_path / "legacy.json", lambda doc: [
+        doc.pop(key) for key in ("phase", "reference_direction") if key in doc])
+    assert "phase" not in json.loads((tmp_path / "legacy.json").read_text())
+    spec, phase = _loaded("--system", path)
+    stock = build_catalog_system(cid)
+    assert spec_to_dict(spec) == spec_to_dict(stock) and phase is spec.phase
+
+
+def test_parameter_flags_on_a_system_file_exit_2(tmp_path, capsys):
+    # a file is the whole system: --omega0/--d cannot rebuild it
+    path = _emitted("kg-equal", tmp_path / "kg.json", lambda doc: None)
+    assert _run(["analyze", "--system", path, "--omega0", "2", "--d", "2", "--c", "1,2,3",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --omega0, --d, --c:") and path in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_k_takes_the_phase_entry_branch(tmp_path, capsys):
+    # the stored k returns the stored omega; another k the eigenvalue of the
+    # stored branch (5 of 6 ascending on kg-equal, 4 on kg-diff)
+    assert _loaded("--system", "catalog:kg-equal", "--k", "1")[1].omega == 1.4142135623730951
+    assert _loaded("--system", "catalog:kg-equal", "--k", "2")[1].omega == pytest.approx(
+        np.sqrt(5.0), rel=1e-15)
+    path = _emitted("kg-diff", tmp_path / "kg-diff.json", lambda doc: None)
+    assert _loaded("--system", path, "--k", "2.5")[1].omega == pytest.approx(
+        np.sqrt(1 + 0.25 * 2.5 ** 2), rel=1e-15)
+    # the gate |k| < 2.7495 comes from the file, not from its params
+    path = _emitted("kg-diff", tmp_path / "gate.json", lambda doc: doc.pop("params"))
+    argv = ["analyze", "--out", str(tmp_path / "x"), "--system"]
+    assert _run(argv + [path, "--k", "3"]) == 2
+    assert "wavenumber too large" in capsys.readouterr().err
+    # three-wave's (0, 0) is a triple eigenvalue: it names no branch
+    assert _run(argv + ["catalog:three-wave", "--k", "2"]) == 2
+    assert "not a simple eigenvalue" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_reference_direction_must_lie_in_the_kernel(tmp_path, capsys):
+    # c1 = c2: the kernel at (1, 1) is span(u1, u2), so the direction (0, 0, 1) is refused
+    argv = ["analyze", "--omega", "1", "--k", "1", "--out", str(tmp_path / "out"), "--system"]
+    assert _run(["catalog", "emit", "three-wave", "--c", "1,1,-0.5",
+                 "--outfile", str(tmp_path / "tw.json")]) == 0
+    doc = json.loads((tmp_path / "tw.json").read_text())
+    for direction, rc in ((["0", "1", "0"], 0), (["0", "0", "1"], 2)):
+        doc["reference_direction"] = direction
+        (tmp_path / "tw.json").write_text(json.dumps(doc))
+        assert _run(argv + [str(tmp_path / "tw.json")]) == rc
+    assert "reference_direction is not in it" in capsys.readouterr().err
+    doc.pop("reference_direction")
+    (tmp_path / "tw.json").write_text(json.dumps(doc))
+    assert _run(argv + [str(tmp_path / "tw.json")]) == 2
+    assert "has dimension 2" in (err := capsys.readouterr().err) and "reference_direction" in err
+
+
+def test_simulate_K_sets_the_observation_time(tmp_path, capsys):
+    # --K 4 perturbs at eps^4 and runs to T0 of K = 4 (3.5 against 2.5 for K = 3)
+    eps = 1e-2
+    assert _run(["simulate", "--system", "catalog:three-wave", "--epsilon", str(eps),
+                 "--K", "4", "--grid", "1024", "--out", str(tmp_path)]) == 0
+    t0 = {K: analyze(three_wave(), inputs=report_inputs(1, K=K)).stability.t0 for K in (3, 4)}
+    assert t0[4] > t0[3]
+    t_end = float((tmp_path / "run.csv").read_text().splitlines()[-1].split(",")[0])
+    assert t_end == pytest.approx(t0[4] * np.sqrt(eps) * abs(np.log(eps)), rel=1e-9)
+    # run_simulation without an analysis analyses with the run's own K
+    assert run_simulation(three_wave(), eps, K=4.0, grid_points=1024).csv() == \
+        (tmp_path / "run.csv").read_text()
+
+
+# the CLI matrix: every command on every kind of system input returns a
+# documented exit code, and a refusal names what is missing
+MATRIX_COMMANDS = {
+    "analyze": ["analyze"],
+    "flow": ["flow", "--T", "0.5", "--epsilons", "1e-2,1e-3"],
+    "simulate": ["simulate", "--epsilon", "5e-2", "--tend", "0.02"],
+    "sweep": ["sweep", "--epsilons", "1e-2,5e-3,2.5e-3", "--T", "0.5"],
+    "wkb": ["wkb", "--residual", "--epsilons", "1e-2,3e-3"],
+}
+# input -> (system flags, what a refusal names, the exit codes in command
+# order); the sweep's default grid of 4096 points resolves 2.6 points a
+# wavelength of kg-equal's carrier
+MATRIX_INPUTS = {
+    "catalog": (["--system", "catalog:kg-equal"], "points per wavelength", (0, 0, 0, 2, 0)),
+    "emitted": ("emitted", "points per wavelength", (0, 0, 0, 2, 0)),
+    "bare": ("bare", "no phase entry", (2, 2, 2, 2, 2)),
+    "legacy": ("legacy", "points per wavelength", (0, 0, 0, 2, 0)),
+    "rotated": ("rotated", "no phase entry", (2, 2, 2, 2, 2)),
+    "d2": (["--system", "catalog:kg-equal", "--d", "2"],
+           "GB of eigenvectors|one spatial dimension", (2, 2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MATRIX_INPUTS))
+def test_cli_matrix(kind, rotated_kg_file, tmp_path, capsys):
+    system, named, want = MATRIX_INPUTS[kind]
+    if isinstance(system, str):
+        edit = {"emitted": lambda doc: None, "bare": _drop("phase", "params"),
+                "legacy": _drop("phase")}
+        system = ["--system", rotated_kg_file if system == "rotated" else
+                  _emitted("kg-equal", tmp_path / "kg.json", edit[system])]
+    codes = []
+    for name, argv in MATRIX_COMMANDS.items():
+        capsys.readouterr()
+        codes.append(_run(argv + system + ["--out", str(tmp_path / name)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2, 3, 4) and "Traceback" not in err, (name, err)
+        assert codes[-1] != 2 or re.search(named, err), (name, err)
+    assert tuple(codes) == want

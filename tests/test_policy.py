@@ -11,6 +11,8 @@ from oscillant.spectral import asymptotic_slopes, eigendecompose_field, uniform_
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import consistency_residual, solve_transport, weak_transparency_check
 
+from oracles import kg_e1
+
 
 def _harmonics(spec, phase, grid_n=257):
     window = default_window(spec, phase)
@@ -24,7 +26,7 @@ def test_char_tol_of_the_system_decides_the_harmonics():
     # a kernel tolerance of 10 makes every harmonic characteristic; the cascade
     # assumptions then fail, and the stock policy keeps (-1, 0, 1)
     spec = catalog.kg_equal()
-    phase = catalog.default_phase(spec)
+    phase = spec.phase
     loose = replace(spec, policy=NumericPolicy(char_tol=10.0))
     assert _harmonics(loose, phase) == tuple(range(-4, 5))
     with pytest.raises(InputError, match="characteristic harmonics"):
@@ -49,14 +51,14 @@ def _weakly_transparent(policy):
     spec = catalog.kg_equal()
     fed = replace(spec, B=BilinearMap(spec.N, spec.B.triplets + ((0, 1, 1, 0.1),)),
                   policy=policy)
-    return weak_transparency_check(fed, catalog.default_phase(spec)).passed
+    return weak_transparency_check(fed, spec.phase).passed
 
 
 def _residual_exact(policy):
     # residuals all below the floor: an exact solution, of order inf
     spec = catalog.kg_equal()
-    phase = catalog.default_phase(spec)
-    e1 = catalog.kg_e1(spec, phase)
+    phase = spec.phase
+    e1 = kg_e1(spec, phase)
 
     def make(eps):
         x = np.linspace(-12, 12, 2048, endpoint=False)

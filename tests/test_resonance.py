@@ -1,26 +1,27 @@
 import numpy as np
 import pytest
 
-from oscillant.catalog import (kg_default_phase, kg_equal, kg_r15_roots, kg_r54_roots,
-                               mll_boundedness_verdict, three_wave)
+from oscillant.catalog import (kg_equal, kg_r15_roots, kg_r54_roots, mll_boundedness_verdict,
+                               three_wave)
 from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
 from oscillant.resonance import (Phase, _bisect, characteristic_harmonics, default_window,
-                                 find_resonances, resonance_phase, separation_check)
+                                 find_resonances, harmonic, resonance_phase, separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close
-from oracles import bisect_one_level, kg_r12_roots, scan_cells_2d, three_wave_branch_map
+from oracles import (bisect_one_level, kg_default_phase, kg_r12_roots, scan_cells_2d,
+                     three_wave_branch_map)
 
 
 def test_phase_characteristic_check(kg_analysis):
     spec = kg_analysis.spec
-    assert kg_analysis.phase.is_characteristic(spec)
-    assert not Phase(0.77, [1.0]).is_characteristic(spec)
-    assert Phase(0.0, [0.0]).is_characteristic(three_wave())
+    assert harmonic(spec, kg_analysis.phase, 1).kernel.any()
+    assert not harmonic(spec, Phase(0.77, [1.0]), 1).kernel.any()
+    assert harmonic(three_wave(), Phase(0.0, [0.0]), 1).kernel.any()
 
 
 def test_resonance_phase_three_wave(three_wave_analysis):

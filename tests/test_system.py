@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oscillant.catalog import kg_equal, three_wave
+from oscillant.catalog import kg_diff, kg_equal, three_wave
 from oscillant.numeric import InputError
-from oscillant.system import BilinearMap, SystemSpec, load_spec, save_spec, spec_from_dict, spec_to_dict
+from oscillant.system import (BilinearMap, Phase, SystemSpec, load_spec, save_spec, spec_from_dict,
+                              spec_to_dict)
 
 
 def test_skew_symmetry_enforced():
@@ -92,3 +93,29 @@ def test_dict_roundtrip_preserves_awkward_floats():
     for a, b in zip(back.Aj, spec.Aj):
         assert np.array_equal(a, b)
     assert back.B.triplets == spec.B.triplets
+
+
+def test_phase_entries_round_trip():
+    # the phase, its |k| bound and the reference direction are part of the file
+    for spec in (kg_diff(), three_wave(), kg_equal(d=2)):
+        doc = spec_to_dict(spec)
+        back = spec_from_dict(doc)
+        assert back.phase.omega == spec.phase.omega
+        assert np.array_equal(back.phase.k, spec.phase.k) and back.k_bound == spec.k_bound
+        assert (back.reference_direction is None) == (spec.reference_direction is None)
+        assert spec_to_dict(back) == doc
+    assert "k_bound" not in spec_to_dict(kg_equal())["phase"]
+    assert "reference_direction" not in spec_to_dict(kg_equal())
+
+
+@pytest.mark.parametrize("entries, problem", [
+    ({"phase": Phase(1.0, [1.0, 0.0])}, "wavenumber of dimension 1"),
+    ({"phase": Phase(np.nan, [1.0])}, "phase must be finite"),
+    ({"reference_direction": [1.0, 0.0]}, "finite nonzero real 3-vector"),
+    ({"reference_direction": [0.0, 0.0, 0.0]}, "finite nonzero real 3-vector"),
+    ({"reference_direction": [1j, 0.0, 0.0]}, "finite nonzero real 3-vector"),
+], ids=["k-dimension", "omega-nan", "direction-length", "direction-zero", "direction-complex"])
+def test_phase_entries_validated(entries, problem):
+    spec = three_wave()
+    with pytest.raises(InputError, match=problem):
+        SystemSpec(spec.name, spec.N, spec.d, spec.A0, spec.Aj, spec.B, **entries)
