@@ -10,9 +10,9 @@ from .resonance import (ResonanceReport, characteristic_harmonics, find_resonanc
                         resonance_phase)
 from .interaction import (PolarizationVectors, ReportInputs, RootCouplings, StabilityReport,
                           partial_transparency_conditions, polarization_vectors,
-                          root_couplings, stability_report, transparency_check)
-from .flow import (FlowTrajectory, InteractionMatrix, integrate_flow, unstable_datum_direction,
-                   verify_growth_bound)
+                          root_couplings, stability_report, transparency_check,
+                          unstable_datum_direction)
+from .flow import FlowTrajectory, InteractionMatrix, integrate_flow, verify_growth_bound
 from .wkb import (WKBSolution, consistency_residual, pde_residual, solve_transport,
                   weak_transparency_check)
 from .simulate import (AmplitudeProfile, SimConfig, SimulationRun, amplitude_norms,

@@ -162,12 +162,8 @@ def cmd_flow(args):
     result, amplitude = _analysis(args, h=args.h)
     rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h, amplitude=amplitude)
     os.makedirs(args.out, exist_ok=True)
-    # dump one representative trajectory per epsilon for inspection
-    from .experiments import interaction_matrix_factory, sample_trajectory
-    for eps in args.epsilons:
-        m = interaction_matrix_factory(result, 0.0, float(np.atleast_1d(
-            result.stability.xi0)[0]), eps, h=args.h, amplitude=amplitude)
-        traj = sample_trajectory(m, args.T * abs(np.log(eps)), samples=200)
+    # the bound's trajectory at the amplitude center and the root xi0, per epsilon
+    for eps, traj in rep.trajectories.items():
         write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),

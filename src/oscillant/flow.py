@@ -8,7 +8,9 @@ The interaction matrix
 drives the flow dS/dt + M S / sqrt(eps) = 0, S(tau; tau) = Id.  Its spectrum
 is known in closed form when b12 b21 has rank one, and the flow's sup norm is
 bounded by a polylog times exp(t * upper growth rate); the bound is checked
-here numerically.
+here numerically, and its report keeps one trajectory per epsilon.  The module
+reads only :mod:`oscillant.numeric`; :mod:`oscillant.experiments` samples the
+interaction matrices from an analysis.
 
 The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
 exponentiates a trajectory's steps as one stack.  When both coupling products have
@@ -21,13 +23,12 @@ gives the dense steps, multiplied as matrices.  Both paths meet at the blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .numeric import (DEFAULT_POLICY, InputError, NumericalError, NumericPolicy, numerical_rank,
-                      supnorm)
+from .numeric import DEFAULT_POLICY, InputError, NumericPolicy, numerical_rank, supnorm
 
 # largest fitted exponent of Q(eps) against |log eps| the polylog bound accepts
 GROWTH_EXPONENT_CAP = 8.0
@@ -41,17 +42,6 @@ def expm(A):
     """scipy's matrix exponential, imported on first use (the dense flow path only)."""
     from scipy.linalg import expm as scipy_expm
     return scipy_expm(A)
-
-
-def smoothstep(t):
-    """Quintic smoothstep: 0 for t <= 0, 1 for t >= 1, C^2 monotone between."""
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-
-
-def bump_weight(value, plateau, cutoff):
-    """1 on |value| <= plateau, 0 beyond cutoff, smooth monotone between."""
-    return 1.0 - smoothstep((np.abs(value) - plateau) / max(cutoff - plateau, 1e-300))
 
 
 @dataclass
@@ -288,6 +278,8 @@ class GrowthBoundReport:
     # the worst over every trajectory, off-resonance ones included
     liouville_defect_max: float = 0.0
     max_step_exponent: float = 0.0
+    # per epsilon, the first trajectory of the bound's family
+    trajectories: dict = field(default_factory=dict)
 
 
 def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factory=None):
@@ -299,7 +291,8 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
     epsilons or more.  The bound passes when the fitted exponent of Q against
     |log eps| stays below ``GROWTH_EXPONENT_CAP``.  Off-resonance samples,
     when provided, must stay below ``AWAY_CAP``.  The report also carries the
-    worst Liouville defect and step exponent over all trajectories.
+    worst Liouville defect and step exponent over all trajectories, and at
+    each epsilon the first trajectory of the factory's list.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     if len(np.unique(epsilons)) < 2:
@@ -311,10 +304,11 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
             seen.append((traj.liouville_defect, traj.max_step_exponent))
             yield traj
 
-    Q = []
+    Q, kept = [], {}
     for eps in epsilons:
         worst = 0.0
         for traj in run(trajectory_factory, eps):
+            kept.setdefault(float(eps), traj)
             norm = traj.sup_norm_series * np.exp(-gamma_plus * (traj.times - traj.times[0]))
             worst = max(worst, float(np.max(norm)))
         Q.append(max(worst, 1e-300))
@@ -334,28 +328,5 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
     defect, exponent = np.max(seen, axis=0)
     return GrowthBoundReport(epsilons=epsilons, Q=Q, fitted_exponent=fitted, passed=passed,
                              away_sup=away_sup, away_passed=away_passed,
-                             liouville_defect_max=float(defect), max_step_exponent=float(exponent))
-
-
-def unstable_datum_direction(product: np.ndarray) -> np.ndarray:
-    """Unit generator of the range of the (rank-one) coupling product matrix.
-
-    This is the direction seeded by the maximally amplified perturbation; the
-    sign convention rotates the first significant component to the positive
-    real axis.
-    """
-    product = np.asarray(product, dtype=complex)
-    u, s, _ = np.linalg.svd(product)
-    if s[0] <= 1e-14 * max(1.0, supnorm(product)) or s[0] == 0.0:
-        raise NumericalError("coupling product vanishes: no amplified direction")
-    return _real_pivot(u[:, 0])
-
-
-def _real_pivot(v) -> np.ndarray:
-    """v rotated so that its first significant component is positive real."""
-    v = np.asarray(v, dtype=complex)
-    mags = np.abs(v)
-    idx = int(np.argmax(mags > 1e-8 * mags.max()))
-    v = v * np.exp(-1j * np.angle(v[idx]))
-    v[idx] = abs(v[idx])   # scrub the rotated pivot's imaginary dust
-    return v
+                             liouville_defect_max=float(defect), max_step_exponent=float(exponent),
+                             trajectories=kept)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _real_pivot, unstable_datum_direction
 from .numeric import MultiplicityError, NumericalError, numerical_rank, supnorm
 from .resonance import (Phase, ResonanceReport, _PairBatch, harmonic, harmonic_matrix,
                         separation_check)
@@ -57,6 +56,16 @@ class PolarizationVectors:
         return B.symmetrized(self.e1), B.symmetrized(self.em1)
 
 
+def _real_pivot(v) -> np.ndarray:
+    """v rotated so that its first significant component is positive real."""
+    v = np.asarray(v, dtype=complex)
+    mags = np.abs(v)
+    idx = int(np.argmax(mags > 1e-8 * mags.max()))
+    v = v * np.exp(-1j * np.angle(v[idx]))
+    v[idx] = abs(v[idx])   # scrub the rotated pivot's imaginary dust
+    return v
+
+
 def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     """Kernel direction of -i omega + A0 + A(i k), normalized deterministically.
 
@@ -74,6 +83,20 @@ def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     res = (supnorm(harmonic_matrix(spec, phase, 1) @ e1),
            supnorm(harmonic_matrix(spec, phase, -1) @ em1))
     return PolarizationVectors(e1=e1, em1=em1, residuals=res)
+
+
+def unstable_datum_direction(product: np.ndarray) -> np.ndarray:
+    """Unit generator of the range of the (rank-one) coupling product matrix.
+
+    This is the direction seeded by the maximally amplified perturbation; the
+    sign convention rotates the first significant component to the positive
+    real axis.
+    """
+    product = np.asarray(product, dtype=complex)
+    u, s, _ = np.linalg.svd(product)
+    if s[0] <= 1e-14 * max(1.0, supnorm(product)) or s[0] == 0.0:
+        raise NumericalError("coupling product vanishes: no amplified direction")
+    return _real_pivot(u[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ interaction and the WKB checks) reads ``spec.policy``, which defaults to
 ``dataclasses.replace(spec, policy=...)``; a flow's interaction matrix carries
 its system's policy.  Only a check that has no system (a closed-form variety)
 reads :data:`DEFAULT_POLICY` directly.  No function takes a tolerance of its own.
+
+It also holds the helpers several modules share: the numerical rank, the sup
+norm, and the smooth cutoff weight of the flow's samples and the simulator's bump.
 """
 from dataclasses import dataclass
 
@@ -71,3 +74,14 @@ def supnorm(z):
         return float(np.max(np.abs(z))) if z.size else 0.0
     norms = np.max(np.sum(np.abs(z), axis=-1), axis=-1)
     return float(norms) if z.ndim == 2 else norms
+
+
+def smoothstep(t):
+    """Quintic smoothstep: 0 for t <= 0, 1 for t >= 1, C^2 monotone between."""
+    t = np.clip(t, 0.0, 1.0)
+    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
+
+
+def bump_weight(value, plateau, cutoff):
+    """1 on |value| <= plateau, 0 beyond cutoff, smooth monotone between."""
+    return 1.0 - smoothstep((np.abs(value) - plateau) / max(cutoff - plateau, 1e-300))

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .flow import bump_weight
-from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, NumericalError
+from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, NumericalError, bump_weight
 from .system import SystemSpec
 
 
@@ -162,9 +161,8 @@ class _Stepper:
             Hs = spec.A0[None, :, :] / (1j * epsilon) + kappa[c, None, None] * spec.Aj[0][None, :, :]
             self.evals[c], self.evecs[c] = np.linalg.eigh(Hs)
         self.source = spec.B.scaled(1 / np.sqrt(epsilon))
-        written = {o for (o, _, _, v) in self.source.triplets if v != 0}
-        self._moved = _runs(sorted(written))
-        self._fixed = _runs(sorted(set(range(spec.N)) - written))
+        self._moved = _runs(self.source.rows)
+        self._fixed = _runs([i for i in range(spec.N) if i not in self.source.rows])
         self._h = self._prop = None
         self._hat = np.empty((spec.N, len(kappa)), dtype=complex)
         self._row = np.empty(len(kappa), dtype=complex)

@@ -432,7 +432,6 @@ class AsymptoticSlopes:
 
     direction: np.ndarray
     c: np.ndarray               # per-branch slope, in field branch order
-    residual_decay: np.ndarray  # fitted exponent of |lambda_j(r w) - c_j r| in r
 
     def coinciding_pairs(self, policy: NumericPolicy):
         """Ordered branch pairs whose slopes differ by at most
@@ -449,7 +448,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
     the field's labelled columns at its edge point when a field is supplied, so
     slope indices match field branch indices; the clusters follow ``spec.policy``),
     then refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the
-    last two radii and fits the decay exponent of the residual by least squares.
+    last two radii.
     """
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     if direction.shape != (spec.d,):
@@ -478,24 +477,13 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
             march.append(march[-1] * 1.3)
         if r > march[-1]:
             march.append(float(r))
-    J = len(multiplicities)
     lams = _chain(spec, np.array(march)[:, None] * direction,
                   np.maximum(np.arange(len(march)) - 1, 0), multiplicities, anchor)[0]
     vals = dict(zip(march, lams))
-    samples = np.array([vals[float(r)] for r in radii])  # (len(radii), J)
+    samples = np.array([vals[float(r)] for r in radii])  # (radii, branches)
 
     # Richardson in h = 1/r: lambda/r = c + b h^2 + ...
     r1, r2 = radii[-2], radii[-1]
     f1, f2 = samples[-2] / r1, samples[-1] / r2
     c = (r2 ** 2 * f2 - r1 ** 2 * f1) / (r2 ** 2 - r1 ** 2)
-
-    residual_decay = np.zeros(J)
-    for j in range(J):
-        res = np.abs(samples[:, j] - c[j] * radii)
-        mask = res > 1e-14
-        if mask.sum() >= 2:
-            coef = np.polyfit(np.log(radii[mask]), np.log(res[mask]), 1)
-            residual_decay[j] = coef[0]
-        else:
-            residual_decay[j] = -np.inf  # exact linear branch
-    return AsymptoticSlopes(direction, c, residual_decay)
+    return AsymptoticSlopes(direction, c)

@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +37,24 @@ class BilinearMap:
             if not np.isfinite(v):
                 raise InputError(f"B triplet {(o, l, r)} has a non-finite value {v}")
 
+    @cached_property
+    def rows(self) -> tuple:
+        """The sorted rows a nonzero triplet writes; B(u, v) is 0 on every other row."""
+        return tuple(sorted({o for (o, _, _, v) in self.triplets if v != 0}))
+
     def __call__(self, u, v, out=None):
-        """Evaluate B(u, v), into ``out`` if given.  Accepts vectors of shape
-        (N,) or fields (N, M).  Triplets whose value is exactly 0 add nothing."""
+        """Evaluate B(u, v).  Accepts vectors of shape (N,) or fields (N, M).
+        Triplets whose value is exactly 0 add nothing.  Without ``out`` the
+        result is a new array, 0 off :attr:`rows`; into a given ``out`` only
+        :attr:`rows` are zeroed and written, and the other rows keep their values."""
         u = np.asarray(u)
         v = np.asarray(v)
         row = np.empty(u.shape[1:], dtype=np.result_type(u, v))
         if out is None:
-            out = np.empty(u.shape, dtype=row.dtype)
-        out.fill(0)
+            out = np.zeros(u.shape, dtype=row.dtype)
+        else:
+            for o in self.rows:
+                out[o] = 0
         for (o, l, r, val) in self.triplets:
             if val != 0:
                 out[o] += np.multiply(np.multiply(val, u[l], out=row), v[r], out=row)

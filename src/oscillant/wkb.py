@@ -28,20 +28,6 @@ from .resonance import Phase, characteristic_harmonics, harmonic, harmonic_matri
 from .system import SystemSpec
 
 
-def harmonic_projector(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
-    """Orthogonal projector onto the kernel of L(i p beta)."""
-    return harmonic(spec, phase, p).projector()
-
-
-def partial_inverse(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
-    """Inverse of L(i p beta) on its range (the kernel complement).
-
-    The matrix is skew-hermitian so kernel and range are orthogonal and
-    L^(-1) L = Id - Pi(p beta) holds, with the kernel of :func:`harmonic`.
-    """
-    return harmonic(spec, phase, p).partial_inverse()
-
-
 # grid points per block of :func:`pde_residual`'s evaluation
 RESIDUAL_BLOCK = 4096
 
@@ -72,7 +58,7 @@ def weak_transparency_check(spec: SystemSpec, phase: Phase) -> WeakTransparencyR
     harmonics = characteristic_harmonics(spec, phase, pmax=4)
     if set(harmonics) != {-1, 0, 1}:
         raise InputError(f"cascade assumptions violated: characteristic harmonics {harmonics}")
-    projs = {p: harmonic_projector(spec, phase, p) for p in (-1, 0, 1)}
+    projs = {p: harmonic(spec, phase, p).projector() for p in (-1, 0, 1)}
     rng = np.random.default_rng(WEAK_TRANSPARENCY_SEED)
     draws = rng.normal(size=(WEAK_TRANSPARENCY_SAMPLES, 2, spec.N))
     samples = np.hstack([np.eye(spec.N), (draws[:, 0] + 1j * draws[:, 1]).T])   # a column each
@@ -116,7 +102,7 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     their vectors are kept as the correctors.
     """
     e1, policy = np.asarray(e1, dtype=complex), spec.policy
-    P = harmonic_projector(spec, phase, 1)
+    P = harmonic(spec, phase, 1).projector()
     vg = np.zeros(spec.d)
     for a in range(spec.d):
         Av = P @ (spec.Aj[a] @ e1)
@@ -131,12 +117,12 @@ def transport_setup(spec: SystemSpec, phase: Phase, e1) -> TransportSetup:
     B = spec.B
     second = B(e1, e1)
     L2 = harmonic_matrix(spec, phase, 2)
-    Lm2 = partial_inverse(spec, phase, 2) @ second
+    Lm2 = harmonic(spec, phase, 2).partial_inverse() @ second
     if supnorm(L2 @ Lm2 - second) > policy.harmonic_solve_tol * max(1.0, supnorm(second)):
         raise NumericalError("second-harmonic source not invertible (harmonics condition fails)")
     em1 = e1.conj()
     mean = B(e1, em1) + B(em1, e1)
-    w0 = partial_inverse(spec, phase, 0) @ mean
+    w0 = harmonic(spec, phase, 0).partial_inverse() @ mean
     v = (B(em1, Lm2) + B(Lm2, em1)) + (B(e1, w0) + B(w0, e1))
     c3 = complex(np.vdot(e1, v))
     return TransportSetup(group_velocity=vg, cubic_coefficient=c3, second_harmonic=Lm2,

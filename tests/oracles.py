@@ -15,13 +15,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from oscillant.catalog import kg_lambda_fast, kg_lambda_slow
-from oscillant.flow import InteractionMatrix, _rank_at_most_one, _real_pivot
+from oscillant.flow import InteractionMatrix, _rank_at_most_one
+from oscillant.interaction import _real_pivot
 from oscillant.numeric import (DEFAULT_POLICY, InputError, MultiplicityError, NumericalError,
                                numerical_rank, supnorm)
-from oscillant.resonance import Phase, _bisect, _PairBatch
+from oscillant.resonance import Phase, _bisect, _PairBatch, harmonic
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import (WEAK_TRANSPARENCY_SAMPLES, WEAK_TRANSPARENCY_SEED,
-                           WeakTransparencyResult, harmonic_projector)
+                           WeakTransparencyResult)
 
 
 def kg_r12_roots(spec, phase: Phase, window=(-12.0, 12.0)):
@@ -97,7 +98,7 @@ def weak_transparency_pairwise(spec, phase):
     """Pair-by-pair reference for :func:`oscillant.wkb.weak_transparency_check`
     (without its harmonics gate): one B call per sample pair and harmonic
     combination, the witness the first strict maximum in (p, u, v) order."""
-    projs = {p: harmonic_projector(spec, phase, p) for p in (-1, 0, 1)}
+    projs = {p: harmonic(spec, phase, p).projector() for p in (-1, 0, 1)}
     rng = np.random.default_rng(WEAK_TRANSPARENCY_SEED)
     samples = [np.eye(spec.N)[i] for i in range(spec.N)]
     samples += [rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import oscillant
-from oscillant import cli
+from oscillant import cli, experiments
 from oscillant.catalog import build_catalog_system, kg_equal, three_wave
 from oscillant.cli import _system_overrides, build_parser, main
 from oscillant.experiments import (analyze, flow_bound_experiment, interaction_matrix_factory,
-                                   report_inputs, run_simulation, sample_trajectory, system_phase)
+                                   report_inputs, run_simulation, system_phase)
+from oscillant.flow import integrate_flow, largest_step
 from oscillant.simulate import AmplitudeProfile
 from oscillant.system import save_spec, spec_to_dict
 from oscillant.wkb import consistency_residual
@@ -154,11 +155,32 @@ def test_flow_honours_width(tmp_path):
     assert docs["3"]["Q"] == [float(q) for q in rep.Q] != docs["1"]["Q"]
     assert (docs["3"]["fitted_exponent"], docs["3"]["away_sup"]) == \
         (rep.fitted_exponent, rep.away_sup)
-    m = interaction_matrix_factory(an, 0.0, float(np.atleast_1d(an.stability.xi0)[0]), 1e-2,
-                                   h=0.1, amplitude=amplitude)
-    traj = sample_trajectory(m, 0.5 * abs(np.log(1e-2)), samples=200)
-    assert (tmp_path / "3" / "trajectory_eps0.01.csv").read_text() == traj.csv() != \
-        (tmp_path / "1" / "trajectory_eps0.01.csv").read_text()
+    assert (tmp_path / "3" / "trajectory_eps0.01.csv").read_text() == \
+        rep.trajectories[1e-2].csv() != (tmp_path / "1" / "trajectory_eps0.01.csv").read_text()
+
+
+def test_flow_writes_the_bound_trajectories(tmp_path, monkeypatch):
+    # each trajectory is integrated once, 3 epsilons x (9 near-resonance + 6 away
+    # samples), and each CSV is the bound's trajectory at (amplitude center, xi0)
+    calls = []
+
+    def counted(*args, _f=experiments.integrate_flow, **kw):
+        calls.append(args)
+        return _f(*args, **kw)
+    monkeypatch.setattr(experiments, "integrate_flow", counted)
+    assert _run(["flow", "--system", "catalog:kg-equal", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 45
+    monkeypatch.undo()
+    an = analyze(kg_equal(), inputs=report_inputs(1, AmplitudeProfile(), h=0.1))
+    rep = flow_bound_experiment(an, [1e-2, 1e-3, 1e-4], T=2.0, h=0.1)
+    assert sorted(p.name for p in tmp_path.glob("trajectory_eps*.csv")) == \
+        ["trajectory_eps0.0001.csv", "trajectory_eps0.001.csv", "trajectory_eps0.01.csv"]
+    for eps, traj in rep.trajectories.items():
+        assert (tmp_path / f"trajectory_eps{eps:g}.csv").read_text() == traj.csv()
+    xi0 = float(np.atleast_1d(an.stability.xi0)[0])
+    m = interaction_matrix_factory(an, 0.0, xi0, 1e-3)
+    alone = integrate_flow(m, 0.0, 2.0 * abs(np.log(1e-3)), largest_step(m, 0.0), samples=100)
+    assert alone.csv() == rep.trajectories[1e-3].csv()
 
 
 def test_simulate_honours_k(tmp_path, capsys, kg_analysis):

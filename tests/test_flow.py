@@ -4,11 +4,11 @@ from scipy.linalg import expm
 from scipy.optimize import brentq, linear_sum_assignment
 
 from oscillant import flow
-from oscillant.flow import (InteractionMatrix, bump_weight, integrate_flow,
-                            largest_step, rank_one_basis, rank_one_exponentials, rank_one_product,
-                            rank_one_structure, unstable_datum_direction, verify_growth_bound)
-from oscillant.interaction import pair_coefficients_at
-from oscillant.numeric import InputError, NumericalError, supnorm
+from oscillant.flow import (InteractionMatrix, integrate_flow, largest_step, rank_one_basis,
+                            rank_one_exponentials, rank_one_product, rank_one_structure,
+                            verify_growth_bound)
+from oscillant.interaction import pair_coefficients_at, unstable_datum_direction
+from oscillant.numeric import InputError, NumericalError, bump_weight, supnorm
 
 from conftest import assert_close
 from oracles import flow_spectrum, kg_omega_vec, three_wave_branch_map

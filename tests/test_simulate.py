@@ -6,8 +6,7 @@ import pytest
 
 from oscillant.catalog import kg_equal, three_wave
 from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
-from oscillant.flow import bump_weight
-from oscillant.numeric import InputError, NumericalError
+from oscillant.numeric import InputError, NumericalError, bump_weight
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
                                 run_instability_experiment, snapshot_bytes)

@@ -48,8 +48,25 @@ def test_bilinear_eval_bit_identical_to_triplet_products(kinds, shape):
             ref[o] += val * u[l] * v[r]
     out = B(u, v)
     assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    # into a given array only the written rows 0 and 3: rows 1 and 2 keep their nan
     into = np.full(shape, np.nan, dtype=ref.dtype)
-    assert B(u, v, out=into) is into and np.array_equal(into, ref)
+    assert B(u, v, out=into) is into and B.rows == (0, 3)
+    assert np.array_equal(into[[0, 3]], ref[[0, 3]]) and np.all(np.isnan(into[[1, 2]]))
+
+
+@pytest.mark.parametrize("system", [kg_equal, three_wave])
+def test_bilinear_writes_only_its_rows(system):
+    # the rows a nonzero triplet writes: 1 and 4 of 6 on Klein-Gordon, 1 and 2 of 3 on
+    # three-wave; into a nan-filled out the others stay nan, the written ones are B(u, v)
+    B = system().B
+    rows = {6: (1, 4), 3: (1, 2)}[B.N]
+    u, v = np.random.default_rng(3).normal(size=(2, B.N, 17))
+    out = np.full((B.N, 17), np.nan)
+    B(u, v, out=out)
+    others = [i for i in range(B.N) if i not in rows]
+    assert B.rows == rows and np.all(np.isnan(out[others]))
+    assert np.array_equal(out[list(rows)], B(u, v)[list(rows)])
+    assert np.all(B(u, v)[others] == 0)
 
 
 def test_bilinear_eval_and_symmetrized():

@@ -4,11 +4,11 @@ import pytest
 from oscillant import catalog
 from oscillant.catalog import kg_diff, kg_equal, three_wave
 from oscillant.numeric import InputError, MultiplicityError, NumericalError
-from oscillant.resonance import Phase
+from oscillant.resonance import Phase, harmonic
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import (TransportSetup, WKBSolution, consistency_residual, harmonic_matrix,
-                           harmonic_projector, partial_inverse, pde_residual, solve_transport,
-                           transport_setup, weak_transparency_check)
+                           pde_residual, solve_transport, transport_setup,
+                           weak_transparency_check)
 
 from conftest import assert_close
 from oracles import kg_default_phase, kg_e1, weak_transparency_pairwise
@@ -76,8 +76,8 @@ def test_partial_inverse_identity(kg_analysis):
     spec, phase = kg_analysis.spec, kg_analysis.phase
     for p in (-2, -1, 0, 1, 2):
         L = harmonic_matrix(spec, phase, p)
-        Pi = harmonic_projector(spec, phase, p)
-        Linv = partial_inverse(spec, phase, p)
+        h = harmonic(spec, phase, p)
+        Pi, Linv = h.projector(), h.partial_inverse()
         assert np.abs(Linv @ L - (np.eye(spec.N) - Pi)).max() <= 1e-10
 
 
@@ -90,8 +90,8 @@ def test_partial_inverse_agrees_with_projector_near_kernel():
     spec = SystemSpec("near-kernel", 4, 1, A0, [np.diag([1.0, 2.0, 3.0, 4.0])],
                       BilinearMap(4, ()))
     phase = Phase(0.0, [0.0])
-    Pi = harmonic_projector(spec, phase, 0)
-    Linv = partial_inverse(spec, phase, 0)
+    h = harmonic(spec, phase, 0)
+    Pi, Linv = h.projector(), h.partial_inverse()
     assert np.trace(Pi).real == pytest.approx(2.0, abs=1e-12)
     assert np.abs(Linv @ harmonic_matrix(spec, phase, 0) - (np.eye(4) - Pi)).max() <= 1e-12
     assert np.abs(Linv).max() <= 1.0 + 1e-12
@@ -216,7 +216,7 @@ def test_polarization_and_conjugation_of_solution(kg_analysis):
     e1 = kg_e1(spec, phase)
     x = np.linspace(-12, 12, 128, endpoint=False)
     wkb = solve_transport(spec, phase, e1, np.exp(-x ** 2), x, t_end=0.3)
-    Pi = harmonic_projector(spec, phase, 1)
+    Pi = harmonic(spec, phase, 1).projector()
     g = wkb.g[-1]
     u01 = np.outer(e1, g)
     assert np.abs(Pi @ u01 - u01).max() <= 1e-10
