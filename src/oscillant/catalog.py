@@ -3,17 +3,20 @@ magnetization-wave characteristic variety, and plasma dispersion parameters.
 
 Each builder returns a :class:`SystemSpec` with exact matrices and its phase
 entries, written by :func:`with_stock_phase` from the recorded ``params``, which
-also completes a system file that has stock ``params`` but no ``phase``.
+also completes a system file that has stock ``params`` but no ``phase``.  An
+entry's parameters are its builder's keywords, each a command-line flag.
 Closed-form branch values and the resonant sets of the Klein-Gordon systems
 are provided for cross-checking the generic pipeline.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
 
-from . import experiments
+from .dispersion import RELATIONS
+from .interaction import polarization_vectors
 from .numeric import DEFAULT_POLICY, InputError
 from .system import BilinearMap, Phase, SystemSpec
 
@@ -27,9 +30,12 @@ def three_wave(c=(1.0, 0.5, -0.5), b=(0.0, 1.0, 1.0)) -> SystemSpec:
 
     du1/dt + c1 du1/dx = b1/sqrt(eps) u2 u3   (and cyclic), diagonal transport,
     no zeroth-order term.  The reference solution is (a(x - c1 t), 0, 0).
+    ``c`` and ``b`` hold three values each.
     """
-    c = tuple(float(x) for x in c)
-    b = tuple(float(x) for x in b)
+    c, b = tuple(float(x) for x in c), tuple(float(x) for x in b)
+    if (len(c), len(b)) != (3, 3):
+        raise InputError(f"--c, --b: three-wave systems take three values each, "
+                         f"got {len(c)} and {len(b)}")
     A1 = np.diag(c)
     B = BilinearMap(3, ((0, 1, 2, b[0]), (1, 0, 2, b[1]), (2, 0, 1, b[2])))
     return with_stock_phase(SystemSpec("three-wave", 3, 1, np.zeros((3, 3)), (A1,), B,
@@ -176,14 +182,14 @@ def kg_branch_map(spec, field):
 # magnetization-wave variety (negative control for boundedness)
 # ---------------------------------------------------------------------------
 
+MLL_POLYNOMIAL = ("lambda^3 (lambda^6 - 2(2+|xi|^2) lambda^4 + (|xi|^2(6+|xi|^2) - 2 xi1^2) "
+                  "lambda^2 - |xi|^2(2|xi|^2 - xi1^2))")
+
+
 def mll_characteristic_polynomial(xi1, xinorm):
     """Degree-9 characteristic polynomial coefficients (highest power first)
-    of the linearized magnetization-wave system, as a polynomial in lambda.
-
-    lambda^3 (lambda^6 - 2(2+|xi|^2) lambda^4
-              + (|xi|^2 (6+|xi|^2) - 2 xi1^2) lambda^2
-              - |xi|^2 (2|xi|^2 - xi1^2))
-    """
+    of the linearized magnetization-wave system, :data:`MLL_POLYNOMIAL` as a
+    polynomial in lambda."""
     if abs(xi1) > abs(xinorm) + 1e-14:
         raise InputError("|xi| must be at least |xi1|")
     s = xinorm ** 2
@@ -235,25 +241,38 @@ _BUILDERS = {
     "kg-diff": kg_diff,
 }
 
-CATALOG_IDS = ("three-wave", "brillouin", "kg-equal", "kg-diff", "mll-variety", "em-dispersion")
+# dispersion-only entries: no system matrices, the document ``catalog emit`` writes
+_DOCUMENTS = {
+    "mll-variety": lambda: {"polynomial": MLL_POLYNOMIAL,
+                            "boundedness_verdict": mll_boundedness_verdict()},
+    "em-dispersion": lambda: {"relations": list(RELATIONS),
+                              "params": {"theta_e": 0.1, "theta_i": 0.001, "alpha": 0.5}},
+}
+
+CATALOG_IDS = (*_BUILDERS, *_DOCUMENTS)
+
+
+def catalog_entry(entry_id: str, **params):
+    """Catalog entry ``entry_id`` built with ``params``, keywords its builder declares:
+    a :class:`SystemSpec`, or the document of a dispersion-only entry, which declares
+    none.  Any other parameter is refused, named with the entry's own."""
+    make = _BUILDERS.get(entry_id) or _DOCUMENTS.get(entry_id)
+    if make is None:
+        raise InputError(f"unknown catalog id '{entry_id}' (known: {', '.join(CATALOG_IDS)})")
+    own = [f"--{key}" for key in inspect.signature(make).parameters]
+    refused = [f"--{key}" for key in params if f"--{key}" not in own]
+    if refused:
+        raise InputError(f"{', '.join(refused)}: catalog entry '{entry_id}' takes "
+                         + (", ".join(own) + " only" if own else "no parameters"))
+    return make(**params)
 
 
 def build_catalog_system(entry_id: str, **params) -> SystemSpec:
-    """Build a stock system by id; parameters override the documented defaults."""
-    if entry_id not in _BUILDERS:
-        if entry_id in CATALOG_IDS:
-            raise InputError(f"catalog entry '{entry_id}' is dispersion-only and has no system matrices")
-        raise InputError(f"unknown catalog id '{entry_id}' (known: {', '.join(CATALOG_IDS)})")
-    builder = _BUILDERS[entry_id]
-    if entry_id in ("three-wave", "brillouin"):
-        kw = {}
-        if any(k in params for k in ("c1", "c2", "c3")):
-            kw["c"] = (params.pop("c1", 1.0), params.pop("c2", 0.5), params.pop("c3", -0.5))
-        if any(k in params for k in ("b1", "b2", "b3")):
-            kw["b"] = (params.pop("b1", 0.0), params.pop("b2", 1.0), params.pop("b3", 1.0))
-        kw.update(params)
-        return builder(**kw)
-    return builder(**params)
+    """The system of catalog entry ``entry_id``, built as :func:`catalog_entry` builds it."""
+    entry = catalog_entry(entry_id, **params)
+    if not isinstance(entry, SystemSpec):
+        raise InputError(f"catalog entry '{entry_id}' is dispersion-only and has no system matrices")
+    return entry
 
 
 def with_stock_phase(spec: SystemSpec) -> SystemSpec:
@@ -278,4 +297,4 @@ def with_stock_phase(spec: SystemSpec) -> SystemSpec:
 
 def reference_polarization(spec: SystemSpec, phase: Phase) -> np.ndarray:
     """The polarization e1 the analysis takes (kept for the benchmark's callers)."""
-    return experiments.resolve_polarization(spec, phase).e1
+    return polarization_vectors(spec, phase).e1

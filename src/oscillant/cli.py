@@ -1,8 +1,9 @@
 """Command-line surface: analyze, flow, simulate, sweep, wkb, catalog.
 
 Exit codes: 0 success, 2 input error, 3 numerical error, and 4 when
-``--strict`` is set and a verdict is undetermined or degenerate.
-All outputs are written atomically; identical flags produce identical files.
+``--strict`` (``analyze``, ``flow``) is set and a verdict is undetermined or
+degenerate, or ``wkb --check-transparency`` fails.  A command takes only the flags
+it reads.  All outputs are written atomically; identical flags give identical files.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ import sys
 import numpy as np
 
 from . import catalog
-from .dispersion import RELATIONS
-from .experiments import (analyze, flow_bound_experiment, report_inputs, resolve_polarization,
-                          run_simulation, run_sweep, system_phase)
-from .numeric import InputError, NumericalError
+from .experiments import (analyze, flow_bound_experiment, report_inputs, run_simulation,
+                          run_sweep, system_phase)
+from .interaction import polarization_vectors
+from .numeric import InputError, NumericalError, fit_epsilons
 from .simulate import AmplitudeProfile
-from .system import Phase, load_spec, save_spec, write_text_atomic
+from .system import Phase, SystemSpec, load_spec, save_spec, write_text_atomic
 from .wkb import solve_transport, weak_transparency_check, consistency_residual
 
 
@@ -30,30 +31,22 @@ def _thread_cap():
         return 1
 
 
-SCALAR_PARAMS, LIST_PARAMS = ("omega0", "theta0", "alpha0", "iota", "d"), ("c", "b")
-
-
 def _load_system(args):
     """A catalog system built with the parameter flags, or a system file (which
     takes none), completed by its stock ``params`` when it has no ``phase``."""
+    params = _system_overrides(args)
     if args.system.startswith("catalog:"):
-        return catalog.build_catalog_system(args.system.split(":", 1)[1],
-                                            **_system_overrides(args))
-    given = [f"--{key}" for key in SCALAR_PARAMS + LIST_PARAMS if getattr(args, key) is not None]
-    if given:
-        raise InputError(f"{', '.join(given)}: parameter flags build catalog systems, and "
-                         f"{args.system} is a system file")
+        return catalog.build_catalog_system(args.system.split(":", 1)[1], **params)
+    if params:
+        raise InputError(f"{', '.join(f'--{key}' for key in params)}: parameter flags build "
+                         f"catalog systems, and {args.system} is a system file")
     spec = load_spec(args.system)
     return spec if spec.phase is not None else catalog.with_stock_phase(spec)
 
 
 def _system_overrides(args):
-    out = {key: getattr(args, key) for key in SCALAR_PARAMS
-           if getattr(args, key, None) is not None}
-    for key in LIST_PARAMS:
-        for i, v in enumerate(getattr(args, key, None) or (), start=1):
-            out[f"{key}{i}"] = v
-    return out
+    """The parameter flags given, under their names: the catalog builders' keywords."""
+    return {key: getattr(args, key) for key in PARAM_FLAGS if getattr(args, key) is not None}
 
 
 def _number(text, lo, hi, what):
@@ -105,13 +98,25 @@ def _grid_points(text):
 
 def _epsilons(least):
     """argparse type of the comma-separated epsilons a law is fitted across:
-    ``least`` distinct values at least (two for a fit, three for a sweep)."""
+    ``least`` values at least (two for a fit, three for a sweep), none repeated."""
     def parse(text):
-        epsilons = [_epsilon(e) for e in text.split(",")]
-        if len(set(epsilons)) < least:
-            raise argparse.ArgumentTypeError(f"needs {least} distinct values at least, got '{text}'")
-        return epsilons
+        try:
+            return fit_epsilons([_epsilon(e) for e in text.split(",")], least, "the fit")
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _out_dir(text):
+    """argparse type of ``--out``: a directory, made if missing, but not a file."""
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"'{text}' is a file, not a directory")
+    return text
+
+
+# the parameter flags and their types, each a keyword of the catalog builders that declare it
+PARAM_FLAGS = {"omega0": _finite, "theta0": _finite, "alpha0": _finite, "iota": int, "d": int,
+               "c": _finite_list, "b": _finite_list}
 
 
 def _phase_from(args, spec):
@@ -139,19 +144,15 @@ def cmd_analyze(args):
     window = (-args.window, args.window) if args.window else None
     result, _ = _analysis(args, window, K=args.K, K_a=args.Ka, h=args.h)
     os.makedirs(args.out, exist_ok=True)
+    _json_dump(result.resonances.to_dict(), os.path.join(args.out, "resonance_report.json"))
+    doc, path = result.stability.to_dict(), os.path.join(args.out, f"stability_report.{args.format}")
     if args.format == "csv":
-        doc = result.stability.to_dict()
-        flat = [f"{k},{v}" for k, v in sorted(doc.items())
-                if not isinstance(v, (dict, list))]
-        write_text_atomic(os.path.join(args.out, "stability_report.csv"),
-                          "key,value\n" + "\n".join(flat) + "\n")
-        _json_dump(result.resonances.to_dict(), os.path.join(args.out, "resonance_report.json"))
+        flat = [f"{k},{v}" for k, v in sorted(doc.items()) if not isinstance(v, (dict, list))]
+        write_text_atomic(path, "key,value\n" + "\n".join(flat) + "\n")
     else:
-        _json_dump(result.resonances.to_dict(), os.path.join(args.out, "resonance_report.json"))
-        _json_dump(result.stability.to_dict(), os.path.join(args.out, "stability_report.json"))
+        _json_dump(doc, path)
     print(f"verdict: {result.stability.verdict}  Gamma_index: {result.stability.gamma_index:.6g}")
-    suffix = "csv" if args.format == "csv" else "json"
-    print(f"wrote {args.out}/resonance_report.json, {args.out}/stability_report.{suffix}")
+    print(f"wrote {args.out}/resonance_report.json, {args.out}/stability_report.{args.format}")
     if args.strict and result.stability.verdict not in ("stable", "unstable",
                                                         "stable-by-transparency"):
         return 4
@@ -164,7 +165,7 @@ def cmd_flow(args):
     os.makedirs(args.out, exist_ok=True)
     # the bound's trajectory at the amplitude center and the root xi0, per epsilon
     for eps, traj in rep.trajectories.items():
-        write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps:g}.csv"), traj.csv())
+        write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps!r}.csv"), traj.csv())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),
            "away_sup": rep.away_sup, "away_passed": rep.away_passed,
@@ -224,7 +225,7 @@ def cmd_wkb(args):
               f"(max defect {res.max_defect:.3g})")
         return 0 if res.passed else 4
     if args.residual:
-        e1 = resolve_polarization(spec, phase).e1
+        e1 = polarization_vectors(spec, phase).e1
 
         def factory(with_corr):
             def make(eps):
@@ -246,48 +247,16 @@ def cmd_wkb(args):
 
 def cmd_catalog(args):
     if args.action == "list":
-        for cid in catalog.CATALOG_IDS:
-            print(cid)
+        print("\n".join(catalog.CATALOG_IDS))
         return 0
-    if args.action == "emit":
-        if args.id is None:
-            print("emit requires a catalog id", file=sys.stderr)
-            return 2
-        path = args.outfile or f"{args.id}.json"
-        if args.id == "em-dispersion":
-            _json_dump({"relations": list(RELATIONS),
-                        "params": {"theta_e": 0.1, "theta_i": 0.001, "alpha": 0.5}}, path)
-        elif args.id == "mll-variety":
-            _json_dump({"polynomial": "lambda^3 (lambda^6 - 2(2+|xi|^2) lambda^4 + "
-                                      "(|xi|^2(6+|xi|^2) - 2 xi1^2) lambda^2 - "
-                                      "|xi|^2(2|xi|^2 - xi1^2))",
-                        "boundedness_verdict": catalog.mll_boundedness_verdict()}, path)
-        else:
-            save_spec(catalog.build_catalog_system(args.id, **_system_overrides(args)), path)
-        print(f"wrote {path}")
-        return 0
-    print(f"unknown catalog action '{args.action}'", file=sys.stderr)
-    return 2
-
-
-def _add_param_flags(p):
-    p.add_argument("--omega0", type=_finite, default=None)
-    p.add_argument("--theta0", type=_finite, default=None)
-    p.add_argument("--alpha0", type=_finite, default=None)
-    p.add_argument("--iota", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--c", type=_finite_list, default=None, help="c1,c2,c3 for three-wave systems")
-    p.add_argument("--b", type=_finite_list, default=None, help="b1,b2,b3 for three-wave systems")
-
-
-def _add_system_flags(p):
-    p.add_argument("--system", required=True, help="spec file path or catalog:<id>")
-    p.add_argument("--omega", type=_finite, default=None)
-    p.add_argument("--k", type=_finite, default=None)
-    _add_param_flags(p)
-    p.add_argument("--width", type=_positive, default=1.0, help="amplitude width")
-    p.add_argument("--out", type=str, default="out")
-    p.add_argument("--strict", action="store_true")
+    if args.id is None:
+        print("emit requires a catalog id", file=sys.stderr)
+        return 2
+    path = args.outfile or f"{args.id}.json"
+    entry = catalog.catalog_entry(args.id, **_system_overrides(args))
+    (save_spec if isinstance(entry, SystemSpec) else _json_dump)(entry, path)
+    print(f"wrote {path}")
+    return 0
 
 
 def build_parser():
@@ -295,9 +264,22 @@ def build_parser():
                                  description="stability analysis of high-frequency "
                                              "oscillations in semilinear hyperbolic systems")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the flag groups a command takes: its system, the catalog parameters, and for a
+    # command that analyses and writes, the amplitude width and the output directory
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--system", required=True, help="spec file path or catalog:<id>")
+    system.add_argument("--omega", type=_finite, default=None)
+    system.add_argument("--k", type=_finite, default=None)
+    params = argparse.ArgumentParser(add_help=False)
+    for key, kind in PARAM_FLAGS.items():
+        params.add_argument(f"--{key}", type=kind, default=None)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--width", type=_positive, default=1.0, help="amplitude width")
+    run.add_argument("--out", type=_out_dir, default="out")
 
-    p = sub.add_parser("analyze", help="resonance + stability reports")
-    _add_system_flags(p)
+    p = sub.add_parser("analyze", parents=[system, params, run],
+                       help="resonance + stability reports")
+    p.add_argument("--strict", action="store_true")
     p.add_argument("--K", type=_positive, default=3.0)
     p.add_argument("--Ka", type=_positive_or_inf, default=np.inf)
     p.add_argument("--window", type=_positive, default=None)
@@ -305,15 +287,15 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("flow", help="symbolic-flow growth bound report")
-    _add_system_flags(p)
+    p = sub.add_parser("flow", parents=[system, params, run],
+                       help="symbolic-flow growth bound report")
+    p.add_argument("--strict", action="store_true")
     p.add_argument("--epsilons", type=_epsilons(2), default="1e-2,1e-3,1e-4")
     p.add_argument("--T", type=_positive, default=2.0)
     p.add_argument("--h", type=_positive, default=0.1)
     p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("simulate", help="direct pseudospectral run")
-    _add_system_flags(p)
+    p = sub.add_parser("simulate", parents=[system, params, run], help="direct pseudospectral run")
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--K", type=_positive, default=3.0)
     p.add_argument("--Kprime", type=_positive, default=0.5)
@@ -322,8 +304,8 @@ def build_parser():
     p.add_argument("--snapshot", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="epsilon sweep with scaling checks")
-    _add_system_flags(p)
+    p = sub.add_parser("sweep", parents=[system, params, run],
+                       help="epsilon sweep with scaling checks")
     p.add_argument("--epsilons", type=_epsilons(3), default="1e-2,1e-3,1e-4")
     p.add_argument("--K", type=_positive, default=3.0)
     p.add_argument("--Kprime", type=_positive, default=0.6)
@@ -332,18 +314,16 @@ def build_parser():
     p.add_argument("--grid", type=_grid_points, default=4096)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("wkb", help="two-scale cascade checks")
-    _add_system_flags(p)
+    p = sub.add_parser("wkb", parents=[system, params], help="two-scale cascade checks")
     p.add_argument("--check-transparency", action="store_true")
     p.add_argument("--residual", action="store_true")
     p.add_argument("--epsilons", type=_epsilons(2), default="1e-2,1e-3,1e-4")
     p.set_defaults(fn=cmd_wkb)
 
-    p = sub.add_parser("catalog", help="list or emit stock systems")
+    p = sub.add_parser("catalog", parents=[params], help="list or emit stock systems")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("id", nargs="?", default=None)
     p.add_argument("--outfile", type=str, default=None)
-    _add_param_flags(p)
     p.set_defaults(fn=cmd_catalog)
     return ap
 

@@ -21,12 +21,12 @@ from .flow import (GrowthBoundReport, InteractionMatrix, integrate_flow, largest
 # pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport, _sources,
                           pair_coefficients_at, polarization_vectors, stability_report)
-from .numeric import InputError, MultiplicityError, NumericalError, bump_weight, supnorm
+from .numeric import InputError, NumericalError, bump_weight
 from .resonance import (Phase, ResonanceReport, _bisect, _PairBatch, default_window,
-                        find_resonances, harmonic, harmonic_matrix)
+                        find_resonances, harmonic)
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
                        epsilon_sweep, run_instability_experiment)
-from .spectral import SpectralField, assemble_symbol, eigendecompose_field, uniform_grid
+from .spectral import SpectralField, eigendecompose_field, uniform_grid
 from .system import SystemSpec
 from .wkb import amplitude_factor, transport_setup
 
@@ -72,23 +72,6 @@ def system_phase(spec: SystemSpec, k=None) -> Phase:
     return at_k
 
 
-def resolve_polarization(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
-    """Polarization vectors; when the phase kernel is not one-dimensional
-    (non-oscillating reference solutions), e1 is the system's unit reference
-    direction, which must lie in that kernel."""
-    try:
-        return polarization_vectors(spec, phase)
-    except MultiplicityError as exc:
-        if spec.reference_direction is None:
-            raise InputError(f"{exc}; the system has no reference_direction") from None
-        e1 = (spec.reference_direction / np.linalg.norm(spec.reference_direction)).astype(complex)
-        # L(-beta) is the conjugate of L(beta): one residual serves both phases
-        res = supnorm(harmonic_matrix(spec, phase, 1) @ e1)
-        if res > spec.policy.char_tol * max(supnorm(assemble_symbol(spec, phase.k)), 1.0):
-            raise InputError(f"{exc}; the system's reference_direction is not in it") from None
-        return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(res, res))
-
-
 def report_inputs(d: int, amplitude: AmplitudeProfile = None, **kw) -> ReportInputs:
     """The stability report's inputs for an amplitude profile (default: unit
     gaussian), which supplies |a|_sup and the transform L1 norm entering the
@@ -112,7 +95,7 @@ def analyze(spec: SystemSpec, phase: Phase = None, window=None, grid_n=2048,
     pad = float(np.max(np.abs(phase.k))) + 1e-9
     field_window = tuple((lo - pad, hi + pad) for (lo, hi) in window)
     field = eigendecompose_field(spec, uniform_grid(field_window, (grid_n,) * spec.d))
-    pol = resolve_polarization(spec, phase)
+    pol = polarization_vectors(spec, phase)
     resonances = find_resonances(field, phase, window=window)
     stability = stability_report(field, pol, phase, resonances, inputs or report_inputs(spec.d))
     return Analysis(spec=spec, phase=phase, field=field, pol=pol,

@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, InputError, NumericPolicy, numerical_rank, supnorm
+from .numeric import (DEFAULT_POLICY, InputError, NumericPolicy, fit_epsilons, numerical_rank,
+                      supnorm)
 
 # largest fitted exponent of Q(eps) against |log eps| the polylog bound accepts
 GROWTH_EXPONENT_CAP = 8.0
@@ -288,15 +289,13 @@ def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factor
     ``trajectory_factory(eps, t_end)`` returns the trajectories of the sampled
     interaction matrices at the given epsilon; Q(eps) is the largest
     sup |S| e^{-t gamma+} over samples and t <= T |log eps|, at two distinct
-    epsilons or more.  The bound passes when the fitted exponent of Q against
+    epsilons or more, none repeated.  The bound passes when the fitted exponent of Q against
     |log eps| stays below ``GROWTH_EXPONENT_CAP``.  Off-resonance samples,
     when provided, must stay below ``AWAY_CAP``.  The report also carries the
     worst Liouville defect and step exponent over all trajectories, and at
     each epsilon the first trajectory of the factory's list.
     """
-    epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    if len(np.unique(epsilons)) < 2:
-        raise InputError(f"a growth exponent needs two distinct epsilons, got {epsilons.tolist()}")
+    epsilons = fit_epsilons(epsilons, 2, "a growth exponent")
     seen = [(0.0, 0.0)]  # (liouville_defect, max_step_exponent) of every trajectory
 
     def run(factory, eps):

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import MultiplicityError, NumericalError, numerical_rank, supnorm
+from .numeric import InputError, NumericalError, numerical_rank, supnorm
 from .resonance import (Phase, ResonanceReport, _PairBatch, harmonic, harmonic_matrix,
                         separation_check)
-from .spectral import SpectralField
+from .spectral import SpectralField, assemble_symbol
 from .system import SystemSpec
 
 # phase bands h/2 <= |phase| <= h, widest first, scanned for the off-resonance factorization
@@ -69,15 +69,24 @@ def _real_pivot(v) -> np.ndarray:
 def polarization_vectors(spec: SystemSpec, phase: Phase) -> PolarizationVectors:
     """Kernel direction of -i omega + A0 + A(i k), normalized deterministically.
 
-    The kernel must be one-dimensional; the vector is unit with its first
-    significant component rotated to the positive real axis, and the opposite
-    phase carries the component-wise conjugate.
+    On a one-dimensional kernel the vector is unit with its first significant
+    component rotated to the positive real axis, and the opposite phase carries
+    the component-wise conjugate.  On a larger kernel (a non-oscillating
+    reference solution) e1 is the system's unit ``reference_direction``, which
+    must lie in that kernel; without one the phase is refused.
     """
     kernel = harmonic(spec, phase, 1).basis
     if kernel.shape[1] != 1:
-        raise MultiplicityError(
-            f"kernel of the characteristic matrix has dimension {kernel.shape[1]}, need 1 "
-            f"(phase omega={phase.omega}, k={phase.k})")
+        why = (f"kernel of the characteristic matrix has dimension {kernel.shape[1]}, need 1 "
+               f"(phase omega={phase.omega}, k={phase.k})")
+        if spec.reference_direction is None:
+            raise InputError(f"{why}; the system has no reference_direction")
+        e1 = (spec.reference_direction / np.linalg.norm(spec.reference_direction)).astype(complex)
+        # L(-beta) is the conjugate of L(beta): one residual serves both phases
+        res = supnorm(harmonic_matrix(spec, phase, 1) @ e1)
+        if res > spec.policy.char_tol * max(supnorm(assemble_symbol(spec, phase.k)), 1.0):
+            raise InputError(f"{why}; the system's reference_direction is not in it")
+        return PolarizationVectors(e1=e1, em1=e1.conj(), residuals=(res, res))
     e1 = _real_pivot(kernel[:, 0])
     em1 = e1.conj()
     res = (supnorm(harmonic_matrix(spec, phase, 1) @ e1),

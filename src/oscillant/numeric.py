@@ -10,7 +10,8 @@ its system's policy.  Only a check that has no system (a closed-form variety)
 reads :data:`DEFAULT_POLICY` directly.  No function takes a tolerance of its own.
 
 It also holds the helpers several modules share: the numerical rank, the sup
-norm, and the smooth cutoff weight of the flow's samples and the simulator's bump.
+norm, the smooth cutoff weight of the flow's samples and the simulator's bump,
+and the check of the epsilons a law is fitted across.
 """
 from dataclasses import dataclass
 
@@ -85,3 +86,13 @@ def smoothstep(t):
 def bump_weight(value, plateau, cutoff):
     """1 on |value| <= plateau, 0 beyond cutoff, smooth monotone between."""
     return 1.0 - smoothstep((np.abs(value) - plateau) / max(cutoff - plateau, 1e-300))
+
+
+def fit_epsilons(epsilons, least: int, what: str) -> np.ndarray:
+    """The epsilons ``what`` is fitted across, as floats sorted descending: ``least``
+    of them at least, none repeated, since a repeat would weigh its value twice."""
+    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    if len(eps) < least or np.any(eps[1:] == eps[:-1]):   # sorted: a repeat is adjacent
+        raise InputError(f"{what} needs {('two', 'three')[least - 2]} distinct epsilons or more, "
+                         f"none repeated, got {eps.tolist()}")
+    return eps

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, NumericalError, bump_weight
+from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, bump_weight, fit_epsilons
 from .system import SystemSpec
 
 
@@ -405,14 +405,13 @@ def epsilon_sweep(config_factory, reference_factory, epsilons, time_factor_power
 
     ``t_star / (sqrt(eps) |log eps|)`` should be constant across the sweep for
     an unstable system, and ``fitted_rate * sqrt(eps)`` should be constant;
-    their relative spreads are reported.  Systems carrying a singular scaling
+    their relative spreads are reported, over three distinct epsilons or more,
+    none repeated.  Systems carrying a singular scaling
     record their times multiplied by eps^(time_factor_power - 1/2).  Runs are
     independent; ``workers`` > 1 executes them in a thread pool (results are
     ordered by epsilon regardless).
     """
-    epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    if len(epsilons) < 3:
-        raise InputError("sweep needs at least three epsilon values")
+    epsilons = fit_epsilons(epsilons, 3, "a sweep")
 
     def one(eps):
         return run_instability_experiment(config_factory(eps), reference_factory(eps))

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError, NumericalError, supnorm
+from .numeric import (MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError, NumericalError,
+                      fit_epsilons, supnorm)
 from .resonance import Phase, characteristic_harmonics, harmonic, harmonic_matrix
 from .system import SystemSpec
 
@@ -293,13 +294,11 @@ def consistency_residual(wkb_factory, spec: SystemSpec, epsilons) -> Consistency
     ``wkb_factory(eps)`` must return a :class:`WKBSolution` on a grid that
     resolves the oscillation at that epsilon; the result is the least-squares
     slope of log residual against log epsilon, over at least two distinct
-    epsilons.  Each solution is scored at its last snapshot, the only one
+    epsilons, none repeated.  Each solution is scored at its last snapshot, the only one
     formed (:func:`pde_residual` at ``it=-1``).  Residuals all below
     ``spec.policy.residual_floor`` make an exact solution, of order inf.
     """
-    epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    if len(np.unique(epsilons)) < 2:
-        raise InputError(f"a residual order needs two distinct epsilons, got {epsilons.tolist()}")
+    epsilons = fit_epsilons(epsilons, 2, "a residual order")
     res = np.array([pde_residual(wkb_factory(eps), eps, it=-1) for eps in epsilons])
     if np.all(res < spec.policy.residual_floor):
         order = np.inf   # exact solution: residual at floor

@@ -84,7 +84,7 @@ def test_catalog_registry():
 
 
 def test_catalog_three_wave_param_overrides():
-    spec = build_catalog_system("three-wave", c1=2.0, c2=1.0, c3=-1.0, b2=-1.0, b3=1.0)
+    spec = build_catalog_system("three-wave", c=(2.0, 1.0, -1.0), b=(0.0, -1.0, 1.0))
     np.testing.assert_allclose(spec.Aj[0], np.diag([2.0, 1.0, -1.0]))
     assert spec.params["b2"] == -1.0
 

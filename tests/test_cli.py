@@ -278,6 +278,8 @@ def test_analyze_d2_default_grid_refused_before_allocating(tmp_path, capsys):
     ["wkb", "--system", "catalog:kg-equal", "--check-transparency", "--k", "inf"],
     ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2"],
     ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2,1e-2"],
+    ["wkb", "--system", "catalog:kg-equal", "--residual", "--epsilons", "1e-2,1e-2,1e-3"],
+    ["flow", "--system", "catalog:kg-equal", "--epsilons", "1e-2,1e-2,1e-3"],
     ["flow", "--system", "catalog:kg-equal", "--epsilons", "1e-2"],
     ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3"],
     ["sweep", "--system", "catalog:three-wave", "--epsilons", "1e-2,1e-3,1e-2"],
@@ -295,7 +297,7 @@ def test_ka_accepts_inf_and_overrides_parse_as_numbers():
     args = build_parser().parse_args(["analyze", "--system", "catalog:three-wave", "--Ka", "inf",
                                       "--b", "0,1,-1", "--omega0", "1"])
     assert args.Ka == np.inf
-    assert _system_overrides(args) == {"omega0": 1.0, "b1": 0.0, "b2": 1.0, "b3": -1.0}
+    assert _system_overrides(args) == {"omega0": 1.0, "b": [0.0, 1.0, -1.0]}
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -393,11 +395,11 @@ def rotated_kg_file(tmp_path_factory):
 
 def test_rotated_system_runs_every_command(rotated_kg_file, tmp_path, capsys):
     # no stock closed form applies: every command reads the analysed polarization
-    for argv in (["analyze"], ["flow"], ["wkb", "--check-transparency"],
+    out = ["--out", str(tmp_path)]
+    for argv in (["analyze", *out], ["flow", *out], ["wkb", "--check-transparency"],
                  ["wkb", "--residual", "--epsilons", "1e-2,3e-3"],
-                 ["simulate", "--epsilon", "1e-2", "--grid", "16384", "--tend", "0.02"]):
-        assert _run(argv + ["--system", rotated_kg_file, *KG_PHASE,
-                            "--out", str(tmp_path)]) == 0, argv
+                 ["simulate", "--epsilon", "1e-2", "--grid", "16384", "--tend", "0.02", *out]):
+        assert _run(argv + ["--system", rotated_kg_file, *KG_PHASE]) == 0, argv
     capsys.readouterr()
     # the default sweep's grid is too coarse for this wave: the refusal names it
     assert _run(["sweep", "--system", rotated_kg_file, *KG_PHASE, "--out", str(tmp_path)]) == 2
@@ -457,6 +459,74 @@ def test_parameter_flags_on_a_system_file_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: --omega0, --d, --c:") and path in err
     assert not (tmp_path / "out").exists()
+
+
+# the parameter flags each catalog entry declares, and a value each accepts
+CATALOG_PARAMS = {"three-wave": {"c", "b"}, "brillouin": {"c", "b"},
+                  "kg-equal": {"omega0", "theta0", "d"},
+                  "kg-diff": {"omega0", "theta0", "alpha0", "iota", "d"},
+                  "mll-variety": set(), "em-dispersion": set()}
+PARAM_VALUES = {"omega0": "2", "theta0": "0.3", "alpha0": "2", "iota": "-1", "d": "2",
+                "c": "1,0.5,-0.5", "b": "0,1,-1"}
+
+
+@pytest.mark.parametrize("cid", sorted(CATALOG_PARAMS))
+@pytest.mark.parametrize("key", sorted(PARAM_VALUES))
+def test_catalog_entries_take_only_their_parameter_flags(cid, key, tmp_path, capsys):
+    # a flag the entry declares builds it; any other exits 2 naming the flag,
+    # before anything is computed
+    flag = [f"--{key}", PARAM_VALUES[key]]
+    rc = _run(["catalog", "emit", cid, *flag, "--outfile", str(tmp_path / "entry.json")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if key in CATALOG_PARAMS[cid]:
+        assert rc == 0 and (tmp_path / "entry.json").exists()
+        return
+    assert rc == 2 and f"--{key}:" in err
+    assert _run(["analyze", "--system", f"catalog:{cid}", *flag,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (err := capsys.readouterr().err).startswith(f"input error: --{key}:"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_three_wave_takes_three_values_of_c_and_b(capsys):
+    # a partial list does not take the missing components from the defaults
+    for argv, counts in ((["--c", "1,2"], "2 and 3"), (["--b", "0,1,-1,2"], "3 and 4")):
+        assert _run(["analyze", "--system", "catalog:three-wave", *argv]) == 2
+        assert capsys.readouterr().err == ("input error: --c, --b: three-wave systems take "
+                                           f"three values each, got {counts}\n")
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2"], ["--strict"]),
+    (["sweep", "--system", "catalog:three-wave"], ["--strict"]),
+    (["wkb", "--system", "catalog:kg-equal", "--check-transparency"], ["--strict"]),
+    (["wkb", "--system", "catalog:kg-equal", "--check-transparency"], ["--width", "1"]),
+    (["wkb", "--system", "catalog:kg-equal", "--check-transparency"], ["--out", "x"]),
+])
+def test_flags_a_command_does_not_read_exit_2(argv, unread, capsys):
+    assert _run(argv + unread) == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["flow"], ["simulate", "--epsilon", "1e-2"],
+                                     ["sweep"]])
+def test_out_naming_a_file_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "report"
+    path.write_text("kept\n")
+    assert _run(command + ["--system", "catalog:three-wave", "--out", str(path)]) == 2
+    assert f"argument --out: '{path}' is a file" in capsys.readouterr().err
+    assert path.read_text() == "kept\n"
+
+
+def test_flow_writes_one_csv_per_distinct_epsilon(tmp_path):
+    # 1e-2 and 1.0000001e-2 share their 6 leading digits, not their file
+    assert _run(["flow", "--system", "catalog:kg-equal", "--T", "0.3",
+                 "--epsilons", "1e-2,1.0000001e-2,1e-3", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "flow_bound_report.json").read_text())
+    assert doc["epsilons"] == [0.010000001, 0.01, 0.001]
+    assert sorted(p.name for p in tmp_path.glob("trajectory_eps*.csv")) == \
+        ["trajectory_eps0.001.csv", "trajectory_eps0.01.csv", "trajectory_eps0.010000001.csv"]
 
 
 def test_k_takes_the_phase_entry_branch(tmp_path, capsys):
@@ -544,7 +614,9 @@ def test_cli_matrix(kind, rotated_kg_file, tmp_path, capsys):
     codes = []
     for name, argv in MATRIX_COMMANDS.items():
         capsys.readouterr()
-        codes.append(_run(argv + system + ["--out", str(tmp_path / name)]))
+        # wkb writes nothing, so it takes no --out
+        out = [] if name == "wkb" else ["--out", str(tmp_path / name)]
+        codes.append(_run(argv + system + out))
         err = capsys.readouterr().err
         assert codes[-1] in (0, 2, 3, 4) and "Traceback" not in err, (name, err)
         assert codes[-1] != 2 or re.search(named, err), (name, err)

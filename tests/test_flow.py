@@ -370,8 +370,8 @@ def test_verify_growth_bound_trivial_zero_coupling():
     rep = verify_growth_bound(factory, gamma_plus=0.0, T=1.0, epsilons=[1e-2, 1e-3])
     assert rep.passed
     assert np.all(np.abs(rep.Q - 1.0) <= 1e-10)
-    # one epsilon, or one repeated, has no exponent to fit
-    for epsilons in ([1e-2], [1e-2, 1e-2]):
+    # one epsilon, or one repeated, has no exponent to fit; a repeat would weigh twice
+    for epsilons in ([1e-2], [1e-2, 1e-2], [1e-2, 1e-3, 1e-2]):
         with pytest.raises(InputError, match="two distinct"):
             verify_growth_bound(factory, gamma_plus=0.0, T=1.0, epsilons=epsilons)
 

@@ -38,9 +38,13 @@ def test_polarization_kg_diff_matches_closed_form(kg_diff_analysis):
 
 
 def test_polarization_multiplicity_error():
+    # three-wave's (0, 0) has a triple kernel: e1 is the reference direction,
+    # and without one the phase is refused
     spec = three_wave()
-    with pytest.raises(MultiplicityError):
-        polarization_vectors(spec, Phase(0.0, [0.0]))
+    pol = polarization_vectors(spec, Phase(0.0, [0.0]))
+    assert pol.e1.tolist() == [1.0, 0.0, 0.0] and pol.residuals == (0.0, 0.0)
+    with pytest.raises(InputError, match="dimension 3, need 1.*no reference_direction"):
+        polarization_vectors(replace(spec, reference_direction=None), Phase(0.0, [0.0]))
 
 
 def test_analyze_rejects_phase_of_wrong_dimension():

@@ -9,7 +9,7 @@ from oscillant.experiments import analyze, reference_solution, run_simulation, r
 from oscillant.numeric import InputError, NumericalError, bump_weight
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
-                                run_instability_experiment, snapshot_bytes)
+                                epsilon_sweep, run_instability_experiment, snapshot_bytes)
 from oscillant.system import BilinearMap, SystemSpec
 from oscillant.wkb import TransportSetup, amplitude_factor, solve_transport, transport_setup
 
@@ -350,6 +350,13 @@ def test_sweep_scaling(three_wave_analysis):
     assert rep.ratio_spread <= 0.25
     assert rep.rate_spread <= 0.15
     assert not rep.flags
+
+
+def test_sweep_needs_three_distinct_epsilons():
+    # refused before any run: a repeat would weigh its epsilon twice in the spreads
+    for epsilons in ([1e-2, 1e-3], [1e-2, 1e-3, 1e-2]):
+        with pytest.raises(InputError, match="three distinct epsilons or more, none repeated"):
+            epsilon_sweep(None, None, epsilons)
 
 
 def test_brillouin_scaling_carries_time_factor():

@@ -366,7 +366,7 @@ def test_amplitude_forms_each_snapshot_of_the_stack(kg_analysis):
 def test_fits_need_two_distinct_epsilons(kg_analysis):
     spec, phase = kg_analysis.spec, kg_analysis.phase
     make = _kg_residual_factory(spec, phase, kg_e1(spec, phase), False)
-    for eps_list in ([1e-2], [1e-2, 1e-2]):
+    for eps_list in ([1e-2], [1e-2, 1e-2], [1e-2, 1e-3, 1e-2]):
         with pytest.raises(InputError, match="two distinct"):
             consistency_residual(make, spec, eps_list)
 
