@@ -15,7 +15,7 @@ from oscillant.catalog import three_wave
 from oscillant.experiments import analyze, run_sweep
 from oscillant.resonance import Phase
 from oscillant.simulate import AmplitudeProfile
-from oscillant.system import write_text_atomic
+from oscillant.system import write_atomic
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
                     workers=int(os.environ.get("OSCILLANT_THREADS", "1")))
 
     os.makedirs(args.out, exist_ok=True)
-    write_text_atomic(os.path.join(args.out, "sweep.csv"), rep.csv())
+    write_atomic(os.path.join(args.out, "sweep.csv"), rep.csv().encode())
     print(rep.csv())
     print(f"t_star ratio spread: {100 * rep.ratio_spread:.1f}%  "
           f"(constant within 25% confirms the sqrt(eps)|log eps| timescale)")

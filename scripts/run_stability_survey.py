@@ -22,7 +22,7 @@ from oscillant import catalog
 from oscillant.experiments import analyze
 from oscillant.numeric import DEFAULT_POLICY, InputError, NumericalError, NumericPolicy
 from oscillant.resonance import Phase
-from oscillant.system import write_text_atomic
+from oscillant.system import write_atomic
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
         sr = result.stability
         rows.append((name, sr.verdict, sr.gamma_index, sr.gamma, sr.t0, sr.k0))
         path = os.path.join(args.out, f"{name}.json")
-        write_text_atomic(path, json.dumps(sr.to_dict(), indent=1, sort_keys=True) + "\n")
+        write_atomic(path, (json.dumps(sr.to_dict(), indent=1, sort_keys=True) + "\n").encode())
 
     sensitivity = io.StringIO()
     table = csv.writer(sensitivity, lineterminator="\n")
@@ -63,7 +63,7 @@ def main():
                 flipped = verdict != stock
                 flips += flipped
                 table.writerow([name, f.name, factor, verdict, int(flipped)])
-    write_text_atomic(os.path.join(args.out, "sensitivity.csv"), sensitivity.getvalue())
+    write_atomic(os.path.join(args.out, "sensitivity.csv"), sensitivity.getvalue().encode())
 
     print(f"{'system':24s} {'verdict':24s} {'index':>12s} {'gamma':>10s} "
           f"{'T0':>8s} {'K0':>6s}")

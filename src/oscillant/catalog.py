@@ -91,6 +91,8 @@ def _block_diag(a, b):
 def _kg_pair(d, theta0, mass_u, mass_v):
     """Blocks u (speed 1) and v (speed theta0) side by side: N, A0, the
     transport matrices and the indices of u2, u3, v2, v3."""
+    if d not in (1, 2):   # checked before B's triplets index the blocks
+        raise InputError(f"--d {d}: spatial dimension must be 1 or 2")
     (Au, Lu), (Av, Lv) = _kg_blocks(d, 1.0, mass_u), _kg_blocks(d, theta0, mass_v)
     n = d + 2
     return (2 * n, _block_diag(Lu, Lv), tuple(_block_diag(a, b) for a, b in zip(Au, Av)),
@@ -289,10 +291,15 @@ def with_stock_phase(spec: SystemSpec) -> SystemSpec:
         return spec
     w0, th0, a0 = p["omega0"], p["theta0"], p.get("alpha0", 1.0)
     k[0] = 1.0
-    if a0 > 1:
-        return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + th0 ** 2), k),
-                       k_bound=float(np.sqrt((a0 ** 2 - 1) * w0 ** 2 / th0 ** 2)))
-    return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + 1.0), k))
+    try:
+        if a0 > 1:
+            return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + th0 ** 2), k),
+                           k_bound=float(np.sqrt((a0 ** 2 - 1) * w0 ** 2 / th0 ** 2)))
+        return replace(spec, phase=Phase(np.sqrt(w0 ** 2 + 1.0), k))
+    except (OverflowError, ZeroDivisionError):
+        named = ", ".join(f"--{key} {p[key]:g}" for key in ("omega0", "theta0", "alpha0") if key in p)
+        raise InputError(f"{named}: the stock phase squares them, and a square overflows "
+                         "or vanishes") from None
 
 
 def reference_polarization(spec: SystemSpec, phase: Phase) -> np.ndarray:

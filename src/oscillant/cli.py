@@ -19,8 +19,8 @@ from .experiments import (analyze, flow_bound_experiment, report_inputs, run_sim
                           run_sweep, system_phase)
 from .interaction import polarization_vectors
 from .numeric import InputError, NumericalError, fit_epsilons
-from .simulate import AmplitudeProfile
-from .system import Phase, SystemSpec, load_spec, save_spec, write_text_atomic
+from .simulate import AmplitudeProfile, snapshot_bytes
+from .system import Phase, SystemSpec, load_spec, save_spec, write_atomic
 from .wkb import solve_transport, weak_transparency_check, consistency_residual
 
 
@@ -136,19 +136,27 @@ def _analysis(args, window=None, **inputs):
                    inputs=report_inputs(spec.d, amplitude, **inputs)), amplitude
 
 
+def _make_dir(path):
+    """Make the output directory ``path`` if missing; a path through a file exits 2."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the output directory {path}: {exc.strerror}") from None
+
+
 def _json_dump(doc, path):
-    write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode())
 
 
 def cmd_analyze(args):
     window = (-args.window, args.window) if args.window else None
     result, _ = _analysis(args, window, K=args.K, K_a=args.Ka, h=args.h)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     _json_dump(result.resonances.to_dict(), os.path.join(args.out, "resonance_report.json"))
     doc, path = result.stability.to_dict(), os.path.join(args.out, f"stability_report.{args.format}")
     if args.format == "csv":
         flat = [f"{k},{v}" for k, v in sorted(doc.items()) if not isinstance(v, (dict, list))]
-        write_text_atomic(path, "key,value\n" + "\n".join(flat) + "\n")
+        write_atomic(path, ("key,value\n" + "\n".join(flat) + "\n").encode())
     else:
         _json_dump(doc, path)
     print(f"verdict: {result.stability.verdict}  Gamma_index: {result.stability.gamma_index:.6g}")
@@ -162,10 +170,10 @@ def cmd_analyze(args):
 def cmd_flow(args):
     result, amplitude = _analysis(args, h=args.h)
     rep = flow_bound_experiment(result, args.epsilons, T=args.T, h=args.h, amplitude=amplitude)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     # the bound's trajectory at the amplitude center and the root xi0, per epsilon
     for eps, traj in rep.trajectories.items():
-        write_text_atomic(os.path.join(args.out, f"trajectory_eps{eps!r}.csv"), traj.csv())
+        write_atomic(os.path.join(args.out, f"trajectory_eps{eps!r}.csv"), traj.csv().encode())
     doc = {"epsilons": [float(e) for e in rep.epsilons], "Q": [float(q) for q in rep.Q],
            "fitted_exponent": rep.fitted_exponent, "passed": bool(rep.passed),
            "away_sup": rep.away_sup, "away_passed": rep.away_passed,
@@ -185,14 +193,12 @@ def cmd_simulate(args):
     run = run_simulation(result.spec, args.epsilon, analysis=result, K=args.K,
                          K_prime=args.Kprime, grid_points=args.grid,
                          t_end=args.tend, amplitude=amplitude)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     path = os.path.join(args.out, "run.csv")
-    write_text_atomic(path, run.csv())
+    write_atomic(path, run.csv().encode())
     if args.snapshot:
-        from .simulate import snapshot_bytes
-        blob = snapshot_bytes(run.final_state, run.config, float(run.times[-1]))
-        with open(os.path.join(args.out, "final_state.bin"), "wb") as f:
-            f.write(blob)
+        write_atomic(os.path.join(args.out, "final_state.bin"),
+                     snapshot_bytes(run.final_state, run.config, float(run.times[-1])))
     print(f"verdict: {run.verdict}  fitted_rate: {run.fitted_rate:.6g}  "
           f"t_star: {run.t_star:.6g}")
     print(f"dt_used: {run.dt_used:.6g}  halvings: {run.halvings}")
@@ -205,9 +211,9 @@ def cmd_sweep(args):
     rep = run_sweep(result.spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
                     grid_points=args.grid, amplitude=amplitude,
                     T_obs=args.T, rho=args.rho, workers=_thread_cap())
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     path = os.path.join(args.out, "sweep.csv")
-    write_text_atomic(path, rep.csv())
+    write_atomic(path, rep.csv().encode())
     doc = {"ratio_spread": rep.ratio_spread, "rate_spread": rep.rate_spread,
            "flags": rep.flags}
     _json_dump(doc, os.path.join(args.out, "scaling_report.json"))

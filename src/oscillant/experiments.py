@@ -280,16 +280,15 @@ def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None,
 
 def run_sweep(spec: SystemSpec, epsilons, analysis: Analysis = None,
               amplitude: AmplitudeProfile = None, workers=1, K=3.0, **cfg_kw) -> SweepReport:
-    """An epsilon sweep; ``analysis`` defaults as in :func:`run_simulation`."""
+    """:func:`run_simulation` across epsilons, the law read in the runs' reduced clock;
+    a system's ``time_factor_power`` tf (Brillouin's 1) then sets the clock of the
+    reported t_stars (times eps^(tf - 1/2)) and rates (over it)."""
     amplitude = amplitude or AmplitudeProfile()
     analysis = analysis or analyze(spec, inputs=report_inputs(spec.d, amplitude, K=K))
+    rep = epsilon_sweep(lambda eps: run_simulation(spec, eps, analysis, amplitude, K, **cfg_kw),
+                        epsilons, workers=workers)
     tf = spec.params.get("time_factor_power", 0.5)
-
-    def cfg_factory(eps):
-        return simulation_config(spec, analysis, eps, amplitude=amplitude, K=K, **cfg_kw)
-
-    def ref_factory(eps):
-        return reference_solution(analysis, amplitude, eps)
-
-    return epsilon_sweep(cfg_factory, ref_factory, epsilons, time_factor_power=tf,
-                         workers=workers)
+    # scalar powers: an array's ** 0.5 is np.sqrt, which can differ from pow in the last bit
+    clock = np.array([eps ** (tf - 0.5) for eps in rep.epsilons])
+    rep.t_stars, rep.rates = rep.t_stars * clock, rep.rates / clock
+    return rep

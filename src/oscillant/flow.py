@@ -37,6 +37,10 @@ GROWTH_EXPONENT_CAP = 8.0
 AWAY_CAP = 10.0
 # largest step exponent dt |K(tau)| / sqrt(eps) the integrator accepts at its first step
 STEP_EXPONENT_CAP = 0.1
+# largest stack of (2N x 2N) complex step matrices a trajectory may take, the dense
+# path's (the closed form's coefficients take less): a default kg-equal trajectory
+# takes at most 5,600 steps, 13 MB
+MAX_STEP_BYTES = 2 ** 30
 
 
 def expm(A):
@@ -223,13 +227,22 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     their coefficients (one (blocks, 64) x (64, 8) product a step), each block then
     expanded once.  tr K is imaginary, so the Liouville defect |sum log |det P||
     checks the steps; a block, unlike the full product, stays well conditioned.
+    A step count that is not finite, or whose step matrices would pass
+    ``MAX_STEP_BYTES``, raises :class:`InputError` before any is formed.
     """
     se = np.sqrt(m.epsilon)
     limit = largest_step(m, tau)
     if dt > limit * (1.0 + 1e-11):
         raise InputError(f"time step too large: need dt <= {limit:.3e}")
 
-    n_steps = int(np.ceil((t_end - tau) / dt))
+    with np.errstate(over="ignore"):
+        steps = (t_end - tau) / dt
+        need = steps * 16 * (2 * m.N) ** 2
+    if not need <= MAX_STEP_BYTES:   # nan fails too
+        raise InputError(f"the flow needs {steps:.3g} steps of dt {dt:.3g} to t = {t_end:.3g}, "
+                         f"{need / 2 ** 20:.3g} MiB of step matrices, over the "
+                         f"{MAX_STEP_BYTES / 2 ** 20:g} MiB limit")
+    n_steps = int(np.ceil(steps))
     dt = (t_end - tau) / n_steps
     sample_every = max(1, n_steps // samples)
     # step ends accumulated one step at a time, t_{k+1} = t_k + dt

@@ -33,6 +33,9 @@ from .system import SystemSpec
 
 # deviation samples recorded over a run, after the initial one
 RUN_SAMPLES = 400
+# largest step estimate t_end / dt a run may take: the stock kg-equal run at
+# eps = 1e-2 takes about 1,830
+MAX_RUN_STEPS = 10 ** 6
 # Fourier modes per chunk of the stepper's eigendecomposition and propagator
 # build: bounds their temporaries, not the arrays they fill
 MODE_CHUNK = 512
@@ -270,7 +273,8 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     at (xi0 + k)/eps, pointing along e0.  The run evolves a real field from the
     real part of the perturbed datum.  Integration runs to
     ``min(T_obs, user T) sqrt(eps) |log eps|`` with the nonlinear-step bound
-    on dt, halving adaptively (at most 20 times) before declaring blow-up.
+    on dt, halving adaptively (at most 20 times) before declaring blow-up; a run
+    estimated at more than ``MAX_RUN_STEPS`` steps raises :class:`InputError`.
     """
     config.check_resolution()
     spec = config.spec
@@ -303,6 +307,11 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     sup = _sup(u)
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12)
     dt = min(dt, t_end / 16)
+    with np.errstate(over="ignore", divide="ignore"):
+        steps = t_end / dt
+    if not steps <= MAX_RUN_STEPS:   # nan fails too
+        raise InputError(f"the run needs about {steps:.3g} steps of dt {dt:.3g} to "
+                         f"t_end {t_end:.3g}, over the limit of {MAX_RUN_STEPS:.0e}")
 
     stepper = _Stepper(spec, eps, x)
     u_hat = stepper.spectrum(u)
@@ -383,10 +392,10 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
 @dataclass
 class SweepReport:
     epsilons: np.ndarray
-    t_stars: np.ndarray
+    t_stars: np.ndarray           # t_stars and rates: in the system's own clock
     rates: np.ndarray
-    t_star_ratios: np.ndarray     # t_star / (sqrt(eps) |log eps|)
-    rate_scaled: np.ndarray       # fitted_rate * sqrt(eps)
+    t_star_ratios: np.ndarray     # t_star / (sqrt(eps) |log eps|), the reduced clock's
+    rate_scaled: np.ndarray       # fitted_rate * sqrt(eps), the reduced clock's
     ratio_spread: float           # max/min - 1 over finite ratios
     rate_spread: float
     flags: list
@@ -399,42 +408,27 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def epsilon_sweep(config_factory, reference_factory, epsilons, time_factor_power=0.5,
-                  workers=1) -> SweepReport:
-    """Run the experiment across epsilons and test the amplification scaling.
+def epsilon_sweep(run, epsilons, workers=1) -> SweepReport:
+    """``run(eps)`` across epsilons, and the amplification law in the reduced clock.
 
     ``t_star / (sqrt(eps) |log eps|)`` should be constant across the sweep for
     an unstable system, and ``fitted_rate * sqrt(eps)`` should be constant;
     their relative spreads are reported, over three distinct epsilons or more,
-    none repeated.  Systems carrying a singular scaling
-    record their times multiplied by eps^(time_factor_power - 1/2).  Runs are
-    independent; ``workers`` > 1 executes them in a thread pool (results are
-    ordered by epsilon regardless).
+    none repeated.  Runs are independent; ``workers`` > 1 executes them in a
+    thread pool (results are ordered by epsilon regardless).
     """
     epsilons = fit_epsilons(epsilons, 3, "a sweep")
-
-    def one(eps):
-        return run_instability_experiment(config_factory(eps), reference_factory(eps))
-
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one, epsilons))
+            runs = list(pool.map(run, epsilons))
     else:
-        runs = [one(eps) for eps in epsilons]
+        runs = [run(eps) for eps in epsilons]
 
-    t_stars, rates, flags = [], [], []
-    for eps, run in zip(epsilons, runs):
-        extra = eps ** (time_factor_power - 0.5)
-        t_stars.append(run.t_star * extra)
-        rates.append(run.fitted_rate / extra if extra > 0 else run.fitted_rate)
-        if run.verdict != "completed":
-            flags.append((float(eps), run.verdict))
-    t_stars = np.array(t_stars)
-    rates = np.array(rates)
-    denom = np.array([np.sqrt(e) * abs(np.log(e)) * e ** (time_factor_power - 0.5)
-                      for e in epsilons])
-    ratios = t_stars / denom
+    t_stars = np.array([r.t_star for r in runs])
+    rates = np.array([r.fitted_rate for r in runs])
+    flags = [(float(eps), r.verdict) for eps, r in zip(epsilons, runs) if r.verdict != "completed"]
+    ratios = t_stars / (np.sqrt(epsilons) * np.abs(np.log(epsilons)))
     scaled = rates * np.sqrt(epsilons)
     finite = np.isfinite(ratios)
     ratio_spread = float(ratios[finite].max() / ratios[finite].min() - 1.0) if finite.any() else np.inf

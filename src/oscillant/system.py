@@ -227,7 +227,7 @@ def spec_from_dict(doc: dict) -> SystemSpec:
 
 def save_spec(spec: SystemSpec, path: str) -> None:
     """Write a system file atomically (temp file + rename)."""
-    write_text_atomic(path, json.dumps(spec_to_dict(spec), indent=1) + "\n")
+    write_atomic(path, (json.dumps(spec_to_dict(spec), indent=1) + "\n").encode())
 
 
 def load_spec(path: str) -> SystemSpec:
@@ -248,15 +248,21 @@ def load_spec(path: str) -> SystemSpec:
         raise InputError(f"system file {path}: {exc}") from None
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-oscillant-")
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it over ``path``.
+    A path that cannot be written (a missing directory, a directory) raises
+    :class:`InputError` naming it, and leaves no temporary file."""
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-oscillant-")
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
         raise

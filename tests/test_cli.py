@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -218,6 +219,69 @@ def test_simulate_writes_csv(tmp_path, capsys):
     # the step report goes to stdout only
     assert re.search(r"^dt_used: \S+  halvings: \d+$", capsys.readouterr().out, re.M)
     assert sorted(p.name for p in out.iterdir()) == ["run.csv"]
+
+
+def _sweep(cid, out):
+    """The sweep.csv columns and the scaling_report.json of a stock sweep at width 2."""
+    assert _run(["sweep", "--system", f"catalog:{cid}", "--width", "2", "--out", str(out)]) == 0
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    return ({key: np.array([float(r[key]) for r in rows]) for key in rows[0]},
+            json.loads((out / "scaling_report.json").read_text()))
+
+
+def test_sweep_reads_the_law_in_the_reduced_clock(tmp_path):
+    # Brillouin is three-wave run in a clock eps^(1/2) slower: its t_star and rate
+    # columns carry that clock, and the law (the ratio and scaled-rate columns and
+    # both spreads) is three-wave's
+    tw, tw_doc = _sweep("three-wave", tmp_path / "tw")
+    br, br_doc = _sweep("brillouin", tmp_path / "br")
+    assert br_doc["rate_spread"] == tw_doc["rate_spread"] <= 0.15
+    assert br_doc == tw_doc and not tw_doc["flags"]
+    assert np.array_equal(br["rate_scaled"], tw["rate_scaled"])
+    assert np.array_equal(br["t_star_ratio"], tw["t_star_ratio"])
+    clock = np.sqrt(tw["epsilon"])
+    assert br["t_star"] == pytest.approx(tw["t_star"] * clock, rel=1e-10)
+    assert br["fitted_rate"] == pytest.approx(tw["fitted_rate"] / clock, rel=1e-10)
+
+
+def test_analyze_csv_format_flattens_the_json_report(tmp_path):
+    for fmt in ("json", "csv"):
+        assert _run(["analyze", "--system", "catalog:kg-equal", "--format", fmt,
+                     "--out", str(tmp_path / fmt)]) == 0
+    doc = json.loads((tmp_path / "json" / "stability_report.json").read_text())
+    lines = (tmp_path / "csv" / "stability_report.csv").read_text().splitlines()
+    assert lines[0] == "key,value"
+    assert [line.split(",", 1) for line in lines[1:]] == \
+        [[k, str(v)] for k, v in sorted(doc.items()) if not isinstance(v, (dict, list))]
+    assert (tmp_path / "csv" / "resonance_report.json").read_bytes() == \
+        (tmp_path / "json" / "resonance_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, named", [
+    # step counts past the guards' limits, refused before any step is formed
+    (["flow", "--system", "catalog:kg-equal", "--T", "1e308"], "the flow needs inf steps"),
+    (["flow", "--system", "catalog:kg-equal", "--h", "1e308"], "the flow needs nan steps"),
+    (["flow", "--system", "catalog:kg-equal", "--T", "1e7"], "MiB of step matrices"),
+    (["simulate", "--system", "catalog:kg-equal", "--epsilon", "1e-2", "--grid", "16384",
+      "--tend", "1e308"], "the run needs about inf steps"),
+    # catalog parameters, named before any system is built on them
+    (["analyze", "--system", "catalog:kg-equal", "--omega0", "1e308"], "--omega0 1e+308"),
+    (["catalog", "emit", "kg-equal", "--d", "-1"], "--d -1"),
+    # output paths that cannot be written
+    (["catalog", "emit", "kg-equal", "--outfile", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+    (["catalog", "emit", "kg-equal", "--outfile", "{tmp}/dir"], "cannot write {tmp}/dir:"),
+    (["analyze", "--system", "catalog:three-wave", "--out", "{tmp}/file/sub"], "{tmp}/file/sub"),
+])
+def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    if "--out" not in argv and argv[0] != "catalog":
+        argv = argv + ["--out", "{tmp}/out"]
+    assert _run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert named.replace("{tmp}", str(tmp_path)) in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]   # no output, no temporary file
 
 
 def test_wkb_check_transparency():

@@ -146,6 +146,17 @@ def test_bounded_verdicts(kg_analysis, three_wave_analysis):
     assert three_wave_analysis().resonances.bounded_verdict == "bounded"
 
 
+def test_equal_speeds_leave_the_resonant_set_undetermined():
+    # a Klein-Gordon pair whose blocks share speed 1: branches of the two blocks keep
+    # coinciding slopes at infinity, so boundedness is not certified
+    from oscillant.catalog import _kg_pair
+    N, A0, Aj, (iu2, iu3, iv2, iv3) = _kg_pair(1, 1.0, 1.7, 1.0)
+    spec = SystemSpec("kg-equal-speeds", N, 1, A0, Aj, BilinearMap(N, ((iu2, iu3, iv3, 0.5),)))
+    field = eigendecompose_field(spec, uniform_grid(((-9.0, 9.0),), (256,)))
+    rep = find_resonances(field, Phase(np.sqrt(2.0), [1.0]), window=((-8.0, 8.0),))
+    assert rep.coinciding_slope_pairs and rep.bounded_verdict == "undetermined"
+
+
 def test_mll_not_bounded():
     assert mll_boundedness_verdict() in ("unbounded-at-infinity", "undetermined")
 

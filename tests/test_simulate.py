@@ -356,7 +356,7 @@ def test_sweep_needs_three_distinct_epsilons():
     # refused before any run: a repeat would weigh its epsilon twice in the spreads
     for epsilons in ([1e-2, 1e-3], [1e-2, 1e-3, 1e-2]):
         with pytest.raises(InputError, match="three distinct epsilons or more, none repeated"):
-            epsilon_sweep(None, None, epsilons)
+            epsilon_sweep(None, epsilons)
 
 
 def test_brillouin_scaling_carries_time_factor():
