@@ -168,6 +168,13 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
     takes fewer than 200); the report keeps, at each epsilon, the one at the
     amplitude center and the root xi0.
     """
+    # an overflowed cutoff edge or horizon would reach the step guard as nan or inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not np.isfinite(4 * h):
+            raise InputError(f"--h {h:g}: the cutoff edge 4h is not finite")
+        for eps in epsilons:
+            if not np.isfinite(T * abs(np.log(eps))):
+                raise InputError(f"--T {T:g}: the horizon T |log eps| is not finite at eps {eps:g}")
     sr = analysis.stability
     amplitude = amplitude or AmplitudeProfile()
     if sr.selected_pair is None:

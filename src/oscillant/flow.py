@@ -180,11 +180,16 @@ def rank_one_exponentials(m: InteractionMatrix, g, dt) -> np.ndarray:
     a = dt * m.chi1 * (m.mu1 - m.mu2) / (2 * np.sqrt(m.epsilon))
     r = (dt * np.abs(g)) ** 2
     # C[alpha, z], S[alpha, z] term by term: z^k gives sum_j alpha^j z^(k-1-j), so nothing
-    # cancels, z = alpha (nilpotent coupling) is no special case; exact for |z| <= 4
+    # cancels, z = alpha (nilpotent coupling) is no special case; exact for |z| <= 4 in
+    # 16 terms.  There the terms decrease, so once one changes no bit of c1 or s1 at any
+    # step, none after it would: the sums stop there.
     z = r * np.trace(m.b12 @ m.b21) - a * a
     c1, s1, h, p = 0.0, 0.0, np.ones_like(z), 1.0
     for k in range(1, 17):
-        c1, s1 = c1 + h / math.factorial(2 * k), s1 + h / math.factorial(2 * k + 1)
+        c2, s2 = c1 + h / math.factorial(2 * k), s1 + h / math.factorial(2 * k + 1)
+        if np.array_equal(c2, c1) and np.array_equal(s2, s1):
+            break
+        c1, s1 = c2, s2
         p = -a * a * p
         h = z * h + p
     c0, s0 = np.cos(a), np.sinc(a / np.pi)      # C(alpha), S(alpha)

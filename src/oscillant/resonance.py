@@ -351,16 +351,14 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
 def separation_check(report: ResonanceReport, pair, k, cell_size):
     """Distance test (R_pair + q k) vs R_other for |q| <= 1: True when every other
     resonant pair keeps a distance greater than cell_size."""
-    sel = report.pairs[pair]
-    sel_roots = [np.atleast_1d(r) for r in sel.roots]
+    # (q, root) rows of R_pair + q k, against each other pair's roots at once
+    shifted = np.array([np.atleast_1d(r) + q * np.atleast_1d(k)
+                        for q in (-1, 0, 1) for r in report.pairs[pair].roots])
     ok = {}
     for other, pr in report.pairs.items():
         if other == pair or pr.auto or not pr.roots:
             continue
-        dmin = np.inf
-        for q in (-1, 0, 1):
-            for r in sel_roots:
-                for s in pr.roots:
-                    dmin = min(dmin, float(np.linalg.norm(r + q * np.atleast_1d(k) - np.atleast_1d(s))))
-        ok[other] = bool(dmin > cell_size)
+        others = np.array([np.atleast_1d(s) for s in pr.roots])
+        dist = np.linalg.norm(shifted.reshape(-1, 1, others.shape[1]) - others, axis=-1)
+        ok[other] = bool(dist.min(initial=np.inf) > cell_size)
     return ok

@@ -12,14 +12,21 @@ against the predicted amplification times, at most every t_end / RUN_SAMPLES:
 the stock runs' steps are longer, so every step records a sample, which reads
 sup|u| and sup|dev| as max(max, -min), with no |.| formed.
 
-The half-step propagator is cached per step size with its nonzero entries, the
-only ones a half-step multiplies; it and the eigendecomposition are built a
-chunk of modes at a time, into arrays of their final size.  A step starts from
-the spectrum the last one ended with (three transforms, not four) and
-overwrites it; its transforms, RK4 stages and source evaluations write into a
-workspace allocated once per run, as the deviation samples do.  Half-steps are
-not fused across steps: the dt-halving test reads sup|u| in x after each step,
-so fusing saves no transform.
+The stepper stores each (row, column) entry of the eigenvectors that is
+nonzero at some mode as its own array over the modes (24 of 36 on kg-equal, 5 of
+9 on three-wave), and the half-step propagator, cached per step size, the same
+way on the entries a product of those entries can make nonzero (18 of 36 and 3
+of 9), the only ones a half-step multiplies.  The eigendecomposition and each
+propagator are built a chunk of modes at a time, a propagator from its chunk's
+dense eigenvectors.  A step starts from the spectrum the last one ended with
+(three transforms, not four) and overwrites it; its transforms, RK4 stages and
+source evaluations write into a workspace allocated once per run, which also
+holds the datum and, between steps, the deviation samples.  The datum's
+complex temporaries are freed before the stepper is built, so a kg-equal run
+peaks at about 795 bytes per grid point (tracemalloc), the reference's
+per-sample arrays included.  Half-steps are not fused across steps: the
+dt-halving test reads sup|u| in x after each step, so fusing saves no
+transform.
 """
 from __future__ import annotations
 
@@ -150,7 +157,12 @@ class _Stepper:
     """Strang splitting of a real field with exact linear half-steps per mode of
     its ``rfft`` half spectrum, from spectrum to spectrum, in a workspace of one
     spectrum, the state, three RK4 arrays and a spectrum row (see the module
-    docstring)."""
+    docstring).
+
+    ``evecs`` maps each (row, column) of the eigenvectors V that is nonzero at
+    some mode to its values over the modes; an entry left out is 0 at every mode.
+    A propagator stores, the same way, the entries (i, j) with V[i, k] V[j, k]
+    nonzero at some mode and column k: the others are sums of exact zeros."""
 
     def __init__(self, spec: SystemSpec, epsilon: float, x: np.ndarray):
         self.n = n = len(x)
@@ -158,11 +170,20 @@ class _Stepper:
         kappa = 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
         self._chunks = [slice(s, s + MODE_CHUNK) for s in range(0, len(kappa), MODE_CHUNK)]
         # H_eps(kappa) = A0/(i eps) + A(kappa); per-mode unitary update e^{-i dt H}
-        self.evals = np.empty((len(kappa), spec.N))
-        self.evecs = np.empty((len(kappa), spec.N, spec.N), dtype=complex)
+        N = spec.N
+        self.evals = np.empty((len(kappa), N))
+        evecs = {(i, k): np.empty(len(kappa), dtype=complex) for i in range(N) for k in range(N)}
+        reach = np.zeros((N, N), dtype=bool)
         for c in self._chunks:
             Hs = spec.A0[None, :, :] / (1j * epsilon) + kappa[c, None, None] * spec.Aj[0][None, :, :]
-            self.evals[c], self.evecs[c] = np.linalg.eigh(Hs)
+            self.evals[c], V = np.linalg.eigh(Hs)
+            for (i, k), entry in evecs.items():
+                entry[c] = V[:, i, k]
+            nonzero = V != 0
+            reach |= np.einsum("mik,mjk->ij", nonzero, nonzero)
+        self.evecs = {ik: entry for ik, entry in evecs.items() if entry.any()}
+        # the propagator's stored entries, row by row, columns ascending
+        self._rows = [(i, np.flatnonzero(row).tolist()) for i, row in enumerate(reach)]
         self.source = spec.B.scaled(1 / np.sqrt(epsilon))
         self._moved = _runs(self.source.rows)
         self._fixed = _runs([i for i in range(spec.N) if i not in self.source.rows])
@@ -180,26 +201,32 @@ class _Stepper:
         return np.fft.irfft(u_hat, n=self.n, axis=1, out=self._u)
 
     def propagator(self, h):
-        """V e^{-i (h/2) Lambda} V* as an (N, N, modes) array and, per row i, the
-        columns j nonzero for some mode; rebuilt when h changes, a chunk of modes
-        at a time."""
+        """V e^{-i (h/2) Lambda} V* as {(i, j): its values over the modes} on the
+        stored entries; rebuilt when h changes, a chunk of modes at a time from
+        that chunk's dense V."""
         if h != self._h:
             self._prop = None   # released before the new one is formed: peak memory
-            P = np.empty(self.evecs.shape[1:] + (len(self.evals),), dtype=complex)
+            N, modes = self._hat.shape
+            P = {(i, j): np.empty(modes, dtype=complex) for i, js in self._rows for j in js}
             for c in self._chunks:
-                V = self.evecs[c]
+                V = np.zeros((len(self.evals[c]), N, N), dtype=complex)
+                for (i, k), entry in self.evecs.items():
+                    V[:, i, k] = entry[c]
                 ph = np.exp(-1j * (h / 2) * self.evals[c])
-                P[:, :, c] = ((V * ph[:, None, :]) @ V.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
-            self._h, self._prop = h, (P, [np.flatnonzero(row).tolist() for row in np.any(P != 0, axis=2)])
+                # (V ph) @ V^H, V conjugated in place once V ph is formed: peak memory
+                Pc = (V * ph[:, None, :]) @ np.conjugate(V, out=V).transpose(0, 2, 1)
+                for (i, j), entry in P.items():
+                    entry[c] = Pc[:, i, j]
+                del V, Pc   # freed before the next chunk's are formed: peak memory
+            self._h, self._prop = h, P
         return self._prop
 
     def linear_half(self, prop, u_hat, out):
-        """out[i] = sum_j P[i, j] u_hat[j] over the nonzero entries, in j order."""
-        P, columns = prop
-        for i, js in enumerate(columns):
-            np.multiply(P[i, js[0]], u_hat[js[0]], out=out[i])
+        """out[i] = sum_j P[i, j] u_hat[j] over the stored entries, in j order."""
+        for i, js in self._rows:
+            np.multiply(prop[i, js[0]], u_hat[js[0]], out=out[i])
             for j in js[1:]:
-                out[i] += np.multiply(P[i, j], u_hat[j], out=self._row)
+                out[i] += np.multiply(prop[i, j], u_hat[j], out=self._row)
         return out
 
     def nonlinear(self, u, dt):
@@ -263,6 +290,25 @@ def _sup(a) -> float:
     return float(max(a.max(), -a.min()))
 
 
+def _datum(config: SimConfig, reference, perturbation, x) -> np.ndarray:
+    """The real part of the perturbed datum, (N, points); its complex temporaries
+    are freed on return."""
+    u_ref0 = np.asarray(reference(0.0, x))
+    if np.any(np.imag(u_ref0) != 0):
+        raise InputError("the reference datum reference(0, x) has a nonzero imaginary part: "
+                         "the simulator evolves real fields")
+    if perturbation is None:
+        if config.e0 is None:
+            raise InputError("resonant perturbation needs e0 from a stability report")
+        # plateau on |x - center| <= r/2, gone beyond r
+        phi0 = bump_weight(x - config.amplitude.center, config.phi0_radius / 2, config.phi0_radius)
+        osc = np.exp(1j * x * (config.xi0 + config.k) / config.epsilon)
+        pert = config.epsilon ** config.K * np.outer(config.e0, phi0 * osc)
+    else:
+        pert = np.asarray(perturbation(x))
+    return np.real(u_ref0) + np.real(pert)   # the real part of the sum, with no complex sum
+
+
 def run_instability_experiment(config: SimConfig, reference, perturbation=None) -> SimulationRun:
     """Integrate the system from a perturbed reference datum and track deviation.
 
@@ -282,21 +328,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     x = config.x
     dx = config.domain_length / config.grid_points
     ball = np.abs(x - config.amplitude.center) <= config.rho
-
-    u_ref0 = np.asarray(reference(0.0, x))
-    if np.any(np.imag(u_ref0) != 0):
-        raise InputError("the reference datum reference(0, x) has a nonzero imaginary part: "
-                         "the simulator evolves real fields")
-    if perturbation is None:
-        if config.e0 is None:
-            raise InputError("resonant perturbation needs e0 from a stability report")
-        # plateau on |x - center| <= r/2, gone beyond r
-        phi0 = bump_weight(x - config.amplitude.center, config.phi0_radius / 2, config.phi0_radius)
-        osc = np.exp(1j * x * (config.xi0 + config.k) / eps)
-        pert = eps ** config.K * np.outer(config.e0, phi0 * osc)
-    else:
-        pert = np.asarray(perturbation(x))
-    u = (u_ref0 + pert).real
+    datum = _datum(config, reference, perturbation, x)
 
     if config.t_end is not None:
         t_end = config.t_end
@@ -304,7 +336,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         T = config.T_obs if config.T_obs is not None else 2.0
         t_end = T * np.sqrt(eps) * abs(np.log(eps))
     b_norm = spec.B.norm_bound
-    sup = _sup(u)
+    sup = _sup(datum)
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12)
     dt = min(dt, t_end / 16)
     with np.errstate(over="ignore", divide="ignore"):
@@ -314,10 +346,13 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
                          f"t_end {t_end:.3g}, over the limit of {MAX_RUN_STEPS:.0e}")
 
     stepper = _Stepper(spec, eps, x)
+    u = stepper._u
+    np.copyto(u, datum)
+    del datum
     u_hat = stepper.spectrum(u)
     sample_dt = t_end / RUN_SAMPLES
     times, n_tot, n_dev, n_ball, s_dev = [], [], [], [], []
-    dev = np.empty(u.shape)
+    dev = stepper._rk4[0]   # an RK4 stage array: free between steps
 
     def record(t, u):
         """Append the norms at t."""

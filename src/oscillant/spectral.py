@@ -463,8 +463,9 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
         raise InputError(f"max radius must be at least {r_min_needed} (100 x spectral radius of A0)")
 
     if field is not None:
-        edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
-        r0, anchor = max(edge[0], 1e-3), (field.vecs[edge[1]], field.labels[edge[1]])
+        reach = field.points @ direction
+        edge = len(reach) - 1 - int(np.argmax(reach[::-1]))   # the last of tied maxima
+        r0, anchor = max(float(reach[edge]), 1e-3), (field.vecs[edge], field.labels[edge])
         multiplicities = field.multiplicities
     else:
         r0, anchor = radii[0], None

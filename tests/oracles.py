@@ -8,6 +8,7 @@ closed-form spectrum, a complex-arithmetic Strang step and a full-state RK4
 for the real-field simulator, the reader of the simulator's state snapshots,
 the conjugation of a system by a rotation, and the one-level lockstep
 bisection the prefetching one must reproduce bit for bit."""
+import math
 import struct
 from dataclasses import dataclass
 
@@ -332,6 +333,24 @@ def flow_spectrum(m: InteractionMatrix):
     mu_m = 0.5j * (mu1 + mu2) - 0.5 * disc
     N = m.N
     return np.array([1j * mu1] * (N - 1) + [1j * mu2] * (N - 1) + [mu_p, mu_m])
+
+
+def rank_one_exponentials_16(m: InteractionMatrix, g, dt) -> np.ndarray:
+    """:func:`oscillant.flow.rank_one_exponentials` with every one of the 16 terms of
+    its divided-difference series summed."""
+    a = dt * m.chi1 * (m.mu1 - m.mu2) / (2 * np.sqrt(m.epsilon))
+    r = (dt * np.abs(g)) ** 2
+    z = r * np.trace(m.b12 @ m.b21) - a * a
+    c1, s1, h, p = 0.0, 0.0, np.ones_like(z), 1.0
+    for k in range(1, 17):
+        c1, s1 = c1 + h / math.factorial(2 * k), s1 + h / math.factorial(2 * k + 1)
+        p = -a * a * p
+        h = z * h + p
+    c0, s0 = np.cos(a), np.sinc(a / np.pi)
+    x, y, dg = r * c1, r * s1, dt * g
+    return np.stack(np.broadcast_arrays(c0 - 1j * a * s0, x - 1j * a * y, dg * s0, dg * y,
+                                        np.conj(dg) * s0, np.conj(dg) * y,
+                                        c0 + 1j * a * s0, x + 1j * a * y), axis=1)
 
 
 def complex_strang_step(spec, eps, x):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,9 +260,10 @@ def test_analyze_csv_format_flattens_the_json_report(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
+    # a horizon or cutoff edge that overflows, named before any flow is formed
+    (["flow", "--system", "catalog:kg-equal", "--T", "1e308"], "input error: --T 1e+308:"),
+    (["flow", "--system", "catalog:kg-equal", "--h", "1e308"], "input error: --h 1e+308:"),
     # step counts past the guards' limits, refused before any step is formed
-    (["flow", "--system", "catalog:kg-equal", "--T", "1e308"], "the flow needs inf steps"),
-    (["flow", "--system", "catalog:kg-equal", "--h", "1e308"], "the flow needs nan steps"),
     (["flow", "--system", "catalog:kg-equal", "--T", "1e7"], "MiB of step matrices"),
     (["simulate", "--system", "catalog:kg-equal", "--epsilon", "1e-2", "--grid", "16384",
       "--tend", "1e308"], "the run needs about inf steps"),
@@ -278,7 +280,10 @@ def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     (tmp_path / "dir").mkdir()
     if "--out" not in argv and argv[0] != "catalog":
         argv = argv + ["--out", "{tmp}/out"]
-    assert _run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert named.replace("{tmp}", str(tmp_path)) in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["dir", "file"]   # no output, no temporary file

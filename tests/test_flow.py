@@ -11,7 +11,8 @@ from oscillant.interaction import pair_coefficients_at, unstable_datum_direction
 from oscillant.numeric import InputError, NumericalError, bump_weight, supnorm
 
 from conftest import assert_close
-from oracles import flow_spectrum, kg_omega_vec, three_wave_branch_map
+from oracles import (flow_spectrum, kg_omega_vec, rank_one_exponentials_16,
+                     three_wave_branch_map)
 
 
 def spectrum_match_error(a, b):
@@ -213,7 +214,8 @@ def test_liouville_check_catches_one_bad_factor(monkeypatch, bad):
 @pytest.mark.parametrize("detuning", [0.0, 0.05, 1.8])
 def test_rank_one_exponentials_match_expm(tau, detuning):
     # b12 = u v^T, b21 = w z^T with tr(b12 b21) = (v.w)(z.u) set to tau; tau = 0
-    # with b12 b21 != 0 is the nilpotent case.  detuning is the step's a.
+    # with b12 b21 != 0 is the nilpotent case.  detuning is the step's a.  The series
+    # stops at the first term that changes no bit: its coefficients are all 16 terms'.
     rng = np.random.default_rng(11)
     dt, g = 0.7, np.array([1.0, 0.6 - 0.3j, 1.2j])
     for N in (1, 2, 4):
@@ -231,7 +233,9 @@ def test_rank_one_exponentials_match_expm(tau, detuning):
         assert abs(dt ** 2 * np.trace(m.b12 @ m.b21) - tau) <= 1e-14 + 1e-6 * tau
         if tau == 0.0 and N > 1:
             assert supnorm(m.b12 @ m.b21) > 1e-3
-        closed = rank_one_exponentials(m, g, dt) @ rank_one_basis(m).reshape(8, -1)
+        coefficients = rank_one_exponentials(m, g, dt)
+        assert np.array_equal(coefficients, rank_one_exponentials_16(m, g, dt))
+        closed = coefficients @ rank_one_basis(m).reshape(8, -1)
         dense = _dense_exponentials(m, [0, 1, 2], dt).reshape(3, -1)
         assert np.abs(closed - dense).max() <= 1e-13 * max(supnorm(F) for F in dense)
 
