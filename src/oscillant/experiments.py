@@ -111,7 +111,7 @@ def _pair_sample(analysis: Analysis, xi):
     branches' eigenvalues."""
     i, j = analysis.stability.selected_pair
     pb = _PairBatch(analysis.field, analysis.phase, xi)
-    bp, bm, _ = pb.coupling(i, j, _sources(analysis.field, analysis.pol)[0])
+    bp, bm = pb.coupling(i, j, _sources(analysis.field, analysis.pol)[0])
     extra = tuple(float(pb.base.lams[0, b]) for b in range(analysis.field.J) if b not in (i, j))
     return (float(pb.shift.lams[0, i] - analysis.phase.omega), float(pb.base.lams[0, j]),
             bp[0], bm[0], extra)

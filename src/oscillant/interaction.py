@@ -27,7 +27,7 @@ import numpy as np
 from .numeric import InputError, NumericalError, numerical_rank, supnorm
 from .resonance import (Phase, ResonanceReport, _PairBatch, harmonic, harmonic_matrix,
                         separation_check)
-from .spectral import SpectralField, assemble_symbol
+from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol
 from .system import SystemSpec
 
 # phase bands h/2 <= |phase| <= h, widest first, scanned for the off-resonance factorization
@@ -37,6 +37,9 @@ GAMMA_TIE = 1e-8
 # cells of the coarse grid over the window (spread over its axes), and the separation
 # and exceptional-point matching distance: 1/COARSE_CELLS of the window span
 COARSE_CELLS = 256
+# scan points around a pair's roots per batch: their k-shifts and themselves fill one
+# evaluation chunk, which bounds the batch's eigensystems
+SCAN_BATCH = EVAL_CHUNK // 2
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +122,16 @@ def _sources(field: SpectralField, pol: PolarizationVectors):
     return sources, max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
 
 
+def _trace(bp, bm) -> np.ndarray:
+    """tr(b+ b-) of each pair of a stack of coupling matrices."""
+    return np.trace(bp @ bm, axis1=1, axis2=2)
+
+
 def pair_coefficients_at(field: SpectralField, pol: PolarizationVectors, phase: Phase,
                          pair, xi):
     """b+(xi), b-(xi) and their interaction trace at one frequency (exact)."""
-    bp, bm, g = _PairBatch(field, phase, xi).coupling(*pair, _sources(field, pol)[0])
-    return bp[0], bm[0], complex(g[0])
+    bp, bm = _PairBatch(field, phase, xi).coupling(*pair, _sources(field, pol)[0])
+    return bp[0], bm[0], complex(_trace(bp, bm)[0])
 
 
 @dataclass
@@ -156,7 +164,8 @@ def root_couplings(field: SpectralField, pol: PolarizationVectors, phase: Phase,
     for (i, j), pts in roots.items():
         rows = slice(start, start + len(pts))
         start += len(pts)
-        out[(i, j)] = RootCouplings(pts, pb.phase(i, j)[rows], *pb.coupling(i, j, sources, rows))
+        bp, bm = pb.coupling(i, j, sources, rows)
+        out[(i, j)] = RootCouplings(pts, pb.phase(i, j)[rows], bp, bm, _trace(bp, bm))
     return out
 
 
@@ -175,7 +184,7 @@ def _coupling_sup(field, pol, phase, report, pairs) -> float:
     pb = _PairBatch(field, phase, grid[:max(rows.values())])
     best = 0.0
     for (i, j), m in rows.items():
-        bp, bm, _ = pb.coupling(i, j, sources, slice(m))
+        bp, bm = pb.coupling(i, j, sources, slice(m))
         best = max(best, supnorm(bp).max(), supnorm(bm).max())
     return float(best)
 
@@ -199,15 +208,16 @@ class TransparencyDiagnostic:
 
 
 def _scan_points(field, phase, roots, offsets):
-    """Pair evaluations, one batch per root: the root shifted by each offset
-    along the diagonal, skipping points whose k-shift leaves the field."""
+    """Pair evaluations of every root shifted by each offset along the
+    diagonal, skipping points whose k-shift leaves the field, SCAN_BATCH
+    points a batch."""
     lo, hi = np.array(field.window).T
-    for r in roots:
-        pts = r + offsets[:, None] * np.ones_like(r) / np.sqrt(len(r))
-        inside = (pts >= lo) & (pts <= hi) & (pts + phase.k >= lo) & (pts + phase.k <= hi)
-        pts = pts[np.all(inside, axis=1)]
-        if len(pts):
-            yield _PairBatch(field, phase, pts)
+    d = roots.shape[1]
+    pts = (roots[:, None] + offsets[:, None] * np.ones(d) / np.sqrt(d)).reshape(-1, d)
+    inside = (pts >= lo) & (pts <= hi) & (pts + phase.k >= lo) & (pts + phase.k <= hi)
+    pts = pts[np.all(inside, axis=1)]
+    for s in range(0, len(pts), SCAN_BATCH):
+        yield _PairBatch(field, phase, pts[s:s + SCAN_BATCH])
 
 
 def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -243,7 +253,7 @@ def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Ph
         rows = np.flatnonzero(np.any(in_band, axis=0))
         if not rows.size:
             continue
-        bp, bm, _ = pb.coupling(*pair, sources, rows)
+        bp, bm = pb.coupling(*pair, sources, rows)
         c = np.maximum(supnorm(bp), supnorm(bm))
         for h, band in zip(TRANSPARENCY_BANDS, in_band):
             band = band[rows]
@@ -438,7 +448,7 @@ def _gamma_plus_for_pair(field, pol, phase, pair, roots: RootCouplings, h, a_sup
     for pb in _scan_points(field, phase, roots.points, offsets):
         rows = np.flatnonzero(np.abs(pb.phase(*pair)) <= h)
         if rows.size:
-            g = pb.coupling(*pair, sources, rows)[2]
+            g = _trace(*pb.coupling(*pair, sources, rows))
             best = max(best, float(np.max(np.sqrt(g).real)))
     return a_sup * best
 

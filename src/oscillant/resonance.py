@@ -4,7 +4,9 @@ For a fundamental phase ``(omega, k)`` and a pair of branches ``(i, j)``, the
 resonant set is the zero set of the scalar phase
 ``xi -> lambda_i(xi + k) - lambda_j(xi) - omega``.  Roots are bracketed on the
 field grid and refined by bisection against exact per-point eigenvalues; the
-boundedness of the full resonant set is judged from asymptotic slopes.
+boundedness of the full resonant set is judged from asymptotic slopes.  A
+batch of frequencies is evaluated with its k-shifts in one call, each distinct
+point once (:class:`_PairBatch`).
 
 Whether a harmonic p (omega, k) is characteristic is decided here once: its
 characteristic matrix is diagonalized by :func:`harmonic`, whose kernel mask,
@@ -18,8 +20,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .numeric import InputError, supnorm
-from .spectral import EVAL_CHUNK, SpectralField, assemble_symbol, asymptotic_slopes
+from .spectral import BranchEval, SpectralField, assemble_symbol, asymptotic_slopes
 from .system import Phase, SystemSpec
+
+# midpoints one bisection round may evaluate ahead of its halvings
+BISECT_PREFETCH = 32
 
 
 def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
@@ -117,21 +122,38 @@ class ResonanceReport:
         }
 
 
+def _evaluate_distinct(field: SpectralField, pts) -> BranchEval:
+    """``field.evaluate(pts)``, each distinct point evaluated once (the first
+    of equal points, found by one stable sort), in the order of ``pts``."""
+    order = np.lexsort(pts.T[::-1])
+    ordered = pts[order]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    if first.all():
+        return field.evaluate(pts)
+    reps = order[first]                 # each group's first point, groups in sorted order
+    keep = np.sort(reps)
+    group = np.empty(len(pts), dtype=int)
+    group[order] = np.cumsum(first) - 1
+    return field.evaluate(pts[keep])[np.searchsorted(keep, reps)[group]]
+
+
 class _PairBatch:
     """Branch eigensystems at xi + p k and at xi for a batch of frequencies,
     from one evaluation of the stacked points.
 
     Every branch pair's harmonic-p resonant phase and coupling matrices at the
-    batch are formed from this evaluation.  Points repeated in the stack (all
-    of them when p k = 0) are evaluated once.
+    batch are formed from this evaluation.  Points repeated in the stack are
+    evaluated once; when p k = 0 the frequencies are evaluated once for both.
     """
 
     def __init__(self, field: SpectralField, phase: Phase, xis, p=1):
         xis = np.asarray(xis, dtype=float).reshape(-1, field.d)
-        pts, at = np.unique(np.concatenate([xis + p * phase.k, xis]), axis=0,
-                            return_inverse=True)
-        ev = field.evaluate(pts)[at.reshape(-1)]
-        self.shift, self.base = ev[:len(xis)], ev[len(xis):]
+        if np.any(p * phase.k):
+            ev = _evaluate_distinct(field, np.concatenate([xis + p * phase.k, xis]))
+            self.shift, self.base = ev[:len(xis)], ev[len(xis):]
+        else:
+            self.shift = self.base = _evaluate_distinct(field, xis)
         self.offset = p * phase.omega
 
     def phase(self, i, j) -> np.ndarray:
@@ -139,12 +161,10 @@ class _PairBatch:
         return self.shift.lams[:, i] - self.base.lams[:, j] - self.offset
 
     def coupling(self, i, j, sources, rows=slice(None)):
-        """b+ = Pi_i(xi + p k) S+ Pi_j(xi), b- = Pi_j(xi) S- Pi_i(xi + p k) and
-        tr(b+ b-) at the frequencies ``rows``, for ``sources = (S+, S-)``."""
+        """b+ = Pi_i(xi + p k) S+ Pi_j(xi) and b- = Pi_j(xi) S- Pi_i(xi + p k)
+        at the frequencies ``rows``, for ``sources = (S+, S-)``."""
         Pi_i, Pi_j = self.shift[rows].projectors(i), self.base[rows].projectors(j)
-        bp = Pi_i @ sources[0] @ Pi_j
-        bm = Pi_j @ sources[1] @ Pi_i
-        return bp, bm, np.trace(bp @ bm, axis1=1, axis2=2)
+        return Pi_i @ sources[0] @ Pi_j, Pi_j @ sources[1] @ Pi_i
 
 
 def resonance_phase(field: SpectralField, phase: Phase, i: int, j: int, xi) -> float:
@@ -163,17 +183,17 @@ def _bisect(f, a, b, fa, tol=0.0, maxit=200):
     A bracket stops when |f(m)| <= tol at its midpoint m or it has shrunk to
     rounding size; returns the (K, d) final midpoints and their (K,) values.
     Each round evaluates the midpoint tree of every open bracket, as many levels
-    as fit EVAL_CHUNK / 2 midpoints (a pair batch evaluates each at two points),
-    in one call, then walks the levels one halving at a time; past EVAL_CHUNK / 6
-    open brackets, a round is one level.  So is every round with tol > 0: any
-    level may then stop a bracket, and the rest of its tree would be wasted.
+    as fit BISECT_PREFETCH midpoints, in one call, then walks the levels one
+    halving at a time; past BISECT_PREFETCH / 3 open brackets, a round is one
+    level.  So is every round with tol > 0: any level may then stop a bracket,
+    and the rest of its tree would be wasted.
     """
     fa = np.array(fa, dtype=float).reshape(-1)
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     if a.ndim == 1:     # scalar brackets
         a, b = a[:, None], b[:, None]
     m_out, f_out = np.empty_like(a), np.empty(len(fa))
-    live, it, room = np.arange(len(fa)), 0, 1 if tol > 0 else EVAL_CHUNK // 2
+    live, it, room = np.arange(len(fa)), 0, 1 if tol > 0 else BISECT_PREFETCH
 
     def halve(m, fm):
         """One halving of the open brackets at their midpoints m, of values fm: a
@@ -184,7 +204,8 @@ def _bisect(f, a, b, fa, tol=0.0, maxit=200):
         m_out[live[stop]], f_out[live[stop]] = m[stop], fm[stop]
         keep = ~stop
         live, m, fm = live[keep], m[keep], fm[keep]
-        left = fa[live] * fm <= 0
+        with np.errstate(over="ignore"):   # an overflowed product keeps its sign
+            left = fa[live] * fm <= 0
         b[live[left]] = m[left]
         a[live[~left]], fa[live[~left]] = m[~left], fm[~left]
         return keep, left
@@ -257,7 +278,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
     shape = tuple(len(x) for x in xs)
     lam = field.lambdas.reshape(*(len(ax) for ax in field.axes), J)[np.ix_(*sel)]
     nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, d)
-    lam_shift = field.evaluate(nodes + phase.k).lams.reshape(*shape, J)
+    lam_shift = field.eigenvalues(nodes + phase.k).reshape(*shape, J)
     # the phase of every ordered pair at every node, pair axes first
     lam_shift, lam = (np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (lam_shift, lam))
     ph = lam_shift[:, None] - lam[None, :] - phase.omega

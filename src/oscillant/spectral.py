@@ -11,20 +11,24 @@ Every diagonalized point, the field's grid included, is held one way: branch
 eigenvalues, eigenvector columns and a branch label per column; a branch's
 projector is the sum of ``v v*`` over its columns, formed only when asked.
 Points are diagonalized with one stacked ``eigh`` per chunk of ``EVAL_CHUNK``
-(callers pass whole point sets).  Columns are labelled by one overlap score,
-:func:`_overlaps`: :meth:`SpectralField.evaluate` scores them against the
-nearest grid point's labelled columns.  The argmax labels stand when every
-column's best overlap exceeds 1/2, the label counts match the branch
-multiplicities and every eigenvalue cluster carries exactly one branch;
-there they equal what an optimal assignment gives.  Any other point falls
-back to :func:`_assign_columns` (optimal assignment, by the numpy Hungarian
-method :func:`linear_sum_assignment`, plus cluster re-alignment), whose columns
-replace the point's eigenvectors; the module imports no scipy.  A chain of
-points (the field's grid, or a ray for the asymptotic slopes) is labelled by
-:func:`_chain` in one pass over the same chunks: labels carry over from each
-point's predecessor through overlaps with its eigenvalue clusters, and only
-ambiguous transitions are scored against the predecessor's labelled columns.
-A grid whose eigenvectors would exceed ``FIELD_BYTES_LIMIT`` is refused.
+(callers pass whole point sets); what a point gets does not depend on the
+batch or chunk it is evaluated in.  Columns are labelled by one overlap score,
+:func:`_overlaps` (one product with each point's one-hot reference groups):
+:meth:`SpectralField.evaluate` scores them against the nearest grid point's
+labelled columns.  The argmax labels stand when every column's best overlap
+exceeds 1/2, the label counts match the branch multiplicities and every
+eigenvalue cluster carries exactly one branch; there they equal what an
+optimal assignment gives.  Any other point falls back to
+:func:`_assign_columns` (optimal assignment, by the Hungarian method
+:func:`linear_sum_assignment` on Python floats, plus cluster re-alignment),
+whose columns replace the point's eigenvectors; the module imports no scipy.
+A chain of points (the field's grid, or a ray for the asymptotic slopes) is
+labelled by :func:`_chain` in one pass over the same chunks: labels carry over
+from each point's predecessor through overlaps with its eigenvalue clusters,
+a run of points that keep their predecessor's labels is labelled at once, and
+only ambiguous transitions are scored against the predecessor's labelled
+columns.  A grid whose eigenvectors would exceed ``FIELD_BYTES_LIMIT`` is
+refused.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .numeric import InputError, NumericalError, NumericPolicy
 from .system import SystemSpec
 
 # points per stacked eigh; bounds the per-chunk symbol and overlap temporaries
-EVAL_CHUNK = 64
+EVAL_CHUNK = 256
 # eigenvector storage above which eigendecompose_field refuses a grid
 FIELD_BYTES_LIMIT = 2 ** 30
 
@@ -50,11 +54,13 @@ def assemble_symbol(spec: SystemSpec, xi) -> np.ndarray:
 
 
 def _symbols(spec: SystemSpec, points) -> np.ndarray:
-    """Symbols of a (P, d) batch of points, formed as :func:`assemble_symbol` forms one."""
-    T = np.zeros((len(points), spec.N, spec.N))
+    """Symbols of a (P, d) batch of points, formed as :func:`assemble_symbol` forms one
+    (A0/i added last, in place)."""
+    H = np.zeros((len(points), spec.N, spec.N), dtype=complex)
     for c, a in enumerate(spec.Aj):
-        T += points[:, c, None, None] * a
-    return spec.A0 / 1j + T
+        H.real += points[:, c, None, None] * a
+    H += spec.A0 / 1j
+    return H
 
 
 def _eigh(H):
@@ -68,8 +74,9 @@ def _cluster_ids(evals, H, policy):
     """(P, N) cluster index of each ascending eigenvalue: a gap wider than
     ``degenerate_tol * (1 + max|H|)`` starts a new cluster."""
     tol = policy.degenerate_tol * (1.0 + np.abs(H).max(axis=(1, 2)))
-    gaps = np.diff(evals, axis=1) > tol[:, None]
-    return np.concatenate([np.zeros((len(evals), 1), dtype=int), np.cumsum(gaps, axis=1)], axis=1)
+    cid = np.zeros(evals.shape, dtype=int)
+    np.cumsum(evals[:, 1:] - evals[:, :-1] > tol[:, None], axis=1, out=cid[:, 1:])
+    return cid
 
 
 def _multiplicities(spec, xi):
@@ -79,18 +86,18 @@ def _multiplicities(spec, xi):
     return np.bincount(_cluster_ids(_eigh(H)[0], H, spec.policy)[0])
 
 
-def _unambiguous(best, top, cid, sizes):
+def _unambiguous(best, top, cid, slots):
     """Points whose argmax column labels ``best`` (P, N) stand.
 
-    Every column's best overlap ``top`` exceeds 1/2, label ``k`` holds
-    ``sizes[:, k]`` columns, and the eigenvalue clusters ``cid`` are exactly
+    Every column's best overlap ``top`` exceeds 1/2, the labels sorted are
+    ``slots`` (each label as often as it has columns to fill, ascending; a row
+    per point or one for all), and the eigenvalue clusters ``cid`` are exactly
     the labels (one label per cluster, one cluster per label).  The argmax is
     then the unique optimal assignment.
     """
-    counts = (best[:, :, None] == np.arange(sizes.shape[1])).sum(axis=1)
-    one_label = np.all((cid[:, 1:] != cid[:, :-1]) | (best[:, 1:] == best[:, :-1]), axis=1)
-    return (np.all(top > 0.5, axis=1) & np.all(counts == sizes, axis=1) & one_label
-            & (cid[:, -1] + 1 == np.count_nonzero(sizes, axis=1)))
+    return ((top > 0.5).all(axis=1) & (np.sort(best, axis=1) == slots).all(axis=1)
+            & ((cid[:, 1:] != cid[:, :-1]) | (best[:, 1:] == best[:, :-1])).all(axis=1)
+            & (cid[:, -1] == slots[..., -1]))
 
 
 def _by_branch(labels):
@@ -146,33 +153,46 @@ def _branch_lams(evals, labels, multiplicities):
     """(P, J) mean eigenvalue of each branch's columns."""
     grouped = np.take_along_axis(evals, _by_branch(labels), axis=1)
     bounds = np.cumsum(multiplicities)
-    # np.mean per branch sums in the order _assign_columns does (np.add.reduceat does
-    # not); a lone eigenvalue is its own mean, its zero made positive as np.mean makes it
-    return np.stack([grouped[:, hi - 1] + 0.0 if m == 1 else
-                     np.mean(np.ascontiguousarray(grouped[:, hi - m:hi]), axis=1)
-                     for m, hi in zip(multiplicities, bounds)], axis=1)
+    # a lone eigenvalue is its own mean, its zero made positive as np.mean makes it;
+    # np.mean per shared branch sums in the order _assign_columns does (np.add.reduceat
+    # does not)
+    lams = grouped[:, bounds - 1] + 0.0
+    for j in np.flatnonzero(multiplicities > 1):
+        shared = grouped[:, bounds[j] - multiplicities[j]:bounds[j]]
+        lams[:, j] = np.mean(np.ascontiguousarray(shared), axis=1)
+    return lams
 
 
 def linear_sum_assignment(cost):
     """Minimum-cost assignment of a square matrix, ``(arange(N), cols)`` as the scipy.optimize
-    function of that name returns it: the Hungarian method with potentials, O(N^3)."""
-    n = len(cost)
-    C = np.zeros((n + 1, n + 1))             # row and column 0: the virtual start of a path
-    C[1:, 1:] = cost
-    u, v, match, way = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1, int), np.zeros(n + 1, int)
+    function of that name returns it: the Hungarian method with potentials, O(N^3), on Python
+    floats (N is a system's size; ties go to the first minimal column)."""
+    n, inf = len(cost), float("inf")
+    # row and column 0: the virtual start of a path
+    C = [[0.0] * (n + 1)] + [[0.0] + row for row in np.asarray(cost, dtype=float).tolist()]
+    u, v, match, way = [0.0] * (n + 1), [0.0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    cols = range(n + 1)
     for i in range(1, n + 1):
         match[0], j0 = i, 0                  # match: row of each column (0: free); way: path
-        slack, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        slack, used = [inf] * (n + 1), [False] * (n + 1)
         while match[j0]:                     # grow the shortest path until a free column
             used[j0] = True
-            reduced = C[match[j0]] - u[match[j0]] - v
-            better = ~used & (reduced < slack)
-            slack[better], way[better] = reduced[better], j0
-            j0 = int(np.argmin(np.where(used, np.inf, slack)))
-            delta = slack[j0]
-            u[match[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
+            row, ur = C[match[j0]], u[match[j0]]
+            delta, j1 = inf, 0
+            for j in cols:
+                if not used[j]:
+                    reduced = row[j] - ur - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in cols:
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
         while j0:                            # augment along the path
             match[j0], j0 = match[way[j0]], way[j0]
     return np.arange(n), np.argsort(match[1:])
@@ -193,10 +213,8 @@ def _assign_columns(H, evals, vecs, refs, multiplicities, policy, xi):
     slot_branch = np.repeat(np.arange(J), multiplicities)
     if len(slot_branch) != N:
         raise NumericalError(f"branch multiplicities do not sum to N at xi={xi}")
-    score = np.empty((N, N))
-    for s, j in enumerate(slot_branch):
-        # |Pi_j v|^2 for every eigenvector column v
-        score[s] = np.sum(np.abs(refs[j] @ vecs) ** 2, axis=0)
+    # |Pi_j v|^2 for every eigenvector column v, one row per slot of branch j
+    score = np.sum(np.abs(refs @ vecs) ** 2, axis=1)[slot_branch]
     rows, cols = linear_sum_assignment(-score)
     labels = np.empty(N, dtype=int)
     labels[cols] = slot_branch[rows]
@@ -226,8 +244,10 @@ def _overlaps(ref_vecs, groups, vecs, G):
     """(P, G, N) overlap of each column v of ``vecs`` with each group g of the
     reference columns: the sum of |w* v|^2 over the columns w of ``ref_vecs``
     with ``groups == g``."""
-    ov = np.abs(ref_vecs.conj().swapaxes(1, 2) @ vecs) ** 2    # (P, ref col, col)
-    return np.einsum("mkg,mkc->mgc", groups[:, :, None] == np.arange(G), ov)
+    ov = np.abs(ref_vecs.conj().swapaxes(1, 2) @ vecs)    # (P, ref col, col)
+    ov *= ov
+    one_hot = (groups[:, None, :] == np.arange(G)[:, None]).astype(float)   # (P, G, ref col)
+    return one_hot @ ov
 
 
 def _resolve(H, evals, vecs, ref_vecs, ref_labels, points, multiplicities, policy):
@@ -240,8 +260,9 @@ def _resolve(H, evals, vecs, ref_vecs, ref_labels, points, multiplicities, polic
     """
     score = _overlaps(ref_vecs, ref_labels, vecs, len(multiplicities))
     best = score.argmax(axis=1)
-    sizes = np.broadcast_to(multiplicities, (len(points), len(multiplicities)))
-    ok = _unambiguous(best, score.max(axis=1), _cluster_ids(evals, H, policy), sizes)
+    top = np.take_along_axis(score, best[:, None], axis=1)[:, 0]
+    ok = _unambiguous(best, top, _cluster_ids(evals, H, policy),
+                      np.repeat(np.arange(len(multiplicities)), multiplicities))
     lams = _branch_lams(evals, best, multiplicities)
     for p in np.flatnonzero(~ok):
         refs = _projectors(ref_vecs[p:p + 1], ref_labels[p:p + 1], multiplicities)[0]
@@ -292,10 +313,10 @@ class SpectralField:
         """(P,) flat index of the grid point nearest to each of (P, d) points."""
         idx = []
         for x, ax in zip(points.T, self.axes):
-            i = np.clip(np.searchsorted(ax, x), 0, len(ax) - 1)
+            i = np.minimum(np.searchsorted(ax, x), len(ax) - 1)
             closer = (i > 0) & (np.abs(ax[np.maximum(i - 1, 0)] - x) < np.abs(ax[i] - x))
             idx.append(i - closer)
-        return np.ravel_multi_index(idx, [len(ax) for ax in self.axes])
+        return idx[0] if len(idx) == 1 else np.ravel_multi_index(idx, [len(ax) for ax in self.axes])
 
     # -- exact branch-consistent evaluation -----------------------------------
 
@@ -310,17 +331,36 @@ class SpectralField:
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise InputError(f"points must have shape (P, {self.d})")
         P, N = len(pts), self.spec.N
-        lams, vecs = np.empty((P, self.J)), np.empty((P, N, N), dtype=complex)
-        labels, fallback = np.empty((P, N), dtype=int), np.empty(P, dtype=bool)
+        near = self._nearest_index(pts)
+        if 0 < P <= EVAL_CHUNK:
+            return self._evaluate_chunk(pts, near)
+        out = BranchEval(np.empty((P, self.J)), np.empty((P, N, N), dtype=complex),
+                         np.empty((P, N), dtype=int), self.multiplicities, np.empty(P, dtype=bool))
         for s in range(0, P, EVAL_CHUNK):
             c = slice(s, s + EVAL_CHUNK)
-            H = _symbols(self.spec, pts[c])
-            evals, vecs[c] = _eigh(H)
-            near = self._nearest_index(pts[c])
-            lams[c], labels[c], fallback[c] = _resolve(H, evals, vecs[c], self.vecs[near],
-                                                       self.labels[near], pts[c],
-                                                       self.multiplicities, self.spec.policy)
+            ev = self._evaluate_chunk(pts[c], near[c])
+            out.lams[c], out.vecs[c], out.labels[c], out.fallback[c] = (ev.lams, ev.vecs,
+                                                                        ev.labels, ev.fallback)
+        return out
+
+    def _evaluate_chunk(self, pts, near) -> BranchEval:
+        """:meth:`evaluate` on at most ``EVAL_CHUNK`` points, whose nearest grid
+        points are ``near``."""
+        H = _symbols(self.spec, pts)
+        evals, vecs = _eigh(H)
+        lams, labels, fallback = _resolve(H, evals, vecs, self.vecs[near], self.labels[near], pts,
+                                          self.multiplicities, self.spec.policy)
         return BranchEval(lams, vecs, labels, self.multiplicities, fallback)
+
+    def eigenvalues(self, points) -> np.ndarray:
+        """(P, J) branch eigenvalues at a (P, d) batch of frequencies, by
+        :meth:`evaluate` one chunk at a time: no more than a chunk's
+        eigenvectors are held."""
+        pts = np.asarray(points, dtype=float)
+        lams = np.empty((len(pts), self.J))
+        for s in range(0, len(pts), EVAL_CHUNK):
+            lams[s:s + EVAL_CHUNK] = self.evaluate(pts[s:s + EVAL_CHUNK]).lams
+        return lams
 
     def eigensystem_at(self, xi):
         """Exact eigenvalues/eigenprojectors at xi, labelled by this field's branches.
@@ -345,6 +385,18 @@ def uniform_grid(window, n):
     return tuple(np.linspace(lo, hi, m) for (lo, hi), m in zip(window, n))
 
 
+def _roots(link, kept):
+    """Pointer jumping over chunk-local links: for each point q that keeps its
+    predecessor's labels, the chunk-local index of the first point of its run
+    that does not (negative: a point before the chunk)."""
+    up = link.copy()
+    jump = kept & (up >= 0) & kept[np.maximum(up, 0)]
+    while jump.any():
+        q = np.flatnonzero(jump)
+        up[q], jump[q] = up[up[q]], jump[up[q]]
+    return up
+
+
 def _chain(spec, points, prev, multiplicities, anchor=None):
     """Branch eigenvalues (M, J), eigenvector columns (M, N, N) and column
     labels (M, N) along a chain of points, each continued from its
@@ -354,10 +406,14 @@ def _chain(spec, points, prev, multiplicities, anchor=None):
     against the labelled columns ``anchor = (vecs, labels)`` when given.  A
     transition whose columns each overlap one predecessor eigenvalue cluster
     by more than 1/2, cluster for cluster, carries the predecessor's labels
-    over.  Other points are labelled against the predecessor's labelled
-    columns by :func:`_resolve`, and so are the successors of a point that
-    fell back, whose columns are no eigenvalue clusters.  Chunks are taken in
-    index order; each point is diagonalized once.
+    over: each column takes the label of the cluster it overlaps.  Where each
+    column's cluster is the one at its own position, the labels are kept, and
+    a run of such points is labelled at once from its first point
+    (:func:`_roots`).  The other points are labelled in index order: a carried
+    one through its cluster map, any other (a break) against the
+    predecessor's labelled columns by :func:`_resolve`, and so is the
+    successor of a point that fell back, whose columns are no eigenvalue
+    clusters.  Chunks are taken in index order; each point is diagonalized once.
     """
     M, N, J, policy = len(points), spec.N, len(multiplicities), spec.policy
     lams, vecs = np.empty((M, J)), np.empty((M, N, N), dtype=complex)
@@ -367,19 +423,26 @@ def _chain(spec, points, prev, multiplicities, anchor=None):
         H = _symbols(spec, points[c])
         evals, vecs[c] = _eigh(H)
         cid[c] = _cluster_ids(evals, H, policy)
-        score = _overlaps(vecs[prev[c]], cid[prev[c]], vecs[c], N)   # (C, cluster, col)
-        sizes = (cid[prev[c], :, None] == np.arange(N)).sum(axis=1)
+        ref = cid[prev[c]]
+        score = _overlaps(vecs[prev[c]], ref, vecs[s:s + len(c)], N)   # (C, cluster, col)
         best = score.argmax(axis=1)
-        carry = _unambiguous(best, score.max(axis=1), cid[c], sizes)
-        # each column takes the label of the first column of its predecessor cluster
-        cmap = np.take_along_axis(sizes.cumsum(axis=1) - sizes, best, axis=1)
-        for q, m in enumerate(c):
-            p = prev[m]
+        top = np.take_along_axis(score, best[:, None], axis=1)[:, 0]
+        carry = _unambiguous(best, top, cid[c], ref) & (c > 0) & ~fell[prev[c]]
+        kept = carry & (best == ref).all(axis=1)
+        link = prev[c] - s
+        root = _roots(link, kept)
+        todo, t = np.flatnonzero(~kept).tolist(), 0
+        while t < len(todo):
+            q, t = todo[t], t + 1
+            m, p = s + q, prev[s + q]
             if m == 0 and anchor is None:
                 labels[m] = cid[m]
                 continue
-            if m > 0 and carry[q] and not fell[p]:
-                labels[m] = labels[p][cmap[q]]
+            if m > 0 and link[q] >= 0 and kept[link[q]]:   # p keeps its run's first labels
+                labels[p] = labels[s + root[link[q]]]
+            if carry[q]:
+                # each column takes the label of the first column of the cluster it overlaps
+                labels[m] = labels[p][np.searchsorted(ref[q], best[q])]
                 continue
             ref_vecs, ref_labels = anchor if m == 0 else (vecs[p], labels[p])
             row = slice(q, q + 1)
@@ -387,6 +450,15 @@ def _chain(spec, points, prev, multiplicities, anchor=None):
                                                ref_labels[None], points[m:m + 1],
                                                multiplicities, policy)
             lams[m] = lam[0]
+            kids = carry & (link == q)
+            if fell[m] and kids.any():
+                carry &= ~kids
+                kept &= ~kids
+                todo = sorted(set(todo[t:]).union(np.flatnonzero(kids).tolist()))
+                t = 0
+                root = _roots(link, kept)
+        q = np.flatnonzero(kept)
+        labels[c[q]] = labels[s + root[q]]
         lams[c] = np.where(fell[c, None], lams[c], _branch_lams(evals, labels[c], multiplicities))
     return lams, vecs, labels
 

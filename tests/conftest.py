@@ -21,6 +21,11 @@ def kg_analysis() -> Analysis:
 
 
 @pytest.fixture(scope="session")
+def kg_d2_analysis() -> Analysis:
+    return _memo("kg-equal-d2", lambda: analyze(catalog.kg_equal(d=2), grid_n=13))
+
+
+@pytest.fixture(scope="session")
 def kg_diff_analysis():
     def get(iota):
         return _memo(("kg-diff", iota), lambda: analyze(catalog.kg_diff(iota=iota)))

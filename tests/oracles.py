@@ -6,8 +6,9 @@ symmetrizer basis of a rank-one pair, whose identities the tests check, the
 Klein-Gordon closed-form eigenvectors and coupling scalars, the flow's
 closed-form spectrum, a complex-arithmetic Strang step and a full-state RK4
 for the real-field simulator, the reader of the simulator's state snapshots,
-the conjugation of a system by a rotation, and the one-level lockstep
-bisection the prefetching one must reproduce bit for bit."""
+the conjugation of a system by a rotation, the one-level lockstep
+bisection the prefetching one must reproduce bit for bit, and the numpy
+Hungarian method the Python-float one must reproduce exactly."""
 import math
 import struct
 from dataclasses import dataclass
@@ -450,3 +451,28 @@ def bisect_one_level(f, a, b, fa, tol=0.0, maxit=200):
         m_out[live] = 0.5 * (a[live] + b[live])
         f_out[live] = f(m_out[live], live)
     return m_out, f_out
+
+
+def linear_sum_assignment_numpy(cost):
+    """The Hungarian method with potentials on numpy arrays, ties to the first
+    minimal column (np.argmin): the reference of ``spectral.linear_sum_assignment``."""
+    n = len(cost)
+    C = np.zeros((n + 1, n + 1))
+    C[1:, 1:] = cost
+    u, v, match, way = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1, int), np.zeros(n + 1, int)
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        slack, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while match[j0]:
+            used[j0] = True
+            reduced = C[match[j0]] - u[match[j0]] - v
+            better = ~used & (reduced < slack)
+            slack[better], way[better] = reduced[better], j0
+            j0 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:
+            match[j0], j0 = match[way[j0]], way[j0]
+    return np.arange(n), np.argsort(match[1:])

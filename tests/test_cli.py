@@ -289,6 +289,17 @@ def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["dir", "file"]   # no output, no temporary file
 
 
+def test_huge_cutoff_edge_bisects_without_overflow_warning(tmp_path):
+    # at --h 4.4e307 (4h still finite) the detuning search's sign products
+    # overflow to +-inf; they keep their sign, so the bisection warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["flow", "--system", "catalog:kg-equal", "--h", "4.4e307",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+
+
 def test_wkb_check_transparency():
     assert _run(["wkb", "--system", "catalog:kg-equal", "--check-transparency"]) == 0
 

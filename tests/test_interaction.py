@@ -227,6 +227,24 @@ def test_analysis_diagonalizes_the_field_once(monkeypatch):
     assert counts["assignments"] <= 20
 
 
+@pytest.mark.parametrize("build", [lambda: analyze(kg_equal(d=2), grid_n=13),
+                                   lambda: analyze(kg_equal())],
+                         ids=["kg-equal-d2", "kg-equal"])
+def test_analysis_peak_memory(build):
+    # the band scans evaluate their points SCAN_BATCH at a time and the window's
+    # k-shifted nodes keep eigenvalues only: the traced analyses peak at 2.8 MiB
+    # (d=2) and 2.7 MiB; scanning each pair's points in one batch reads 5.5 MiB at d=2
+    import tracemalloc
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
+
+
 def test_analysis_evaluates_each_point_once_per_report_pass(monkeypatch):
     # every spectral consumer evaluates in batches: the k-shifted window and
     # the bisection iterations of find_resonances, then one report pass of

@@ -7,8 +7,10 @@ from oscillant.dispersion import (NotMatchableError, dispersion_residual,
                                   match_phases_on_dispersion, omega_longitudinal_l,
                                   omega_longitudinal_s, omega_transverse)
 from oscillant.numeric import InputError
-from oscillant.resonance import (Phase, _bisect, characteristic_harmonics, default_window,
-                                 find_resonances, harmonic, resonance_phase, separation_check)
+from oscillant.interaction import polarization_vectors
+from oscillant.resonance import (Phase, _bisect, _PairBatch, characteristic_harmonics,
+                                 default_window, find_resonances, harmonic, resonance_phase,
+                                 separation_check)
 from oscillant.spectral import eigendecompose_field, uniform_grid
 from oscillant.system import BilinearMap, SystemSpec
 
@@ -129,6 +131,37 @@ def test_translation_identity(kg_analysis, kg_branches):
         val = (field.lambda_at(shifted, i) - field.lambda_at(shifted - phase.k, j)
                - phase.omega)
         assert abs(val) <= 1e-8
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "kg-equal-d2", "three-wave"])
+def test_pair_batch_does_not_depend_on_grouping(system, kg_analysis, kg_d2_analysis,
+                                                three_wave_analysis):
+    # every pair's phase and couplings at a frequency are the same whether it is
+    # paired in one batch of all points (some repeated, so evaluated once) or
+    # in random groups of them; three-wave's phase has k = 0
+    an = {"kg-equal": lambda: kg_analysis, "kg-equal-d2": lambda: kg_d2_analysis,
+          "three-wave": three_wave_analysis}[system]()
+    field, phase = an.field, an.phase
+    sources = polarization_vectors(an.spec, phase).linearized_source(an.spec.B)
+    rng = np.random.default_rng(5)
+    lo, hi = np.array(field.window).T
+    xis = rng.uniform(lo - np.minimum(phase.k, 0), hi - np.maximum(phase.k, 0),
+                      size=(300, field.d))
+    xis = rng.permutation(np.concatenate([xis, xis[:20], np.zeros((3, field.d))]))
+    whole = _PairBatch(field, phase, xis)
+    cuts = np.sort(rng.choice(np.arange(1, len(xis)), size=7, replace=False))
+    parts = [_PairBatch(field, phase, group) for group in np.split(xis, cuts)]
+    rows = rng.choice(len(xis), size=40)
+    for i in range(field.J):
+        for j in range(field.J):
+            phases = [pb.phase(i, j) for pb in parts]
+            assert np.array_equal(whole.phase(i, j), np.concatenate(phases))
+            bp, bm = whole.coupling(i, j, sources)
+            split = [pb.coupling(i, j, sources) for pb in parts]
+            assert np.array_equal(bp, np.concatenate([c[0] for c in split]))
+            assert np.array_equal(bm, np.concatenate([c[1] for c in split]))
+            at_rows = whole.coupling(i, j, sources, rows)
+            assert np.array_equal(at_rows[0], bp[rows]) and np.array_equal(at_rows[1], bm[rows])
 
 
 def test_auto_resonances_flagged(three_wave_analysis):
@@ -347,7 +380,7 @@ def test_prefetched_bisection_matches_one_level_oracle(d, K, tol, zero_band, max
 
 @pytest.mark.parametrize("K, tol", [(40, 0.0), (2, 1e-9)])
 def test_bisection_runs_one_level_where_a_tree_does_not_pay(K, tol):
-    # past EVAL_CHUNK / 6 open brackets, or with a value tolerance, each call
+    # past BISECT_PREFETCH / 3 open brackets, or with a value tolerance, each call
     # evaluates the midpoints the one-level loop evaluates
     rng = np.random.default_rng(7)
     f, (a, b), fa = _random_brackets(rng, K, 1)

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from oscillant.catalog import (kg_equal, kg_lambda_fast, kg_lambda_slow,
                                mll_asymptotic_slopes, three_wave)
 from oscillant.numeric import InputError
-from oscillant.spectral import (_assign_columns, _eigh, _projectors, assemble_symbol,
-                                asymptotic_slopes, eigendecompose_field, linear_sum_assignment,
-                                uniform_grid)
+from oscillant.spectral import (EVAL_CHUNK, _assign_columns, _eigh, _projectors,
+                                assemble_symbol, asymptotic_slopes, eigendecompose_field,
+                                linear_sum_assignment, uniform_grid)
 from oscillant.system import BilinearMap, SystemSpec
 
 from conftest import assert_close, random_characteristic_system
-from oracles import three_wave_branch_map, transport_norm
+from oracles import linear_sum_assignment_numpy, three_wave_branch_map, transport_norm
 
 
 def _assign_to_branches(H, ref_projs, multiplicities, policy, xi):
@@ -284,8 +284,38 @@ def test_fallback_at_crossing_matches_assignment(kg_analysis):
         assert np.array_equal(ev.projectors(j)[0], projs[j])
 
 
+def _crossing_points(field):
+    """Points at and near the frequencies where branches meet: the origin in
+    every dimension, and in 1-d where two branches swap order between nodes."""
+    if field.d == 1:
+        return np.array(_near([0.0] + _crossings(field)))[:, None]
+    return np.array([np.zeros(2)] + [s * np.array([np.cos(t), np.sin(t)])
+                                     for s in (1e-12, 1e-9, 1e-6, 1e-3) for t in (0.3, 2.0, 4.1)])
+
+
+@pytest.mark.parametrize("system", ["kg-equal", "kg-equal-d2", "three-wave"])
+def test_evaluation_does_not_depend_on_the_batch(system, kg_analysis, kg_d2_analysis,
+                                                 three_wave_analysis):
+    # the premise of evaluating in chunks: a batch of 3 EVAL_CHUNK + 5 points,
+    # points near crossings that fall back spread among them, equals one-point
+    # evaluations bit for bit
+    field = {"kg-equal": lambda: kg_analysis, "kg-equal-d2": lambda: kg_d2_analysis,
+             "three-wave": three_wave_analysis}[system]().field
+    rng = np.random.default_rng(11)
+    lo, hi = np.array(field.window).T
+    near = _crossing_points(field)
+    pts = rng.permutation(np.concatenate(
+        [near, rng.uniform(lo, hi, size=(3 * EVAL_CHUNK + 5 - len(near), field.d))]))
+    ev = field.evaluate(pts)
+    assert ev.fallback.any()
+    for p, x in enumerate(pts):
+        one = field.evaluate(x[None])
+        for name in ("lams", "vecs", "labels", "fallback"):
+            assert np.array_equal(getattr(ev, name)[p], getattr(one, name)[0]), (name, x)
+
+
 def test_assignment_matches_scipy_with_ties():
-    # the numpy Hungarian method against scipy's on N = 1..12, each size as
+    # the Python Hungarian method against scipy's on N = 1..12, each size as
     # normal entries, entries rounded to 0.1 and integers in {0, 1, 2}: the
     # last two tie entries and optima, where the permutations may differ
     from scipy.optimize import linear_sum_assignment as scipy_assignment
@@ -299,6 +329,18 @@ def test_assignment_matches_scipy_with_ties():
         assert np.array_equal(rows, np.arange(N))
         assert np.array_equal(np.sort(cols), np.arange(N))
         assert abs(C[rows, cols].sum() - C[r, c].sum()) <= 1e-12, (trial, N)
+
+
+def test_assignment_on_python_floats_matches_the_numpy_method():
+    # the same arithmetic and the same first-minimum ties: equal columns on
+    # N = 1..8, with normal, rounded, integer and all-equal costs
+    rng = np.random.default_rng(13)
+    for trial in range(2000):
+        N = 1 + (trial // 4) % 8
+        C = [rng.normal(size=(N, N)), np.round(rng.normal(size=(N, N)), 1),
+             rng.integers(0, 3, size=(N, N)).astype(float), np.zeros((N, N))][trial % 4]
+        for got, want in zip(linear_sum_assignment(C), linear_sum_assignment_numpy(C)):
+            assert np.array_equal(got, want), (trial, C)
 
 
 def _sequential_field(spec, axes):
