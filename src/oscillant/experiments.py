@@ -7,8 +7,10 @@ flow, and simulator together with consistent defaults.  Everything about
 the system comes from its :class:`SystemSpec`: the operator, the source, the
 phase taken when none is given, and the reference direction of a phase whose
 kernel is not one-dimensional.  The flow bound integrates each of its
-trajectories once; its report carries, per epsilon, the one at the amplitude
-center and the root xi0, which ``oscillant flow`` writes.
+trajectories once, into the near-resonance and off-resonance families
+``{eps: [FlowTrajectory, ...]}`` that :func:`~oscillant.flow.verify_growth_bound`
+checks; its report carries, per epsilon, the trajectory at the amplitude center
+and the root xi0, which ``oscillant flow`` writes.
 """
 from __future__ import annotations
 
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (GrowthBoundReport, InteractionMatrix, integrate_flow, largest_step,
-                   verify_growth_bound)
+from .flow import GrowthBoundReport, InteractionMatrix, integrate_flow, verify_growth_bound
 # pair_coefficients_at stays importable here: bench/tracer.py patches it by this path
 from .interaction import (PolarizationVectors, ReportInputs, StabilityReport, _sources,
                           pair_coefficients_at, polarization_vectors, stability_report)
-from .numeric import InputError, NumericalError, bump_weight
+from .numeric import InputError, NumericalError, bump_weight, fit_epsilons
 from .resonance import (Phase, ResonanceReport, _bisect, _PairBatch, default_window,
                         find_resonances, harmonic)
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
@@ -43,11 +44,17 @@ class Analysis:
     stability: StabilityReport
 
 
+# largest |k| of a phase at a given wavenumber, on a system with no ``k_bound``: the
+# default window reaches 9 |k|, and the resonance search reads slopes out to 4 sqrt(d)
+# times that, which must stay below ``resonance.MAX_SLOPE_RADIUS``
+K_LIMIT = 1e150
+
+
 def system_phase(spec: SystemSpec, k=None) -> Phase:
     """The system's phase entry; given ``k``, the phase at wavenumber (k, 0, ..)
-    with |k| < ``k_bound`` on the entry's branch: the eigenvalue of the symbol at
-    k whose ascending index the entry's omega has at its k, which must be simple
-    at both wavenumbers (at the entry's k, the entry itself)."""
+    with |k| below ``k_bound`` and ``K_LIMIT`` on the entry's branch: the eigenvalue
+    of the symbol at k whose ascending index the entry's omega has at its k, which
+    must be simple at both wavenumbers (at the entry's k, the entry itself)."""
     phase = spec.phase
     if phase is None:
         raise InputError(f"system '{spec.name}' has no phase entry: give it a characteristic "
@@ -56,9 +63,11 @@ def system_phase(spec: SystemSpec, k=None) -> Phase:
         return phase
     kvec = np.zeros(spec.d)
     kvec[0] = k
-    if not np.linalg.norm(kvec) < spec.k_bound:
-        raise InputError(f"wavenumber too large: |k| must be below {spec.k_bound:.6g}, the "
-                         "bound of the system's phase")
+    if not abs(k) < min(spec.k_bound, K_LIMIT):
+        why = ("the bound of the system's phase" if spec.k_bound < K_LIMIT else
+               "past which the resonance search's slope radii leave the float range")
+        raise InputError(f"--k {k:g}: wavenumber too large: |k| must be below "
+                         f"{min(spec.k_bound, K_LIMIT):.6g}, {why}")
     if np.array_equal(kvec, phase.k):
         return phase
     branch = np.flatnonzero(harmonic(spec, phase, 1).kernel)
@@ -164,10 +173,11 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
     the selected root: the root and the frequencies where |phase| is 0.1 h
     and 0.4 h.  Away samples sit at |phase| 0.4 and 0.6 with the coupling kept
     active, where the flow must stay O(1).  Each trajectory is integrated once,
-    from t = 0 by the step rule at t = 0, with ``samples=100`` (every step when it
-    takes fewer than 200); the report keeps, at each epsilon, the one at the
-    amplitude center and the root xi0.
+    from t = 0 to T |log eps| by the step rule at t = 0, sampled by the rule of
+    ``flow.FLOW_SAMPLES``; the report keeps, at each epsilon, the one at the
+    amplitude center and the root xi0.  The epsilons are two distinct or more.
     """
+    epsilons = fit_epsilons(epsilons, 2, "a growth exponent")
     # an overflowed cutoff edge or horizon would reach the step guard as nan or inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if not np.isfinite(4 * h):
@@ -205,20 +215,17 @@ def flow_bound_experiment(analysis: Analysis, epsilons, T=2.0, h=0.1,
 
     vg = _group_velocity(analysis)
 
-    def make_factory(xis, cutoff_active):
+    def family(xis, cutoff_active):
+        """{eps: the trajectories at every (x, xi) sample, x-major}."""
         samples = [_pair_sample(analysis, xi) for xi in xis]
+        return {float(eps): [integrate_flow(_matrix_of_t(s, vg, x, eps, h, amplitude,
+                                                         cutoff_active, analysis.spec.policy),
+                                            T * abs(np.log(eps)))
+                             for x in x_samples for s in samples] for eps in epsilons}
 
-        def factory(eps, t_end):
-            matrices = (_matrix_of_t(s, vg, x, eps, h, amplitude, cutoff_active,
-                                     analysis.spec.policy) for x in x_samples for s in samples)
-            return [integrate_flow(m, 0.0, t_end, largest_step(m, 0.0), samples=100)
-                    for m in matrices]
-        return factory
-
-    away = detuned((0.4, 0.6), 3.0, 60)
     # the first trajectory, which the report keeps, is at (amplitude center, xi0)
-    return verify_growth_bound(make_factory(xi_samples, True), gamma_plus, T, epsilons,
-                               away_factory=make_factory(away, False))
+    return verify_growth_bound(family(xi_samples, True), gamma_plus,
+                               away=family(detuned((0.4, 0.6), 3.0, 60), False))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ The interaction matrix
     M = [[i w1 mu1 * I,  -sqrt(eps) b12], [-sqrt(eps) b21, i w1 mu2 * I]]
         (+ decoupled purely imaginary diagonal for the remaining branches)
 
-drives the flow dS/dt + M S / sqrt(eps) = 0, S(tau; tau) = Id.  Its spectrum
+drives the flow dS/dt + M S / sqrt(eps) = 0, S(0; 0) = Id.  Its spectrum
 is known in closed form when b12 b21 has rank one, and the flow's sup norm is
 bounded by a polylog times exp(t * upper growth rate); the bound is checked
-here numerically, and its report keeps one trajectory per epsilon.  The module
-reads only :mod:`oscillant.numeric`; :mod:`oscillant.experiments` samples the
-interaction matrices from an analysis.
+here numerically, from families of trajectories ``{eps: [FlowTrajectory, ...]}``,
+and its report keeps one trajectory per epsilon.  The module reads only
+:mod:`oscillant.numeric`; :mod:`oscillant.experiments` samples the interaction
+matrices from an analysis and integrates the families.
 
 The symbol depends on t only through a scalar envelope, so :func:`integrate_flow`
 exponentiates a trajectory's steps as one stack.  When both coupling products have
@@ -18,7 +19,8 @@ rank <= 1 (tested once per trajectory, under the matrix's policy), each step is 
 closed form, 8 coefficients on 8 constant matrices, which span an algebra: the steps
 of a sample interval are multiplied in their coefficients, and each interval's block
 is expanded to 2N x 2N once.  Otherwise one ``expm``, whose first call imports scipy,
-gives the dense steps, multiplied as matrices.  Both paths meet at the blocks.
+gives the dense steps, multiplied as matrices.  Both paths meet at the blocks.  A
+trajectory keeps its sample times, the sup norm at each, and the final flow only.
 """
 from __future__ import annotations
 
@@ -35,8 +37,11 @@ from .numeric import (DEFAULT_POLICY, InputError, NumericPolicy, fit_epsilons, n
 GROWTH_EXPONENT_CAP = 8.0
 # largest flow sup norm an off-resonance sample may reach
 AWAY_CAP = 10.0
-# largest step exponent dt |K(tau)| / sqrt(eps) the integrator accepts at its first step
+# largest step exponent dt |K(0)| / sqrt(eps) the integrator accepts at its first step
 STEP_EXPONENT_CAP = 0.1
+# a trajectory of n steps is sampled at every (n // FLOW_SAMPLES)-th step and its last:
+# FLOW_SAMPLES to 2 FLOW_SAMPLES - 1 samples after t = 0 once n >= FLOW_SAMPLES, else n
+FLOW_SAMPLES = 100
 # largest stack of (2N x 2N) complex step matrices a trajectory may take, the dense
 # path's (the closed form's coefficients take less): a default kg-equal trajectory
 # takes at most 5,600 steps, 13 MB
@@ -99,18 +104,26 @@ def _rank_at_most_one(policy: NumericPolicy, *products) -> bool:
 
 @dataclass
 class FlowTrajectory:
-    """Time series of the flow S(tau; t) of one frozen interaction matrix."""
+    """Sampled sup norms of the flow S(0; t) of one frozen interaction matrix."""
 
     times: np.ndarray
-    S: np.ndarray                # (samples, 2N, 2N) coupled-block flows per sample time
     sup_norm_series: np.ndarray  # sup norm of the full flow (>= 1 when decoupled present)
-    fitted_rate: float
+    S_end: np.ndarray            # the coupled block's flow S(0; t_end), 2N x 2N
     liouville_defect: float = 0.0
     max_step_exponent: float = 0.0  # largest dt |K(t)| / sqrt(eps) over the steps
 
     @property
     def sup_norm_max(self) -> float:
         return float(np.max(self.sup_norm_series))
+
+    @property
+    def fitted_rate(self) -> float:
+        """Slope of log sup |S| against t over the later half of the samples."""
+        half = len(self.times) // 2
+        if len(self.times) - half < 2 or not self.times[-1] > self.times[half]:
+            return 0.0
+        logs = np.log(np.maximum(self.sup_norm_series[half:], 1e-300))
+        return float(np.polyfit(self.times[half:], logs, 1)[0])
 
     def csv(self) -> str:
         lines = ["t,sup_norm,log_sup_norm"]
@@ -216,19 +229,20 @@ def _block_products(steps, multiply, every):
     return np.concatenate((P, last))
 
 
-def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
-    """Integrate dS/dt + M(t) S / sqrt(eps) = 0 by stepwise exact exponentials.
+def integrate_flow(m: InteractionMatrix, t_end, dt=None):
+    """Integrate dS/dt + M(t) S / sqrt(eps) = 0, S(0; 0) = Id, to ``t_end`` by
+    stepwise exact exponentials; ``dt`` defaults to the step rule at t = 0.
 
     The mean diagonal i chi1 (mu1 + mu2)/2 is a global unitary phase; it is
-    removed before stepping, leaving K, and restored analytically at the
-    sample times, so the step size is governed by the detuning and coupling
+    removed before stepping, leaving K, and restored analytically in the final
+    flow, so the step size is governed by the detuning and coupling
     rather than the absolute eigenvalue size.  Each step applies
     exp(-dt K(t_mid)/sqrt(eps)) with the symbol frozen at the step midpoint:
     in closed form when both coupling products have rank at most one and no
     step exponent exceeds 2, by one stacked ``expm`` otherwise.  Only the first
     step is held to ``largest_step``; ``max_step_exponent`` reads every step.
-    The steps between two samples (every ``n_steps // samples``-th step and the
-    last) form a block P, all blocks multiplied at once: closed-form steps in
+    The steps between two samples (see ``FLOW_SAMPLES``) form a block P, all
+    blocks multiplied at once: closed-form steps in
     their coefficients (one (blocks, 64) x (64, 8) product a step), each block then
     expanded once.  tr K is imaginary, so the Liouville defect |sum log |det P||
     checks the steps; a block, unlike the full product, stays well conditioned.
@@ -236,22 +250,23 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
     ``MAX_STEP_BYTES``, raises :class:`InputError` before any is formed.
     """
     se = np.sqrt(m.epsilon)
-    limit = largest_step(m, tau)
+    limit = largest_step(m, 0.0)
+    dt = limit if dt is None else dt
     if dt > limit * (1.0 + 1e-11):
         raise InputError(f"time step too large: need dt <= {limit:.3e}")
 
     with np.errstate(over="ignore"):
-        steps = (t_end - tau) / dt
+        steps = t_end / dt
         need = steps * 16 * (2 * m.N) ** 2
     if not need <= MAX_STEP_BYTES:   # nan fails too
         raise InputError(f"the flow needs {steps:.3g} steps of dt {dt:.3g} to t = {t_end:.3g}, "
                          f"{need / 2 ** 20:.3g} MiB of step matrices, over the "
                          f"{MAX_STEP_BYTES / 2 ** 20:g} MiB limit")
     n_steps = int(np.ceil(steps))
-    dt = (t_end - tau) / n_steps
-    sample_every = max(1, n_steps // samples)
+    dt = t_end / n_steps
+    sample_every = max(1, n_steps // FLOW_SAMPLES)
     # step ends accumulated one step at a time, t_{k+1} = t_k + dt
-    ends = np.cumsum(np.concatenate(([tau], np.full(n_steps, dt))))
+    ends = np.cumsum(np.concatenate(([0.0], np.full(n_steps, dt))))
     mids = ends[:-1] + 0.5 * dt
     max_exponent = float(STEP_EXPONENT_CAP * dt / np.min(largest_step(m, mids)))
     mean_mu = m.chi1 * (m.mu1 + m.mu2) / 2.0
@@ -271,16 +286,9 @@ def integrate_flow(m: InteractionMatrix, tau, t_end, dt, samples=200):
         S[i + 1] = Pi @ S[i]
     times = ends[np.append(np.arange(0, n_steps, sample_every), n_steps)]
     sups = np.maximum(supnorm(S), 1.0 if m.extra_diag else 0.0)
-    flows = np.exp(-1j * mean_mu * (times - tau) / se)[:, None, None] * S
-    half = len(times) // 2
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.maximum(sups, 1e-300))
-    if len(times) - half >= 2 and times[-1] > times[half]:
-        rate = float(np.polyfit(times[half:], logs[half:], 1)[0])
-    else:
-        rate = 0.0
     defect = abs(float(np.sum(np.linalg.slogdet(P)[1])))
-    return FlowTrajectory(times=times, S=flows, sup_norm_series=sups, fitted_rate=rate,
+    return FlowTrajectory(times=times, sup_norm_series=sups,
+                          S_end=np.exp(-1j * mean_mu * times[-1] / se) * S[-1],
                           liouville_defect=defect, max_step_exponent=max_exponent)
 
 
@@ -301,49 +309,35 @@ class GrowthBoundReport:
     trajectories: dict = field(default_factory=dict)
 
 
-def verify_growth_bound(trajectory_factory, gamma_plus, T, epsilons, away_factory=None):
+def verify_growth_bound(families, gamma_plus, away=None):
     """Check the flow bound sup |S(0; t)| <= polylog * exp(t gamma+).
 
-    ``trajectory_factory(eps, t_end)`` returns the trajectories of the sampled
-    interaction matrices at the given epsilon; Q(eps) is the largest
-    sup |S| e^{-t gamma+} over samples and t <= T |log eps|, at two distinct
-    epsilons or more, none repeated.  The bound passes when the fitted exponent of Q against
-    |log eps| stays below ``GROWTH_EXPONENT_CAP``.  Off-resonance samples,
-    when provided, must stay below ``AWAY_CAP``.  The report also carries the
-    worst Liouville defect and step exponent over all trajectories, and at
-    each epsilon the first trajectory of the factory's list.
+    ``families`` maps each epsilon to the trajectories of the sampled interaction
+    matrices there, at two distinct epsilons or more; Q(eps) is the largest
+    sup |S| e^{-t gamma+} over its trajectories and their times.  The bound passes
+    when the fitted exponent of Q against |log eps| stays below
+    ``GROWTH_EXPONENT_CAP``.  Off-resonance trajectories ``away``, the same map,
+    must stay below ``AWAY_CAP``.  The report also carries the worst Liouville
+    defect and step exponent over all trajectories, and at each epsilon the
+    first trajectory of its family.
     """
-    epsilons = fit_epsilons(epsilons, 2, "a growth exponent")
-    seen = [(0.0, 0.0)]  # (liouville_defect, max_step_exponent) of every trajectory
-
-    def run(factory, eps):
-        for traj in factory(eps, T * abs(np.log(eps))):
-            seen.append((traj.liouville_defect, traj.max_step_exponent))
-            yield traj
-
-    Q, kept = [], {}
-    for eps in epsilons:
-        worst = 0.0
-        for traj in run(trajectory_factory, eps):
-            kept.setdefault(float(eps), traj)
-            norm = traj.sup_norm_series * np.exp(-gamma_plus * (traj.times - traj.times[0]))
-            worst = max(worst, float(np.max(norm)))
-        Q.append(max(worst, 1e-300))
-    Q = np.array(Q)
+    epsilons = fit_epsilons(list(families), 2, "a growth exponent")
+    Q = np.array([max([1e-300] + [float(np.max(traj.sup_norm_series
+                                               * np.exp(-gamma_plus * traj.times)))
+                                  for traj in families[eps]]) for eps in epsilons])
     logL = np.log(np.abs(np.log(epsilons)))
     fitted = float(np.polyfit(logL, np.log(Q), 1)[0])
     passed = fitted <= GROWTH_EXPONENT_CAP
 
     away_sup = away_passed = None
-    if away_factory is not None:
-        away_sup = 0.0
-        for eps in epsilons:
-            for traj in run(away_factory, eps):
-                away_sup = max(away_sup, traj.sup_norm_max)
+    if away is not None:
+        away_sup = max([0.0] + [traj.sup_norm_max for trajs in away.values() for traj in trajs])
         away_passed = away_sup <= AWAY_CAP
         passed = passed and away_passed
-    defect, exponent = np.max(seen, axis=0)
-    return GrowthBoundReport(epsilons=epsilons, Q=Q, fitted_exponent=fitted, passed=passed,
-                             away_sup=away_sup, away_passed=away_passed,
-                             liouville_defect_max=float(defect), max_step_exponent=float(exponent),
-                             trajectories=kept)
+    every = [traj for fam in (families, away or {}) for trajs in fam.values() for traj in trajs]
+    return GrowthBoundReport(
+        epsilons=epsilons, Q=Q, fitted_exponent=fitted, passed=passed,
+        away_sup=away_sup, away_passed=away_passed,
+        liouville_defect_max=max([0.0] + [traj.liouville_defect for traj in every]),
+        max_step_exponent=max([0.0] + [traj.max_step_exponent for traj in every]),
+        trajectories={float(eps): families[eps][0] for eps in epsilons})

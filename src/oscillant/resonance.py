@@ -25,6 +25,8 @@ from .system import Phase, SystemSpec
 
 # midpoints one bisection round may evaluate ahead of its halvings
 BISECT_PREFETCH = 32
+# largest radius the asymptotic slopes are read at: their Richardson step squares it
+MAX_SLOPE_RADIUS = 1e152
 
 
 def harmonic_matrix(spec: SystemSpec, phase: Phase, p: int) -> np.ndarray:
@@ -247,6 +249,14 @@ def default_window(spec: SystemSpec, phase: Phase):
     return tuple((-8.0 * kappa, 8.0 * kappa) for _ in range(spec.d))
 
 
+def _slope_radii(field: SpectralField) -> np.ndarray:
+    """The radii the asymptotic slopes are read at: the first past the field's edge,
+    where their outward march starts, and past 100 A0 spectral radii."""
+    reach = np.sqrt(field.d) * float(np.max(np.abs(field.points)))
+    rmax = max(200.0, 120.0 * field.spec.a0_spectral_radius + 100.0, 4.0 * reach)
+    return np.array([rmax / 4, rmax / 2, rmax])
+
+
 def find_resonances(field: SpectralField, phase: Phase, window=None) -> ResonanceReport:
     """Locate the resonant sets of every ordered branch pair within a window.
 
@@ -271,11 +281,20 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
         if lo + min(x, 0) < flo - 1e-12 or hi + max(x, 0) > fhi + 1e-12:
             raise InputError("window (translated by k) not covered by the field grid")
 
+    radii = _slope_radii(field)
+    if not radii[-1] <= MAX_SLOPE_RADIUS:
+        raise InputError(f"--window/--k: the slopes would be read out to radius {radii[-1]:.3g}, "
+                         f"past {MAX_SLOPE_RADIUS:.3g}, where its square leaves the float range")
+
     J, d = field.J, field.d
     # branch values on the window's nodes and at the nodes shifted by k (exact evaluation)
     sel = [(ax >= lo - 1e-12) & (ax <= hi + 1e-12) for ax, (lo, hi) in zip(field.axes, window)]
     xs = [ax[s] for ax, s in zip(field.axes, sel)]
     shape = tuple(len(x) for x in xs)
+    if min(shape) < 2:   # no cell, and nothing to reduce over
+        lo, hi = window[int(np.argmin(shape))]
+        raise InputError(f"--window: [{lo:g}, {hi:g}] holds {min(shape)} field node(s), and a "
+                         "resonance cell needs 2; widen it")
     lam = field.lambdas.reshape(*(len(ax) for ax in field.axes), J)[np.ix_(*sel)]
     nodes = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, d)
     lam_shift = field.eigenvalues(nodes + phase.k).reshape(*shape, J)
@@ -340,8 +359,6 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
     # boundedness from asymptotic slopes
     directions = [np.array([1.0]), np.array([-1.0])] if d == 1 else \
         [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
-    rmax = max(200.0, 120.0 * field.spec.a0_spectral_radius + 100.0)
-    radii = np.array([rmax / 4, rmax / 2, rmax])
     coinciding = set()
     for w in directions:
         coinciding.update(asymptotic_slopes(field.spec, w, radii, field=field)

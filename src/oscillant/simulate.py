@@ -120,6 +120,13 @@ class SimConfig:
             self.domain_length = 40.0 * self.amplitude.width
         if self.rho is None:
             self.rho = 0.5 * self.amplitude.width
+        # the stepper diagonalizes A0/(i eps) + kappa A1 at every wavenumber of the grid
+        with np.errstate(over="ignore"):
+            top = _wavenumbers(self.x)[-1] * np.max(np.abs(self.spec.Aj[0]))
+        if not np.isfinite(top):
+            raise InputError(f"--width {self.amplitude.width:g}: {self.grid_points} points on a "
+                             f"domain of length {self.domain_length:g} take wavenumbers past "
+                             "the float range, where the stepper's symbol is not finite")
 
     @property
     def phi0_radius(self) -> float:
@@ -139,6 +146,13 @@ class SimConfig:
             if ppw < MIN_POINTS_PER_WAVELENGTH:
                 raise InputError(f"grid resolves {ppw:.1f} points per wavelength; "
                                  f"need >= {MIN_POINTS_PER_WAVELENGTH}")
+
+
+def _wavenumbers(x):
+    """The wavenumbers of the ``rfft`` half spectrum on the periodic grid ``x``."""
+    n = len(x)
+    L = float(x[-1] - x[0]) * n / (n - 1)
+    return 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
 
 
 def _runs(rows):
@@ -165,9 +179,8 @@ class _Stepper:
     nonzero at some mode and column k: the others are sums of exact zeros."""
 
     def __init__(self, spec: SystemSpec, epsilon: float, x: np.ndarray):
-        self.n = n = len(x)
-        L = float(x[-1] - x[0]) * n / (n - 1)
-        kappa = 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
+        self.n = len(x)
+        kappa = _wavenumbers(x)
         self._chunks = [slice(s, s + MODE_CHUNK) for s in range(0, len(kappa), MODE_CHUNK)]
         # H_eps(kappa) = A0/(i eps) + A(kappa); per-mode unitary update e^{-i dt H}
         N = spec.N
@@ -190,7 +203,7 @@ class _Stepper:
         self._h = self._prop = None
         self._hat = np.empty((spec.N, len(kappa)), dtype=complex)
         self._row = np.empty(len(kappa), dtype=complex)
-        self._u, *self._rk4 = (np.empty((spec.N, n)) for _ in range(4))
+        self._u, *self._rk4 = (np.empty((spec.N, self.n)) for _ in range(4))
 
     def spectrum(self, u, out=None):
         """(N, modes) half spectrum of an (N, points) real state."""
@@ -309,6 +322,22 @@ def _datum(config: SimConfig, reference, perturbation, x) -> np.ndarray:
     return np.real(u_ref0) + np.real(pert)   # the real part of the sum, with no complex sum
 
 
+def _check_run_steps(taken, t, t_end, dt, halvings=0, pace=0):
+    """Raise :class:`InputError` when the run's step estimate passes ``MAX_RUN_STEPS``:
+    up front, t_end / dt; after a halving, the ``taken`` steps plus those to the run's
+    end, at t_end or at its 21st halving (a blow-up), whichever comes first, the
+    latter at the pace of the last dt level, ``pace`` steps a halving."""
+    with np.errstate(over="ignore", divide="ignore"):
+        left = (t_end - t) / dt
+    if halvings:
+        left = min(left, (21 - halvings) * pace)
+    steps = taken + left
+    if not steps <= MAX_RUN_STEPS:   # nan fails too
+        after = f" ({taken} taken, then {halvings} dt halvings at t {t:.3g})" if halvings else ""
+        raise InputError(f"the run needs about {steps:.3g} steps of dt {dt:.3g}{after} to "
+                         f"t_end {t_end:.3g}, over the limit of {MAX_RUN_STEPS:.0e}")
+
+
 def run_instability_experiment(config: SimConfig, reference, perturbation=None) -> SimulationRun:
     """Integrate the system from a perturbed reference datum and track deviation.
 
@@ -320,7 +349,8 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     real part of the perturbed datum.  Integration runs to
     ``min(T_obs, user T) sqrt(eps) |log eps|`` with the nonlinear-step bound
     on dt, halving adaptively (at most 20 times) before declaring blow-up; a run
-    estimated at more than ``MAX_RUN_STEPS`` steps raises :class:`InputError`.
+    estimated at more than ``MAX_RUN_STEPS`` steps, at the first dt or after any
+    halving (see :func:`_check_run_steps`), raises :class:`InputError`.
     """
     config.check_resolution()
     spec = config.spec
@@ -339,11 +369,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     sup = _sup(datum)
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12)
     dt = min(dt, t_end / 16)
-    with np.errstate(over="ignore", divide="ignore"):
-        steps = t_end / dt
-    if not steps <= MAX_RUN_STEPS:   # nan fails too
-        raise InputError(f"the run needs about {steps:.3g} steps of dt {dt:.3g} to "
-                         f"t_end {t_end:.3g}, over the limit of {MAX_RUN_STEPS:.0e}")
+    _check_run_steps(0, 0.0, t_end, dt)
 
     stepper = _Stepper(spec, eps, x)
     u = stepper._u
@@ -367,7 +393,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     t = 0.0
     record(t, u)
     verdict = "completed"
-    halvings = 0
+    halvings = taken = level_start = 0   # level_start: the step count at the last halving
     next_sample = sample_dt
     while t < t_end - 1e-14:
         while dt > 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12):
@@ -376,12 +402,15 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
             if halvings > 20:
                 verdict = "unbounded"
                 break
+            _check_run_steps(taken, t, t_end, dt, halvings, taken - level_start)
+            level_start = taken
         if verdict == "unbounded" or not np.isfinite(sup):
             verdict = "unbounded"
             break
         h = min(dt, t_end - t)
         u, u_hat = stepper.step(u_hat, h)
         t += h
+        taken += 1
         if t >= next_sample - 1e-14 or t >= t_end - 1e-14:
             record(t, u)
             next_sample += sample_dt

@@ -15,7 +15,7 @@ from oscillant.catalog import build_catalog_system, kg_equal, three_wave
 from oscillant.cli import _system_overrides, build_parser, main
 from oscillant.experiments import (analyze, flow_bound_experiment, interaction_matrix_factory,
                                    report_inputs, run_simulation, system_phase)
-from oscillant.flow import integrate_flow, largest_step
+from oscillant.flow import integrate_flow
 from oscillant.simulate import AmplitudeProfile
 from oscillant.system import save_spec, spec_to_dict
 from oscillant.wkb import consistency_residual
@@ -181,7 +181,7 @@ def test_flow_writes_the_bound_trajectories(tmp_path, monkeypatch):
         assert (tmp_path / f"trajectory_eps{eps:g}.csv").read_text() == traj.csv()
     xi0 = float(np.atleast_1d(an.stability.xi0)[0])
     m = interaction_matrix_factory(an, 0.0, xi0, 1e-3)
-    alone = integrate_flow(m, 0.0, 2.0 * abs(np.log(1e-3)), largest_step(m, 0.0), samples=100)
+    alone = integrate_flow(m, 2.0 * abs(np.log(1e-3)))
     assert alone.csv() == rep.trajectories[1e-3].csv()
 
 
@@ -274,6 +274,16 @@ def test_analyze_csv_format_flattens_the_json_report(tmp_path):
     (["catalog", "emit", "kg-equal", "--outfile", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
     (["catalog", "emit", "kg-equal", "--outfile", "{tmp}/dir"], "cannot write {tmp}/dir:"),
     (["analyze", "--system", "catalog:three-wave", "--out", "{tmp}/file/sub"], "{tmp}/file/sub"),
+    # a window with no cell, a grid whose wavenumbers overflow, and a wavenumber or
+    # window whose slope radii would overflow when squared
+    (["analyze", "--system", "catalog:kg-equal", "--window", "1e-300"], "--window: [-1e-300,"),
+    (["analyze", "--system", "catalog:kg-equal", "--window", "1e-308"], "--window: [-1e-308,"),
+    (["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--width", "1e-308"],
+     "--width 1e-308:"),
+    (["sweep", "--system", "catalog:three-wave", "--width", "1e-308"], "--width 1e-308:"),
+    (["analyze", "--system", "catalog:kg-equal", "--k", "1e308"],
+     "--k 1e+308: wavenumber too large: |k| must be below 1e+150"),
+    (["analyze", "--system", "catalog:kg-equal", "--window", "1e200"], "--window/--k:"),
 ])
 def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -287,6 +297,14 @@ def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert named.replace("{tmp}", str(tmp_path)) in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["dir", "file"]   # no output, no temporary file
+
+
+def test_slopes_are_read_past_a_wide_field(tmp_path):
+    # a field reaching past the first slope radius (55 on kg-equal): the slopes'
+    # outward march starts at the field's edge, so their radii start past it
+    for flags in (["--window", "60"], ["--k", "10"]):
+        assert _run(["analyze", "--system", "catalog:kg-equal", *flags,
+                     "--out", str(tmp_path / flags[1])]) == 0
 
 
 def test_huge_cutoff_edge_bisects_without_overflow_warning(tmp_path):

@@ -91,7 +91,7 @@ def test_integrate_unitary_when_decoupled():
     z = np.zeros((2, 2))
     m = InteractionMatrix(mu1=0.4, mu2=-0.9, b12=z, b21=z, epsilon=1e-2,
                           extra_diag=(1.5, -2.0))
-    traj = integrate_flow(m, 0.0, 4.0, dt=0.002)
+    traj = integrate_flow(m, 4.0, dt=0.002)
     assert np.abs(traj.sup_norm_series - 1.0).max() <= 1e-10
 
 
@@ -100,7 +100,7 @@ def test_integrate_resonant_growth_rate():
     eps = 1e-3
     b = np.array([[1.0]])
     m = InteractionMatrix(mu1=0.5, mu2=0.5, b12=b, b21=b, epsilon=eps)
-    traj = integrate_flow(m, 0.0, 2 * abs(np.log(eps)), dt=0.005)
+    traj = integrate_flow(m, 2 * abs(np.log(eps)), dt=0.005)
     assert abs(traj.fitted_rate - 1.0) <= 0.05
     assert traj.liouville_defect <= 1e-6
 
@@ -109,16 +109,17 @@ def test_integrate_away_from_resonance_bounded():
     eps = 1e-3
     b = np.array([[1.0]])
     m = InteractionMatrix(mu1=1.0, mu2=-1.0, b12=b, b21=b, epsilon=eps)
-    traj = integrate_flow(m, 0.0, 2 * abs(np.log(eps)), dt=0.001)
+    traj = integrate_flow(m, 2 * abs(np.log(eps)), dt=0.001)
     assert traj.sup_norm_series.max() <= 10.0
 
 
-def test_integrate_group_property():
+def test_integrate_group_property(monkeypatch):
     b = np.array([[0.4]])
     m = InteractionMatrix(mu1=0.3, mu2=0.1, b12=b, b21=0.5 * b, epsilon=1e-2)
-    a = integrate_flow(m, 0.0, 1.0, dt=0.004, samples=4)
-    full = integrate_flow(m, 0.0, 2.0, dt=0.004, samples=4)
-    assert np.abs(a.S[-1] @ a.S[-1] - full.S[-1]).max() <= 1e-8
+    monkeypatch.setattr(flow, "FLOW_SAMPLES", 4)
+    a = integrate_flow(m, 1.0, dt=0.004)
+    full = integrate_flow(m, 2.0, dt=0.004)
+    assert np.abs(a.S_end @ a.S_end - full.S_end).max() <= 1e-8
 
 
 def test_integrate_liouville_nonautonomous():
@@ -126,7 +127,7 @@ def test_integrate_liouville_nonautonomous():
 
     m = InteractionMatrix(mu1=0.2, mu2=0.2, b12=b, b21=b, epsilon=1e-2,
                           envelope=lambda t: np.exp(-0.1 * t).astype(complex))
-    traj = integrate_flow(m, 0.0, 3.0, dt=0.002)
+    traj = integrate_flow(m, 3.0, dt=0.002)
     assert traj.liouville_defect <= 1e-6
 
 
@@ -134,7 +135,7 @@ def test_integrate_step_size_refused():
     b = np.array([[1.0]])
     m = InteractionMatrix(mu1=5.0, mu2=-5.0, b12=b, b21=b, epsilon=1e-4)
     with pytest.raises(InputError):
-        integrate_flow(m, 0.0, 1.0, dt=0.5)
+        integrate_flow(m, 1.0, dt=0.5)
 
 
 def _dense_exponentials(m, t, dt):
@@ -143,16 +144,16 @@ def _dense_exponentials(m, t, dt):
     return expm(-(dt / np.sqrt(m.epsilon)) * (m.stack(t) - shift))
 
 
-def _per_step_flow(m, tau, t_end, dt, samples=200):
+def _per_step_flow(m, t_end, dt):
     """Sample times and sup norms of the per-step integrator the stacked one
     replaced: one dense block, one expm and one product per step, t accumulated
-    step by step."""
-    n_steps = int(np.ceil((t_end - tau) / dt))
-    dt = (t_end - tau) / n_steps
-    sample_every = max(1, n_steps // samples)
+    step by step, sampled by the rule of ``flow.FLOW_SAMPLES``."""
+    n_steps = int(np.ceil(t_end / dt))
+    dt = t_end / n_steps
+    sample_every = max(1, n_steps // flow.FLOW_SAMPLES)
     S = np.eye(2 * m.N, dtype=complex)
-    times, sups = [tau], [supnorm(S)]
-    t = tau
+    times, sups = [0.0], [supnorm(S)]
+    t = 0.0
     for step in range(n_steps):
         S = _dense_exponentials(m, [t + 0.5 * dt], dt)[0] @ S
         t += dt
@@ -178,18 +179,19 @@ def _rank_one_coupling():
 
 @pytest.mark.parametrize("coupling", [_dense_coupling, _rank_one_coupling])
 @pytest.mark.parametrize("samples", [7, 12, 10 ** 6])
-def test_block_product_matches_per_step_loop(coupling, samples):
+def test_block_product_matches_per_step_loop(coupling, samples, monkeypatch):
     # samples = 7 and 12 leave a shorter last block; 10**6 >= n_steps samples every step
+    monkeypatch.setattr(flow, "FLOW_SAMPLES", samples)
     m = coupling()
     dt = largest_step(m, 0.0)
     n_steps = int(np.ceil(2.0 / dt))
     every = max(1, n_steps // samples)
     assert (n_steps % every != 0) if samples < n_steps else every == 1
-    traj = integrate_flow(m, 0.0, 2.0, dt, samples=samples)
-    times, sups = _per_step_flow(m, 0.0, 2.0, dt, samples=samples)
+    traj = integrate_flow(m, 2.0, dt)
+    times, sups = _per_step_flow(m, 2.0, dt)
     assert np.array_equal(traj.times, times)
     assert np.abs(traj.sup_norm_series / sups - 1.0).max() <= 1e-12
-    assert traj.S.shape == (len(times), 2 * m.N, 2 * m.N)
+    assert traj.S_end.shape == (2 * m.N, 2 * m.N)
     assert traj.liouville_defect <= 1e-10
 
 
@@ -197,9 +199,10 @@ def test_block_product_matches_per_step_loop(coupling, samples):
 def test_liouville_check_catches_one_bad_factor(monkeypatch, bad):
     # one step's coefficient row off by 1e-6 scales that step, and moves log |det| by
     # 2N 1e-6, wherever its block
+    monkeypatch.setattr(flow, "FLOW_SAMPLES", 7)
     m = _rank_one_coupling()
     dt = largest_step(m, 0.0)
-    assert integrate_flow(m, 0.0, 2.0, dt, samples=7).liouville_defect <= 1e-10
+    assert integrate_flow(m, 2.0, dt).liouville_defect <= 1e-10
     exact = flow.rank_one_exponentials
 
     def skewed(m, g, dt):
@@ -207,7 +210,7 @@ def test_liouville_check_catches_one_bad_factor(monkeypatch, bad):
         F[bad] *= 1 + 1e-6
         return F
     monkeypatch.setattr(flow, "rank_one_exponentials", skewed)
-    assert integrate_flow(m, 0.0, 2.0, dt, samples=7).liouville_defect >= 1e-7
+    assert integrate_flow(m, 2.0, dt).liouville_defect >= 1e-7
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-12, 1e-8, 1e-3])
@@ -285,20 +288,20 @@ def test_rank_two_coupling_takes_the_expm_path(monkeypatch):
         return expm(A)
     monkeypatch.setattr(flow, "expm", counted)
     dt = largest_step(m, 0.0)
-    traj = integrate_flow(m, 0.0, 1.5, dt)
+    traj = integrate_flow(m, 1.5, dt)
     assert sum(calls) == int(np.ceil(1.5 / dt))
-    ref = _per_step_flow(m, 0.0, 1.5, dt)[1]
+    ref = _per_step_flow(m, 1.5, dt)[1]
     assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
     # unpatched: the module's expm imports scipy's on first use
     monkeypatch.undo()
-    traj = integrate_flow(m, 0.0, 1.5, dt)
+    traj = integrate_flow(m, 1.5, dt)
     assert np.abs(traj.sup_norm_series - ref).max() <= 1e-12 * ref.max()
     monkeypatch.setattr(flow, "expm", counted)
     # a rank-one coupling makes no expm call
     calls.clear()
     m = InteractionMatrix(mu1=0.4, mu2=-0.1, b12=_rank_one(rng, 3), b21=_rank_one(rng, 3),
                           epsilon=1e-2)
-    integrate_flow(m, 0.0, 1.5, largest_step(m, 0.0))
+    integrate_flow(m, 1.5, largest_step(m, 0.0))
     assert calls == []
 
 
@@ -321,7 +324,7 @@ def test_flow_path_follows_the_system_policy(kg_analysis, monkeypatch):
         m = interaction_matrix_factory(an, 0.0, xi0, 1e-2)
         assert m.policy.rank_gap == gap
         calls.clear()
-        sups.append(integrate_flow(m, 0.0, 2.0, largest_step(m, 0.0)).sup_norm_series)
+        sups.append(integrate_flow(m, 2.0, largest_step(m, 0.0)).sup_norm_series)
         assert bool(calls) == dense
     assert np.abs(sups[1] / sups[0] - 1.0).max() <= 1e-12
 
@@ -333,8 +336,8 @@ def test_integrate_flow_matches_per_step_loop(kg_analysis, eps):
     for x, cutoff_active in ((0.0, True), (0.5, False)):
         m = interaction_matrix_factory(kg_analysis, x, xi0, eps, cutoff_active=cutoff_active)
         t_end, dt = 2 * abs(np.log(eps)), largest_step(m, 0.0)
-        traj = integrate_flow(m, 0.0, t_end, dt)
-        ref = _per_step_flow(m, 0.0, t_end, dt)[1]
+        traj = integrate_flow(m, t_end, dt)
+        ref = _per_step_flow(m, t_end, dt)[1]
         assert np.abs(traj.sup_norm_series / ref - 1.0).max() <= 1e-12
         assert traj.liouville_defect <= 1e-10
 
@@ -345,7 +348,7 @@ def test_max_step_exponent_reads_every_step():
     m = InteractionMatrix(mu1=0.3, mu2=-0.2, b12=b, b21=b.T, epsilon=1e-2,
                           envelope=lambda t: np.exp(t).astype(complex))
     dt = largest_step(m, 0.0)
-    traj = integrate_flow(m, 0.0, 2.0, dt)
+    traj = integrate_flow(m, 2.0, dt)
     shift = 1j * (m.mu1 + m.mu2) / 2 * np.eye(4)
     n = int(np.ceil(2.0 / dt))
     mids = (np.arange(n) + 0.5) * (2.0 / n)
@@ -360,24 +363,28 @@ def test_three_wave_frozen_rate():
     b2, b3, a = 1.0, 1.0, 0.8
     m = InteractionMatrix(mu1=0.0, mu2=0.0, b12=np.array([[b2 * a]]),
                           b21=np.array([[b3 * a]]), epsilon=eps)
-    traj = integrate_flow(m, 0.0, 1.5 * abs(np.log(eps)), dt=0.005)
+    traj = integrate_flow(m, 1.5 * abs(np.log(eps)), dt=0.005)
     assert abs(traj.fitted_rate - np.sqrt(b2 * b3) * a) <= 0.05 * a
 
 
-def test_verify_growth_bound_trivial_zero_coupling():
+def test_verify_growth_bound_trivial_zero_coupling(monkeypatch, kg_analysis):
     z = np.zeros((1, 1))
+    monkeypatch.setattr(flow, "FLOW_SAMPLES", 20)
 
-    def factory(eps, t_end):
+    def family(eps):
         m = InteractionMatrix(mu1=0.3, mu2=-0.3, b12=z, b21=z, epsilon=eps)
-        return [integrate_flow(m, 0.0, t_end, dt=0.01, samples=20)]
+        return [integrate_flow(m, 1.0 * abs(np.log(eps)), dt=0.01)]
 
-    rep = verify_growth_bound(factory, gamma_plus=0.0, T=1.0, epsilons=[1e-2, 1e-3])
+    rep = verify_growth_bound({eps: family(eps) for eps in (1e-2, 1e-3)}, gamma_plus=0.0)
     assert rep.passed
     assert np.all(np.abs(rep.Q - 1.0) <= 1e-10)
     # one epsilon, or one repeated, has no exponent to fit; a repeat would weigh twice
+    with pytest.raises(InputError, match="two distinct"):
+        verify_growth_bound({1e-2: family(1e-2)}, gamma_plus=0.0)
+    from oscillant.experiments import flow_bound_experiment
     for epsilons in ([1e-2], [1e-2, 1e-2], [1e-2, 1e-3, 1e-2]):
         with pytest.raises(InputError, match="two distinct"):
-            verify_growth_bound(factory, gamma_plus=0.0, T=1.0, epsilons=epsilons)
+            flow_bound_experiment(kg_analysis, epsilons, T=1.0)
 
 
 def test_unstable_datum_direction_trivial():
@@ -432,6 +439,20 @@ def test_kg_flow_bound_family(kg_analysis):
     # worst over every trajectory: the first step is held to the cap, later ones are not
     assert 0.0 < rep.liouville_defect_max <= 1e-10
     assert flow.STEP_EXPONENT_CAP <= rep.max_step_exponent <= 2.0
+
+
+def test_flow_bound_peak_memory(kg_analysis):
+    # the 45 trajectories keep their sampled sup norms and final flows only: about
+    # 2.5e6 bytes at peak; a per-sample flow stack on each read 4.15e6
+    import tracemalloc
+    from oscillant.experiments import flow_bound_experiment
+    tracemalloc.start()
+    try:
+        flow_bound_experiment(kg_analysis, [1e-2, 1e-3, 1e-4], T=2.0, h=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6
 
 
 def test_flow_sampler_evaluates_each_frequency_once(kg_analysis, monkeypatch):

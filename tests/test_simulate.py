@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from oscillant import simulate
 from oscillant.catalog import kg_equal, three_wave
 from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
 from oscillant.numeric import InputError, NumericalError, bump_weight
@@ -329,6 +330,15 @@ def test_unstable_rate_and_localization():
     assert abs(run.fitted_rate * np.sqrt(eps) - 1.0) <= 0.15
     i = np.searchsorted(run.times, run.t_star)
     assert run.norm_dev_ball[i] / run.norm_dev[i] >= 0.5
+
+
+def test_step_guard_holds_after_dt_halvings(monkeypatch):
+    # at K = 2 the run follows the nonlinear blow-up past t*: dt halves 11 times and
+    # the run takes 27,673 steps, under the 20,000 cap at its first dt (221 steps);
+    # after the tenth halving it has taken 7,233 and has about 13,800 to go
+    monkeypatch.setattr(simulate, "MAX_RUN_STEPS", 20_000)
+    with pytest.raises(InputError, match=r"2\.1e\+04 steps .* 10 dt halvings"):
+        run_instability_experiment(_tw_config(1e-3, K=2.0, grid_points=1024), _static_ref)
 
 
 def test_spectral_convergence_grid_doubling():
