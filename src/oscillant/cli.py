@@ -21,7 +21,7 @@ from .interaction import polarization_vectors
 from .numeric import InputError, NumericalError, fit_epsilons
 from .simulate import AmplitudeProfile, snapshot_bytes
 from .system import Phase, SystemSpec, load_spec, save_spec, write_atomic
-from .wkb import solve_transport, weak_transparency_check, consistency_residual
+from .wkb import MAX_RESIDUAL_POINTS, consistency_residual, solve_transport, weak_transparency_check
 
 
 def _thread_cap():
@@ -232,12 +232,17 @@ def cmd_wkb(args):
         return 0 if res.passed else 4
     if args.residual:
         e1 = polarization_vectors(spec, phase).e1
+        with np.errstate(over="ignore"):   # 10 points a wavelength on [-12, 12), a power of two
+            n = 2 ** np.ceil(np.log2(np.maximum(
+                512, 10 * 24 * max(abs(phase.k[0]), 1e-12) / args.epsilons / (2 * np.pi))))
+        if not n[-1] <= MAX_RESIDUAL_POINTS:   # epsilons sorted descending: the finest grid
+            raise InputError(f"--k {phase.k[0]:g}: the residual grid at eps {args.epsilons[-1]:g} "
+                             f"needs {n[-1]:.3g} points, over its limit {MAX_RESIDUAL_POINTS:.3g}")
+        points = dict(zip(args.epsilons, n.astype(int)))
 
         def factory(with_corr):
             def make(eps):
-                need = max(512, 10 * 24 * max(abs(phase.k[0]), 1e-12) / eps / (2 * np.pi))
-                n = int(2 ** np.ceil(np.log2(need)))
-                xg = np.linspace(-12, 12, n, endpoint=False)
+                xg = np.linspace(-12, 12, points[eps], endpoint=False)
                 return solve_transport(spec, phase, e1, np.exp(-xg ** 2), xg,
                                        t_end=0.1, n_steps=32, with_correctors=with_corr)
             return make

@@ -6,27 +6,27 @@ half spectrum.  Strang splitting on a periodic grid: the stiff linear part
 advances exactly per Fourier mode through the precomputed eigendecomposition of
 ``A0/(i eps) + A(kappa)`` (unitary), and the pointwise quadratic source
 advances with classical Runge-Kutta stages on the rows a nonzero triplet of B
-writes (2 of 6 on Klein-Gordon, 2 of 3 on three-wave); the source leaves the
-other rows as they are.  Deviation norms from a reference solution are recorded
-against the predicted amplification times, at most every t_end / RUN_SAMPLES:
-the stock runs' steps are longer, so every step records a sample, which reads
-sup|u| and sup|dev| as max(max, -min), with no |.| formed.
+writes (2 of 6 on Klein-Gordon, 2 of 3 on three-wave).  Deviation norms from a
+reference solution are recorded at most every t_end / RUN_SAMPLES (every step
+of the stock runs), reading sup|u| and sup|dev| as max(max, -min).
 
 The stepper stores each (row, column) entry of the eigenvectors that is
 nonzero at some mode as its own array over the modes (24 of 36 on kg-equal, 5 of
 9 on three-wave), and the half-step propagator, cached per step size, the same
 way on the entries a product of those entries can make nonzero (18 of 36 and 3
-of 9), the only ones a half-step multiplies.  The eigendecomposition and each
-propagator are built a chunk of modes at a time, a propagator from its chunk's
-dense eigenvectors.  A step starts from the spectrum the last one ended with
-(three transforms, not four) and overwrites it; its transforms, RK4 stages and
-source evaluations write into a workspace allocated once per run, which also
-holds the datum and, between steps, the deviation samples.  The datum's
-complex temporaries are freed before the stepper is built, so a kg-equal run
-peaks at about 795 bytes per grid point (tracemalloc), the reference's
-per-sample arrays included.  Half-steps are not fused across steps: the
-dt-halving test reads sup|u| in x after each step, so fusing saves no
-transform.
+of 9), the only ones a half-step multiplies; both are built a chunk of modes at
+a time.  A step starts from the spectrum the last one ended with and overwrites
+it, transforming only the rows it reads or changes: the rows B reads, B's RK4
+increment on the rows it writes (added to the half-stepped spectrum) and the
+rows the second half-step changes.  A frozen row (unit propagator row, not
+written by B) skips both half-steps.  That is 12 row transforms a step on
+kg-equal, not 18, and 6 on three-wave at c1 = 0 (its pump row frozen), not 9.
+Transforms, RK4 stages and source evaluations write into a workspace allocated
+once per run, which also holds the datum and, between steps, the deviation
+samples; the datum's complex temporaries are freed before the stepper is built,
+so a kg-equal run peaks at about 795 bytes per grid point (tracemalloc).
+Half-steps are not fused across steps: the dt-halving test reads sup|u| in x
+after each step, so fusing saves no transform.
 """
 from __future__ import annotations
 
@@ -57,7 +57,8 @@ class AmplitudeProfile:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-((x - self.center) / self.width) ** 2)
+        with np.errstate(over="ignore"):   # a square past the float range: exp(-inf) = 0
+            return np.exp(-((x - self.center) / self.width) ** 2)
 
 
 @dataclass
@@ -198,25 +199,29 @@ class _Stepper:
         # the propagator's stored entries, row by row, columns ascending
         self._rows = [(i, np.flatnonzero(row).tolist()) for i, row in enumerate(reach)]
         self.source = spec.B.scaled(1 / np.sqrt(epsilon))
+        self._touched = {i for (o, l, r, v) in self.source.triplets if v for i in (o, l, r)}
         self._moved = _runs(self.source.rows)
-        self._fixed = _runs([i for i in range(spec.N) if i not in self.source.rows])
+        self._fixed = _runs(sorted(self._touched.difference(self.source.rows)))
         self._h = self._prop = None
         self._hat = np.empty((spec.N, len(kappa)), dtype=complex)
         self._row = np.empty(len(kappa), dtype=complex)
         self._u, *self._rk4 = (np.empty((spec.N, self.n)) for _ in range(4))
+        self._ends = [0, -1] if self.n % 2 == 0 else [0]   # DC and Nyquist: irfft reads them real
 
     def spectrum(self, u, out=None):
         """(N, modes) half spectrum of an (N, points) real state."""
         return np.fft.rfft(u, axis=1, out=out)
 
-    def field(self, u_hat):
-        """(N, points) real state of a half spectrum, formed in the workspace."""
-        return np.fft.irfft(u_hat, n=self.n, axis=1, out=self._u)
+    def field(self, u_hat, runs):
+        """The workspace state, its rows in ``runs`` (slices) formed from ``u_hat``."""
+        for s in runs:
+            np.fft.irfft(u_hat[s], n=self.n, axis=1, out=self._u[s])
+        return self._u
 
     def propagator(self, h):
         """V e^{-i (h/2) Lambda} V* as {(i, j): its values over the modes} on the
         stored entries; rebuilt when h changes, a chunk of modes at a time from
-        that chunk's dense V."""
+        that chunk's dense V; the rows it leaves frozen are found at each build."""
         if h != self._h:
             self._prop = None   # released before the new one is formed: peak memory
             N, modes = self._hat.shape
@@ -231,22 +236,27 @@ class _Stepper:
                 for (i, j), entry in P.items():
                     entry[c] = Pc[:, i, j]
                 del V, Pc   # freed before the next chunk's are formed: peak memory
+            frozen = {i for i, js in self._rows if i not in self.source.rows
+                      and all(np.all(P[i, j] == (i == j)) for j in js)}
+            self._live = [(i, js) for i, js in self._rows if i not in frozen]
+            self._read = _runs(sorted(self._touched - frozen))
+            self._changed = _runs([i for i, _ in self._live])
             self._h, self._prop = h, P
         return self._prop
 
-    def linear_half(self, prop, u_hat, out):
-        """out[i] = sum_j P[i, j] u_hat[j] over the stored entries, in j order."""
-        for i, js in self._rows:
+    def linear_half(self, prop, u_hat, out, rows):
+        """out[i] = sum_j P[i, j] u_hat[j] over the stored js, in j order, for (i, js) in rows."""
+        for i, js in rows:
             np.multiply(prop[i, js[0]], u_hat[js[0]], out=out[i])
             for j in js[1:]:
                 out[i] += np.multiply(prop[i, j], u_hat[j], out=self._row)
         return out
 
     def nonlinear(self, u, dt):
-        """RK4 on du/dt = B(u, u)/sqrt(eps), pointwise in x, in place on u (N, points):
-        u + dt/6 (k1 + 2 k2 + 2 k3 + k4) in that operation order, on the rows a
-        nonzero triplet of B writes.  The source is 0 on the other rows, so they
-        keep their values and every stage reads them from u."""
+        """RK4 on du/dt = B(u, u)/sqrt(eps), pointwise in x, from u (N, points):
+        returns the RK4 array whose rows a nonzero triplet of B writes hold the
+        increment dt/6 (k1 + 2 k2 + 2 k3 + k4), in that operation order.  The source
+        is 0 on the other rows, so every stage reads those B reads from u."""
         acc, w, k = self._rk4
         self.source(u, u, out=k)
         for s in self._fixed:
@@ -261,18 +271,22 @@ class _Stepper:
             self.source(w, w, out=k)
         for s in self._moved:
             acc[s] += k[s]
-            u[s] += np.multiply(dt / 6.0, acc[s], out=acc[s])
+            acc[s] *= dt / 6.0
+        return acc
 
     def step(self, u_hat, h):
         """Advance the spectrum ``u_hat`` by h in place.  Returns the state and
-        ``u_hat``; the state is the workspace's, overwritten by the next step."""
+        ``u_hat``; the state is the workspace's, overwritten by the next step.  A step
+        that builds a propagator transforms every row, forming the frozen rows' x-values."""
+        every = h != self._h
         prop = self.propagator(h)
-        u = self.field(self.linear_half(prop, u_hat, self._hat))
-        self.nonlinear(u, h)
-        self.linear_half(prop, self.spectrum(u, out=self._hat), u_hat)
-        if self.n % 2 == 0:
-            u_hat[:, -1].imag = 0.0   # a real state's Nyquist coefficient is real
-        return self.field(u_hat), u_hat
+        hat = self.linear_half(prop, u_hat, self._hat, self._rows if every else self._live)
+        hat.imag[:, self._ends] = 0.0
+        inc = self.nonlinear(self.field(hat, (slice(None),) if every else self._read), h)
+        for s in self._moved:   # B's increment, transformed in u_hat: the half-step overwrites it
+            hat[s] += self.spectrum(inc[s], out=u_hat[s])
+        self.linear_half(prop, hat, u_hat, self._live).imag[:, self._ends] = 0.0
+        return self.field(u_hat, self._changed), u_hat
 
 
 @dataclass

@@ -31,6 +31,7 @@ from .system import SystemSpec
 
 # grid points per block of :func:`pde_residual`'s evaluation
 RESIDUAL_BLOCK = 4096
+MAX_RESIDUAL_POINTS = 2 ** 23   # the CLI's largest residual grid: ~90 B a point at peak, 0.7 GiB
 
 # random sample vectors (after the unit vectors) of the weak-transparency battery, and
 # the seed they are drawn with

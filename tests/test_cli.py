@@ -284,11 +284,14 @@ def test_analyze_csv_format_flattens_the_json_report(tmp_path):
     (["analyze", "--system", "catalog:kg-equal", "--k", "1e308"],
      "--k 1e+308: wavenumber too large: |k| must be below 1e+150"),
     (["analyze", "--system", "catalog:kg-equal", "--window", "1e200"], "--window/--k:"),
+    # a residual grid past its limit: 7e13 points at eps 1e-4, 512 TiB for x alone
+    (["wkb", "--system", "catalog:kg-equal", "--residual", "--k", "1e8"],
+     "--k 1e+08: the residual grid at eps 0.0001 needs 7.04e+13 points"),
 ])
 def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    if "--out" not in argv and argv[0] != "catalog":
+    if "--out" not in argv and argv[0] not in ("catalog", "wkb"):
         argv = argv + ["--out", "{tmp}/out"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -316,6 +319,17 @@ def test_huge_cutoff_edge_bisects_without_overflow_warning(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2"],
+    ["flow", "--system", "catalog:kg-equal"]], ids=["simulate", "flow"])
+def test_tiny_width_runs_without_overflow_warning(argv, tmp_path):
+    # off its center a gaussian of width 1e-300 squares past the float range:
+    # exp(-inf) = 0 there, with no warning, as under -W error::RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(argv + ["--width", "1e-300", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_wkb_check_transparency():

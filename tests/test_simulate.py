@@ -230,13 +230,15 @@ def test_real_state_step_carries_the_state_spectrum():
 
 
 def _count_transforms(monkeypatch):
-    counts = {}
+    """Calls and rows transformed (the leading axis of each input) per transform name."""
+    counts, rows = {}, {}
     for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
+        def counted(a, *args, _f=getattr(np.fft, name), _name=name, **kw):
             counts[_name] = counts.get(_name, 0) + 1
-            return _f(*args, **kw)
+            rows[_name] = rows.get(_name, 0) + (len(a) if np.ndim(a) == 2 else 1)
+            return _f(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
-    return counts
+    return counts, rows
 
 
 def _record_steps(monkeypatch):
@@ -255,22 +257,33 @@ def _record_steps(monkeypatch):
     return steps, props
 
 
-@pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
-def test_step_transform_and_propagator_counts(system, monkeypatch, kg_analysis):
-    # three transforms a step plus the first, on the half spectrum only; one
-    # propagator per distinct step size
+@pytest.mark.parametrize("system, rows_per_step, calls_per_step", [
+    ("three-wave", 6, 3), ("three-wave-c1", 8, 3), ("kg-equal", 12, 5)],
+    ids=["three-wave", "three-wave-c1", "kg-equal"])
+def test_step_transform_and_propagator_counts(system, rows_per_step, calls_per_step,
+                                              monkeypatch, kg_analysis):
+    # a step transforms the rows B reads, B's increment on the rows it writes and
+    # the rows not frozen: kg-equal reads {1, 2, 4, 5} and writes {1, 4}; the
+    # three-wave pump row 0 is frozen at c1 = 0 (2 + 2 + 2 rows), not at c1 = 1
+    # (3 + 2 + 3).  On top of that, every row once for the datum and at each of the
+    # propagator builds, one per distinct step size; on the half spectrum only
     steps, props = _record_steps(monkeypatch)
-    counts = _count_transforms(monkeypatch)
-    if system == "three-wave":
-        run = run_instability_experiment(_tw_config(1e-2, t_end=0.3), _static_ref)
-    else:
+    counts, rows = _count_transforms(monkeypatch)
+    if system == "kg-equal":
         run = run_simulation(kg_equal(), 1e-2, analysis=kg_analysis, grid_points=16384,
                              t_end=0.05)
+    else:
+        spec = three_wave(c=(1.0, 0.5, -0.5) if system == "three-wave-c1" else (0.0, 0.5, -0.5),
+                          b=(0.0, 1.0, 1.0))
+        run = run_instability_experiment(_tw_config(1e-2, spec=spec, t_end=0.3), _static_ref)
     assert set(counts) == {"rfft", "irfft"}
     assert run.verdict == "completed"
-    assert len(set(steps)) >= 2   # the shortened last step changes h
-    assert sum(counts.values()) <= 3 * len(steps) + 1
-    assert len({id(p) for p in props}) == len(set(steps))
+    builds = len({id(p) for p in props})
+    assert builds == len(set(steps)) >= 2   # the shortened last step changes h
+    N = run.config.spec.N
+    assert sum(rows.values()) <= rows_per_step * len(steps) + N * (1 + builds)
+    # kg-equal's rows {1, 2}, {4, 5} and {1}, {4} are not contiguous: one call a run
+    assert sum(counts.values()) <= calls_per_step * len(steps) + 1 + builds
 
 
 def test_transport_mode_exact():
@@ -476,7 +489,8 @@ def test_linear_half_skips_zero_entries_only(system, nonzero):
     assert len(prop) == nonzero
     assert all(np.array_equal(entry, P[ij]) for ij, entry in prop.items())
     assert not np.any(P[_unstored(prop, spec.N)])
-    assert np.array_equal(st.linear_half(prop, u_hat, np.empty_like(u_hat)), _dense_half(P, u_hat))
+    assert np.array_equal(st.linear_half(prop, u_hat, np.empty_like(u_hat), st._rows),
+                          _dense_half(P, u_hat))
 
 
 def _fed_spec(N=4, seed=5):
@@ -503,9 +517,57 @@ def test_rk4_on_written_rows_equals_full_state_rk4(system, moved):
     u = np.random.default_rng(1).standard_normal((spec.N, 256))
     want = full_state_rk4(st.source, u, 1e-2)
     got = u.copy()
-    st.nonlinear(got, 1e-2)
+    inc = st.nonlinear(got, 1e-2)
+    for s in moved:
+        got[s] += inc[s]
     assert np.array_equal(got, want)
     assert not np.array_equal(got, u)
+
+
+def _restricted_spec(seed, frozen=False):
+    """A random coupled system whose B reads and writes a strict subset of its rows.
+    With ``frozen``, row 0 has zero speed and no A0 coupling, and B reads it but
+    does not write it, as three-wave's pump row at c1 = 0."""
+    rng = np.random.default_rng(seed)
+    N = 3 if frozen else 4
+    spec = _coupled_spec(N, seed)
+    A0, A1 = spec.A0, spec.Aj[0]
+    if frozen:
+        A0[0], A0[:, 0], A1[0], A1[:, 0] = 0.0, 0.0, 0.0, 0.0
+        outs, reads = [1, 2], [0, 1, 2]
+    else:
+        outs = reads = sorted(rng.choice(N, N - 1, replace=False).tolist())
+    triplets = tuple((int(o), int(l), int(r), float(v)) for o in outs
+                     for l, r, v in zip(rng.choice(reads, 2), rng.choice(reads, 2),
+                                        rng.standard_normal(2)))
+    return SystemSpec("restricted", N, 1, A0, (A1,), BilinearMap(N, triplets))
+
+
+@pytest.mark.parametrize("seed, frozen", [(0, False), (1, False), (2, False), (3, True)])
+def test_restricted_step_matches_reference_strang_step(seed, frozen):
+    # rows B does not read skip the first inverse transform and a frozen row every
+    # transform; from a spectrum alone (the workspace state is nan), through a dt
+    # halving and a shortened last step, against the complex full-spectrum step
+    spec, eps = _restricted_spec(seed, frozen), 1e-2
+    x = np.linspace(-6.0, 6.0, 512, endpoint=False)
+    u = 0.3 * np.exp(-x ** 2) * np.cos(np.outer(np.arange(1, spec.N + 1), 2.0 * x))
+    st = _Stepper(spec, eps, x)
+    st._u.fill(np.nan)
+    reference = complex_strang_step(spec, eps, x)
+    v_hat = st.spectrum(u)
+    for dt in [4e-3] * 4 + [2e-3] * 4 + [7e-4]:
+        u = reference(u, dt)
+        v, v_hat = st.step(v_hat, dt)
+        assert np.abs(v - u).max() <= 1e-12 * np.abs(u).max(), (seed, dt)
+        assert np.abs(st.spectrum(v) - v_hat).max() <= 1e-12 * np.abs(v_hat).max()
+    live = [i for i, _ in st._live]
+    assert live == ([1, 2] if frozen else list(range(spec.N)))
+    assert sum(s.stop - s.start for s in st._read) < spec.N   # some row skips the first
+    if frozen:   # the frozen row's spectrum stays bit for bit
+        first = v_hat[0].copy()
+        for _ in range(50):
+            v, v_hat = st.step(v_hat, 7e-4)
+        assert np.array_equal(v_hat[0], first)
 
 
 def test_steps_allocate_less_than_one_state():
