@@ -28,8 +28,7 @@ def main():
     spec = three_wave(c=(0.0, 0.5, -0.5), b=(0.0, 1.0, 1.0))
     an = analyze(spec, Phase(0.0, [0.0]), window=(-6.0, 6.0), grid_n=512)
     rep = run_sweep(spec, epsilons, analysis=an, amplitude=AmplitudeProfile(width=2.0),
-                    K=3.0, K_prime=0.6, T_obs=3.2, rho=0.4,
-                    workers=int(os.environ.get("OSCILLANT_THREADS", "1")))
+                    K=3.0, K_prime=0.6, T_obs=3.2, rho=0.4)
 
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "sweep.csv"), rep.csv().encode())

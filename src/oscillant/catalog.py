@@ -18,6 +18,7 @@ import numpy as np
 from .dispersion import RELATIONS
 from .interaction import polarization_vectors
 from .numeric import DEFAULT_POLICY, InputError
+from .spectral import AsymptoticSlopes
 from .system import BilinearMap, Phase, SystemSpec
 
 
@@ -208,12 +209,10 @@ def mll_branch_values(xi1, xinorm):
     return np.sort(r.real)
 
 
-def mll_asymptotic_slopes(cos_angle=1.0, radii=(200.0, 400.0)):
-    """Branch slopes at infinity along a direction with xi1 = cos_angle * |xi|."""
-    r1, r2 = radii
-    v1 = mll_branch_values(cos_angle * r1, r1) / r1
-    v2 = mll_branch_values(cos_angle * r2, r2) / r2
-    return (r2 ** 2 * v2 - r1 ** 2 * v1) / (r2 ** 2 - r1 ** 2)
+def mll_asymptotic_slopes(cos_angle=1.0, radii=(200.0, 400.0)) -> AsymptoticSlopes:
+    """Branch slopes at infinity along a direction with xi1 = cos_angle * |xi|, read
+    from the sorted branch values at ``radii``."""
+    return AsymptoticSlopes(radii, np.array([mll_branch_values(cos_angle * r, r) for r in radii]))
 
 
 def mll_boundedness_verdict():
@@ -222,12 +221,11 @@ def mll_boundedness_verdict():
     The asymptotic branches are not distinct (two branches share each slope
     +-1, and several vanish), so the distinct-slope criterion cannot certify a
     bounded resonant set: the verdict is 'undetermined', never 'bounded'.
-    Slopes within the default policy's ``slope_tol`` coincide: the variety is
-    given by closed-form branches, not by a :class:`SystemSpec` carrying a policy.
+    Slopes coincide under the default policy: the variety is given by
+    closed-form branches, not by a :class:`SystemSpec` carrying a policy.
     """
     for cosa in (1.0, 0.7, 0.0):
-        slopes = np.sort(mll_asymptotic_slopes(cosa))
-        if np.min(np.diff(slopes)) <= DEFAULT_POLICY.slope_tol:
+        if mll_asymptotic_slopes(cosa).coinciding_pairs(DEFAULT_POLICY):
             return "undetermined"
     return "bounded"  # pragma: no cover - never reached for this variety
 

@@ -15,20 +15,13 @@ import sys
 import numpy as np
 
 from . import catalog
-from .experiments import (analyze, flow_bound_experiment, report_inputs, run_simulation,
-                          run_sweep, system_phase)
+from .experiments import (K_LIMIT, analyze, flow_bound_experiment, report_inputs,
+                          run_simulation, run_sweep, system_phase)
 from .interaction import polarization_vectors
 from .numeric import InputError, NumericalError, fit_epsilons
 from .simulate import AmplitudeProfile, snapshot_bytes
 from .system import Phase, SystemSpec, load_spec, save_spec, write_atomic
 from .wkb import MAX_RESIDUAL_POINTS, consistency_residual, solve_transport, weak_transparency_check
-
-
-def _thread_cap():
-    try:
-        return max(1, int(os.environ.get("OSCILLANT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_system(args):
@@ -120,6 +113,12 @@ PARAM_FLAGS = {"omega0": _finite, "theta0": _finite, "alpha0": _finite, "iota": 
 
 
 def _phase_from(args, spec):
+    """The phase of --omega and --k, or the system's entry (at --k when given); either
+    way |k| stays below ``K_LIMIT``."""
+    if args.k is not None and not abs(args.k) < K_LIMIT:
+        raise InputError(f"--k {args.k:g}: wavenumber too large: |k| must be below "
+                         f"{K_LIMIT:.6g}, past which the resonance search's slope radii "
+                         "leave the float range")
     if args.omega is None:
         return system_phase(spec, args.k)
     if args.k is None:
@@ -210,7 +209,7 @@ def cmd_sweep(args):
     result, amplitude = _analysis(args, K=args.K)
     rep = run_sweep(result.spec, args.epsilons, analysis=result, K=args.K, K_prime=args.Kprime,
                     grid_points=args.grid, amplitude=amplitude,
-                    T_obs=args.T, rho=args.rho, workers=_thread_cap())
+                    T_obs=args.T, rho=args.rho)
     _make_dir(args.out)
     path = os.path.join(args.out, "sweep.csv")
     write_atomic(path, rep.csv().encode())
@@ -309,9 +308,9 @@ def build_parser():
     p = sub.add_parser("simulate", parents=[system, params, run], help="direct pseudospectral run")
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--K", type=_positive, default=3.0)
-    p.add_argument("--Kprime", type=_positive, default=0.5)
+    p.add_argument("--Kprime", type=_positive, default=None)
     p.add_argument("--tend", type=_positive, default=None)
-    p.add_argument("--grid", type=_grid_points, default=4096)
+    p.add_argument("--grid", type=_grid_points, default=None)
     p.add_argument("--snapshot", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
@@ -322,7 +321,7 @@ def build_parser():
     p.add_argument("--Kprime", type=_positive, default=0.6)
     p.add_argument("--T", type=_positive, default=3.2)
     p.add_argument("--rho", type=_positive, default=None)
-    p.add_argument("--grid", type=_grid_points, default=4096)
+    p.add_argument("--grid", type=_grid_points, default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("wkb", parents=[system, params], help="two-scale cascade checks")

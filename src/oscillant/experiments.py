@@ -44,15 +44,15 @@ class Analysis:
     stability: StabilityReport
 
 
-# largest |k| of a phase at a given wavenumber, on a system with no ``k_bound``: the
-# default window reaches 9 |k|, and the resonance search reads slopes out to 4 sqrt(d)
-# times that, which must stay below ``resonance.MAX_SLOPE_RADIUS``
+# largest |k| the command line takes, whether --k moves the system's phase or pairs
+# with --omega: the default window reaches 9 |k|, and the resonance search reads slopes
+# out to 4 sqrt(d) times that, which must stay below ``resonance.MAX_SLOPE_RADIUS``
 K_LIMIT = 1e150
 
 
 def system_phase(spec: SystemSpec, k=None) -> Phase:
     """The system's phase entry; given ``k``, the phase at wavenumber (k, 0, ..)
-    with |k| below ``k_bound`` and ``K_LIMIT`` on the entry's branch: the eigenvalue
+    with |k| below ``k_bound`` on the entry's branch: the eigenvalue
     of the symbol at k whose ascending index the entry's omega has at its k, which
     must be simple at both wavenumbers (at the entry's k, the entry itself)."""
     phase = spec.phase
@@ -63,11 +63,9 @@ def system_phase(spec: SystemSpec, k=None) -> Phase:
         return phase
     kvec = np.zeros(spec.d)
     kvec[0] = k
-    if not abs(k) < min(spec.k_bound, K_LIMIT):
-        why = ("the bound of the system's phase" if spec.k_bound < K_LIMIT else
-               "past which the resonance search's slope radii leave the float range")
+    if not abs(k) < spec.k_bound:
         raise InputError(f"--k {k:g}: wavenumber too large: |k| must be below "
-                         f"{min(spec.k_bound, K_LIMIT):.6g}, {why}")
+                         f"{spec.k_bound:.6g}, the bound of the system's phase")
     if np.array_equal(kvec, phase.k):
         return phase
     branch = np.flatnonzero(harmonic(spec, phase, 1).kernel)
@@ -266,40 +264,38 @@ def reference_solution(analysis: Analysis, amplitude: AmplitudeProfile, epsilon:
     return ref
 
 
-def simulation_config(spec: SystemSpec, analysis: Analysis, epsilon, K=3.0, K_prime=0.5,
-                      grid_points=4096, amplitude: AmplitudeProfile = None,
-                      T_obs=None, rho=None, t_end=None) -> SimConfig:
+def simulation_config(analysis: Analysis, epsilon, **cfg_kw) -> SimConfig:
+    """The :class:`SimConfig` of a run on the analysed system at ``epsilon``: the
+    report's resonant datum (xi0, the phase's k and the unit e0, the first axis when
+    the report has none) and the ``cfg_kw`` given, a None one taking SimConfig's
+    default; ``T_obs``, unless given, is the report's T0 when that is finite."""
     sr = analysis.stability
-    amplitude = amplitude or AmplitudeProfile()
     xi0 = float(np.atleast_1d(sr.xi0)[0]) if sr.xi0 is not None else 0.0
-    k = float(analysis.phase.k[0])
-    e0 = sr.e0 if sr.e0 is not None else np.eye(spec.N)[0].astype(complex)
-    e0 = e0 / np.linalg.norm(e0)
-    if T_obs is None:
-        T_obs = sr.t0 if np.isfinite(sr.t0) else 2.0
-    return SimConfig(spec=spec, epsilon=epsilon, grid_points=grid_points,
-                     amplitude=amplitude, K=K, K_prime=K_prime, T_obs=T_obs,
-                     e0=e0, xi0=xi0, k=k, rho=rho, t_end=t_end)
+    e0 = sr.e0 if sr.e0 is not None else np.eye(analysis.spec.N)[0].astype(complex)
+    given = {key: value for key, value in cfg_kw.items() if value is not None}
+    if "T_obs" not in given and np.isfinite(sr.t0):
+        given["T_obs"] = sr.t0
+    return SimConfig(spec=analysis.spec, epsilon=epsilon, e0=e0 / np.linalg.norm(e0), xi0=xi0,
+                     k=float(analysis.phase.k[0]), **given)
 
 
-def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None,
-                   amplitude: AmplitudeProfile = None, K=3.0, **cfg_kw):
-    """One run; ``analysis`` defaults to the system's phase under the run's K and amplitude."""
-    amplitude = amplitude or AmplitudeProfile()
-    analysis = analysis or analyze(spec, inputs=report_inputs(spec.d, amplitude, K=K))
-    cfg = simulation_config(spec, analysis, epsilon, amplitude=amplitude, K=K, **cfg_kw)
-    ref = reference_solution(analysis, amplitude, epsilon)
-    return run_instability_experiment(cfg, ref)
+def run_simulation(spec: SystemSpec, epsilon, analysis: Analysis = None, **cfg_kw):
+    """One run of :func:`simulation_config` of ``cfg_kw``; ``analysis`` defaults to the
+    system's phase under the run's K and amplitude."""
+    analysis = analysis or analyze(spec, inputs=report_inputs(
+        spec.d, cfg_kw.get("amplitude"), K=cfg_kw.get("K", SimConfig.K)))
+    cfg = simulation_config(analysis, epsilon, **cfg_kw)
+    return run_instability_experiment(cfg, reference_solution(analysis, cfg.amplitude, epsilon))
 
 
-def run_sweep(spec: SystemSpec, epsilons, analysis: Analysis = None,
-              amplitude: AmplitudeProfile = None, workers=1, K=3.0, **cfg_kw) -> SweepReport:
+def run_sweep(spec: SystemSpec, epsilons, analysis: Analysis = None, workers=1,
+              **cfg_kw) -> SweepReport:
     """:func:`run_simulation` across epsilons, the law read in the runs' reduced clock;
     a system's ``time_factor_power`` tf (Brillouin's 1) then sets the clock of the
     reported t_stars (times eps^(tf - 1/2)) and rates (over it)."""
-    amplitude = amplitude or AmplitudeProfile()
-    analysis = analysis or analyze(spec, inputs=report_inputs(spec.d, amplitude, K=K))
-    rep = epsilon_sweep(lambda eps: run_simulation(spec, eps, analysis, amplitude, K, **cfg_kw),
+    analysis = analysis or analyze(spec, inputs=report_inputs(
+        spec.d, cfg_kw.get("amplitude"), K=cfg_kw.get("K", SimConfig.K)))
+    rep = epsilon_sweep(lambda eps: run_simulation(spec, eps, analysis, **cfg_kw),
                         epsilons, workers=workers)
     tf = spec.params.get("time_factor_power", 0.5)
     # scalar powers: an array's ** 0.5 is np.sqrt, which can differ from pow in the last bit

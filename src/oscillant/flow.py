@@ -113,10 +113,6 @@ class FlowTrajectory:
     max_step_exponent: float = 0.0  # largest dt |K(t)| / sqrt(eps) over the steps
 
     @property
-    def sup_norm_max(self) -> float:
-        return float(np.max(self.sup_norm_series))
-
-    @property
     def fitted_rate(self) -> float:
         """Slope of log sup |S| against t over the later half of the samples."""
         half = len(self.times) // 2
@@ -331,7 +327,8 @@ def verify_growth_bound(families, gamma_plus, away=None):
 
     away_sup = away_passed = None
     if away is not None:
-        away_sup = max([0.0] + [traj.sup_norm_max for trajs in away.values() for traj in trajs])
+        away_sup = max([0.0] + [float(np.max(traj.sup_norm_series))
+                                for trajs in away.values() for traj in trajs])
         away_passed = away_sup <= AWAY_CAP
         passed = passed and away_passed
     every = [traj for fam in (families, away or {}) for trajs in fam.values() for traj in trajs]

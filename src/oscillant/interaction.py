@@ -54,10 +54,6 @@ class PolarizationVectors:
     em1: np.ndarray
     residuals: tuple
 
-    def linearized_source(self, B):
-        """Matrices of B(e1) and B(e-1)."""
-        return B.symmetrized(self.e1), B.symmetrized(self.em1)
-
 
 def _real_pivot(v) -> np.ndarray:
     """v rotated so that its first significant component is positive real."""
@@ -118,7 +114,7 @@ def unstable_datum_direction(product: np.ndarray) -> np.ndarray:
 def _sources(field: SpectralField, pol: PolarizationVectors):
     """The linearized sources (B(e1), B(e-1)) and the scale every coupling
     threshold is relative to: the larger of their sup norms."""
-    sources = pol.linearized_source(field.spec.B)
+    sources = field.spec.B.symmetrized(pol.e1), field.spec.B.symmetrized(pol.em1)
     return sources, max(supnorm(sources[0]), supnorm(sources[1]), 1e-300)
 
 
@@ -207,9 +203,10 @@ class TransparencyDiagnostic:
         return self.verdict == "transparent"
 
 
-def _scan_points(field, phase, roots, offsets):
-    """Pair evaluations of every root shifted by each offset along the
-    diagonal, skipping points whose k-shift leaves the field, SCAN_BATCH
+def _band_scan(field, phase, pair, sources, roots, offsets, in_band):
+    """|phase| and the pair's coupling matrices (b+, b-) at the scan points where
+    ``in_band(|phase|)`` holds, a batch at a time: every root shifted by each offset
+    along the diagonal, skipping points whose k-shift leaves the field, SCAN_BATCH
     points a batch."""
     lo, hi = np.array(field.window).T
     d = roots.shape[1]
@@ -217,7 +214,11 @@ def _scan_points(field, phase, roots, offsets):
     inside = (pts >= lo) & (pts <= hi) & (pts + phase.k >= lo) & (pts + phase.k <= hi)
     pts = pts[np.all(inside, axis=1)]
     for s in range(0, len(pts), SCAN_BATCH):
-        yield _PairBatch(field, phase, pts[s:s + SCAN_BATCH])
+        pb = _PairBatch(field, phase, pts[s:s + SCAN_BATCH])
+        p = np.abs(pb.phase(*pair))
+        rows = np.flatnonzero(in_band(p))
+        if rows.size:
+            yield p[rows], pb.coupling(*pair, sources, rows)
 
 
 def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Phase,
@@ -247,18 +248,15 @@ def transparency_check(field: SpectralField, pol: PolarizationVectors, phase: Ph
     span = max(hi - lo for (lo, hi) in report.window)
     offsets = np.concatenate([-np.geomspace(1e-4, 0.5 * span, 40)[::-1],
                               np.geomspace(1e-4, 0.5 * span, 40)])
-    for pb in _scan_points(field, phase, roots.points, offsets):
-        p = np.abs(pb.phase(*pair))
-        in_band = [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in TRANSPARENCY_BANDS]
-        rows = np.flatnonzero(np.any(in_band, axis=0))
-        if not rows.size:
-            continue
-        bp, bm = pb.coupling(*pair, sources, rows)
+
+    def bands(p):
+        return [(h / 2 <= p) & (p <= h) & (p != 0.0) for h in TRANSPARENCY_BANDS]
+    for p, (bp, bm) in _band_scan(field, phase, pair, sources, roots.points, offsets,
+                                  lambda p: np.any(bands(p), axis=0)):
         c = np.maximum(supnorm(bp), supnorm(bm))
-        for h, band in zip(TRANSPARENCY_BANDS, in_band):
-            band = band[rows]
+        for h, band in zip(TRANSPARENCY_BANDS, bands(p)):
             if band.any():
-                ratio[h] = max(ratio[h], float(np.max(c[band] / p[rows][band])))
+                ratio[h] = max(ratio[h], float(np.max(c[band] / p[band])))
                 band_coef[h] = max(band_coef[h], float(np.max(c[band])))
 
     growth_ok = True
@@ -445,11 +443,9 @@ def _gamma_plus_for_pair(field, pol, phase, pair, roots: RootCouplings, h, a_sup
     for r, ph, g in zip(roots.points, roots.phase, roots.trace):
         if field.contains(r) and field.contains(r + phase.k) and abs(ph) <= h:
             best = max(best, float(np.sqrt(g).real))
-    for pb in _scan_points(field, phase, roots.points, offsets):
-        rows = np.flatnonzero(np.abs(pb.phase(*pair)) <= h)
-        if rows.size:
-            g = _trace(*pb.coupling(*pair, sources, rows))
-            best = max(best, float(np.max(np.sqrt(g).real)))
+    for _, coupling in _band_scan(field, phase, pair, sources, roots.points, offsets,
+                                  lambda p: p <= h):
+        best = max(best, float(np.max(np.sqrt(_trace(*coupling)).real)))
     return a_sup * best
 
 
@@ -511,14 +507,6 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
     gamma = max((p.gamma_ij for p in pair_data.values()), default=0.0)
     b0 = max((p.b0 for p in pair_data.values()), default=0.0)
 
-    K, Ka, a_sup, a_hat = inputs.K, inputs.K_a, inputs.a_sup, inputs.a_hatL1
-    d = inputs.d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = max(_safe_div(K, b0 * a_hat), _safe_div(K - d / 2, gamma * a_sup))
-        k0 = min(K * (1.0 - _safe_div(gamma * a_sup, b0 * a_hat, default=0.0)), d / 2) \
-            if b0 * a_hat > 0 else d / 2
-        t_inf = _safe_div(K, gamma * a_sup)
-
     selected = None
     if pair_data:
         # pairs within a relative GAMMA_TIE of the largest growth coefficient
@@ -526,11 +514,21 @@ def stability_report(field: SpectralField, pol: PolarizationVectors, phase: Phas
         tied = [p for p in sorted(pair_data) if pair_data[p].gamma_ij >= (1 - GAMMA_TIE) * gamma]
         selected = min(tied, key=lambda p: float(np.linalg.norm(pair_data[p].argmax_root)))
     gamma_sel = pair_data[selected].gamma_ij if selected else 0.0
-    t0p = min(max(_safe_div(K - 0.5, b_full * a_hat), _safe_div(K - (d + 1) / 2, b_full * a_sup)),
-              _safe_div(0.5, (b_full - gamma_sel) * a_sup)) if b_full > 0 else np.inf
-    k0p = K - t0p * gamma_sel * a_sup if np.isfinite(t0p) else -np.inf
-    t0pp = max(_safe_div(K - 0.5, b0 * a_hat), _safe_div(K - (d + 1) / 2, gamma * a_sup))
-    k0pp = K + inputs.beta * d / 2 - t0pp * gamma * a_sup if np.isfinite(t0pp) else -np.inf
+
+    # observation times: a quotient past the float range is inf, as the report reads it
+    K, Ka, a_sup, a_hat = inputs.K, inputs.K_a, inputs.a_sup, inputs.a_hatL1
+    d = inputs.d
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t0 = max(_safe_div(K, b0 * a_hat), _safe_div(K - d / 2, gamma * a_sup))
+        k0 = min(K * (1.0 - _safe_div(gamma * a_sup, b0 * a_hat, default=0.0)), d / 2) \
+            if b0 * a_hat > 0 else d / 2
+        t_inf = _safe_div(K, gamma * a_sup)
+        t0p = min(max(_safe_div(K - 0.5, b_full * a_hat),
+                      _safe_div(K - (d + 1) / 2, b_full * a_sup)),
+                  _safe_div(0.5, (b_full - gamma_sel) * a_sup)) if b_full > 0 else np.inf
+        k0p = K - t0p * gamma_sel * a_sup if np.isfinite(t0p) else -np.inf
+        t0pp = max(_safe_div(K - 0.5, b0 * a_hat), _safe_div(K - (d + 1) / 2, gamma * a_sup))
+        k0pp = K + inputs.beta * d / 2 - t0pp * gamma * a_sup if np.isfinite(t0pp) else -np.inf
 
     if borderline:
         verdict = "borderline"

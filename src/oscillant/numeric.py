@@ -11,7 +11,7 @@ reads :data:`DEFAULT_POLICY` directly.  No function takes a tolerance of its own
 
 It also holds the helpers several modules share: the numerical rank, the sup
 norm, the smooth cutoff weight of the flow's samples and the simulator's bump,
-and the check of the epsilons a law is fitted across.
+the period of a periodic grid, and the check of the epsilons a law is fitted across.
 """
 from dataclasses import dataclass
 
@@ -86,6 +86,12 @@ def smoothstep(t):
 def bump_weight(value, plateau, cutoff):
     """1 on |value| <= plateau, 0 beyond cutoff, smooth monotone between."""
     return 1.0 - smoothstep((np.abs(value) - plateau) / max(cutoff - plateau, 1e-300))
+
+
+def grid_period(x) -> float:
+    """Period of the uniform periodic grid ``x``: its span plus one spacing."""
+    n = len(x)
+    return float(x[-1] - x[0]) * n / (n - 1)
 
 
 def fit_epsilons(epsilons, least: int, what: str) -> np.ndarray:

@@ -361,8 +361,7 @@ def find_resonances(field: SpectralField, phase: Phase, window=None) -> Resonanc
         [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
     coinciding = set()
     for w in directions:
-        coinciding.update(asymptotic_slopes(field.spec, w, radii, field=field)
-                          .coinciding_pairs(policy))
+        coinciding.update(asymptotic_slopes(field, w, radii).coinciding_pairs(policy))
     edge_roots = False
     for (i, j) in coinciding:
         pr = pairs[(i, j)]

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .numeric import MIN_POINTS_PER_WAVELENGTH, InputError, bump_weight, fit_epsilons
+from .numeric import (MIN_POINTS_PER_WAVELENGTH, InputError, bump_weight, fit_epsilons,
+                      grid_period)
 from .system import SystemSpec
 
 
@@ -82,9 +83,8 @@ def amplitude_norms(a, x) -> AmplitudeNorms:
     mags = np.abs(a)
     if not np.any(mags > 0):
         raise InputError("amplitude vanishes identically: no maximum point exists")
-    n = len(x)
-    L = float(x[-1] - x[0]) * n / (n - 1)
-    dx = L / n
+    L = grid_period(x)
+    dx = L / len(x)
     a_hat = dx * np.fft.fft(a)
     a_hatL1 = float(np.sum(np.abs(a_hat)) * (2 * np.pi / L))
     i0 = int(np.argmax(mags))
@@ -102,7 +102,7 @@ class SimConfig:
     grid_points: int = 4096
     domain_length: float = None        # default 40 x amplitude width
     t_end: float = None                # default T_obs * sqrt(eps) |log eps|
-    T_obs: float = None                # observation-time multiplier
+    T_obs: float = 2.0                 # observation-time multiplier
     K: float = 3.0
     K_prime: float = 0.5
     amplitude: AmplitudeProfile = dc_field(default_factory=AmplitudeProfile)
@@ -151,9 +151,7 @@ class SimConfig:
 
 def _wavenumbers(x):
     """The wavenumbers of the ``rfft`` half spectrum on the periodic grid ``x``."""
-    n = len(x)
-    L = float(x[-1] - x[0]) * n / (n - 1)
-    return 2 * np.pi * np.fft.rfftfreq(n, d=L / n)
+    return 2 * np.pi * np.fft.rfftfreq(len(x), d=grid_period(x) / len(x))
 
 
 def _runs(rows):
@@ -302,6 +300,7 @@ class SimulationRun:
     config: SimConfig = None
     dt_used: float = None
     halvings: int = 0            # dt halvings over the run
+    final_state: np.ndarray = None   # (N, points) real state at times[-1], a copy
 
     def csv(self) -> str:
         lines = ["t,norm_total,norm_dev,norm_dev_ball,sup_dev"]
@@ -360,9 +359,9 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     measured from its real part.  The default perturbation is the resonant
     datum: eps^K times a plateau bump around the amplitude maximum, oscillating
     at (xi0 + k)/eps, pointing along e0.  The run evolves a real field from the
-    real part of the perturbed datum.  Integration runs to
-    ``min(T_obs, user T) sqrt(eps) |log eps|`` with the nonlinear-step bound
-    on dt, halving adaptively (at most 20 times) before declaring blow-up; a run
+    real part of the perturbed datum.  Integration runs to ``t_end`` when the
+    config gives one, else to ``T_obs sqrt(eps) |log eps|``, with the nonlinear-step
+    bound on dt, halving adaptively (at most 20 times) before declaring blow-up; a run
     estimated at more than ``MAX_RUN_STEPS`` steps, at the first dt or after any
     halving (see :func:`_check_run_steps`), raises :class:`InputError`.
     """
@@ -374,11 +373,9 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     ball = np.abs(x - config.amplitude.center) <= config.rho
     datum = _datum(config, reference, perturbation, x)
 
-    if config.t_end is not None:
-        t_end = config.t_end
-    else:
-        T = config.T_obs if config.T_obs is not None else 2.0
-        t_end = T * np.sqrt(eps) * abs(np.log(eps))
+    t_end = config.t_end
+    if t_end is None:
+        t_end = config.T_obs * np.sqrt(eps) * abs(np.log(eps))
     b_norm = spec.B.norm_bound
     sup = _sup(datum)
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12)
@@ -459,12 +456,10 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
             w = (thresh - f0) / (f1 - f0)
             t_star = float(times[i - 1] + w * (times[i] - times[i - 1]))
 
-    run = SimulationRun(times=times, norm_total=np.array(n_tot), norm_dev=n_dev,
-                        norm_dev_ball=n_ball, sup_dev=np.array(s_dev), fitted_rate=rate,
-                        t_star=t_star, verdict=verdict, config=config, dt_used=dt,
-                        halvings=halvings)
-    run.final_state = u.copy()
-    return run
+    return SimulationRun(times=times, norm_total=np.array(n_tot), norm_dev=n_dev,
+                         norm_dev_ball=n_ball, sup_dev=np.array(s_dev), fitted_rate=rate,
+                         t_star=t_star, verdict=verdict, config=config, dt_used=dt,
+                         halvings=halvings, final_state=u.copy())
 
 
 @dataclass

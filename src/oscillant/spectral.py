@@ -50,12 +50,11 @@ def assemble_symbol(spec: SystemSpec, xi) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (spec.d,):
         raise InputError(f"frequency point must have dimension {spec.d}")
-    return spec.A0 / 1j + spec.transport_symbol(xi)
+    return _symbols(spec, xi[None])[0]
 
 
 def _symbols(spec: SystemSpec, points) -> np.ndarray:
-    """Symbols of a (P, d) batch of points, formed as :func:`assemble_symbol` forms one
-    (A0/i added last, in place)."""
+    """Symbols H(xi) of a (P, d) batch of points (A0/i added last, in place)."""
     H = np.zeros((len(points), spec.N, spec.N), dtype=complex)
     for c, a in enumerate(spec.Aj):
         H.real += points[:, c, None, None] * a
@@ -77,13 +76,6 @@ def _cluster_ids(evals, H, policy):
     cid = np.zeros(evals.shape, dtype=int)
     np.cumsum(evals[:, 1:] - evals[:, :-1] > tol[:, None], axis=1, out=cid[:, 1:])
     return cid
-
-
-def _multiplicities(spec, xi):
-    """Sizes of the ascending eigenvalue clusters of the symbol at xi: the branches
-    a chain starting there is labelled with."""
-    H = _symbols(spec, np.asarray(xi, dtype=float)[None])
-    return np.bincount(_cluster_ids(_eigh(H)[0], H, spec.policy)[0])
 
 
 def _unambiguous(best, top, cid, slots):
@@ -484,7 +476,9 @@ def eigendecompose_field(spec: SystemSpec, grid) -> SpectralField:
         if np.any(np.diff(ax) <= 0):
             raise InputError("grid axes must be strictly increasing")
 
-    multiplicities = _multiplicities(spec, [ax[0] for ax in axes])
+    # the branches: the ascending eigenvalue clusters at the first grid point
+    H0 = _symbols(spec, np.array([[ax[0] for ax in axes]]))
+    multiplicities = np.bincount(_cluster_ids(_eigh(H0)[0], H0, spec.policy)[0])
     M = int(np.prod([ax.size for ax in axes]))
     need = M * spec.N ** 2 * 16
     if need > FIELD_BYTES_LIMIT:
@@ -500,28 +494,37 @@ def eigendecompose_field(spec: SystemSpec, grid) -> SpectralField:
 
 @dataclass
 class AsymptoticSlopes:
-    """Large-frequency behaviour lambda_j(r * direction) ~ c_j r + O(1/r)."""
+    """Large-frequency behaviour lambda_j(r w) ~ c_j r + O(1/r) along a ray r w, read
+    from the branch values ``samples`` at its increasing ``radii``."""
 
-    direction: np.ndarray
-    c: np.ndarray               # per-branch slope, in field branch order
+    radii: np.ndarray
+    samples: np.ndarray         # (radii, branches), in field branch order
+
+    @property
+    def c(self) -> np.ndarray:
+        """Per-branch slope: lambda/r = c + b h^2 + ... in h = 1/r, Richardson
+        extrapolated over the last two radii."""
+        r1, r2 = self.radii[-2], self.radii[-1]
+        f1, f2 = self.samples[-2] / r1, self.samples[-1] / r2
+        return (r2 ** 2 * f2 - r1 ** 2 * f1) / (r2 ** 2 - r1 ** 2)
 
     def coinciding_pairs(self, policy: NumericPolicy):
         """Ordered branch pairs whose slopes differ by at most
         ``policy.slope_tol * (1 + max |c|)``."""
-        tol, J = policy.slope_tol * (1 + np.max(np.abs(self.c))), range(len(self.c))
-        return [(i, j) for i in J for j in J if i != j and abs(self.c[i] - self.c[j]) <= tol]
+        c = self.c
+        tol, J = policy.slope_tol * (1 + np.max(np.abs(c))), range(len(c))
+        return [(i, j) for i in J for j in J if i != j and abs(c[i] - c[j]) <= tol]
 
 
-def asymptotic_slopes(spec: SystemSpec, direction, radii,
-                      field: SpectralField = None) -> AsymptoticSlopes:
+def asymptotic_slopes(field: SpectralField, direction, radii) -> AsymptoticSlopes:
     """Per-branch asymptotic slopes along a unit direction.
 
-    Labels the branches along the ray as one :func:`_chain` (anchored against
-    the field's labelled columns at its edge point when a field is supplied, so
-    slope indices match field branch indices; the clusters follow ``spec.policy``),
-    then refines ``lambda(r)/r`` by Richardson extrapolation in 1/r^2 over the
-    last two radii.
+    Labels the branches along the ray as one :func:`_chain`, anchored against
+    the field's labelled columns at its edge point, so slope indices match field
+    branch indices (the clusters follow ``spec.policy``), and reads the slopes at
+    ``radii`` (:class:`AsymptoticSlopes`).
     """
+    spec = field.spec
     direction = np.atleast_1d(np.asarray(direction, dtype=float))
     if direction.shape != (spec.d,):
         raise InputError("direction has wrong dimension")
@@ -534,14 +537,9 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
     if radii[-1] < r_min_needed:
         raise InputError(f"max radius must be at least {r_min_needed} (100 x spectral radius of A0)")
 
-    if field is not None:
-        reach = field.points @ direction
-        edge = len(reach) - 1 - int(np.argmax(reach[::-1]))   # the last of tied maxima
-        r0, anchor = max(float(reach[edge]), 1e-3), (field.vecs[edge], field.labels[edge])
-        multiplicities = field.multiplicities
-    else:
-        r0, anchor = radii[0], None
-        multiplicities = _multiplicities(spec, r0 * direction)
+    reach = field.points @ direction
+    edge = len(reach) - 1 - int(np.argmax(reach[::-1]))   # the last of tied maxima
+    r0 = max(float(reach[edge]), 1e-3)
 
     # march outward with bounded multiplicative steps so overlap tracking stays sound
     march = [r0]
@@ -551,12 +549,7 @@ def asymptotic_slopes(spec: SystemSpec, direction, radii,
         if r > march[-1]:
             march.append(float(r))
     lams = _chain(spec, np.array(march)[:, None] * direction,
-                  np.maximum(np.arange(len(march)) - 1, 0), multiplicities, anchor)[0]
+                  np.maximum(np.arange(len(march)) - 1, 0), field.multiplicities,
+                  (field.vecs[edge], field.labels[edge]))[0]
     vals = dict(zip(march, lams))
-    samples = np.array([vals[float(r)] for r in radii])  # (radii, branches)
-
-    # Richardson in h = 1/r: lambda/r = c + b h^2 + ...
-    r1, r2 = radii[-2], radii[-1]
-    f1, f2 = samples[-2] / r1, samples[-1] / r2
-    c = (r2 ** 2 * f2 - r1 ** 2 * f1) / (r2 ** 2 - r1 ** 2)
-    return AsymptoticSlopes(direction, c)
+    return AsymptoticSlopes(radii, np.array([vals[float(r)] for r in radii]))

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .numeric import (MIN_POINTS_PER_WAVELENGTH, InputError, MultiplicityError, NumericalError,
-                      fit_epsilons, supnorm)
+                      fit_epsilons, grid_period, supnorm)
 from .resonance import Phase, characteristic_harmonics, harmonic, harmonic_matrix
 from .system import SystemSpec
 
@@ -173,8 +173,7 @@ class WKBSolution:
     @cached_property
     def grid(self):
         """Period of the uniform periodic grid ``x`` and its angular wavenumbers."""
-        n = len(self.x)
-        L = float(self.x[-1] - self.x[0]) * n / (n - 1)
+        n, L = len(self.x), grid_period(self.x)
         return L, 2 * np.pi * np.fft.fftfreq(n, d=L / n)
 
     def spectrum(self, it) -> np.ndarray:

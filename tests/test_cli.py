@@ -287,6 +287,11 @@ def test_analyze_csv_format_flattens_the_json_report(tmp_path):
     # a residual grid past its limit: 7e13 points at eps 1e-4, 512 TiB for x alone
     (["wkb", "--system", "catalog:kg-equal", "--residual", "--k", "1e8"],
      "--k 1e+08: the residual grid at eps 0.0001 needs 7.04e+13 points"),
+    # an explicit phase's wavenumber is held to the same bound as the entry's, on every command
+    *[([*command, "--system", "catalog:kg-equal", "--omega", "1", "--k", "1e308"],
+       "input error: --k 1e+308: wavenumber too large: |k| must be below 1e+150")
+      for command in (["analyze"], ["flow"], ["simulate", "--epsilon", "1e-2"], ["sweep"],
+                      ["wkb", "--residual"], ["wkb", "--check-transparency"])],
 ])
 def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -330,6 +335,18 @@ def test_tiny_width_runs_without_overflow_warning(argv, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _run(argv + ["--width", "1e-300", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_huge_K_reads_inf_observation_times_without_warning(tmp_path):
+    # at --K 1e308 the observation times' quotients leave the float range: the report
+    # reads inf there, with no warning, as under -W error::RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["analyze", "--system", "catalog:kg-equal", "--K", "1e308",
+                     "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "stability_report.json").read_text())
+    assert doc["T0"] == doc["T0_doubleprime"] == doc["T_inf"] == "inf"
+    assert doc["K0_doubleprime"] == "-inf" and doc["verdict"] == "unstable"
 
 
 def test_wkb_check_transparency():

@@ -80,7 +80,7 @@ def test_scalar_couplings_kg_diff(kg_diff_analysis):
 def test_null_branch_annihilates_coupling(kg_analysis, kg_branches):
     # the projector onto the null branch kills the linearized source outright
     field, pol = kg_analysis.field, kg_analysis.pol
-    B1, Bm1 = pol.linearized_source(field.spec.B)
+    B1, Bm1 = field.spec.B.symmetrized(pol.e1), field.spec.B.symmetrized(pol.em1)
     for xi in (-1.3, 0.0, 2.1):
         _, projs = field.eigensystem_at([xi])
         P5 = projs[kg_branches[5]]

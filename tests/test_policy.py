@@ -69,7 +69,8 @@ def _residual_exact(policy):
 
 def _slope_branches(policy):
     spec = replace(catalog.kg_equal(), policy=policy)
-    return len(asymptotic_slopes(spec, [1.0], [200.0, 400.0]).c)
+    return len(asymptotic_slopes(eigendecompose_field(spec, (np.array([200.0]),)), [1.0],
+                                 [200.0, 400.0]).c)
 
 
 @pytest.mark.parametrize("decide, changed, default_decision, changed_decision", [

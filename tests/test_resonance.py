@@ -142,7 +142,8 @@ def test_pair_batch_does_not_depend_on_grouping(system, kg_analysis, kg_d2_analy
     an = {"kg-equal": lambda: kg_analysis, "kg-equal-d2": lambda: kg_d2_analysis,
           "three-wave": three_wave_analysis}[system]()
     field, phase = an.field, an.phase
-    sources = polarization_vectors(an.spec, phase).linearized_source(an.spec.B)
+    pol = polarization_vectors(an.spec, phase)
+    sources = an.spec.B.symmetrized(pol.e1), an.spec.B.symmetrized(pol.em1)
     rng = np.random.default_rng(5)
     lo, hi = np.array(field.window).T
     xis = rng.uniform(lo - np.minimum(phase.k, 0), hi - np.maximum(phase.k, 0),

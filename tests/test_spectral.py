@@ -119,31 +119,31 @@ def test_three_wave_branches_linear(three_wave_analysis):
 
 def test_asymptotic_slopes_kg(kg_analysis):
     radii = np.array([100.0, 200.0, 400.0])
-    slopes = asymptotic_slopes(kg_analysis.spec, [1.0], radii, field=kg_analysis.field)
+    slopes = asymptotic_slopes(kg_analysis.field, [1.0], radii)
     assert_close(sorted(slopes.c), [-1.0, -0.5, 0.0, 0.5, 1.0], 1e-8, "kg slopes")
 
 
 def test_asymptotic_slopes_three_wave(three_wave_analysis):
     an = three_wave_analysis()
-    slopes = asymptotic_slopes(an.spec, [1.0], [100.0, 200.0], field=an.field)
+    slopes = asymptotic_slopes(an.field, [1.0], [100.0, 200.0])
     assert_close(sorted(slopes.c), [-0.5, 0.5, 1.0], 1e-12, "exact linear slopes")
 
 
 def test_asymptotic_slopes_validation(kg_analysis):
     with pytest.raises(InputError):
-        asymptotic_slopes(kg_analysis.spec, [2.0], [100.0, 200.0])
+        asymptotic_slopes(kg_analysis.field, [2.0], [100.0, 200.0])
     with pytest.raises(InputError):
-        asymptotic_slopes(kg_analysis.spec, [1.0], [10.0, 50.0])  # below 100 x radius(A0)
+        asymptotic_slopes(kg_analysis.field, [1.0], [10.0, 50.0])  # below 100 x radius(A0)
 
 
 def test_mll_slopes_coincide():
     # three branches are exactly flat, and the +-1 slopes come in pairs whose
     # finite-radius split shrinks like 1/r: the asymptotic branches coincide
-    slopes = np.sort(mll_asymptotic_slopes(1.0))
+    slopes = np.sort(mll_asymptotic_slopes(1.0).c)
     assert np.min(np.diff(slopes)) < 1e-8
     assert np.sum(np.abs(slopes - 1.0) < 0.01) >= 2
     assert np.sum(np.abs(slopes + 1.0) < 0.01) >= 2
-    gap = lambda radii: np.max(np.abs(np.sort(mll_asymptotic_slopes(1.0, radii)) - np.array(
+    gap = lambda radii: np.max(np.abs(np.sort(mll_asymptotic_slopes(1.0, radii).c) - np.array(
         [-1, -1, 0, 0, 0, 0, 0, 1, 1])))
     assert gap((2000.0, 4000.0)) < 0.12 * gap((200.0, 400.0))
 
@@ -382,18 +382,13 @@ def test_field_memory_guard():
         eigendecompose_field(spec, uniform_grid(((-9.0, 9.0), (-9.0, 9.0)), (2048, 2048)))
 
 
-def _marched_slopes(spec, direction, radii, field=None):
+def _marched_slopes(spec, direction, radii, field):
     """Asymptotic slopes from a per-radius march, each radius optimally assigned
     against the previous one's projectors (the reference for the chained ray)."""
     direction, radii = np.asarray(direction, dtype=float), np.asarray(radii, dtype=float)
-    if field is not None:
-        edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
-        r0, ref = max(edge[0], 1e-3), field.projectors[edge[1]]
-        multiplicities, policy = field.multiplicities, field.spec.policy
-    else:
-        r0 = radii[0]
-        first = eigendecompose_field(spec, tuple(np.array([x]) for x in r0 * direction))
-        ref, multiplicities, policy = first.projectors[0], first.multiplicities, first.spec.policy
+    edge = max((float(np.dot(p, direction)), i) for i, p in enumerate(field.points))
+    r0, ref = max(edge[0], 1e-3), field.projectors[edge[1]]
+    multiplicities, policy = field.multiplicities, field.spec.policy
     march = [r0]
     for r in radii:
         while r / march[-1] > 1.3:
@@ -430,7 +425,6 @@ def test_chained_slopes_match_marched_assignment(system, kg_analysis, kg_diff_an
             [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
         for radii in ([rmax / 4, rmax / 2, rmax], [rmax, 2 * rmax]):
             for w in directions:
-                for anchor in (field, None):
-                    slopes = asymptotic_slopes(spec, w, radii, field=anchor)
-                    c = _marched_slopes(spec, w, radii, field=anchor)
-                    assert np.array_equal(slopes.c, c), (spec.name, w, radii, anchor is None)
+                slopes = asymptotic_slopes(field, w, radii)
+                c = _marched_slopes(spec, w, radii, field)
+                assert np.array_equal(slopes.c, c), (spec.name, w, radii)
