@@ -201,6 +201,7 @@ def cmd_simulate(args):
     print(f"verdict: {run.verdict}  fitted_rate: {run.fitted_rate:.6g}  "
           f"t_star: {run.t_star:.6g}")
     print(f"dt_used: {run.dt_used:.6g}  halvings: {run.halvings}")
+    print(f"stopped: t {run.times[-1]:.6g} ({run.stop_reason})")
     print(f"wrote {path}")
     return 0
 

@@ -8,7 +8,11 @@ advances exactly per Fourier mode through the precomputed eigendecomposition of
 advances with classical Runge-Kutta stages on the rows a nonzero triplet of B
 writes (2 of 6 on Klein-Gordon, 2 of 3 on three-wave).  Deviation norms from a
 reference solution are recorded at most every t_end / RUN_SAMPLES (every step
-of the stock runs), reading sup|u| and sup|dev| as max(max, -min).
+of the stock runs), reading sup|u| and sup|dev| as max(max, -min).  A run ends
+at the first sample by which its growth law is read (t* known and the growth
+window closed, holding 3 samples or more), else at t_end or at blow-up: past
+that sample a run follows the nonlinear blow-up at ever smaller dt, and its t*
+and fitted rate are already read.
 
 The stepper stores each (row, column) entry of the eigenvectors that is
 nonzero at some mode as its own array over the modes (24 of 36 on kg-equal, 5 of
@@ -300,6 +304,7 @@ class SimulationRun:
     config: SimConfig = None
     dt_used: float = None
     halvings: int = 0            # dt halvings over the run
+    stop_reason: str = "t_end"   # law read | t_end | unbounded
     final_state: np.ndarray = None   # (N, points) real state at times[-1], a copy
 
     def csv(self) -> str:
@@ -335,6 +340,24 @@ def _datum(config: SimConfig, reference, perturbation, x) -> np.ndarray:
     return np.real(u_ref0) + np.real(pert)   # the real part of the sum, with no complex sum
 
 
+def _growth_window(n_dev0, eps, K_prime):
+    """The (lo, hi) band of deviation norms the growth rate is fitted on: well above
+    the initial deviation ``n_dev0``, well below the observation size eps^K'."""
+    return 5.0 * max(n_dev0, 1e-300), 0.2 * eps ** K_prime
+
+
+def _law_read(n_dev, n_ball, window, thresh) -> bool:
+    """Whether the samples so far hold all a run reports: the ball norm has reached
+    ``thresh`` = eps^K' (t* is known), the latest deviation is at or above the
+    window's top (the window has closed) and the window holds 3 samples or more
+    (the rate is fitted on it, not on the second-half fallback).  As n_ball <= n_dev
+    and thresh > hi, the window has closed at the sample where t* becomes known;
+    the second test holds back a run whose deviation falls back into the window."""
+    lo, hi = window
+    return (n_dev[-1] >= hi and max(n_ball) >= thresh
+            and sum(lo < d < hi for d in n_dev) >= 3)
+
+
 def _check_run_steps(taken, t, t_end, dt, halvings=0, pace=0):
     """Raise :class:`InputError` when the run's step estimate passes ``MAX_RUN_STEPS``:
     up front, t_end / dt; after a halving, the ``taken`` steps plus those to the run's
@@ -364,6 +387,15 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     bound on dt, halving adaptively (at most 20 times) before declaring blow-up; a run
     estimated at more than ``MAX_RUN_STEPS`` steps, at the first dt or after any
     halving (see :func:`_check_run_steps`), raises :class:`InputError`.
+
+    The run stops early, ``stop_reason`` "law read", at the first recorded sample
+    by which the ball norm has reached eps^K' (t* is known), the latest deviation
+    is at or above the growth window's top 0.2 eps^K' and the window holds 3
+    samples or more (:func:`_law_read`).  Its samples are the first ones of the run
+    to t_end, and t* and the rate are read from them: only a deviation that fell
+    back into the window later would move the rate, and none does on the stock
+    runs.  A run whose window never opens (5 n_dev(0) >= 0.2 eps^K') runs to t_end
+    ("t_end") or to blow-up ("unbounded").
     """
     config.check_resolution()
     spec = config.spec
@@ -403,7 +435,9 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
 
     t = 0.0
     record(t, u)
-    verdict = "completed"
+    window = _growth_window(n_dev[0], eps, config.K_prime)
+    thresh = eps ** config.K_prime
+    verdict, stop_reason = "completed", "t_end"
     halvings = taken = level_start = 0   # level_start: the step count at the last halving
     next_sample = sample_dt
     while t < t_end - 1e-14:
@@ -416,7 +450,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
             _check_run_steps(taken, t, t_end, dt, halvings, taken - level_start)
             level_start = taken
         if verdict == "unbounded" or not np.isfinite(sup):
-            verdict = "unbounded"
+            verdict = stop_reason = "unbounded"
             break
         h = min(dt, t_end - t)
         u, u_hat = stepper.step(u_hat, h)
@@ -425,15 +459,16 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
         if t >= next_sample - 1e-14 or t >= t_end - 1e-14:
             record(t, u)
             next_sample += sample_dt
+            if _law_read(n_dev, n_ball, window, thresh):
+                stop_reason = "law read"
+                break
         sup = _sup(u)
 
     times = np.array(times)
     n_dev = np.array(n_dev)
     n_ball = np.array(n_ball)
 
-    # growth window: deviation well above its initial value, well below eps^K'
-    lo = 5.0 * max(n_dev[0], 1e-300)
-    hi = 0.2 * eps ** config.K_prime
+    lo, hi = window
     sel = (n_dev > lo) & (n_dev < hi)
     if sel.sum() >= 3:
         rate = float(np.polyfit(times[sel], np.log(n_dev[sel]), 1)[0])
@@ -444,7 +479,6 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     else:
         rate = 0.0
 
-    thresh = eps ** config.K_prime
     t_star = np.inf
     above = np.nonzero(n_ball >= thresh)[0]
     if len(above):
@@ -459,7 +493,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     return SimulationRun(times=times, norm_total=np.array(n_tot), norm_dev=n_dev,
                          norm_dev_ball=n_ball, sup_dev=np.array(s_dev), fitted_rate=rate,
                          t_star=t_star, verdict=verdict, config=config, dt_used=dt,
-                         halvings=halvings, final_state=u.copy())
+                         halvings=halvings, stop_reason=stop_reason, final_state=u.copy())
 
 
 @dataclass

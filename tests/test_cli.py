@@ -217,8 +217,10 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = (out / "run.csv").read_text().strip().splitlines()
     assert lines[0] == "t,norm_total,norm_dev,norm_dev_ball,sup_dev"
     assert len(lines) > 10
-    # the step report goes to stdout only
-    assert re.search(r"^dt_used: \S+  halvings: \d+$", capsys.readouterr().out, re.M)
+    # the step report goes to stdout only; --tend 0.4 comes before t*
+    out_text = capsys.readouterr().out
+    assert re.search(r"^dt_used: \S+  halvings: \d+$", out_text, re.M)
+    assert re.search(r"^stopped: t 0\.4 \(t_end\)$", out_text, re.M)
     assert sorted(p.name for p in out.iterdir()) == ["run.csv"]
 
 

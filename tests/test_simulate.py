@@ -333,25 +333,74 @@ def test_stable_case_bounded():
 
 def test_unstable_rate_and_localization():
     eps = 1e-3
-    cfg = _tw_config(eps)
-    run = run_instability_experiment(cfg, _static_ref)
-    assert run.verdict == "completed"
-    # the growth halved dt: dt_used is the first dt (sup|u| starts at 1) over 2^halvings
-    t_end = cfg.T_obs * np.sqrt(eps) * abs(np.log(eps))
-    dt0 = min(0.1 * np.sqrt(eps) / cfg.spec.B.norm_bound, t_end / 16)
-    assert run.halvings >= 1 and run.dt_used * 2 ** run.halvings == dt0
+    run = run_instability_experiment(_tw_config(eps), _static_ref)
+    assert (run.verdict, run.stop_reason) == ("completed", "law read")
     assert abs(run.fitted_rate * np.sqrt(eps) - 1.0) <= 0.15
     i = np.searchsorted(run.times, run.t_star)
     assert run.norm_dev_ball[i] / run.norm_dev[i] >= 0.5
+    # the growth halves dt past t*, which a run reaches when its growth window never
+    # opens (K = 1: 5 n_dev(0) > 0.2 eps^K'): dt_used is the first dt (sup|u| starts
+    # at 1) over 2^halvings
+    cfg = _tw_config(eps, K=1.0, t_end=0.3)
+    run = run_instability_experiment(cfg, _static_ref)
+    assert (run.verdict, run.stop_reason) == ("completed", "t_end")
+    dt0 = min(0.1 * np.sqrt(eps) / cfg.spec.B.norm_bound, cfg.t_end / 16)
+    assert run.halvings >= 1 and run.dt_used * 2 ** run.halvings == dt0
 
 
 def test_step_guard_holds_after_dt_halvings(monkeypatch):
-    # at K = 2 the run follows the nonlinear blow-up past t*: dt halves 11 times and
-    # the run takes 27,673 steps, under the 20,000 cap at its first dt (221 steps);
-    # after the tenth halving it has taken 7,233 and has about 13,800 to go
+    # at K = 1 the growth window never opens, so the run follows the nonlinear blow-up
+    # past t*, dt halving at a steady pace in t: each dt level takes about twice the
+    # steps of the last.  Its first dt asks for 221 steps, under the 20,000 cap; after
+    # the ninth halving it has taken 3,610 and the estimate reads about 24,900
     monkeypatch.setattr(simulate, "MAX_RUN_STEPS", 20_000)
-    with pytest.raises(InputError, match=r"2\.1e\+04 steps .* 10 dt halvings"):
-        run_instability_experiment(_tw_config(1e-3, K=2.0, grid_points=1024), _static_ref)
+    with pytest.raises(InputError, match=r"2\.49e\+04 steps .* 9 dt halvings"):
+        run_instability_experiment(_tw_config(1e-3, K=1.0, grid_points=1024), _static_ref)
+
+
+def test_stopped_run_reads_the_law_of_the_run_to_t_end(monkeypatch):
+    # random unstable three-wave systems (b2 b3 > 0) around the static pump (c1 = 0):
+    # a run that stops once its law is read reports the t* and the rate of the same
+    # run with the stop rule off, bit for bit, from a prefix of that run's samples
+    rng = np.random.default_rng(5)
+    stops = 0
+    for _ in range(4):
+        b23 = rng.uniform(0.3, 2.0, 2) * rng.choice([-1.0, 1.0])
+        spec = three_wave(c=(0.0, *rng.uniform(-1, 1, 2)), b=(rng.uniform(-1, 1), *b23))
+        for eps in (1e-2, 1e-3):
+            cfg = _tw_config(eps, spec=spec, grid_points=1024)
+            run = run_instability_experiment(cfg, _static_ref)
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_law_read", lambda *args: False)
+                full = run_instability_experiment(cfg, _static_ref)
+            assert run.verdict == "completed" and run.stop_reason in ("law read", "t_end")
+            assert (run.t_star, run.fitted_rate) == (full.t_star, full.fitted_rate)
+            n = len(run.times)
+            for key in SERIES:
+                assert np.array_equal(getattr(run, key), getattr(full, key)[:n]), key
+            stops += run.stop_reason == "law read"
+    assert stops >= 4
+
+
+def test_law_read_needs_t_star_a_closed_window_and_three_window_samples():
+    # window (1, 10), threshold 50: each series below misses one of the three
+    window, thresh = (1.0, 10.0), 50.0
+    n_dev, n_ball = [0.1, 2.0, 4.0, 8.0, 60.0], [0.0, 1.0, 2.0, 4.0, 55.0]
+    assert simulate._law_read(n_dev, n_ball, window, thresh)
+    assert not simulate._law_read(n_dev, n_ball[:-1] + [45.0], window, thresh)
+    assert not simulate._law_read(n_dev + [9.0], n_ball + [5.0], window, thresh)
+    assert not simulate._law_read(n_dev[:1] + n_dev[2:], n_ball[:1] + n_ball[2:], window, thresh)
+
+
+def test_blowup_past_t_star_is_not_run():
+    # K = 2, T_obs = 8: run to t_end it follows the nonlinear blow-up past t* at ever
+    # smaller dt, over 100,000 steps; it ends at the first sample past t*
+    eps = 1e-3
+    cfg = _tw_config(eps, K=2.0, T_obs=8.0)
+    run = run_instability_experiment(cfg, _static_ref)
+    assert (run.verdict, run.stop_reason, run.halvings) == ("completed", "law read", 0)
+    t_end = cfg.T_obs * np.sqrt(eps) * abs(np.log(eps))
+    assert run.t_star <= run.times[-1] < t_end / 4
 
 
 def test_spectral_convergence_grid_doubling():

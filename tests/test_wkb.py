@@ -65,6 +65,19 @@ def test_stacked_weak_transparency_within_rounding_of_oracle(triplet, kg_analysi
     assert abs(res.max_defect - ref.max_defect) <= 4 * np.finfo(float).eps * ref.max_defect
 
 
+def test_weak_transparency_witness_is_first_within_tolerance_of_maximum(kg_analysis):
+    # on this system pairs tie up to an ulp: the check and the oracle read the same
+    # max_defect, and the last bit alone named different (u, v) pairs
+    spec = kg_analysis.spec
+    bad = SystemSpec("kg-perturbed", spec.N, spec.d, spec.A0, spec.Aj,
+                     BilinearMap(spec.N, spec.B.triplets + ((0, 0, 2, 0.1),)))
+    res = weak_transparency_check(bad, kg_analysis.phase)
+    ref = weak_transparency_pairwise(bad, kg_analysis.phase)
+    assert res.max_defect == ref.max_defect == 0.11740451873222651
+    assert res.witness[0] == ref.witness[0]
+    assert all(np.array_equal(a, b) for a, b in zip(res.witness[1:], ref.witness[1:]))
+
+
 def test_weak_transparency_harmonics_gate():
     # doubled slow phase lands on the fast branch: cascade must refuse
     spec = kg_equal(omega0=1.0, theta0=0.5)
