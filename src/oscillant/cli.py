@@ -270,6 +270,10 @@ def cmd_catalog(args):
     return 0
 
 
+GRID_HELP = ("grid points on 40 amplitude widths (default: 4096 per 40 widths, on a domain "
+             "halved down to the datum's support plus the transport reach)")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="oscillant",
                                  description="stability analysis of high-frequency "
@@ -311,7 +315,7 @@ def build_parser():
     p.add_argument("--K", type=_positive, default=3.0)
     p.add_argument("--Kprime", type=_positive, default=None)
     p.add_argument("--tend", type=_positive, default=None)
-    p.add_argument("--grid", type=_grid_points, default=None)
+    p.add_argument("--grid", type=_grid_points, default=None, help=GRID_HELP)
     p.add_argument("--snapshot", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
@@ -322,7 +326,7 @@ def build_parser():
     p.add_argument("--Kprime", type=_positive, default=0.6)
     p.add_argument("--T", type=_positive, default=3.2)
     p.add_argument("--rho", type=_positive, default=None)
-    p.add_argument("--grid", type=_grid_points, default=None)
+    p.add_argument("--grid", type=_grid_points, default=None, help=GRID_HELP)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("wkb", parents=[system, params], help="two-scale cascade checks")

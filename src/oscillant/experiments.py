@@ -26,7 +26,7 @@ from .numeric import InputError, NumericalError, bump_weight, fit_epsilons
 from .resonance import (Phase, ResonanceReport, _bisect, _PairBatch, default_window,
                         find_resonances, harmonic)
 from .simulate import (AmplitudeProfile, SimConfig, SweepReport, amplitude_norms,
-                       epsilon_sweep, run_instability_experiment)
+                       check_grid_range, epsilon_sweep, run_instability_experiment)
 from .spectral import SpectralField, eigendecompose_field, uniform_grid
 from .system import SystemSpec
 from .wkb import amplitude_factor, transport_setup
@@ -84,6 +84,7 @@ def report_inputs(d: int, amplitude: AmplitudeProfile = None, **kw) -> ReportInp
     gaussian), which supplies |a|_sup and the transform L1 norm entering the
     observation-time formulas; ``kw`` sets K, K_a and h."""
     amplitude = amplitude or AmplitudeProfile()
+    check_grid_range(amplitude.width, 40 * amplitude.width, 4096)
     x = np.linspace(-20 * amplitude.width, 20 * amplitude.width, 4096, endpoint=False)
     an = amplitude_norms(amplitude(x), x)
     return ReportInputs(d=d, a_sup=an.a_sup, a_hatL1=an.a_hatL1, **kw)

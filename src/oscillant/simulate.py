@@ -14,6 +14,15 @@ window closed, holding 3 samples or more), else at t_end or at blow-up: past
 that sample a run follows the nonlinear blow-up at ever smaller dt, and its t*
 and fitted rate are already read.
 
+A run given neither ``grid_points`` nor ``domain_length`` keeps the spacing of 4096
+points on 40 amplitude widths and halves both while the halved domain holds the
+run: the datum's radius plus the transport reach on either side of the center,
+2 (radius + reach).  The radius is the largest of the gaussian's (where it falls to
+2^-52 of its maximum, about 6.0 widths), the perturbation's bump radius and rho; the
+reach is the largest |eigenvalue of A1| times the run's ``horizon``.  The stock
+three-wave runs take 2048 points on 20 widths, the middle half of the 40-width grid.
+A run given either one takes the other's default, 4096 points or 40 widths.
+
 The stepper stores each (row, column) entry of the eigenvectors that is
 nonzero at some mode as its own array over the modes (24 of 36 on kg-equal, 5 of
 9 on three-wave), and the half-step propagator, cached per step size, the same
@@ -48,6 +57,10 @@ RUN_SAMPLES = 400
 # largest step estimate t_end / dt a run may take: the stock kg-equal run at
 # eps = 1e-2 takes about 1,830
 MAX_RUN_STEPS = 10 ** 6
+# the default grid's spacing: DEFAULT_POINTS points on DEFAULT_WIDTHS amplitude widths
+DEFAULT_POINTS, DEFAULT_WIDTHS = 4096, 40.0
+# the fraction of its maximum past which the datum is rounding: 2^-52
+DATUM_EDGE = 2.0 ** -52
 # Fourier modes per chunk of the stepper's eigendecomposition and propagator
 # build: bounds their temporaries, not the arrays they fill
 MODE_CHUNK = 512
@@ -59,6 +72,12 @@ class AmplitudeProfile:
 
     center: float = 0.0
     width: float = 1.0
+
+    @property
+    def support_radius(self) -> float:
+        """Distance from the center past which the gaussian is below DATUM_EDGE of
+        its maximum: sqrt(52 ln 2), about 6.0 widths."""
+        return self.width * np.sqrt(-np.log(DATUM_EDGE))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -103,9 +122,12 @@ class SimConfig:
 
     spec: SystemSpec
     epsilon: float
-    grid_points: int = 4096
-    domain_length: float = None        # default 40 x amplitude width
-    t_end: float = None                # default T_obs * sqrt(eps) |log eps|
+    # the grid: given neither, DEFAULT_POINTS on DEFAULT_WIDTHS amplitude widths, both
+    # halved while the halved domain holds the run (see the module docstring); given
+    # one, the other takes its DEFAULT_ value
+    grid_points: int = None
+    domain_length: float = None
+    t_end: float = None                # default T_obs * sqrt(eps) |log eps| (``horizon``)
     T_obs: float = 2.0                 # observation-time multiplier
     K: float = 3.0
     K_prime: float = 0.5
@@ -119,12 +141,28 @@ class SimConfig:
     def __post_init__(self):
         if self.spec.d != 1:
             raise InputError("the simulator runs in one spatial dimension (spec.d must be 1)")
+        derived = self.grid_points is None and self.domain_length is None
+        if self.grid_points is None:
+            self.grid_points = DEFAULT_POINTS
         if self.grid_points < 2 or self.grid_points & (self.grid_points - 1):
             raise InputError(f"grid_points (--grid) must be a power of two >= 2, got {self.grid_points}")
         if self.domain_length is None:
-            self.domain_length = 40.0 * self.amplitude.width
+            self.domain_length = DEFAULT_WIDTHS * self.amplitude.width
+        check_grid_range(self.amplitude.width, self.domain_length, self.grid_points)
         if self.rho is None:
             self.rho = 0.5 * self.amplitude.width
+        if not self.epsilon ** self.K_prime > 0:
+            raise InputError(f"--Kprime {self.K_prime:g}: the observation size eps^K' underflows "
+                             f"to 0 at eps {self.epsilon:g}, so no run reads t*")
+        if derived:
+            # the datum's support, carried the transport reach to either side of the center
+            radius = max(self.amplitude.support_radius, self.phi0_radius, self.rho)
+            speed = np.max(np.abs(np.linalg.eigvalsh(self.spec.Aj[0])))
+            with np.errstate(over="ignore"):   # an infinite reach: no halving
+                held = 2 * (radius + (speed * self.horizon if speed else 0.0))
+            while self.domain_length / 2 >= held:
+                self.grid_points //= 2
+                self.domain_length /= 2
         # the stepper diagonalizes A0/(i eps) + kappa A1 at every wavenumber of the grid
         with np.errstate(over="ignore"):
             top = _wavenumbers(self.x)[-1] * np.max(np.abs(self.spec.Aj[0]))
@@ -139,6 +177,13 @@ class SimConfig:
         return 2.0 * self.amplitude.width
 
     @property
+    def horizon(self) -> float:
+        """The run's end time: ``t_end`` when given, else T_obs sqrt(eps) |log eps|."""
+        if self.t_end is not None:
+            return self.t_end
+        return self.T_obs * np.sqrt(self.epsilon) * abs(np.log(self.epsilon))
+
+    @property
     def x(self):
         L = self.domain_length
         return self.amplitude.center - L / 2 + L * np.arange(self.grid_points) / self.grid_points
@@ -147,10 +192,21 @@ class SimConfig:
         kmax = max(abs(self.k), abs(self.xi0 + self.k)) / self.epsilon
         if kmax > 0:
             wavelength = 2 * np.pi / kmax
-            ppw = wavelength / (self.domain_length / self.grid_points)
+            with np.errstate(over="ignore"):   # a tiny spacing: inf points, which pass
+                ppw = wavelength / (self.domain_length / self.grid_points)
             if ppw < MIN_POINTS_PER_WAVELENGTH:
                 raise InputError(f"grid resolves {ppw:.1f} points per wavelength; "
                                  f"need >= {MIN_POINTS_PER_WAVELENGTH}")
+
+
+def check_grid_range(width, length, points):
+    """Raise :class:`InputError`, naming ``--width``, when ``points`` on a periodic
+    domain of ``length`` put a coordinate offset past the float range."""
+    with np.errstate(over="ignore"):
+        span = np.float64(length) * (points - 1)
+    if not np.isfinite(span):
+        raise InputError(f"--width {width:g}: {points} points on a domain of length {length:g} "
+                         "put the grid's coordinates past the float range")
 
 
 def _wavenumbers(x):
@@ -405,9 +461,7 @@ def run_instability_experiment(config: SimConfig, reference, perturbation=None) 
     ball = np.abs(x - config.amplitude.center) <= config.rho
     datum = _datum(config, reference, perturbation, x)
 
-    t_end = config.t_end
-    if t_end is None:
-        t_end = config.T_obs * np.sqrt(eps) * abs(np.log(eps))
+    t_end = config.horizon
     b_norm = spec.B.norm_bound
     sup = _sup(datum)
     dt = 0.1 * np.sqrt(eps) / max(b_norm * sup, 1e-12)

@@ -294,6 +294,19 @@ def test_analyze_csv_format_flattens_the_json_report(tmp_path):
        "input error: --k 1e+308: wavenumber too large: |k| must be below 1e+150")
       for command in (["analyze"], ["flow"], ["simulate", "--epsilon", "1e-2"], ["sweep"],
                       ["wkb", "--residual"], ["wkb", "--check-transparency"])],
+    # a width whose 40-width grid of 4096 points puts coordinates past the float range,
+    # refused before the amplitude norms are formed on it, on every command that reads it
+    *[([*command, "--width", "1e308"], "input error: --width 1e+308:")
+      for command in (["analyze", "--system", "catalog:three-wave"],
+                      ["flow", "--system", "catalog:kg-equal"],
+                      ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2"],
+                      ["sweep", "--system", "catalog:three-wave"])],
+    # an observation size eps^K' that underflows to 0: no run could read t*
+    (["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2", "--Kprime", "1e308"],
+     "input error: --Kprime 1e+308:"),
+    (["sweep", "--system", "catalog:three-wave", "--Kprime", "1e308"],
+     "input error: --Kprime 1e+308:"),
+    (["sweep", "--system", "catalog:three-wave", "--Kprime", "200"], "input error: --Kprime 200:"),
 ])
 def test_refused_inputs_exit_2_naming_the_cause(argv, named, tmp_path, capsys):
     (tmp_path / "file").write_text("")
@@ -330,10 +343,12 @@ def test_huge_cutoff_edge_bisects_without_overflow_warning(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--system", "catalog:three-wave", "--epsilon", "1e-2"],
-    ["flow", "--system", "catalog:kg-equal"]], ids=["simulate", "flow"])
+    ["sweep", "--system", "catalog:three-wave"],
+    ["flow", "--system", "catalog:kg-equal"]], ids=["simulate", "sweep", "flow"])
 def test_tiny_width_runs_without_overflow_warning(argv, tmp_path):
     # off its center a gaussian of width 1e-300 squares past the float range:
-    # exp(-inf) = 0 there, with no warning, as under -W error::RuntimeWarning
+    # exp(-inf) = 0 there, with no warning, as under -W error::RuntimeWarning; the
+    # sweep's carrier spans infinitely many of its grid spacings, which resolves it
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _run(argv + ["--width", "1e-300", "--out", str(tmp_path / "out")]) == 0

@@ -6,7 +6,8 @@ import pytest
 
 from oscillant import simulate
 from oscillant.catalog import kg_equal, three_wave
-from oscillant.experiments import analyze, reference_solution, run_simulation, run_sweep
+from oscillant.experiments import (analyze, reference_solution, run_simulation, run_sweep,
+                                   simulation_config)
 from oscillant.numeric import InputError, NumericalError, bump_weight
 from oscillant.resonance import Phase
 from oscillant.simulate import (AmplitudeProfile, SimConfig, _Stepper, amplitude_norms,
@@ -483,6 +484,65 @@ def test_resolution_guard():
                     xi0=1.45, k=1.0, e0=np.zeros(6, dtype=complex))
     with pytest.raises(InputError):
         cfg.check_resolution()
+
+
+@pytest.mark.parametrize("system", ["three-wave", "kg-equal"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0, 3.0])
+def test_default_grid_keeps_the_spacing_on_the_datums_support(system, eps, width, kg_analysis,
+                                                              three_wave_analysis):
+    # neither grid_points nor domain_length: 4096 points on 40 widths, both halved
+    # while the halved domain holds the datum's radius plus the transport reach to
+    # either side; the datum at the domain's edge is below 2^-52 of its maximum
+    an = kg_analysis if system == "kg-equal" else three_wave_analysis()
+    amp = AmplitudeProfile(width=width)
+    cfg = simulation_config(an, eps, amplitude=amp)
+    assert cfg.domain_length / cfg.grid_points == 40 * width / 4096
+    a = amp(cfg.x)
+    assert max(a[0], a[-1]) <= 2.0 ** -52 * a.max()
+    radius = max(np.sqrt(52 * np.log(2)) * width, 2 * width, cfg.rho)
+    # the largest |eigenvalue of A1| is 1 on both systems (three-wave's c1, kg-equal's)
+    reach = cfg.T_obs * np.sqrt(eps) * abs(np.log(eps))
+    assert cfg.domain_length >= 2 * (radius + reach) > cfg.domain_length / 2
+    # kg-equal's reach at eps 1e-2 (speed 1, horizon 4.3) keeps 40 widths under width 2
+    assert cfg.grid_points == (4096 if (system, eps) == ("kg-equal", 1e-2) and width < 2
+                               else 2048)
+    # a given grid or domain takes the other's default: today's 40 widths or 4096 points
+    given = simulation_config(an, eps, amplitude=amp, grid_points=1024)
+    assert (given.grid_points, given.domain_length) == (1024, 40 * width)
+    given = simulation_config(an, eps, amplitude=amp, domain_length=24.0)
+    assert (given.grid_points, given.domain_length) == (4096, 24.0)
+
+
+def test_default_grid_runs_read_the_40_width_law():
+    # random unstable three-wave systems drawn as the benchmark draws them (moving
+    # pump, b2 b3 > 0): t* and the rate on the derived grid match the run on 4096
+    # points over 40 widths; measured over 36 systems at eps 1e-2..1e-4, t* agreed
+    # to 6.8e-15 and the rate to 3.4e-10 (at eps 1e-4) relative
+    rng = np.random.default_rng(11)
+    width, read = 2.0, 0
+    for _ in range(3):
+        c = (rng.uniform(0.8, 1.2), rng.uniform(0.3, 0.7), rng.uniform(-0.7, -0.3))
+        sign = rng.choice((-1.0, 1.0))
+        b = (rng.uniform(-1.0, 1.0), sign * rng.uniform(0.5, 1.5), sign * rng.uniform(0.5, 1.5))
+
+        def ref(t, x, c1=c[0]):
+            a = np.exp(-((x - c1 * t) / width) ** 2)
+            return np.stack([a, np.zeros_like(a), np.zeros_like(a)])
+
+        for eps in (1e-2, 1e-3, 1e-4):
+            kw = dict(spec=three_wave(c=c, b=b), epsilon=eps, amplitude=AmplitudeProfile(width=width),
+                      K=3.0, K_prime=0.6, T_obs=3.2, rho=0.4, e0=np.array([0, 0, 1.0], dtype=complex))
+            run = run_instability_experiment(SimConfig(**kw), ref)
+            full = run_instability_experiment(
+                SimConfig(grid_points=4096, domain_length=40 * width, **kw), ref)
+            assert run.config.grid_points == 2048
+            assert run.fitted_rate == pytest.approx(full.fitted_rate, rel=1e-9, abs=0)
+            assert np.isfinite(run.t_star) == np.isfinite(full.t_star)
+            if np.isfinite(full.t_star):
+                assert run.t_star == pytest.approx(full.t_star, rel=1e-13, abs=0)
+                read += 1
+    assert read >= 6
 
 
 # ---------------------------------------------------------------------------
